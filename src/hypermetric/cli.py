@@ -12,8 +12,7 @@ Commands::
 
 Exit status: 0 on success / pass, 1 on verification failure (a report is
 still printed), 2 on usage errors.  Output is deterministic for a fixed
-argument vector; JSON objects are key-sorted.  ``HYPERMETRIC_THREADS``
-caps the scan worker count (default 1).
+argument vector; JSON objects are key-sorted.
 """
 
 from __future__ import annotations
@@ -29,11 +28,11 @@ from .maps import linear_dilatation, parse_map
 from .metrics import MetricKind, MetricParams
 from .quasihyperbolic import DEFAULT_NODE_CAP, GridError, KControls, k_estimate
 from .verify import (
+    SUITES,
     collinear_c_scan,
     inequality_suite,
     triangle_scan,
     uniformity_estimate,
-    _SUITE_IDS,
 )
 
 _EXIT_PASS, _EXIT_FAIL, _EXIT_USAGE = 0, 1, 2
@@ -86,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-suite", help="run a named inequality suite")
     _add_common(p, count_default=10_000)
-    p.add_argument("--suite", required=True, choices=list(_SUITE_IDS))
+    p.add_argument("--suite", required=True, choices=list(SUITES))
     _add_k_flags(p)
 
     p = sub.add_parser("falsify", help="collinear scan for sub-sharp c")

@@ -1,9 +1,9 @@
-"""Open subsets of R^n and their boundary-distance functions.
+"""Open subsets of R^n and the geometry the metrics read from them.
 
-Every distance formula in this library consumes a domain through exactly
-two queries: membership in the open interior and the clearance
-d(x) = dist(x, boundary).  The built-in variants implement both in closed
-form:
+A domain answers one query, the signed clearance ``clearance_many``:
+d(x) = dist(x, boundary) inside and a value <= 0 at every point outside
+the open set, so membership is d > 0, never a second query.  The
+built-in variants give it in closed form:
 
 * ``UnitBall(n)``        interior {|x| < 1},      d(x) = 1 - |x|
 * ``HalfSpace(n)``       interior {x_n > 0},      d(x) = x_n
@@ -12,12 +12,18 @@ form:
 * ``GenericDomain``      caller-supplied oracles (1-Lipschitz clearance
                          is a *tested* requirement, not an assumption)
 
-Boundaries are represented implicitly through these closed forms; no
-meshes.  All operations are pure and safe to call concurrently.
+Samplers and the estimator ask four geometry methods, whose base-class
+forms are the generic answers: ``boundary_sample`` (points at small
+clearance; base: the uniform law), ``chord_reach`` (base: none, so no
+collinear stratum), ``geodesic_window`` (base: the sample box) and
+``complement_sample`` (base: none).  ``boundary_stratum`` and
+``collinear_stratum`` declare whether a domain has the first two.  No
+meshes; all operations are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,10 +62,27 @@ def as_points(xs, dim: int) -> np.ndarray:
     return a
 
 
+def unit_directions(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """``m`` seeded unit vectors in R^n (random signs when n == 1)."""
+    if n == 1:
+        return np.where(rng.random(m) < 0.5, -1.0, 1.0).reshape(-1, 1)
+    v = rng.normal(size=(m, n))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _log_uniform(rng: np.random.Generator, m: int, lo: float, hi: float) -> np.ndarray:
+    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size=m)
+
+
 class Domain:
-    """Base class: an open set D in R^n with a clearance function."""
+    """Base class: an open set D in R^n with a signed clearance function."""
 
     dimension: int
+
+    #: ``boundary_sample`` parametrizes the boundary (else: uniform law)
+    boundary_stratum = False
+    #: ``chord_reach`` is defined, so scans draw collinear triples
+    collinear_stratum = False
 
     # -- scalar API ---------------------------------------------------
 
@@ -71,18 +94,44 @@ class Domain:
     def boundary_distance(self, x) -> float:
         """Distance from an interior point to the boundary (> 0)."""
         p = as_point(x, self.dimension)
-        if not self.contains(p):
+        d = float(self.clearance_many(p[None, :])[0])
+        if not d > 0.0:
             raise ValueError(f"point {p.tolist()} is not inside {self.spec_string()}")
-        return float(self.clearance_many(p[None, :])[0])
+        return d
 
-    # -- vector API (no containment side effects) ---------------------
+    # -- vector API ---------------------------------------------------
 
     def clearance_many(self, xs: np.ndarray) -> np.ndarray:
-        """Signed clearance of each row; <= 0 outside for closed-form variants."""
+        """Signed clearance of each row: dist(x, boundary) inside, <= 0 at
+        every point outside the open set."""
         raise NotImplementedError
 
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
         return self.clearance_many(xs) > 0.0
+
+    # -- geometry used by samplers and the estimator ------------------
+
+    def boundary_sample(self, m: int, rng: np.random.Generator,
+                        lo: float, hi: float) -> np.ndarray:
+        """``m`` points with clearance log-uniform in [lo, hi]; without a
+        boundary parametrization, uniform interior points with clearance
+        >= lo (the clearances are still drawn, keeping the stream order)."""
+        _log_uniform(rng, m, lo, hi)
+        return sample_interior(self, m, 0, min_clearance=lo, rng=rng)
+
+    def chord_reach(self, z: np.ndarray, u: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Largest step t >= 0 with clearance(z + t u) >= delta (capped)."""
+        raise ValueError(f"no collinear stratum for {self.spec_string()}")
+
+    def geodesic_window(self, x: np.ndarray, y: np.ndarray, pad: float):
+        """Axis box (lo, hi) holding the geodesics from x to y, plus an
+        optional extra node mask; ``pad`` is the stencil's reach in length."""
+        lo, hi = self.sample_box()
+        return lo, hi, None
+
+    def complement_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Seeded points outside the domain, one per row."""
+        raise ValueError(f"cannot sample the complement of {self.spec_string()}")
 
     # -- sampling support ---------------------------------------------
 
@@ -106,6 +155,8 @@ class Domain:
 class UnitBall(Domain):
     dimension: int
 
+    boundary_stratum = collinear_stratum = True
+
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
@@ -113,6 +164,22 @@ class UnitBall(Domain):
     def clearance_many(self, xs):
         xs = as_points(xs, self.dimension)
         return 1.0 - np.linalg.norm(xs, axis=1)
+
+    def boundary_sample(self, m, rng, lo, hi):
+        delta = _log_uniform(rng, m, lo, hi)
+        return (1.0 - delta)[:, None] * unit_directions(self.dimension, m, rng)
+
+    def chord_reach(self, z, u, delta):
+        target = np.maximum(1.0 - delta, 1e-12)
+        zu = np.sum(z * u, axis=1)
+        z2 = np.sum(z * z, axis=1)
+        disc = np.maximum(zu * zu + target * target - z2, 0.0)
+        return np.maximum(-zu + np.sqrt(disc), 0.0)
+
+    def complement_sample(self, count, rng):
+        dirs = rng.normal(size=(count, self.dimension))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        return dirs * rng.uniform(1.0, 2.0, size=(count, 1))
 
     def sample_box(self):
         n = self.dimension
@@ -129,6 +196,8 @@ class UnitBall(Domain):
 class HalfSpace(Domain):
     dimension: int
 
+    boundary_stratum = collinear_stratum = True
+
     #: rejection box extent: last coordinate in (0, 4], others in [-2, 2]
     _SIDE = 2.0
     _HEIGHT = 4.0
@@ -140,6 +209,44 @@ class HalfSpace(Domain):
     def clearance_many(self, xs):
         xs = as_points(xs, self.dimension)
         return xs[:, -1].copy()
+
+    def boundary_sample(self, m, rng, lo, hi):
+        delta = _log_uniform(rng, m, lo, hi)
+        lo_box, hi_box = self.sample_box()
+        pts = rng.uniform(lo_box, hi_box, size=(m, self.dimension))
+        pts[:, -1] = delta
+        return pts
+
+    def chord_reach(self, z, u, delta):
+        un = u[:, -1]
+        zn = z[:, -1]
+        cap = np.full(zn.shape, self._HEIGHT)
+        down = un < -1e-12
+        t = np.where(down, (zn - delta) / np.where(down, -un, 1.0), cap)
+        return np.clip(t, 0.0, self._HEIGHT)
+
+    def geodesic_window(self, x, y, pad):
+        # sized from the circular-arc geodesic through the endpoints
+        xn, yn = x[-1], y[-1]
+        s_h = float(np.linalg.norm(x[:-1] - y[:-1])) if self.dimension > 1 else 0.0
+        if s_h < 1e-12:
+            apex = max(xn, yn)
+        else:
+            u = (s_h * s_h + yn * yn - xn * xn) / (2.0 * s_h)
+            apex = math.hypot(u, xn) if 0.0 <= u <= s_h else max(xn, yn)
+        lo = np.minimum(x, y)
+        hi = np.maximum(x, y)
+        side_pad = pad + 0.1 * max(s_h, apex)
+        lo[:-1] -= side_pad
+        hi[:-1] += side_pad
+        lo[-1] = 0.4 * min(xn, yn)
+        hi[-1] = 1.2 * apex + pad
+        return lo, hi, None
+
+    def complement_sample(self, count, rng):
+        pts = rng.uniform(-2.0, 2.0, size=(count, self.dimension))
+        pts[:, -1] = -rng.uniform(0.0, 2.0, size=count)
+        return pts
 
     def sample_box(self):
         n = self.dimension
@@ -160,6 +267,8 @@ class HalfSpace(Domain):
 class PuncturedSpace(Domain):
     dimension: int
 
+    boundary_stratum = collinear_stratum = True
+
     _SIDE = 2.0
 
     def __post_init__(self):
@@ -170,9 +279,28 @@ class PuncturedSpace(Domain):
         xs = as_points(xs, self.dimension)
         return np.linalg.norm(xs, axis=1)
 
-    def contains_many(self, xs):
-        # the puncture itself is the only excluded point
-        return self.clearance_many(xs) > 0.0
+    def boundary_sample(self, m, rng, lo, hi):
+        delta = _log_uniform(rng, m, lo, hi)
+        return delta[:, None] * unit_directions(self.dimension, m, rng)
+
+    def chord_reach(self, z, u, delta):
+        return np.full(z.shape[0], 2.5)
+
+    def geodesic_window(self, x, y, pad):
+        # log-polar geodesics stay between half the smaller and twice the
+        # larger query radius
+        rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+        r_lo, r_hi = 0.5 * min(rx, ry), 2.0 * max(rx, ry)
+
+        def annulus(points: np.ndarray) -> np.ndarray:
+            r = np.linalg.norm(points, axis=1)
+            return (r >= r_lo) & (r <= r_hi)
+
+        return np.full(self.dimension, -r_hi), np.full(self.dimension, r_hi), annulus
+
+    def complement_sample(self, count, rng):
+        # the complement is the single puncture
+        return np.zeros((1, self.dimension))
 
     def sample_box(self):
         n = self.dimension
@@ -192,6 +320,8 @@ class Interval(Domain):
     a: float
     b: float
 
+    boundary_stratum = collinear_stratum = True
+
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b)):
             raise ValueError("interval endpoints must be finite")
@@ -206,6 +336,21 @@ class Interval(Domain):
         xs = as_points(xs, 1)
         t = xs[:, 0]
         return np.minimum(t - self.a, self.b - t)
+
+    def boundary_sample(self, m, rng, lo, hi):
+        delta = _log_uniform(rng, m, lo, hi)
+        side = rng.random(m) < 0.5
+        return np.where(side, self.a + delta, self.b - delta).reshape(-1, 1)
+
+    def chord_reach(self, z, u, delta):
+        t_up = self.b - delta - z[:, 0]
+        t_dn = z[:, 0] - (self.a + delta)
+        return np.maximum(np.where(u[:, 0] > 0, t_up, t_dn), 0.0)
+
+    def complement_sample(self, count, rng):
+        offs = rng.uniform(0.0, self.b - self.a, size=count)
+        side = rng.random(count) < 0.5
+        return np.where(side, self.a - offs, self.b + offs).reshape(-1, 1)
 
     def sample_box(self):
         return np.array([self.a]), np.array([self.b])
@@ -223,8 +368,11 @@ class GenericDomain(Domain):
 
     ``distance_fn`` maps an (N, n) array to clearances and must be
     1-Lipschitz (checked by :func:`lipschitz_defect`, not assumed);
-    ``membership_fn`` maps an (N, n) array to booleans.  ``box`` bounds
-    the region used by samplers and grid builders.
+    ``membership_fn`` maps an (N, n) array to booleans.  ``clearance_many``
+    folds the two into the signed clearance: the distance where the
+    membership oracle says inside, -|distance| elsewhere, so every point
+    outside reads <= 0.  ``box`` bounds the region used by samplers and
+    grid builders.  No boundary parametrization, no collinear stratum.
     """
 
     dimension: int
@@ -237,14 +385,10 @@ class GenericDomain(Domain):
         d = np.asarray(self.distance_fn(xs), dtype=float)
         if d.shape != (xs.shape[0],):
             raise ValueError("distance oracle must return one value per point")
-        return d
-
-    def contains_many(self, xs):
-        xs = as_points(xs, self.dimension)
         inside = np.asarray(self.membership_fn(xs), dtype=bool)
-        if inside.shape != (xs.shape[0],):
+        if inside.shape != d.shape:
             raise ValueError("membership oracle must return one value per point")
-        return inside
+        return np.where(inside, d, -np.abs(d))
 
     def sample_box(self):
         lo, hi = self.box
@@ -338,7 +482,7 @@ def sample_interior(
     for _ in range(_MAX_REJECTION_ROUNDS):
         batch = max(1024, 2 * (count - have))
         cand = rng.uniform(lo, hi, size=(batch, domain.dimension))
-        ok = domain.contains_many(cand) & (domain.clearance_many(cand) >= min_clearance)
+        ok = domain.clearance_many(cand) >= min_clearance
         take = cand[ok][: count - have]
         out[have : have + take.shape[0]] = take
         have += take.shape[0]
@@ -351,33 +495,11 @@ def sample_interior(
 
 
 def sample_complement(domain: Domain, count: int, seed: int) -> PointSet:
-    """Seeded sample of points in the complement of a built-in domain.
-
-    Used to exercise the generalized clearance d_{D,A}.  For the
-    punctured space the complement is the single puncture.
-    """
+    """Seeded points outside a domain (``Domain.complement_sample``), used
+    to exercise the generalized clearance d_{D,A}."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = domain.dimension
-    if isinstance(domain, PuncturedSpace):
-        return PointSet.outside(domain, np.zeros((1, n)))
-    if isinstance(domain, UnitBall):
-        dirs = rng.normal(size=(count, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = rng.uniform(1.0, 2.0, size=(count, 1))
-        return PointSet.outside(domain, dirs * radii)
-    if isinstance(domain, HalfSpace):
-        pts = rng.uniform(-2.0, 2.0, size=(count, n))
-        pts[:, -1] = -rng.uniform(0.0, 2.0, size=count)
-        return PointSet.outside(domain, pts)
-    if isinstance(domain, Interval):
-        width = domain.b - domain.a
-        offs = rng.uniform(0.0, width, size=count)
-        side = rng.random(count) < 0.5
-        vals = np.where(side, domain.a - offs, domain.b + offs)
-        return PointSet.outside(domain, vals.reshape(-1, 1))
-    raise ValueError(f"cannot sample the complement of {domain.spec_string()}")
+    return PointSet.outside(domain, domain.complement_sample(count, np.random.default_rng(seed)))
 
 
 def lipschitz_defect(

@@ -17,6 +17,10 @@ comparison quantities implemented alongside it:
 phi is exposed as a comparison *quantity*, not a metric: it fails the
 triangle inequality on symmetric near-boundary triples.
 
+h, j and phi are pure kernels of the separation and two clearances
+(``h_kernel``, ``j_kernel``, ``phi_kernel``); the ``*_many`` fronts
+validate the points and read each clearance once.
+
 Inverse hyperbolics are evaluated through logarithmic forms (log1p /
 arcsinh) so coincident and near-boundary arguments stay finite; every
 distance returns exactly 0.0 for x == y.
@@ -73,22 +77,59 @@ class MetricKind(Enum):
 # ---------------------------------------------------------------------------
 
 
-def _clearances(domain: Domain, xs: np.ndarray) -> np.ndarray:
-    """Clearances of interior points; raises if any point is outside."""
-    inside = domain.contains_many(xs)
-    if not np.all(inside):
-        bad = xs[np.argmin(inside)]
-        raise ValueError(f"point {bad.tolist()} is not inside {domain.spec_string()}")
+def clearances(domain: Domain, xs: np.ndarray) -> np.ndarray:
+    """Clearances of interior points, one domain query per row; raises if
+    any point is outside."""
     d = domain.clearance_many(xs)
-    if np.any(d <= 0.0):
-        bad = xs[int(np.argmin(d))]
-        raise ValueError(f"point {bad.tolist()} has nonpositive clearance")
+    inside = d > 0.0
+    if not np.all(inside):
+        bad = as_points(xs, domain.dimension)[np.argmin(inside)]
+        raise ValueError(f"point {bad.tolist()} is not inside {domain.spec_string()}")
     return d
 
 
-def _pair_arrays(domain: Domain, x, y) -> tuple[np.ndarray, np.ndarray]:
+def separation(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """|x - y| of paired rows."""
+    return np.linalg.norm(xs - ys, axis=1)
+
+
+def pair_geometry(domain: Domain, xs: np.ndarray, ys: np.ndarray):
+    """(|x - y|, d(x), d(y)) of paired interior rows, the arguments of every
+    kernel below; one clearance query per row."""
+    dx = clearances(domain, xs)
+    dy = clearances(domain, ys)
+    return separation(xs, ys), dx, dy
+
+
+def _one_pair(many, domain: Domain, x, y, *args) -> float:
+    """A vector front evaluated on one pair; exactly 0.0 for x == y."""
     n = domain.dimension
-    return as_point(x, n)[None, :], as_point(y, n)[None, :]
+    xs, ys = as_point(x, n)[None, :], as_point(y, n)[None, :]
+    if np.array_equal(xs, ys):
+        clearances(domain, xs)
+        return 0.0
+    return float(many(domain, xs, ys, *args)[0])
+
+
+# ---------------------------------------------------------------------------
+# kernels: pure functions of the separation and the two clearances
+# ---------------------------------------------------------------------------
+
+
+def h_kernel(rho, dx, dy, c: float):
+    """log(1 + c rho / sqrt(dx dy))."""
+    return np.log1p(c * rho / np.sqrt(dx * dy))
+
+
+def j_kernel(rho, dx, dy):
+    """log(1 + rho / min(dx, dy))."""
+    return np.log1p(rho / np.minimum(dx, dy))
+
+
+def phi_kernel(rho, dx, dy):
+    """log(1 + max(r, r^2)) with r = rho / sqrt(dx dy)."""
+    r = rho / np.sqrt(dx * dy)
+    return np.log1p(np.maximum(r, r * r))
 
 
 # ---------------------------------------------------------------------------
@@ -97,19 +138,13 @@ def _pair_arrays(domain: Domain, x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def h_many(domain: Domain, xs: np.ndarray, ys: np.ndarray, c: float) -> np.ndarray:
-    dx = _clearances(domain, xs)
-    dy = _clearances(domain, ys)
-    rho = np.linalg.norm(xs - ys, axis=1)
-    return np.log1p(c * rho / np.sqrt(dx * dy))
+    """h_c of paired interior rows."""
+    return h_kernel(*pair_geometry(domain, xs, ys), c)
 
 
 def h_metric(domain: Domain, params: MetricParams, x, y) -> float:
     """log(1 + c |x-y| / sqrt(d(x) d(y))) for interior points."""
-    xs, ys = _pair_arrays(domain, x, y)
-    if np.array_equal(xs, ys):
-        _clearances(domain, xs)
-        return 0.0
-    return float(h_many(domain, xs, ys, params.c)[0])
+    return _one_pair(h_many, domain, x, y, params.c)
 
 
 def h_metric_general(rho_xy: float, dA_x: float, dA_y: float, params: MetricParams) -> float:
@@ -123,9 +158,7 @@ def h_metric_general(rho_xy: float, dA_x: float, dA_y: float, params: MetricPara
         raise ValueError(f"separation must be nonnegative, got {rho_xy}")
     if not (dA_x > 0.0 and dA_y > 0.0):
         raise ValueError("clearances must be positive")
-    if rho_xy == 0.0:
-        return 0.0
-    return float(np.log1p(params.c * rho_xy / np.sqrt(dA_x * dA_y)))
+    return float(h_kernel(rho_xy, dA_x, dA_y, params.c))
 
 
 # ---------------------------------------------------------------------------
@@ -134,26 +167,18 @@ def h_metric_general(rho_xy: float, dA_x: float, dA_y: float, params: MetricPara
 
 
 def j_many(domain: Domain, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    dx = _clearances(domain, xs)
-    dy = _clearances(domain, ys)
-    rho = np.linalg.norm(xs - ys, axis=1)
-    return np.log1p(rho / np.minimum(dx, dy))
+    """j of paired interior rows."""
+    return j_kernel(*pair_geometry(domain, xs, ys))
 
 
 def j_metric(domain: Domain, x, y) -> float:
     """log(1 + |x-y| / min(d(x), d(y)))."""
-    xs, ys = _pair_arrays(domain, x, y)
-    if np.array_equal(xs, ys):
-        _clearances(domain, xs)
-        return 0.0
-    return float(j_many(domain, xs, ys)[0])
+    return _one_pair(j_many, domain, x, y)
 
 
 def phi_many(domain: Domain, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    dx = _clearances(domain, xs)
-    dy = _clearances(domain, ys)
-    r = np.linalg.norm(xs - ys, axis=1) / np.sqrt(dx * dy)
-    return np.log1p(np.maximum(r, r * r))
+    """phi of paired interior rows."""
+    return phi_kernel(*pair_geometry(domain, xs, ys))
 
 
 def phi_quantity(domain: Domain, x, y) -> float:
@@ -162,11 +187,7 @@ def phi_quantity(domain: Domain, x, y) -> float:
     Comparable to j within factors of 2 but *not* a metric; the name
     avoids suggesting triangle-inequality guarantees.
     """
-    xs, ys = _pair_arrays(domain, x, y)
-    if np.array_equal(xs, ys):
-        _clearances(domain, xs)
-        return 0.0
-    return float(phi_many(domain, xs, ys)[0])
+    return _one_pair(phi_many, domain, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -260,28 +281,47 @@ def validate_kind(kind: MetricKind, domain: Domain) -> None:
         raise ValueError("rho-halfspace is only defined on half-space domains")
 
 
-def pair_evaluator(kind: MetricKind, domain: Domain, params: MetricParams, k_controls=None):
-    """Vectorized (xs, ys) -> distances evaluator for a metric kind.
+def pair_kernel(kind: MetricKind, domain: Domain, params: MetricParams, k_controls=None):
+    """Vectorized (xs, ys, dx, dy) -> distances for a metric kind.
 
-    QUASIHYPERBOLIC evaluation runs one shortest-path query per pair and
-    is far slower than the closed forms.
+    ``dx``, ``dy`` are what :func:`kind_clearances` gives for each point
+    set, so a caller pairing one point set with several others reads its
+    clearances once.  QUASIHYPERBOLIC evaluation runs one shortest-path
+    query per pair and is far slower than the closed forms.
     """
     validate_kind(kind, domain)
+    c = params.c
     if kind is MetricKind.H:
-        return lambda xs, ys: h_many(domain, xs, ys, params.c)
+        return lambda xs, ys, dx, dy: h_kernel(separation(xs, ys), dx, dy, c)
     if kind is MetricKind.J:
-        return lambda xs, ys: j_many(domain, xs, ys)
+        return lambda xs, ys, dx, dy: j_kernel(separation(xs, ys), dx, dy)
     if kind is MetricKind.PHI:
-        return lambda xs, ys: phi_many(domain, xs, ys)
+        return lambda xs, ys, dx, dy: phi_kernel(separation(xs, ys), dx, dy)
     if kind is MetricKind.RHO_BALL:
-        return lambda xs, ys: rho_ball_many(as_points(xs, domain.dimension),
-                                            as_points(ys, domain.dimension))
+        return lambda xs, ys, dx, dy: rho_ball_many(as_points(xs, domain.dimension),
+                                                    as_points(ys, domain.dimension))
     if kind is MetricKind.RHO_HALFSPACE:
-        return lambda xs, ys: rho_halfspace_many(as_points(xs, domain.dimension),
-                                                 as_points(ys, domain.dimension))
+        return lambda xs, ys, dx, dy: rho_halfspace_many(as_points(xs, domain.dimension),
+                                                         as_points(ys, domain.dimension))
     if kind is MetricKind.QUASIHYPERBOLIC:
         from .quasihyperbolic import KControls, k_estimate_many
 
         controls = k_controls if k_controls is not None else KControls()
-        return lambda xs, ys: k_estimate_many(domain, xs, ys, controls)
+        return lambda xs, ys, dx, dy: k_estimate_many(domain, xs, ys, controls)
     raise ValueError(f"unsupported metric kind {kind}")
+
+
+def pair_evaluator(kind: MetricKind, domain: Domain, params: MetricParams, k_controls=None):
+    """Vectorized (xs, ys) -> distances evaluator for a metric kind."""
+    kernel = pair_kernel(kind, domain, params, k_controls)
+    return lambda xs, ys: kernel(xs, ys, kind_clearances(kind, domain, xs),
+                                 kind_clearances(kind, domain, ys))
+
+
+def kind_clearances(kind: MetricKind, domain: Domain, xs: np.ndarray):
+    """What a ``pair_kernel`` reads of a point set: its validated
+    clearances for the closed forms built on them, None (and no domain
+    query) for the others."""
+    if kind in (MetricKind.H, MetricKind.J, MetricKind.PHI):
+        return clearances(domain, xs)
+    return None

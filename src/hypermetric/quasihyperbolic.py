@@ -25,12 +25,9 @@ Estimator construction, per refinement level (spacing halved each time):
   close), so endpoint handling adds no O(h * density) detour penalty.
 
 Grid paths are admissible curves up to quadrature error, so estimates
-approach k from above; no rigorous enclosure is claimed.  Windows for
-the unbounded domains restrict the search to regions that provably
-contain the true geodesic: the half-space window is sized from the
-circular-arc geodesic through the endpoints, the punctured-space window
-is the annulus between half the smaller and twice the larger query
-radius (log-polar geodesics do not leave it).
+approach k from above; no rigorous enclosure is claimed.  Each domain
+supplies the search window (``Domain.geodesic_window``); those of the
+unbounded domains provably contain the true geodesic.
 """
 
 from __future__ import annotations
@@ -42,15 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from .domains import (
-    Domain,
-    GenericDomain,
-    HalfSpace,
-    Interval,
-    PuncturedSpace,
-    UnitBall,
-    as_point,
-)
+from .domains import Domain, as_point
 
 DEFAULT_NODE_CAP = 2_000_000
 
@@ -142,7 +131,7 @@ def k_exact_punctured(x, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# stencil and windows
+# stencil
 # ---------------------------------------------------------------------------
 
 
@@ -173,52 +162,6 @@ def _stencil(dimension: int) -> np.ndarray:
     return np.array(keep, dtype=np.int64)
 
 
-def _window(domain: Domain, x: np.ndarray, y: np.ndarray, h: float, reach: int):
-    """Axis box (lo, hi) plus an optional extra node mask."""
-    pad = (reach + 2) * h
-    n = domain.dimension
-    if isinstance(domain, UnitBall):
-        return -np.ones(n), np.ones(n), None
-    if isinstance(domain, Interval):
-        return np.array([domain.a]), np.array([domain.b]), None
-    if isinstance(domain, HalfSpace):
-        xn, yn = x[-1], y[-1]
-        if n == 1:
-            s_h = 0.0
-        else:
-            s_h = float(np.linalg.norm(x[:-1] - y[:-1]))
-        if s_h < 1e-12:
-            apex = max(xn, yn)
-        else:
-            u = (s_h * s_h + yn * yn - xn * xn) / (2.0 * s_h)
-            apex = math.hypot(u, xn) if 0.0 <= u <= s_h else max(xn, yn)
-        lo = np.minimum(x, y)
-        hi = np.maximum(x, y)
-        side_pad = pad + 0.1 * max(s_h, apex)
-        lo[:-1] -= side_pad
-        hi[:-1] += side_pad
-        lo[-1] = 0.4 * min(xn, yn)
-        hi[-1] = 1.2 * apex + pad
-        return lo, hi, None
-    if isinstance(domain, PuncturedSpace):
-        rx = float(np.linalg.norm(x))
-        ry = float(np.linalg.norm(y))
-        r_lo = 0.5 * min(rx, ry)
-        r_hi = 2.0 * max(rx, ry)
-        lo = np.full(n, -r_hi)
-        hi = np.full(n, r_hi)
-
-        def annulus(points: np.ndarray) -> np.ndarray:
-            r = np.linalg.norm(points, axis=1)
-            return (r >= r_lo) & (r <= r_hi)
-
-        return lo, hi, annulus
-    if isinstance(domain, GenericDomain):
-        lo, hi = domain.sample_box()
-        return lo.copy(), hi.copy(), None
-    raise ValueError(f"no grid window rule for {domain.spec_string()}")
-
-
 # ---------------------------------------------------------------------------
 # grid construction
 # ---------------------------------------------------------------------------
@@ -230,8 +173,6 @@ def _segment_weights(domain: Domain, pu: np.ndarray, pv: np.ndarray,
     mid = 0.5 * (pu + pv)
     dm = domain.clearance_many(mid)
     ok = dm > 0.0
-    if isinstance(domain, GenericDomain):
-        ok &= domain.contains_many(mid)
     length = np.linalg.norm(pu - pv, axis=1)
     dm_safe = np.where(ok, dm, 1.0)
     w = length / 6.0 * (1.0 / du + 4.0 / dm_safe + 1.0 / dv)
@@ -246,7 +187,7 @@ def build_grid(domain: Domain, spacing: float, x, y,
     h = float(spacing)
     offsets = _stencil(domain.dimension)
     reach = int(np.max(np.abs(offsets)))
-    lo, hi, extra_mask = _window(domain, x, y, h, reach)
+    lo, hi, extra_mask = domain.geodesic_window(x, y, (reach + 2) * h)
 
     starts = np.ceil(lo / h - 1e-9).astype(np.int64)
     stops = np.floor(hi / h + 1e-9).astype(np.int64)
@@ -267,7 +208,7 @@ def build_grid(domain: Domain, spacing: float, x, y,
     points = np.stack([m.ravel() for m in mesh], axis=1)
 
     clear = domain.clearance_many(points)
-    mask = domain.contains_many(points) & (clear >= 0.5 * h)
+    mask = clear >= 0.5 * h
     if extra_mask is not None:
         mask &= extra_mask(points)
     n_valid = int(np.count_nonzero(mask))
@@ -425,19 +366,13 @@ def k_estimate(
     y = as_point(y, domain.dimension)
     if not (domain.contains(x) and domain.contains(y)):
         raise ValueError("both query points must lie inside the domain")
-    if not initial_spacing > 0:
-        raise ValueError("initial_spacing must be positive")
-    if refinements < 0:
-        raise ValueError("refinements must be >= 0")
-    history: list[tuple[float, float]] = []
+    controls = KControls(initial_spacing, refinements, node_cap)
+    spacings = [controls.spacing / 2**level for level in range(controls.refinements + 1)]
     if np.array_equal(x, y):
-        for level in range(refinements + 1):
-            history.append((initial_spacing / 2**level, 0.0))
-        return KEstimate(0.0, history[-1][0], history)
-    for level in range(refinements + 1):
-        h = initial_spacing / 2**level
-        grid = build_grid(domain, h, x, y, node_cap=node_cap)
-        history.append((h, _shortest_path_value(grid, x, y)))
+        history = [(h, 0.0) for h in spacings]
+    else:
+        history = [(h, _shortest_path_value(build_grid(domain, h, x, y, node_cap=node_cap), x, y))
+                   for h in spacings]
     return KEstimate(history[-1][1], history[-1][0], history)
 
 

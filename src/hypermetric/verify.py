@@ -23,17 +23,20 @@ discretization error.
 
 Determinism: every sample derives from ``numpy.random.default_rng``
 seeded by (seed, chunk); scans partition work into fixed chunks whose
-results merge by order-insensitive min-reduction, so reports are
-byte-identical regardless of the worker count (``HYPERMETRIC_THREADS``).
+results merge by order-insensitive min-reduction, so a report depends
+only on its arguments.
+
+Samplers ask the domain for its geometry (``boundary_sample``,
+``chord_reach``, ``complement_sample``) and compute each point set's
+clearance once, however many pairs it enters.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,15 +44,13 @@ import numpy as np
 from . import metrics, moebius
 from .domains import (
     Domain,
-    GenericDomain,
     HalfSpace,
-    Interval,
-    PuncturedSpace,
     UnitBall,
     as_point,
     distance_to_set_many,
     sample_complement,
     sample_interior,
+    unit_directions,
 )
 from .metrics import MetricKind, MetricParams
 from .quasihyperbolic import KControls, k_estimate_many
@@ -58,12 +59,6 @@ _CHUNK = 20_000
 
 #: strata proportions for triangle scans
 _FRAC_UNIFORM, _FRAC_BOUNDARY, _FRAC_COLLINEAR = 0.60, 0.25, 0.15
-
-_SUITE_IDS = (
-    "P2_3_1", "P2_3_2", "L2_5", "L2_7", "P2_8", "L2_9", "C2_10",
-    "L3_1", "L4_4_1", "L4_4_2", "C4_5", "T4_6", "QHJ",
-)
-
 
 # ---------------------------------------------------------------------------
 # report records
@@ -164,128 +159,38 @@ class UniformityEstimate:
 
 
 # ---------------------------------------------------------------------------
-# chunked deterministic execution
-# ---------------------------------------------------------------------------
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("HYPERMETRIC_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
-def _run_chunks(total: int, worker: Callable):
-    """worker(chunk_index, size) -> result; deterministic merge order."""
-    sizes = []
-    start = 0
-    while start < total:
-        sizes.append(min(_CHUNK, total - start))
-        start += _CHUNK
-    jobs = list(enumerate(sizes))
-    n_workers = _worker_count()
-    if n_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(lambda job: worker(*job), jobs))
-    return [worker(*job) for job in jobs]
-
-
-# ---------------------------------------------------------------------------
 # stratified triple sampling
 # ---------------------------------------------------------------------------
-
-
-def _unit_directions(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    if n == 1:
-        return np.where(rng.random(m) < 0.5, -1.0, 1.0).reshape(-1, 1)
-    v = rng.normal(size=(m, n))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _near_boundary_points(domain: Domain, m: int, rng: np.random.Generator,
-                          lo: float = 1e-6, hi: float = 5e-2) -> np.ndarray:
-    """Points with clearance log-uniform in [lo, hi]."""
-    delta = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size=m)
-    n = domain.dimension
-    if isinstance(domain, UnitBall):
-        dirs = _unit_directions(n, m, rng)
-        return (1.0 - delta)[:, None] * dirs
-    if isinstance(domain, HalfSpace):
-        lo_box, hi_box = domain.sample_box()
-        pts = rng.uniform(lo_box, hi_box, size=(m, n))
-        pts[:, -1] = delta
-        return pts
-    if isinstance(domain, PuncturedSpace):
-        return delta[:, None] * _unit_directions(n, m, rng)
-    if isinstance(domain, Interval):
-        side = rng.random(m) < 0.5
-        vals = np.where(side, domain.a + delta, domain.b - delta)
-        return vals.reshape(-1, 1)
-    # generic: no boundary parametrization; fall back to the uniform law
-    return sample_interior(domain, m, 0, min_clearance=lo, rng=rng)
-
-
-def _chord_reach(domain: Domain, z: np.ndarray, u: np.ndarray,
-                 delta: np.ndarray) -> np.ndarray:
-    """Largest step t >= 0 with clearance(z + t u) >= delta (capped)."""
-    if isinstance(domain, UnitBall):
-        target = np.maximum(1.0 - delta, 1e-12)
-        zu = np.sum(z * u, axis=1)
-        z2 = np.sum(z * z, axis=1)
-        disc = np.maximum(zu * zu + target * target - z2, 0.0)
-        return np.maximum(-zu + np.sqrt(disc), 0.0)
-    if isinstance(domain, HalfSpace):
-        un = u[:, -1]
-        zn = z[:, -1]
-        cap = np.full(zn.shape, 4.0)
-        down = un < -1e-12
-        t = np.where(down, (zn - delta) / np.where(down, -un, 1.0), cap)
-        return np.clip(t, 0.0, 4.0)
-    if isinstance(domain, PuncturedSpace):
-        return np.full(z.shape[0], 2.5)
-    if isinstance(domain, Interval):
-        un = u[:, 0]
-        zn = z[:, 0]
-        t_up = (domain.b - delta - zn)
-        t_dn = (zn - (domain.a + delta))
-        return np.maximum(np.where(un > 0, t_up, t_dn), 0.0)
-    raise ValueError(f"no collinear stratum for {domain.spec_string()}")
 
 
 def _collinear_triples(domain: Domain, m: int, rng: np.random.Generator):
     """Triples x, y on a common line through z, biased toward the boundary."""
     n = domain.dimension
     z = sample_interior(domain, m, 0, min_clearance=1e-6, rng=rng)
-    u = _unit_directions(n, m, rng)
+    u = unit_directions(n, m, rng)
     delta = 10.0 ** rng.uniform(-6, -2, size=m)
-    t_plus = _chord_reach(domain, z, u, delta)
-    t_minus = _chord_reach(domain, z, -u, delta)
+    t_plus = domain.chord_reach(z, u, delta)
+    t_minus = domain.chord_reach(z, -u, delta)
     frac_x = 1.0 - rng.random(m) ** 2
     frac_y = 1.0 - rng.random(m) ** 2
     x = z + (frac_x * t_plus)[:, None] * u
     y = z - (frac_y * t_minus)[:, None] * u
     # guard rounding: degenerate rows fall back to z itself (slack 0)
-    bad = ~(domain.contains_many(x) & (domain.clearance_many(x) > 0))
-    x[bad] = z[bad]
-    bad = ~(domain.contains_many(y) & (domain.clearance_many(y) > 0))
-    y[bad] = z[bad]
+    for p in (x, y):
+        bad = ~(domain.clearance_many(p) > 0)
+        p[bad] = z[bad]
     return x, y, z
 
 
 def _triple_block(domain: Domain, size: int, rng: np.random.Generator):
     n_bdy = int(round(_FRAC_BOUNDARY * size))
-    n_col = int(round(_FRAC_COLLINEAR * size))
-    generic = isinstance(domain, GenericDomain)
-    if generic:
-        n_col = 0
+    n_col = int(round(_FRAC_COLLINEAR * size)) if domain.collinear_stratum else 0
     n_uni = size - n_bdy - n_col
     xs = [sample_interior(domain, n_uni, 0, min_clearance=1e-6, rng=rng)]
     ys = [sample_interior(domain, n_uni, 0, min_clearance=1e-6, rng=rng)]
     zs = [sample_interior(domain, n_uni, 0, min_clearance=1e-6, rng=rng)]
-    xs.append(_near_boundary_points(domain, n_bdy, rng))
-    ys.append(_near_boundary_points(domain, n_bdy, rng))
-    zs.append(_near_boundary_points(domain, n_bdy, rng))
+    for pts in (xs, ys, zs):
+        pts.append(domain.boundary_sample(n_bdy, rng, 1e-6, 5e-2))
     if n_col:
         cx, cy, cz = _collinear_triples(domain, n_col, rng)
         xs.append(cx)
@@ -311,14 +216,15 @@ def triangle_scan(
     """
     if triple_count < 1:
         raise ValueError("triple_count must be >= 1")
-    evaluate = metrics.pair_evaluator(metric, domain, params, k_controls)
+    evaluate = metrics.pair_kernel(metric, domain, params, k_controls)
 
     def worker(chunk_idx: int, size: int):
         rng = np.random.default_rng([seed, chunk_idx])
         x, y, z = _triple_block(domain, size, rng)
-        m_xy = evaluate(x, y)
-        m_xz = evaluate(x, z)
-        m_zy = evaluate(z, y)
+        dx, dy, dz = (metrics.kind_clearances(metric, domain, p) for p in (x, y, z))
+        m_xy = evaluate(x, y, dx, dy)
+        m_xz = evaluate(x, z, dx, dz)
+        m_zy = evaluate(z, y, dz, dy)
         slack = np.minimum.reduce([
             m_xz + m_zy - m_xy,
             m_xy + m_zy - m_xz,
@@ -328,7 +234,8 @@ def triangle_scan(
         return (float(slack[i]), chunk_idx, i, (x[i], y[i], z[i]),
                 slack if keep_slacks else None)
 
-    results = _run_chunks(triple_count, worker)
+    results = [worker(i, min(_CHUNK, triple_count - start))
+               for i, start in enumerate(range(0, triple_count, _CHUNK))]
     best = min(results, key=lambda r: (r[0], r[1], r[2]))
     slacks = np.concatenate([r[4] for r in results]) if keep_slacks else None
     wx, wy, wz = best[3]
@@ -441,7 +348,7 @@ def _suite_pairs(domain: Domain, count: int, rng: np.random.Generator,
 
 def _ball_centers(count: int, rng: np.random.Generator, n: int,
                   max_norm: float = 0.8) -> np.ndarray:
-    dirs = _unit_directions(n, count, rng)
+    dirs = unit_directions(n, count, rng)
     radii = max_norm * rng.random(count) ** (1.0 / n)
     centers = dirs * radii[:, None]
     centers[0] = 0.0  # include the identity automorphism
@@ -509,14 +416,6 @@ def _moebius_distortion(domain, params, count, rng, min_clearance, to_halfspace)
     return slacks, (xs, ys), 1e-10, extra
 
 
-def _suite_L2_5(domain, params, count, rng, min_clearance):
-    return _moebius_distortion(domain, params, count, rng, min_clearance, False)
-
-
-def _suite_L2_7(domain, params, count, rng, min_clearance):
-    return _moebius_distortion(domain, params, count, rng, min_clearance, True)
-
-
 def _suite_P2_8(domain, params, count, rng, min_clearance):
     c = params.c
     t = np.logspace(-6.0, math.log10(50.0), count)
@@ -527,17 +426,19 @@ def _suite_P2_8(domain, params, count, rng, min_clearance):
 
 def _suite_L2_9(domain, params, count, rng, min_clearance):
     xs, ys = _suite_pairs(domain, count, rng, min_clearance)
-    j = metrics.j_many(domain, xs, ys)
-    phi = metrics.phi_many(domain, xs, ys)
+    geom = metrics.pair_geometry(domain, xs, ys)
+    j = metrics.j_kernel(*geom)
+    phi = metrics.phi_kernel(*geom)
     slacks = np.minimum(phi - 0.5 * j, 2.0 * j - phi)
     return slacks, (xs, ys), 1e-9, {}
 
 
 def _suite_C2_10(domain, params, count, rng, min_clearance):
     xs, ys = _suite_pairs(domain, count, rng, min_clearance)
-    j = metrics.j_many(domain, xs, ys)
-    phi = metrics.phi_many(domain, xs, ys)
-    h1 = metrics.h_many(domain, xs, ys, 1.0)
+    geom = metrics.pair_geometry(domain, xs, ys)
+    j = metrics.j_kernel(*geom)
+    phi = metrics.phi_kernel(*geom)
+    h1 = metrics.h_kernel(*geom, 1.0)
     slacks = np.minimum.reduce([
         h1 - 0.5 * j,
         phi - h1,
@@ -560,8 +461,9 @@ def _suite_L3_1(domain, params, count, rng, min_clearance):
 def _suite_L4_4_1(domain, params, count, rng, min_clearance):
     c = params.c
     xs, ys = _suite_pairs(domain, count, rng, min_clearance)
-    j = metrics.j_many(domain, xs, ys)
-    h = metrics.h_many(domain, xs, ys, c)
+    geom = metrics.pair_geometry(domain, xs, ys)
+    j = metrics.j_kernel(*geom)
+    h = metrics.h_kernel(*geom, c)
     mid = np.log1p(2.0 * c * np.sinh(0.5 * j))
     slacks = np.minimum.reduce([
         mid - c / (2.0 * (1.0 + c)) * j,
@@ -576,11 +478,12 @@ def _suite_L4_4_2(domain, params, count, rng, min_clearance):
     xs = sample_interior(domain, count, 0, min_clearance=min_clearance, rng=rng)
     lam = rng.uniform(1e-3, 1.0 - 1e-3, size=count)
     frac = rng.random(count)
-    dirs = _unit_directions(domain.dimension, count, rng)
-    d_x = domain.clearance_many(xs)
+    dirs = unit_directions(domain.dimension, count, rng)
+    d_x = metrics.clearances(domain, xs)
     ys = xs + (frac * lam * d_x)[:, None] * dirs
-    j = metrics.j_many(domain, xs, ys)
-    h = metrics.h_many(domain, xs, ys, c)
+    geom = metrics.separation(xs, ys), d_x, metrics.clearances(domain, ys)
+    j = metrics.j_kernel(*geom)
+    h = metrics.h_kernel(*geom, c)
     slacks = h - (1.0 - lam) / (1.0 + lam) * j
     worst = int(np.argmin(slacks))
     return slacks, (xs, ys), 1e-9, {"lambda_worst": float(lam[worst])}
@@ -590,14 +493,15 @@ def _k_pairs(domain, params, count, rng, min_clearance, k_controls):
     clearance = max(min_clearance, 0.2)
     xs, ys = _suite_pairs(domain, count, rng, clearance)
     k_hat = k_estimate_many(domain, xs, ys, k_controls)
-    j = metrics.j_many(domain, xs, ys)
-    return xs, ys, k_hat, j
+    geom = metrics.pair_geometry(domain, xs, ys)
+    return xs, ys, k_hat, geom
 
 
 def _suite_C4_5(domain, params, count, rng, min_clearance, k_controls):
     c = params.c
-    xs, ys, k_hat, j = _k_pairs(domain, params, count, rng, min_clearance, k_controls)
-    h = metrics.h_many(domain, xs, ys, c)
+    xs, ys, k_hat, geom = _k_pairs(domain, params, count, rng, min_clearance, k_controls)
+    j = metrics.j_kernel(*geom)
+    h = metrics.h_kernel(*geom, c)
     valid = j > 1e-6
     _require(bool(np.any(valid)), "all sampled pairs are degenerate (j ~ 0)")
     u_hat = float(np.max(k_hat[valid] / j[valid]))
@@ -625,30 +529,30 @@ def _suite_T4_6(domain, params, count, rng, min_clearance):
 
 
 def _suite_QHJ(domain, params, count, rng, min_clearance, k_controls):
-    xs, ys, k_hat, j = _k_pairs(domain, params, count, rng, min_clearance, k_controls)
+    xs, ys, k_hat, geom = _k_pairs(domain, params, count, rng, min_clearance, k_controls)
+    j = metrics.j_kernel(*geom)
     valid = j > 1e-6
     _require(bool(np.any(valid)), "all sampled pairs are degenerate (j ~ 0)")
     slacks = (k_hat[valid] - j[valid]) / j[valid]
     return slacks, (xs[valid], ys[valid]), 0.02, {"relative": True}
 
 
-_PAIR_SUITES = {
-    "P2_3_1": _suite_P2_3_1,
-    "P2_3_2": _suite_P2_3_2,
-    "L2_5": _suite_L2_5,
-    "L2_7": _suite_L2_7,
-    "P2_8": _suite_P2_8,
-    "L2_9": _suite_L2_9,
-    "C2_10": _suite_C2_10,
-    "L3_1": _suite_L3_1,
-    "L4_4_1": _suite_L4_4_1,
-    "L4_4_2": _suite_L4_4_2,
-    "T4_6": _suite_T4_6,
-}
-
-_K_SUITES = {
-    "C4_5": _suite_C4_5,
-    "QHJ": _suite_QHJ,
+#: suite id -> (suite function, whether it takes k controls), in the
+#: order the CLI offers them
+SUITES = {
+    "P2_3_1": (_suite_P2_3_1, False),
+    "P2_3_2": (_suite_P2_3_2, False),
+    "L2_5": (partial(_moebius_distortion, to_halfspace=False), False),
+    "L2_7": (partial(_moebius_distortion, to_halfspace=True), False),
+    "P2_8": (_suite_P2_8, False),
+    "L2_9": (_suite_L2_9, False),
+    "C2_10": (_suite_C2_10, False),
+    "L3_1": (_suite_L3_1, False),
+    "L4_4_1": (_suite_L4_4_1, False),
+    "L4_4_2": (_suite_L4_4_2, False),
+    "C4_5": (_suite_C4_5, True),
+    "T4_6": (_suite_T4_6, False),
+    "QHJ": (_suite_QHJ, True),
 }
 
 
@@ -683,20 +587,16 @@ def inequality_suite(
     QHJ        k >= j within 2% relative slack
     ======== ==============================================================
     """
-    if suite_id not in _SUITE_IDS:
-        raise ValueError(f"unknown suite {suite_id!r}; choose from {_SUITE_IDS}")
+    if suite_id not in SUITES:
+        raise ValueError(f"unknown suite {suite_id!r}; choose from {tuple(SUITES)}")
     if pair_count < 1:
         raise ValueError("pair_count must be >= 1")
     rng = np.random.default_rng([seed, 1])
-    if suite_id in _K_SUITES:
-        controls = k_controls if k_controls is not None else KControls(0.05, 1)
-        slacks, (xs, ys), tol_default, extra = _K_SUITES[suite_id](
-            domain, params, pair_count, rng, min_clearance, controls
-        )
-    else:
-        slacks, (xs, ys), tol_default, extra = _PAIR_SUITES[suite_id](
-            domain, params, pair_count, rng, min_clearance
-        )
+    suite, needs_k = SUITES[suite_id]
+    args = (domain, params, pair_count, rng, min_clearance)
+    if needs_k:
+        args += (k_controls if k_controls is not None else KControls(0.05, 1),)
+    slacks, (xs, ys), tol_default, extra = suite(*args)
     tol = tol_default if tolerance is None else float(tolerance)
     worst = int(np.argmin(slacks))
     witness = (xs[worst], ys[worst])
@@ -789,12 +689,12 @@ def uniformity_estimate(
         raise ValueError("pair_count must be >= 1")
     controls = k_controls if k_controls is not None else KControls(0.1, 1)
     rng = np.random.default_rng([seed, 2])
-    n_edge = pair_count // 4 if not isinstance(domain, GenericDomain) else 0
+    n_edge = pair_count // 4 if domain.boundary_stratum else 0
     xs, ys = _suite_pairs(domain, pair_count - n_edge, rng, min_clearance)
     if n_edge:
         lo, hi = min_clearance, 2.0 * min_clearance
-        xs = np.concatenate([xs, _near_boundary_points(domain, n_edge, rng, lo, hi)])
-        ys = np.concatenate([ys, _near_boundary_points(domain, n_edge, rng, lo, hi)])
+        xs = np.concatenate([xs, domain.boundary_sample(n_edge, rng, lo, hi)])
+        ys = np.concatenate([ys, domain.boundary_sample(n_edge, rng, lo, hi)])
     j = metrics.j_many(domain, xs, ys)
     valid = j > j_floor
     if not np.any(valid):

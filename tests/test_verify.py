@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -60,15 +58,6 @@ class TestTriangleScan:
     def test_determinism(self):
         a = triangle_scan(B2, MetricKind.H, C2, 5_000, seed=7)
         b = triangle_scan(B2, MetricKind.H, C2, 5_000, seed=7)
-        assert a.to_json() == b.to_json()
-
-    def test_determinism_across_worker_counts(self):
-        a = triangle_scan(B2, MetricKind.H, C2, 50_000, seed=7)
-        os.environ["HYPERMETRIC_THREADS"] = "4"
-        try:
-            b = triangle_scan(B2, MetricKind.H, C2, 50_000, seed=7)
-        finally:
-            del os.environ["HYPERMETRIC_THREADS"]
         assert a.to_json() == b.to_json()
 
     def test_slack_csv(self):
