@@ -28,7 +28,7 @@ from .metrics import (
     rho_ball,
     rho_halfspace,
 )
-from .moebius import BallAutomorphism, BallToHalfSpace, Identity, absolute_ratio, apply
+from .moebius import BallAutomorphism, BallToHalfSpace, Identity, absolute_ratio
 from .quasihyperbolic import (
     DisconnectedGridError,
     GeodesicGrid,
@@ -43,8 +43,6 @@ from .quasihyperbolic import (
 from .maps import (
     BilipschitzEstimate,
     DilatationEstimate,
-    IdentityMap,
-    MoebiusSampleMap,
     RadialStretch,
     apply_map,
     bilipschitz_estimate,

@@ -58,9 +58,9 @@ def _add_common(p: argparse.ArgumentParser, *, count_default: int):
     p.add_argument("--output", choices=["json", "csv"], default="json")
 
 
-def _add_k_flags(p: argparse.ArgumentParser):
-    p.add_argument("--spacing", type=float, default=0.05)
-    p.add_argument("--refinements", type=int, default=2)
+def _add_k_flags(p: argparse.ArgumentParser, spacing: float = 0.05, refinements: int = 2):
+    p.add_argument("--spacing", type=float, default=spacing)
+    p.add_argument("--refinements", type=int, default=refinements)
     p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
 
 
@@ -83,7 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, count_default=100_000)
     p.add_argument("--metric", default="h")
 
-    p = sub.add_parser("verify-suite", help="run a named inequality suite")
+    p = sub.add_parser(
+        "verify-suite", help="run a named inequality suite",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="suites:\n" + "\n".join(f"  {sid:<8} {suite.statement}"
+                                         for sid, suite in SUITES.items()),
+    )
     _add_common(p, count_default=10_000)
     p.add_argument("--suite", required=True, choices=list(SUITES))
     _add_k_flags(p)
@@ -111,9 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--count", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spacing", type=float, default=0.1)
-    p.add_argument("--refinements", type=int, default=1)
-    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
+    _add_k_flags(p, spacing=0.1, refinements=1)
     return top
 
 

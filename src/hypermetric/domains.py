@@ -117,7 +117,7 @@ class Domain:
         boundary parametrization, uniform interior points with clearance
         >= lo (the clearances are still drawn, keeping the stream order)."""
         _log_uniform(rng, m, lo, hi)
-        return sample_interior(self, m, 0, min_clearance=lo, rng=rng)
+        return sample_interior(self, m, rng, min_clearance=lo)
 
     def chord_reach(self, z: np.ndarray, u: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """Largest step t >= 0 with clearance(z + t u) >= delta (capped)."""
@@ -456,15 +456,15 @@ def distance_to_set_many(xs: np.ndarray, point_set: PointSet) -> np.ndarray:
 def sample_interior(
     domain: Domain,
     count: int,
-    seed: int,
+    seed: int | np.random.Generator,
     min_clearance: float = DEFAULT_MIN_CLEARANCE,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Deterministic rejection sample of ``count`` interior points.
 
     Points are uniform over the domain's sample box, filtered to
     clearance >= ``min_clearance``.  The same (domain, count, seed,
-    min_clearance) always yields the same array.
+    min_clearance) always yields the same array; a ``Generator`` seed is
+    drawn from in place, continuing its stream.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -474,8 +474,7 @@ def sample_interior(
         raise ValueError(
             f"min_clearance {min_clearance} is infeasible for {domain.spec_string()}"
         )
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     lo, hi = domain.sample_box()
     out = np.empty((count, domain.dimension))
     have = 0

@@ -1,11 +1,13 @@
 """Sample homeomorphisms plus estimators for their geometric distortion.
 
-Three map families give test instances spanning the conformal /
-quasiconformal / merely-homeomorphic range:
+Every map is a :class:`~hypermetric.moebius.SampleMap` that declares its
+source and target domains.  Three map families give test instances
+spanning the conformal / quasiconformal / merely-homeomorphic range:
 
-* :class:`IdentityMap` -- the trivial baseline;
-* :class:`MoebiusSampleMap` -- conformal, so the local stretch ratio is
-  exactly 1 in the shrinking-radius limit;
+* :class:`~hypermetric.moebius.Identity` -- the trivial baseline;
+* :class:`~hypermetric.moebius.BallAutomorphism` and
+  :class:`~hypermetric.moebius.BallToHalfSpace` -- conformal, so the
+  local stretch ratio is exactly 1 in the shrinking-radius limit;
 * :class:`RadialStretch` -- f(x) = |x|^(alpha-1) x on the unit ball, the
   stock non-Moebius quasiconformal example (limit stretch ratio alpha at
   any z != 0, degenerate derivative at the origin).
@@ -28,57 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import Domain, HalfSpace, UnitBall, as_point, as_points, sample_interior
+from .domains import Domain, UnitBall, as_point, as_points, sample_interior
 from .metrics import MetricParams, h_many
-from .moebius import BallAutomorphism, BallToHalfSpace, MoebiusMap
-
-
-class SampleMap:
-    """Bijection between two domains with vectorized evaluation."""
-
-    source: Domain
-    target: Domain
-
-    def apply(self, x) -> np.ndarray:
-        p = as_point(x, self.source.dimension)
-        return self.apply_many(p[None, :])[0]
-
-    def apply_many(self, xs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class IdentityMap(SampleMap):
-    domain: Domain
-
-    @property
-    def source(self) -> Domain:
-        return self.domain
-
-    @property
-    def target(self) -> Domain:
-        return self.domain
-
-    def apply_many(self, xs):
-        return as_points(xs, self.domain.dimension).copy()
-
-
-@dataclass(frozen=True)
-class MoebiusSampleMap(SampleMap):
-    mapping: MoebiusMap
-
-    @property
-    def source(self) -> Domain:
-        return UnitBall(self.mapping.dimension)
-
-    @property
-    def target(self) -> Domain:
-        if isinstance(self.mapping, BallToHalfSpace):
-            return HalfSpace(self.mapping.dimension)
-        return UnitBall(self.mapping.dimension)
-
-    def apply_many(self, xs):
-        return self.mapping.apply_many(xs)
+from .moebius import BallAutomorphism, BallToHalfSpace, Identity, SampleMap
 
 
 @dataclass(frozen=True)
@@ -269,12 +223,12 @@ def parse_map(spec: str, dimension: int = 2) -> SampleMap:
 
         if len(parts) < 2:
             raise ValueError("identity map needs a domain, e.g. identity:ball:2")
-        return IdentityMap(parse_domain(":".join(parts[1:])))
+        return Identity(parse_domain(":".join(parts[1:])))
     if kind == "auto" and len(parts) == 2:
         center = np.array([float(v) for v in parts[1].split(",")])
-        return MoebiusSampleMap(BallAutomorphism(center))
+        return BallAutomorphism(center)
     if kind == "b2h" and len(parts) == 2:
-        return MoebiusSampleMap(BallToHalfSpace(int(parts[1])))
+        return BallToHalfSpace(int(parts[1]))
     if kind == "stretch" and len(parts) == 2:
         return RadialStretch(float(parts[1]), dimension)
     raise ValueError(

@@ -1,7 +1,11 @@
-"""Moebius machinery: absolute ratio, ball automorphisms, ball-to-half-space.
+"""Maps between domains: the base class, the identity and the Moebius maps.
 
-Only the two map families the distortion estimates need are implemented:
+Every map declares its ``source`` and ``target`` domains, so an
+estimate can read a distance on the source against the same distance on
+the image without knowing the map's type.  Only the two Moebius families
+the distortion estimates need are implemented:
 
+* :class:`Identity` -- the trivial map of a domain onto itself.
 * :class:`BallAutomorphism` -- inversion in the sphere orthogonal to the
   unit sphere centred at a/|a|^2.  Maps the ball onto itself, swaps the
   base point a and the origin, and is a hyperbolic isometry.
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import as_point, as_points
+from .domains import Domain, HalfSpace, UnitBall, as_point, as_points
 
 
 def absolute_ratio(a, b, c, d) -> float:
@@ -44,13 +48,14 @@ def absolute_ratio(a, b, c, d) -> float:
     return (ac * bd) / (ab * cd)
 
 
-class MoebiusMap:
-    """Base for point transformations used by the distortion estimates."""
+class SampleMap:
+    """Bijection of ``source`` onto ``target`` with vectorized evaluation."""
 
-    dimension: int
+    source: Domain
+    target: Domain
 
     def apply(self, x) -> np.ndarray:
-        p = as_point(x, self.dimension)
+        p = as_point(x, self.source.dimension)
         return self.apply_many(p[None, :])[0]
 
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
@@ -58,15 +63,23 @@ class MoebiusMap:
 
 
 @dataclass(frozen=True)
-class Identity(MoebiusMap):
-    dimension: int
+class Identity(SampleMap):
+    domain: Domain
+
+    @property
+    def source(self) -> Domain:
+        return self.domain
+
+    @property
+    def target(self) -> Domain:
+        return self.domain
 
     def apply_many(self, xs):
-        return as_points(xs, self.dimension).copy()
+        return as_points(xs, self.domain.dimension).copy()
 
 
 @dataclass(frozen=True)
-class BallAutomorphism(MoebiusMap):
+class BallAutomorphism(SampleMap):
     """Self-map of the unit ball sending ``center`` to the origin."""
 
     center: np.ndarray
@@ -78,6 +91,14 @@ class BallAutomorphism(MoebiusMap):
             raise ValueError("automorphism center must satisfy |a| < 1")
         object.__setattr__(self, "center", a)
         object.__setattr__(self, "dimension", a.size)
+
+    @property
+    def source(self) -> Domain:
+        return UnitBall(self.dimension)
+
+    @property
+    def target(self) -> Domain:
+        return UnitBall(self.dimension)
 
     def apply_many(self, xs):
         xs = as_points(xs, self.dimension)
@@ -95,7 +116,7 @@ class BallAutomorphism(MoebiusMap):
 
 
 @dataclass(frozen=True)
-class BallToHalfSpace(MoebiusMap):
+class BallToHalfSpace(SampleMap):
     """Moebius bijection of the open unit ball onto {x_n > 0}."""
 
     dimension: int
@@ -103,6 +124,14 @@ class BallToHalfSpace(MoebiusMap):
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+
+    @property
+    def source(self) -> Domain:
+        return UnitBall(self.dimension)
+
+    @property
+    def target(self) -> Domain:
+        return HalfSpace(self.dimension)
 
     def apply_many(self, xs):
         xs = as_points(xs, self.dimension)
@@ -116,7 +145,3 @@ class BallToHalfSpace(MoebiusMap):
         img[:, -1] = -img[:, -1]
         return img
 
-
-def apply(mapping: MoebiusMap, x) -> np.ndarray:
-    """Apply a Moebius map to a single point."""
-    return mapping.apply(x)

@@ -18,8 +18,8 @@ Three kinds of checks:
 Tolerances: 1e-9 absolute for closed-form inequalities (1e-10 for the
 identity/sandwich and Moebius-distortion suites, 1e-12 for plain
 triangle-inequality facts), 2% relative wherever the shortest-path
-estimator participates.  This separates formula rounding from
-discretization error.
+estimator participates (each suite's default is in :data:`SUITES`).
+This separates formula rounding from discretization error.
 
 Determinism: every sample derives from ``numpy.random.default_rng``
 seeded by (seed, chunk); scans partition work into fixed chunks whose
@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -166,7 +166,7 @@ class UniformityEstimate:
 def _collinear_triples(domain: Domain, m: int, rng: np.random.Generator):
     """Triples x, y on a common line through z, biased toward the boundary."""
     n = domain.dimension
-    z = sample_interior(domain, m, 0, min_clearance=1e-6, rng=rng)
+    z = sample_interior(domain, m, rng, min_clearance=1e-6)
     u = unit_directions(n, m, rng)
     delta = 10.0 ** rng.uniform(-6, -2, size=m)
     t_plus = domain.chord_reach(z, u, delta)
@@ -186,11 +186,12 @@ def _triple_block(domain: Domain, size: int, rng: np.random.Generator):
     n_bdy = int(round(_FRAC_BOUNDARY * size))
     n_col = int(round(_FRAC_COLLINEAR * size)) if domain.collinear_stratum else 0
     n_uni = size - n_bdy - n_col
-    xs = [sample_interior(domain, n_uni, 0, min_clearance=1e-6, rng=rng)]
-    ys = [sample_interior(domain, n_uni, 0, min_clearance=1e-6, rng=rng)]
-    zs = [sample_interior(domain, n_uni, 0, min_clearance=1e-6, rng=rng)]
-    for pts in (xs, ys, zs):
-        pts.append(domain.boundary_sample(n_bdy, rng, 1e-6, 5e-2))
+    xs = [sample_interior(domain, n_uni, rng, min_clearance=1e-6)]
+    ys = [sample_interior(domain, n_uni, rng, min_clearance=1e-6)]
+    zs = [sample_interior(domain, n_uni, rng, min_clearance=1e-6)]
+    if n_bdy:  # a 1- or 2-triple chunk rounds its boundary stratum to 0 rows
+        for pts in (xs, ys, zs):
+            pts.append(domain.boundary_sample(n_bdy, rng, 1e-6, 5e-2))
     if n_col:
         cx, cy, cz = _collinear_triples(domain, n_col, rng)
         xs.append(cx)
@@ -273,6 +274,16 @@ def default_r_grid() -> np.ndarray:
     return np.unique(np.concatenate([coarse, fine]))
 
 
+def _radius_grid(values, name: str) -> np.ndarray:
+    """A falsifier's grid of radii: nonempty and strictly inside (0, 1)."""
+    grid = np.asarray(values, dtype=float)
+    if grid.size == 0:
+        raise ValueError(f"{name} grid must be nonempty")
+    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
+        raise ValueError(f"{name} grid values must lie strictly inside (0, 1)")
+    return grid
+
+
 def collinear_c_scan(c: float, r_grid=None) -> CollinearViolation | None:
     """Scan the family (r e1, 0, -r e1) in the plane ball for triangle
     failures of h_c; returns the smallest violating grid radius.
@@ -282,22 +293,15 @@ def collinear_c_scan(c: float, r_grid=None) -> CollinearViolation | None:
     """
     if not c > 0:
         raise ValueError("c must be positive")
-    grid = default_r_grid() if r_grid is None else np.sort(
-        np.asarray(r_grid, dtype=float)
-    )
-    if grid.size == 0:
-        raise ValueError("r grid must be nonempty")
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
-        raise ValueError("r grid values must lie strictly inside (0, 1)")
-    d_edge = 1.0 - grid
+    r = _radius_grid(default_r_grid() if r_grid is None else np.sort(r_grid), "r")
     # d(0) = 1, d(+-r e1) = 1 - r
-    lhs = 2.0 * np.log1p(c * grid / np.sqrt(d_edge))
-    rhs = np.log1p(c * 2.0 * grid / d_edge)
+    lhs = 2.0 * metrics.h_kernel(r, 1.0, 1.0 - r, c)
+    rhs = metrics.h_kernel(2.0 * r, 1.0 - r, 1.0 - r, c)
     violating = lhs < rhs
     if not np.any(violating):
         return None
     i = int(np.argmax(violating))
-    return CollinearViolation(r=float(grid[i]), lhs=float(lhs[i]), rhs=float(rhs[i]))
+    return CollinearViolation(r=float(r[i]), lhs=float(lhs[i]), rhs=float(rhs[i]))
 
 
 @dataclass
@@ -310,16 +314,9 @@ class PhiViolation:
 def phi_triangle_counterexample(t_grid) -> PhiViolation:
     """First t on the grid with 2 phi(t e1, 0) < phi(t e1, -t e1) in the
     plane ball; raises when the grid contains no violation."""
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("t grid must be nonempty")
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
-        raise ValueError("t grid values must lie strictly inside (0, 1)")
-    d_edge = 1.0 - grid
-    r1 = grid / np.sqrt(d_edge)
-    lhs = 2.0 * np.log1p(np.maximum(r1, r1 * r1))
-    r2 = 2.0 * grid / d_edge
-    rhs = np.log1p(np.maximum(r2, r2 * r2))
+    t = _radius_grid(t_grid, "t")
+    lhs = 2.0 * metrics.phi_kernel(t, 1.0, 1.0 - t)
+    rhs = metrics.phi_kernel(2.0 * t, 1.0 - t, 1.0 - t)
     violating = lhs < rhs
     if not np.any(violating):
         raise ValueError(
@@ -327,7 +324,7 @@ def phi_triangle_counterexample(t_grid) -> PhiViolation:
             "t >= 0.9 is expected to witness one)"
         )
     i = int(np.argmax(violating))
-    return PhiViolation(t=float(grid[i]), lhs=float(lhs[i]), rhs=float(rhs[i]))
+    return PhiViolation(t=float(t[i]), lhs=float(lhs[i]), rhs=float(rhs[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +334,12 @@ def phi_triangle_counterexample(t_grid) -> PhiViolation:
 
 def _suite_pairs(domain: Domain, count: int, rng: np.random.Generator,
                  min_clearance: float):
-    xs = sample_interior(domain, count, 0, min_clearance=min_clearance, rng=rng)
-    ys = sample_interior(domain, count, 0, min_clearance=min_clearance, rng=rng)
+    xs = sample_interior(domain, count, rng, min_clearance=min_clearance)
+    ys = sample_interior(domain, count, rng, min_clearance=min_clearance)
     same = np.all(xs == ys, axis=1)
     if np.any(same):
-        ys[same] = sample_interior(domain, int(np.sum(same)), 0,
-                                   min_clearance=min_clearance, rng=rng)
+        ys[same] = sample_interior(domain, int(np.sum(same)), rng,
+                                   min_clearance=min_clearance)
     return xs, ys
 
 
@@ -361,31 +358,28 @@ def _require(cond: bool, msg: str):
 
 
 def _suite_P2_3_1(domain, params, count, rng, min_clearance):
-    _require(isinstance(domain, HalfSpace), "P2_3_1 needs a half-space domain")
     xs, ys = _suite_pairs(domain, count, rng, min_clearance)
     rho = metrics.rho_halfspace_many(xs, ys)
     lhs = 2.0 * np.sinh(0.5 * rho)  # = sqrt(2 (cosh rho - 1))
     rhs = np.expm1(metrics.h_many(domain, xs, ys, params.c)) / params.c
     slacks = -np.abs(lhs - rhs)
-    return slacks, (xs, ys), 1e-10, {}
+    return slacks, (xs, ys), {}
 
 
 def _suite_P2_3_2(domain, params, count, rng, min_clearance):
-    _require(isinstance(domain, UnitBall), "P2_3_2 needs a ball domain")
     xs, ys = _suite_pairs(domain, count, rng, min_clearance)
     s = np.sinh(0.5 * metrics.rho_ball_many(xs, ys))
     u = np.expm1(metrics.h_many(domain, xs, ys, params.c)) / params.c
     slacks = np.minimum(u - s, 2.0 * s - u)
-    return slacks, (xs, ys), 1e-10, {}
+    return slacks, (xs, ys), {}
 
 
 def _moebius_distortion(domain, params, count, rng, min_clearance, to_halfspace):
-    _require(isinstance(domain, UnitBall), "Moebius suites need a ball domain")
     xs, ys = _suite_pairs(domain, count, rng, min_clearance)
     centers = _ball_centers(20, rng, domain.dimension)
     h_src = metrics.h_many(domain, xs, ys, params.c)
-    target = HalfSpace(domain.dimension) if to_halfspace else domain
     cayley = moebius.BallToHalfSpace(domain.dimension) if to_halfspace else None
+    target = cayley.target if to_halfspace else domain
     h_img = np.empty(count)
     iso_gap = np.empty(count)
     rho_src = metrics.rho_ball_many(xs, ys)
@@ -413,7 +407,7 @@ def _moebius_distortion(domain, params, count, rng, min_clearance, to_halfspace)
         "isometry_max_gap": float(np.max(iso_gap)),
         "map_count": int(centers.shape[0]),
     }
-    return slacks, (xs, ys), 1e-10, extra
+    return slacks, (xs, ys), extra
 
 
 def _suite_P2_8(domain, params, count, rng, min_clearance):
@@ -421,7 +415,7 @@ def _suite_P2_8(domain, params, count, rng, min_clearance):
     t = np.logspace(-6.0, math.log10(50.0), count)
     f = metrics.comparison_f(t, c)
     slacks = np.minimum(f - c / (2.0 * (1.0 + c)) * t, c * t - f)
-    return slacks, (t.reshape(-1, 1), t.reshape(-1, 1)), 0.0, {"t_min": 1e-6, "t_max": 50.0}
+    return slacks, (t.reshape(-1, 1), t.reshape(-1, 1)), {"t_min": 1e-6, "t_max": 50.0}
 
 
 def _suite_L2_9(domain, params, count, rng, min_clearance):
@@ -430,7 +424,7 @@ def _suite_L2_9(domain, params, count, rng, min_clearance):
     j = metrics.j_kernel(*geom)
     phi = metrics.phi_kernel(*geom)
     slacks = np.minimum(phi - 0.5 * j, 2.0 * j - phi)
-    return slacks, (xs, ys), 1e-9, {}
+    return slacks, (xs, ys), {}
 
 
 def _suite_C2_10(domain, params, count, rng, min_clearance):
@@ -445,7 +439,7 @@ def _suite_C2_10(domain, params, count, rng, min_clearance):
         2.0 * h1 - phi,
         2.0 * j - 2.0 * h1,
     ])
-    return slacks, (xs, ys), 1e-9, {"c": 1.0}
+    return slacks, (xs, ys), {"c": 1.0}
 
 
 def _suite_L3_1(domain, params, count, rng, min_clearance):
@@ -455,7 +449,7 @@ def _suite_L3_1(domain, params, count, rng, min_clearance):
     da_y = distance_to_set_many(ys, point_set)
     rho = np.linalg.norm(xs - ys, axis=1)
     slacks = rho - np.abs(da_x - da_y)
-    return slacks, (xs, ys), 1e-12, {"set_size": int(point_set.points.shape[0])}
+    return slacks, (xs, ys), {"set_size": int(point_set.points.shape[0])}
 
 
 def _suite_L4_4_1(domain, params, count, rng, min_clearance):
@@ -470,12 +464,12 @@ def _suite_L4_4_1(domain, params, count, rng, min_clearance):
         h - mid,
         c * j - h,
     ])
-    return slacks, (xs, ys), 1e-9, {}
+    return slacks, (xs, ys), {}
 
 
 def _suite_L4_4_2(domain, params, count, rng, min_clearance):
     c = params.c
-    xs = sample_interior(domain, count, 0, min_clearance=min_clearance, rng=rng)
+    xs = sample_interior(domain, count, rng, min_clearance=min_clearance)
     lam = rng.uniform(1e-3, 1.0 - 1e-3, size=count)
     frac = rng.random(count)
     dirs = unit_directions(domain.dimension, count, rng)
@@ -486,7 +480,7 @@ def _suite_L4_4_2(domain, params, count, rng, min_clearance):
     h = metrics.h_kernel(*geom, c)
     slacks = h - (1.0 - lam) / (1.0 + lam) * j
     worst = int(np.argmin(slacks))
-    return slacks, (xs, ys), 1e-9, {"lambda_worst": float(lam[worst])}
+    return slacks, (xs, ys), {"lambda_worst": float(lam[worst])}
 
 
 def _k_pairs(domain, params, count, rng, min_clearance, k_controls):
@@ -508,24 +502,20 @@ def _suite_C4_5(domain, params, count, rng, min_clearance, k_controls):
     d_const = c / (2.0 * (1.0 + c) * u_hat)
     hv, kv = h[valid], k_hat[valid]
     slacks = np.minimum((hv - d_const * kv) / hv, (c * kv - hv) / hv)
-    return (slacks, (xs[valid], ys[valid]), 0.02,
+    return (slacks, (xs[valid], ys[valid]),
             {"u_hat": u_hat, "d_constant": d_const, "relative": True})
 
 
 def _suite_T4_6(domain, params, count, rng, min_clearance):
     c = params.c
     _require(c >= 2.0, "T4_6 requires c >= 2")
-    if isinstance(domain, UnitBall):
-        rho_fn = metrics.rho_ball_many
-    elif isinstance(domain, HalfSpace):
-        rho_fn = metrics.rho_halfspace_many
-    else:
-        raise ValueError("T4_6 needs a ball or half-space domain")
+    rho_fn = (metrics.rho_ball_many if isinstance(domain, UnitBall)
+              else metrics.rho_halfspace_many)
     xs, ys = _suite_pairs(domain, count, rng, min_clearance)
     rho = rho_fn(xs, ys)
     h = metrics.h_many(domain, xs, ys, c)
     slacks = np.minimum(rho - h / c, 2.0 * h - rho)
-    return slacks, (xs, ys), 1e-9, {}
+    return slacks, (xs, ys), {}
 
 
 def _suite_QHJ(domain, params, count, rng, min_clearance, k_controls):
@@ -534,26 +524,54 @@ def _suite_QHJ(domain, params, count, rng, min_clearance, k_controls):
     valid = j > 1e-6
     _require(bool(np.any(valid)), "all sampled pairs are degenerate (j ~ 0)")
     slacks = (k_hat[valid] - j[valid]) / j[valid]
-    return slacks, (xs[valid], ys[valid]), 0.02, {"relative": True}
+    return slacks, (xs[valid], ys[valid]), {"relative": True}
 
 
-#: suite id -> (suite function, whether it takes k controls), in the
-#: order the CLI offers them
+class Suite(NamedTuple):
+    """One named estimate and its contract.
+
+    ``run(domain, params, count, rng, min_clearance[, k_controls])``
+    returns (slacks, (xs, ys), extra report params); ``domains`` is the
+    tuple of accepted domain classes (None: any domain).
+    """
+
+    run: Callable
+    needs_k: bool
+    tolerance: float
+    domains: tuple[type, ...] | None
+    statement: str
+
+
+#: suite id -> contract, in the order the CLI and README list them
 SUITES = {
-    "P2_3_1": (_suite_P2_3_1, False),
-    "P2_3_2": (_suite_P2_3_2, False),
-    "L2_5": (partial(_moebius_distortion, to_halfspace=False), False),
-    "L2_7": (partial(_moebius_distortion, to_halfspace=True), False),
-    "P2_8": (_suite_P2_8, False),
-    "L2_9": (_suite_L2_9, False),
-    "C2_10": (_suite_C2_10, False),
-    "L3_1": (_suite_L3_1, False),
-    "L4_4_1": (_suite_L4_4_1, False),
-    "L4_4_2": (_suite_L4_4_2, False),
-    "C4_5": (_suite_C4_5, True),
-    "T4_6": (_suite_T4_6, False),
-    "QHJ": (_suite_QHJ, True),
+    "P2_3_1": Suite(_suite_P2_3_1, False, 1e-10, (HalfSpace,),
+                    "sqrt(2(cosh rho_H - 1)) = (e^h - 1)/c on the half-space (identity)"),
+    "P2_3_2": Suite(_suite_P2_3_2, False, 1e-10, (UnitBall,),
+                    "sinh(rho_B/2) <= (e^h - 1)/c <= 2 sinh(rho_B/2) on the ball"),
+    "L2_5": Suite(partial(_moebius_distortion, to_halfspace=False), False, 1e-10, (UnitBall,),
+                  "h_c(g x, g y) <= 2 h_c(x, y) for ball automorphisms g"),
+    "L2_7": Suite(partial(_moebius_distortion, to_halfspace=True), False, 1e-10, (UnitBall,),
+                  "h_c(g x, g y) <= 2 h_c(x, y) for Moebius g: ball -> half-space"),
+    "P2_8": Suite(_suite_P2_8, False, 0.0, None,
+                  "c t/(2(1+c)) < log(1 + 2c sinh(t/2)) < c t"),
+    "L2_9": Suite(_suite_L2_9, False, 1e-9, None, "j/2 <= phi <= 2 j"),
+    "C2_10": Suite(_suite_C2_10, False, 1e-9, None, "j/2 <= h_1 <= phi <= 2 h_1 <= 2 j"),
+    "L3_1": Suite(_suite_L3_1, False, 1e-12, None,
+                  "d_A(x) <= |x - y| + d_A(y) (clearance to complement sets is 1-Lipschitz)"),
+    "L4_4_1": Suite(_suite_L4_4_1, False, 1e-9, None,
+                    "c j/(2(1+c)) <= log(1 + 2c sinh(j/2)) <= h_c <= c j "
+                    "(upper step needs c >= 1)"),
+    "L4_4_2": Suite(_suite_L4_4_2, False, 1e-9, None,
+                    "(1-L)/(1+L) j <= h_c for pairs with |x-y| < L d(x), L sampled in (0,1)"),
+    "C4_5": Suite(_suite_C4_5, True, 0.02, None,
+                  "d k <= h_c <= c k with d = c/(2(1+c) U_hat), 2% relative slack"),
+    "T4_6": Suite(_suite_T4_6, False, 1e-9, (UnitBall, HalfSpace),
+                  "h_c/c <= rho_G <= 2 h_c on the ball / half-space models, c >= 2"),
+    "QHJ": Suite(_suite_QHJ, True, 0.02, None, "k >= j within 2% relative slack"),
 }
+
+#: how a suite's domain requirement names each accepted class
+_DOMAIN_NOUNS = {UnitBall: "ball", HalfSpace: "half-space"}
 
 
 def inequality_suite(
@@ -569,35 +587,23 @@ def inequality_suite(
 ) -> InequalityReport:
     """Run one named two-sided estimate over seeded samples.
 
-    Suites (slack >= -tolerance on every sample means pass):
-
-    ======== ==============================================================
-    P2_3_1     sqrt(2(cosh rho_H - 1)) equals (e^h - 1)/c on the half-space
-    P2_3_2     sinh(rho_B/2) <= (e^h - 1)/c <= 2 sinh(rho_B/2) on the ball
-    L2_5       h_c(g x, g y) <= 2 h_c(x, y) for ball automorphisms g
-    L2_7       h_c(g x, g y) <= 2 h_c(x, y) for g: ball -> half-space
-    P2_8       c t/(2(1+c)) < log(1 + 2 c sinh(t/2)) < c t on a log grid
-    L2_9       j/2 <= phi <= 2 j
-    C2_10      j/2 <= h_1 <= phi <= 2 h_1 <= 2 j  (c pinned to 1)
-    L3_1       d_A(x) <= |x - y| + d_A(y) for complement point sets A
-    L4_4_1     c j/(2(1+c)) <= log(1+2c sinh(j/2)) <= h_c <= c j  (c >= 1)
-    L4_4_2     (1-L)/(1+L) j <= h_c for |x-y| < L d(x), L sampled in (0,1)
-    C4_5       d k <= h_c <= c k with d = c/(2(1+c) U_hat), 2% relative
-    T4_6       h_c/c <= rho_G <= 2 h_c on ball/half-space, c >= 2
-    QHJ        k >= j within 2% relative slack
-    ======== ==============================================================
+    :data:`SUITES` holds each suite's statement, default tolerance and
+    domain requirement; slack >= -tolerance on every sample means pass.
     """
     if suite_id not in SUITES:
         raise ValueError(f"unknown suite {suite_id!r}; choose from {tuple(SUITES)}")
     if pair_count < 1:
         raise ValueError("pair_count must be >= 1")
+    suite = SUITES[suite_id]
+    if suite.domains is not None and not isinstance(domain, suite.domains):
+        kinds = " or ".join(_DOMAIN_NOUNS[cls] for cls in suite.domains)
+        raise ValueError(f"{suite_id} needs a {kinds} domain")
     rng = np.random.default_rng([seed, 1])
-    suite, needs_k = SUITES[suite_id]
     args = (domain, params, pair_count, rng, min_clearance)
-    if needs_k:
+    if suite.needs_k:
         args += (k_controls if k_controls is not None else KControls(0.05, 1),)
-    slacks, (xs, ys), tol_default, extra = suite(*args)
-    tol = tol_default if tolerance is None else float(tolerance)
+    slacks, (xs, ys), extra = suite.run(*args)
+    tol = suite.tolerance if tolerance is None else float(tolerance)
     worst = int(np.argmin(slacks))
     witness = (xs[worst], ys[worst])
     report_params = {"c": params.c}

@@ -15,14 +15,12 @@ import numpy as np
 from hypermetric.cli import run as cli_run
 from hypermetric.domains import HalfSpace, Interval, PuncturedSpace, UnitBall
 from hypermetric.maps import (
-    IdentityMap,
-    MoebiusSampleMap,
     RadialStretch,
     bilipschitz_estimate,
     linear_dilatation,
 )
 from hypermetric.metrics import MetricKind, MetricParams, j_many
-from hypermetric.moebius import BallAutomorphism
+from hypermetric.moebius import BallAutomorphism, Identity
 from hypermetric.quasihyperbolic import (
     KControls,
     k_estimate,
@@ -225,10 +223,10 @@ def test_criterion_09_dilatation():
     ok = True
     details = []
     moebius_cases = [
-        (MoebiusSampleMap(BallAutomorphism(np.array([0.3, 0.0]))), (0.0, 0.0)),
-        (MoebiusSampleMap(BallAutomorphism(np.array([0.0, 0.45]))), (0.0, 0.0)),
-        (MoebiusSampleMap(BallAutomorphism(np.array([0.3, 0.0]))), (-0.4, 0.0)),
-        (IdentityMap(B2), (0.2, 0.1)),
+        (BallAutomorphism(np.array([0.3, 0.0])), (0.0, 0.0)),
+        (BallAutomorphism(np.array([0.0, 0.45])), (0.0, 0.0)),
+        (BallAutomorphism(np.array([0.3, 0.0])), (-0.4, 0.0)),
+        (Identity(B2), (0.2, 0.1)),
     ]
     for mapping, z in moebius_cases:
         est = linear_dilatation(mapping, z, radii, sphere_samples=64)

@@ -1,8 +1,10 @@
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 from hypermetric.cli import run
+from hypermetric.verify import SUITES
 
 
 def invoke(argv):
@@ -67,6 +69,21 @@ class TestVerifySuite:
         assert obj["suite_id"] == "T4_6"
         assert set(obj) == {"suite_id", "domain", "params", "seed", "sample_count",
                             "min_slack", "witness", "pass", "tolerance"}
+
+    def test_help_lists_suite_statements(self):
+        code, out = invoke(["verify-suite", "--help"])
+        assert code == 0
+        for suite_id, suite in SUITES.items():
+            assert f"  {suite_id:<8} {suite.statement}\n" in out
+
+    def test_readme_table_matches_suites(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = [line.split("|", 2)[1:] for line in readme.splitlines()
+                if line.startswith("| `")]
+        table = [(cell.strip().strip("`"),
+                  rest.rstrip().removesuffix("|").strip().replace("\\|", "|"))
+                 for cell, rest in rows]
+        assert table == [(suite_id, suite.statement) for suite_id, suite in SUITES.items()]
 
     def test_csv_row_count(self):
         code, out = invoke(

@@ -22,7 +22,8 @@ from test_domains import annulus_domain
 
 #: (argv, exit status, stdout): the README invocations (uniformity at
 #: --count 16 instead of 160), h scans and the L3_1 suite on each
-#: built-in variant, and one punctured-space k estimate
+#: built-in variant, one punctured-space k estimate, the other three map
+#: specs and the two Moebius-distortion suites
 CLI_GOLDEN = [
     ('dist --domain ball:2 --metric h --c 2 --points 0,0 0.5,0', 0,
      '0.881374\n'),
@@ -56,6 +57,16 @@ CLI_GOLDEN = [
      '{"domain": "interval:0:1", "min_slack": 0.0, "params": {"c": 2.0, "set_size": 8}, "pass": true, "sample_count": 10000, "seed": 3, "suite_id": "L3_1", "tolerance": 1e-12, "witness": [[0.40719719128199483], [0.3045567644571672]]}\n'),
     ('k-estimate --domain punctured:2 --points 1,0 0.3,0.8 --spacing 0.1 --refinements 1', 0,
      '{"domain": "punctured:2", "refinement_history": [[0.1, 1.2304341031043768], [0.05, 1.224756373946804]], "spacing": 0.05, "value": 1.224756373946804}\n'),
+    ('dilatation --map identity:ball:2 --z 0.1,0.2', 0,
+     '{"H_hat": 1.0000000000000249, "map": "identity:ball:2", "radii": [0.1, 0.01, 0.001], "ratios": [1.0000000000000007, 1.0000000000000029, 1.0000000000000249], "z": [0.1, 0.2]}\n'),
+    ('dilatation --map b2h:2 --z 0,0', 0,
+     '{"H_hat": 1.0020020020020135, "map": "b2h:2", "radii": [0.1, 0.01, 0.001], "ratios": [1.2222222222222223, 1.0202020202020259, 1.0020020020020135], "z": [0.0, 0.0]}\n'),
+    ('dilatation --map stretch:2.0 --z 0.3,0.1', 0,
+     '{"H_hat": 2.000714904598754, "map": "stretch:2.0", "radii": [0.1, 0.01, 0.001], "ratios": [2.3251795458305056, 2.031033800522497, 2.000714904598754], "z": [0.3, 0.1]}\n'),
+    ('verify-suite --suite L2_5 --domain ball:2 --count 2000', 0,
+     '{"domain": "ball:2", "min_slack": 0.055610258324048326, "params": {"c": 2.0, "isometry_max_gap": 2.708944180085382e-13, "map_count": 20, "observed_sup_ratio": 1.413366262895025}, "pass": true, "sample_count": 2000, "seed": 0, "suite_id": "L2_5", "tolerance": 1e-10, "witness": [[0.07515009073350964, 0.01092059755703767], [0.05339960925816767, 0.03364584375362134]]}\n'),
+    ('verify-suite --suite L2_7 --domain ball:2 --count 2000', 0,
+     '{"domain": "ball:2", "min_slack": 0.011791214178475062, "params": {"c": 2.0, "isometry_max_gap": 2.398081733190338e-13, "map_count": 20, "observed_sup_ratio": 1.819783549505904}, "pass": true, "sample_count": 2000, "seed": 0, "suite_id": "L2_7", "tolerance": 1e-10, "witness": [[0.07515009073350964, 0.01092059755703767], [0.05339960925816767, 0.03364584375362134]]}\n'),
 ]
 
 

@@ -4,8 +4,6 @@ import pytest
 from hypermetric.domains import HalfSpace, UnitBall, sample_interior
 from hypermetric.maps import (
     BilipschitzEstimate,
-    IdentityMap,
-    MoebiusSampleMap,
     RadialStretch,
     apply_map,
     bilipschitz_estimate,
@@ -14,7 +12,7 @@ from hypermetric.maps import (
     u_quantity,
 )
 from hypermetric.metrics import MetricParams, h_many
-from hypermetric.moebius import BallAutomorphism, BallToHalfSpace
+from hypermetric.moebius import BallAutomorphism, BallToHalfSpace, Identity
 
 B2 = UnitBall(2)
 H2 = HalfSpace(2)
@@ -25,7 +23,7 @@ INV_SQRT2 = 0.7071067811865476
 
 class TestApplyMap:
     def test_identity(self):
-        assert np.array_equal(apply_map(IdentityMap(B2), (0.3, -0.4)), (0.3, -0.4))
+        assert np.array_equal(apply_map(Identity(B2), (0.3, -0.4)), (0.3, -0.4))
 
     def test_stretch_example(self):
         assert np.allclose(apply_map(RadialStretch(2.0), (0.5, 0)), (0.25, 0), atol=1e-15)
@@ -48,7 +46,7 @@ class TestApplyMap:
             apply_map(RadialStretch(2.0), (1.5, 0.0))
 
     def test_moebius_target_domain(self):
-        m = MoebiusSampleMap(BallToHalfSpace(2))
+        m = BallToHalfSpace(2)
         assert m.source.spec_string() == "ball:2"
         assert m.target.spec_string() == "halfspace:2"
 
@@ -76,7 +74,7 @@ class TestUQuantity:
 
 class TestLinearDilatation:
     def test_identity_ratio_is_one(self):
-        est = linear_dilatation(IdentityMap(B2), (0.1, 0.2), [0.1, 0.01, 0.001])
+        est = linear_dilatation(Identity(B2), (0.1, 0.2), [0.1, 0.01, 0.001])
         assert all(abs(r - 1.0) <= 1e-12 for r in est.ratios)
         assert est.H_hat == pytest.approx(1.0, abs=1e-12)
 
@@ -85,7 +83,7 @@ class TestLinearDilatation:
         # (1 + |a| r) / (1 - |a| r)
         a = 0.5
         est = linear_dilatation(
-            MoebiusSampleMap(BallAutomorphism(np.array([a, 0.0]))),
+            BallAutomorphism(np.array([a, 0.0])),
             (0.0, 0.0),
             [0.1, 0.01, 0.001],
             sphere_samples=64,
@@ -115,11 +113,11 @@ class TestLinearDilatation:
 
     def test_radius_exceeding_clearance_rejected(self):
         with pytest.raises(ValueError, match="clearance"):
-            linear_dilatation(IdentityMap(B2), (0.9, 0.0), [0.5])
+            linear_dilatation(Identity(B2), (0.9, 0.0), [0.5])
 
     def test_nondecreasing_radii_rejected(self):
         with pytest.raises(ValueError, match="decreasing"):
-            linear_dilatation(IdentityMap(B2), (0.0, 0.0), [0.01, 0.1])
+            linear_dilatation(Identity(B2), (0.0, 0.0), [0.01, 0.1])
 
     def test_collision_detected(self):
         # alpha=2 squares the radius; 1e-200 underflows to a collision
@@ -128,17 +126,17 @@ class TestLinearDilatation:
 
     def test_sphere_sample_floor(self):
         with pytest.raises(ValueError, match=">= 16"):
-            linear_dilatation(IdentityMap(B2), (0.0, 0.0), [0.1], sphere_samples=8)
+            linear_dilatation(Identity(B2), (0.0, 0.0), [0.1], sphere_samples=8)
 
 
 class TestBilipschitz:
     def test_identity(self):
-        est = bilipschitz_estimate(IdentityMap(B2), C2, 1000, seed=5)
+        est = bilipschitz_estimate(Identity(B2), C2, 1000, seed=5)
         assert est.L_hat == pytest.approx(1.0, abs=1e-12)
 
     def test_moebius_bounded_by_two(self):
         est = bilipschitz_estimate(
-            MoebiusSampleMap(BallAutomorphism(np.array([0.5, 0.0]))), C2, 5000, seed=6
+            BallAutomorphism(np.array([0.5, 0.0])), C2, 5000, seed=6
         )
         assert est.L_hat <= 2.0 + 1e-9
 
@@ -181,8 +179,8 @@ class TestDilatationVsBilipschitz:
     @pytest.mark.parametrize(
         "mapping, z",
         [
-            (IdentityMap(B2), (0.1, 0.0)),
-            (MoebiusSampleMap(BallAutomorphism(np.array([0.4, 0.1]))), (0.0, 0.0)),
+            (Identity(B2), (0.1, 0.0)),
+            (BallAutomorphism(np.array([0.4, 0.1])), (0.0, 0.0)),
             (RadialStretch(2.0), (0.5, 0.0)),
         ],
     )
@@ -194,9 +192,9 @@ class TestDilatationVsBilipschitz:
 
 class TestParseMap:
     def test_specs(self):
-        assert isinstance(parse_map("identity:ball:2"), IdentityMap)
-        assert isinstance(parse_map("auto:0.5,0"), MoebiusSampleMap)
-        assert isinstance(parse_map("b2h:2"), MoebiusSampleMap)
+        assert isinstance(parse_map("identity:ball:2"), Identity)
+        assert isinstance(parse_map("auto:0.5,0"), BallAutomorphism)
+        assert isinstance(parse_map("b2h:2"), BallToHalfSpace)
         assert isinstance(parse_map("stretch:2.0"), RadialStretch)
 
     def test_unknown(self):

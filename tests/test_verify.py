@@ -17,6 +17,8 @@ from hypermetric.verify import (
     uniformity_estimate,
 )
 
+from test_domains import annulus_domain
+
 B2 = UnitBall(2)
 H2 = HalfSpace(2)
 C2 = MetricParams(2.0)
@@ -65,6 +67,14 @@ class TestTriangleScan:
         lines = report.csv_lines()
         assert lines[0] == "index,slack"
         assert len(lines) == 1001
+
+    @pytest.mark.parametrize("count", [1, 2, 20_001])
+    def test_generic_domain_chunk_without_boundary_rows(self, count):
+        # a 1- or 2-triple chunk rounds its boundary stratum to 0 rows
+        report = triangle_scan(annulus_domain(), MetricKind.H, C2, count, seed=0,
+                               keep_slacks=True)
+        assert report.passed
+        assert report.sample_count == count == report.slacks.shape[0]
 
 
 class TestCollinearScan:
