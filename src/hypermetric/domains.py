@@ -17,8 +17,13 @@ forms are the generic answers: ``boundary_sample`` (points at small
 clearance; base: the uniform law), ``chord_reach`` (base: none, so no
 collinear stratum), ``geodesic_window`` (base: the sample box) and
 ``complement_sample`` (base: none).  ``boundary_stratum`` and
-``collinear_stratum`` declare whether a domain has the first two.  No
-meshes; all operations are pure and safe to call concurrently.
+``collinear_stratum`` declare whether a domain has the first two, and
+``pair_window`` whether its geodesic window depends on the query pair:
+the half-space and the punctured space size it from the pair, the ball,
+the interval and ``GenericDomain`` use one box for every pair, so the
+estimator shares one lattice across their queries.  Domains are
+immutable values; no meshes; all operations are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -83,6 +88,9 @@ class Domain:
     boundary_stratum = False
     #: ``chord_reach`` is defined, so scans draw collinear triples
     collinear_stratum = False
+    #: ``geodesic_window`` depends on the query pair (else one window, and
+    #: so one lattice per spacing, serves every pair)
+    pair_window = False
 
     # -- scalar API ---------------------------------------------------
 
@@ -125,7 +133,10 @@ class Domain:
 
     def geodesic_window(self, x: np.ndarray, y: np.ndarray, pad: float):
         """Axis box (lo, hi) holding the geodesics from x to y, plus an
-        optional extra node mask; ``pad`` is the stencil's reach in length."""
+        optional extra node mask; ``pad`` is the stencil's reach in length.
+
+        The base form is the sample box, the same for every pair; a
+        domain that sizes the window from x and y sets ``pair_window``."""
         lo, hi = self.sample_box()
         return lo, hi, None
 
@@ -197,6 +208,7 @@ class HalfSpace(Domain):
     dimension: int
 
     boundary_stratum = collinear_stratum = True
+    pair_window = True
 
     #: rejection box extent: last coordinate in (0, 4], others in [-2, 2]
     _SIDE = 2.0
@@ -268,6 +280,7 @@ class PuncturedSpace(Domain):
     dimension: int
 
     boundary_stratum = collinear_stratum = True
+    pair_window = True
 
     _SIDE = 2.0
 

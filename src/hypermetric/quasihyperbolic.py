@@ -28,10 +28,22 @@ Grid paths are admissible curves up to quadrature error, so estimates
 approach k from above; no rigorous enclosure is claimed.  Each domain
 supplies the search window (``Domain.geodesic_window``); those of the
 unbounded domains provably contain the true geodesic.
+
+A grid holds its edge set once, as a CSR adjacency with one entry per
+undirected edge; a query appends the rows of its two endpoints to it and
+runs one undirected Dijkstra.  When the window does not depend on the
+query pair (``Domain.pair_window`` is false: ball, interval, generic
+domains) the lattice is the same for every pair, so the last
+``SHARED_GRIDS`` grids, keyed by (domain, spacing, node cap), are kept
+read-only in memory and shared by every query on them.  Pair-dependent
+windows (half-space, punctured space) build one grid per query and
+level, and nothing keeps it afterwards.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -45,6 +57,10 @@ DEFAULT_NODE_CAP = 2_000_000
 
 #: stencil order in 2-D: all primitive offsets with max-norm <= reach
 STENCIL_REACH_2D = 5
+
+#: grids kept for pair-independent windows; a sweep of one domain at
+#: two or three spacings reuses every one of them
+SHARED_GRIDS = 4
 
 
 class GridError(RuntimeError):
@@ -87,21 +103,31 @@ class KEstimate:
 
 @dataclass
 class GeodesicGrid:
-    """Lattice discretization of a domain window.
+    """Lattice discretization of a domain window; its arrays are read-only.
 
-    ``edges`` holds one undirected edge per row; every weight is the
-    Simpson approximation of the 1/d line integral along the straight
-    segment between its endpoints.
+    The edge set is a CSR adjacency with one entry per undirected edge:
+    node u's edges are ``neighbours[indptr[u]:indptr[u+1]]`` with
+    ``weights`` at the same positions.  Every weight is the Simpson
+    approximation of the 1/d line integral along the straight segment
+    between its endpoints.
     """
 
     domain: Domain
     spacing: float
     nodes: np.ndarray          # (N, n) positions
-    edges: np.ndarray          # (E, 2) int32 node indices
+    indptr: np.ndarray = field(repr=False)           # (N+1,) row starts
+    neighbours: np.ndarray = field(repr=False)       # (E,) int32 node indices
     weights: np.ndarray        # (E,)
     clearances: np.ndarray = field(repr=False)       # (N,)
     _index_map: np.ndarray = field(repr=False)       # lattice -> node index
     _axis_starts: np.ndarray = field(repr=False)     # first lattice index per axis
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(E, 2) node indices, one undirected edge per row, formed on read."""
+        rows = np.repeat(np.arange(self.nodes.shape[0], dtype=np.int32),
+                         np.diff(self.indptr))
+        return np.stack([rows, self.neighbours], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -135,31 +161,23 @@ def k_exact_punctured(x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _stencil(dimension: int) -> np.ndarray:
-    """Half-space of lattice offsets (one per undirected edge direction)."""
+@functools.cache
+def _stencil(dimension: int) -> tuple[np.ndarray, int]:
+    """Half-space of lattice offsets (one per undirected edge direction),
+    read-only, and its reach (the largest offset coordinate)."""
     if dimension == 1:
-        return np.array([[1]], dtype=np.int64)
-    if dimension == 2:
-        offs = []
+        offs = [(1,)]
+    elif dimension == 2:
         r = STENCIL_REACH_2D
-        for i in range(0, r + 1):
-            for j in range(-r, r + 1):
-                if i == 0 and j <= 0:
-                    continue
-                if math.gcd(i, abs(j)) != 1:
-                    continue
-                offs.append((i, j))
-        return np.array(offs, dtype=np.int64)
-    # n >= 3: the full single-ring neighbourhood (3^n - 1 offsets, halved)
-    grids = np.meshgrid(*([np.array([-1, 0, 1])] * dimension), indexing="ij")
-    offs = np.stack([g.ravel() for g in grids], axis=1)
-    offs = offs[np.any(offs != 0, axis=1)]
-    keep = []
-    for o in offs:
-        nz = o[o != 0]
-        if nz[0] > 0:
-            keep.append(o)
-    return np.array(keep, dtype=np.int64)
+        offs = [(i, j) for i in range(r + 1) for j in range(-r, r + 1)
+                if (i > 0 or j > 0) and math.gcd(i, abs(j)) == 1]
+    else:
+        # n >= 3: the full single-ring neighbourhood (3^n - 1 offsets, halved)
+        offs = [o for o in itertools.product((-1, 0, 1), repeat=dimension)
+                if any(o) and next(c for c in o if c) > 0]
+    offsets = np.array(offs, dtype=np.int64)
+    offsets.flags.writeable = False
+    return offsets, int(np.max(np.abs(offsets)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +203,9 @@ def build_grid(domain: Domain, spacing: float, x, y,
     x = as_point(x, domain.dimension)
     y = as_point(y, domain.dimension)
     h = float(spacing)
-    offsets = _stencil(domain.dimension)
-    reach = int(np.max(np.abs(offsets)))
+    offsets, reach = _stencil(domain.dimension)
     lo, hi, extra_mask = domain.geodesic_window(x, y, (reach + 2) * h)
+    box = " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi))
 
     starts = np.ceil(lo / h - 1e-9).astype(np.int64)
     stops = np.floor(hi / h + 1e-9).astype(np.int64)
@@ -199,8 +217,8 @@ def build_grid(domain: Domain, spacing: float, x, y,
     raw = int(np.prod(dims))
     if raw > 8 * node_cap:
         raise NodeBudgetError(
-            f"lattice window holds {raw} cells (cap {node_cap}); "
-            "increase spacing or the node cap"
+            f"lattice window {box} at spacing {h} holds {raw} cells "
+            f"(cap {node_cap}); increase spacing or the node cap"
         )
 
     axes = [np.arange(a, b + 1) * h for a, b in zip(starts, stops)]
@@ -213,7 +231,10 @@ def build_grid(domain: Domain, spacing: float, x, y,
         mask &= extra_mask(points)
     n_valid = int(np.count_nonzero(mask))
     if n_valid > node_cap:
-        raise NodeBudgetError(f"{n_valid} grid nodes exceed the cap {node_cap}")
+        raise NodeBudgetError(
+            f"{n_valid} grid nodes in the window {box} at spacing {h} "
+            f"exceed the cap {node_cap}"
+        )
     if n_valid == 0:
         raise DisconnectedGridError(
             f"no grid nodes with clearance >= {0.5 * h} inside the window"
@@ -225,7 +246,10 @@ def build_grid(domain: Domain, spacing: float, x, y,
     nodes = points[mask]
     node_clear = clear[mask]
 
-    src_parts, dst_parts, w_parts = [], [], []
+    # one (src, dst, weight) part per offset; src ascends within a part
+    # and holds each node at most once
+    parts = []
+    degree = np.zeros(n_valid, dtype=np.int64)
     for off in offsets:
         sl_a, sl_b = [], []
         skip = False
@@ -251,23 +275,29 @@ def build_grid(domain: Domain, spacing: float, x, y,
         dst = b[keep]
         w, ok = _segment_weights(domain, nodes[src], nodes[dst],
                                  node_clear[src], node_clear[dst])
-        src_parts.append(src[ok])
-        dst_parts.append(dst[ok])
-        w_parts.append(w[ok])
+        src = src[ok]
+        parts.append((src, dst[ok], w[ok]))
+        degree[src] += 1
 
-    if src_parts:
-        edges = np.stack(
-            [np.concatenate(src_parts), np.concatenate(dst_parts)], axis=1
-        ).astype(np.int64)
-        weights = np.concatenate(w_parts)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-        weights = np.empty(0)
+    # counting sort of the parts into CSR rows, in part order within a row
+    indptr = np.zeros(n_valid + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    neighbours = np.empty(int(indptr[-1]), dtype=np.int32)
+    weights = np.empty(int(indptr[-1]))
+    fill = indptr[:-1].copy()
+    for src, dst, w in parts:
+        at = fill[src]
+        neighbours[at] = dst
+        weights[at] = w
+        fill[src] += 1
+    for a in (nodes, node_clear, indptr, neighbours, weights, index_nd, starts):
+        a.flags.writeable = False
     return GeodesicGrid(
         domain=domain,
         spacing=h,
         nodes=nodes,
-        edges=edges,
+        indptr=indptr,
+        neighbours=neighbours,
         weights=weights,
         clearances=node_clear,
         _index_map=index_nd,
@@ -275,11 +305,32 @@ def build_grid(domain: Domain, spacing: float, x, y,
     )
 
 
+@functools.lru_cache(maxsize=SHARED_GRIDS)
+def _shared_grid(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
+    # the window ignores the pair, so any pair builds the shared lattice
+    origin = np.zeros(domain.dimension)
+    return build_grid(domain, spacing, origin, origin, node_cap=node_cap)
+
+
+def _query_grid(domain: Domain, spacing: float, x: np.ndarray, y: np.ndarray,
+                node_cap: int) -> GeodesicGrid:
+    """The lattice for one query: shared across pairs when the domain's
+    window ignores them and the domain can key a cache, else built anew."""
+    if not domain.pair_window:
+        try:
+            hash(domain)
+        except TypeError:  # e.g. a GenericDomain whose box is a list
+            pass
+        else:
+            return _shared_grid(domain, spacing, node_cap)
+    return build_grid(domain, spacing, x, y, node_cap=node_cap)
+
+
 def _attach_endpoint(grid: GeodesicGrid, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edges from a query point to every node within (reach+1)*spacing."""
     domain = grid.domain
     h = grid.spacing
-    reach = int(np.max(np.abs(_stencil(domain.dimension))))
+    _, reach = _stencil(domain.dimension)
     r_aug = (reach + 1) * h
     dims = np.asarray(grid._index_map.shape, dtype=np.int64)
     cell = np.round(p / h).astype(np.int64) - grid._axis_starts
@@ -317,11 +368,8 @@ def _shortest_path_value(grid: GeodesicGrid, x: np.ndarray, y: np.ndarray) -> fl
     ix, iy = n_nodes, n_nodes + 1
     cx, wx = _attach_endpoint(grid, x)
     cy, wy = _attach_endpoint(grid, y)
-    src = np.concatenate([grid.edges[:, 0], np.full(cx.size, ix), np.full(cy.size, iy)])
-    dst = np.concatenate([grid.edges[:, 1], cx, cy])
-    wgt = np.concatenate([grid.weights, wx, wy])
     gap = np.linalg.norm(x - y)
-    reach = int(np.max(np.abs(_stencil(grid.domain.dimension))))
+    _, reach = _stencil(grid.domain.dimension)
     if 0.0 < gap <= (reach + 1) * grid.spacing:
         dxy = grid.domain.clearance_many(np.stack([x, y]))
         w_direct, ok = _segment_weights(
@@ -329,10 +377,14 @@ def _shortest_path_value(grid: GeodesicGrid, x: np.ndarray, y: np.ndarray) -> fl
             np.array([dxy[0]]), np.array([dxy[1]]),
         )
         if ok[0]:
-            src = np.append(src, ix)
-            dst = np.append(dst, iy)
-            wgt = np.append(wgt, w_direct[0])
-    graph = sp.csr_matrix((wgt, (src, dst)), shape=(ix + 2, ix + 2))
+            cx = np.append(cx, iy)
+            wx = np.append(wx, w_direct[0])
+    # rows ix (x's edges and the direct edge) and iy follow the grid's rows
+    end = grid.indptr[-1]
+    indptr = np.concatenate([grid.indptr, [end + cx.size, end + cx.size + cy.size]])
+    indices = np.concatenate([grid.neighbours, cx, cy], dtype=np.int32)
+    data = np.concatenate([grid.weights, wx, wy])
+    graph = sp.csr_matrix((data, indices, indptr), shape=(ix + 2, ix + 2))
     dist = dijkstra(graph, directed=False, indices=ix)
     val = float(dist[iy])
     if not np.isfinite(val):
@@ -371,7 +423,7 @@ def k_estimate(
     if np.array_equal(x, y):
         history = [(h, 0.0) for h in spacings]
     else:
-        history = [(h, _shortest_path_value(build_grid(domain, h, x, y, node_cap=node_cap), x, y))
+        history = [(h, _shortest_path_value(_query_grid(domain, h, x, y, node_cap), x, y))
                    for h in spacings]
     return KEstimate(history[-1][1], history[-1][0], history)
 

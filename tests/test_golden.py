@@ -23,7 +23,9 @@ from test_domains import annulus_domain
 #: (argv, exit status, stdout): the README invocations (uniformity at
 #: --count 16 instead of 160), h scans and the L3_1 suite on each
 #: built-in variant, one punctured-space k estimate, the other three map
-#: specs and the two Moebius-distortion suites
+#: specs, the two Moebius-distortion suites, and the k queries on shared
+#: grids (C4_5 and a k estimate on the ball, QHJ on the interval),
+#: captured before grids were shared between queries
 CLI_GOLDEN = [
     ('dist --domain ball:2 --metric h --c 2 --points 0,0 0.5,0', 0,
      '0.881374\n'),
@@ -67,6 +69,12 @@ CLI_GOLDEN = [
      '{"domain": "ball:2", "min_slack": 0.055610258324048326, "params": {"c": 2.0, "isometry_max_gap": 2.708944180085382e-13, "map_count": 20, "observed_sup_ratio": 1.413366262895025}, "pass": true, "sample_count": 2000, "seed": 0, "suite_id": "L2_5", "tolerance": 1e-10, "witness": [[0.07515009073350964, 0.01092059755703767], [0.05339960925816767, 0.03364584375362134]]}\n'),
     ('verify-suite --suite L2_7 --domain ball:2 --count 2000', 0,
      '{"domain": "ball:2", "min_slack": 0.011791214178475062, "params": {"c": 2.0, "isometry_max_gap": 2.398081733190338e-13, "map_count": 20, "observed_sup_ratio": 1.819783549505904}, "pass": true, "sample_count": 2000, "seed": 0, "suite_id": "L2_7", "tolerance": 1e-10, "witness": [[0.07515009073350964, 0.01092059755703767], [0.05339960925816767, 0.03364584375362134]]}\n'),
+    ('verify-suite --suite C4_5 --domain ball:2 --count 24 --seed 808', 0,
+     '{"domain": "ball:2", "min_slack": 0.0823114942319264, "params": {"c": 2.0, "d_constant": 0.21762375133850673, "relative": true, "u_hat": 1.5316955584266356}, "pass": true, "sample_count": 24, "seed": 808, "suite_id": "C4_5", "tolerance": 0.02, "witness": [[0.38278745706250783, 0.1264250507542133], [0.39698609490621184, 0.07744457603333554]]}\n'),
+    ('k-estimate --domain ball:2 --points 0.1,0.2 0.5,-0.3 --spacing 0.1 --refinements 1', 0,
+     '{"domain": "ball:2", "refinement_history": [[0.1, 0.9897692372889575], [0.05, 0.9886775362602391]], "spacing": 0.05, "value": 0.9886775362602391}\n'),
+    ('verify-suite --suite QHJ --domain interval:0:1', 0,
+     '{"domain": "interval:0:1", "min_slack": 1.2463521170631643e-16, "params": {"c": 2.0, "relative": true}, "pass": true, "sample_count": 10000, "seed": 0, "suite_id": "QHJ", "tolerance": 0.02, "witness": [[0.4367420026142165], [0.43664703243358616]]}\n'),
 ]
 
 

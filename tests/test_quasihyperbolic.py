@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hypermetric import quasihyperbolic
 from hypermetric.domains import (
     GenericDomain,
     HalfSpace,
@@ -21,6 +22,9 @@ from hypermetric.quasihyperbolic import (
     k_exact_halfspace,
     k_exact_punctured,
 )
+from hypermetric.verify import uniformity_estimate
+
+from test_domains import annulus_domain
 
 H2 = HalfSpace(2)
 P2 = PuncturedSpace(2)
@@ -176,3 +180,60 @@ class TestGrid:
             KControls(spacing=-1.0)
         with pytest.raises(ValueError):
             KControls(refinements=-1)
+
+
+class TestSharedGrids:
+    """Pair-independent windows share one grid per (domain, spacing, cap)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        quasihyperbolic._shared_grid.cache_clear()
+        calls = []
+        build = quasihyperbolic.build_grid
+
+        def counting(domain, spacing, *args, **kwargs):
+            calls.append((domain.spec_string(), spacing))
+            return build(domain, spacing, *args, **kwargs)
+
+        monkeypatch.setattr(quasihyperbolic, "build_grid", counting)
+        yield calls
+        quasihyperbolic._shared_grid.cache_clear()
+
+    def test_uniformity_builds_one_grid_per_spacing(self, builds):
+        est = uniformity_estimate(B2, 160, 7)
+        assert est.sample_count > 100
+        assert builds == [("ball:2", 0.1), ("ball:2", 0.05)]
+
+    def test_halfspace_builds_per_query_and_level(self, builds):
+        xs = sample_interior(H2, 3, seed=4, min_clearance=0.3)
+        ys = sample_interior(H2, 3, seed=5, min_clearance=0.3)
+        for x, y in zip(xs, ys):
+            k_estimate(H2, x, y, 0.1, 1)
+        assert builds == [("halfspace:2", 0.1), ("halfspace:2", 0.05)] * 3
+
+    def test_cache_hit_keeps_node_cap(self, builds):
+        k_estimate(B2, (0.1, 0.2), (0.5, -0.3), 0.05, 1)
+        k_estimate(B2, (0.3, 0.0), (-0.2, 0.4), 0.05, 1)
+        assert len(builds) == 2
+        with pytest.raises(NodeBudgetError):
+            k_estimate(B2, (0.1, 0.2), (0.5, -0.3), 0.05, 1, node_cap=100)
+
+    def test_unhashable_generic_domain_builds_per_query(self, builds):
+        ring = annulus_domain()
+        listed = GenericDomain(2, ring.distance_fn, ring.membership_fn,
+                               [[-1.0, -1.0], [1.0, 1.0]])
+        pairs = [((0.5, 0.0), (0.0, 0.6)), ((-0.4, 0.3), (0.6, -0.2))]
+        for x, y in pairs:
+            shared = k_estimate(ring, x, y, 0.05, 1).refinement_history
+            assert k_estimate(listed, x, y, 0.05, 1).refinement_history == shared
+        assert builds.count(("generic:2", 0.05)) == 1 + len(pairs)
+
+    def test_cached_grid_is_read_only(self, builds):
+        k_estimate(B2, (0.1, 0.2), (0.5, -0.3), 0.1, 0)
+        grid = quasihyperbolic._shared_grid(B2, 0.1, quasihyperbolic.DEFAULT_NODE_CAP)
+        assert len(builds) == 1
+        for arr in (grid.nodes, grid.clearances, grid.indptr, grid.neighbours,
+                    grid.weights, grid._index_map):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            grid.weights[0] = 0.0
