@@ -20,6 +20,13 @@ Estimator construction, per refinement level (spacing halved each time):
 * weights: Simpson quadrature of 1/d along the straight segment
   (endpoint-only trapezoid carries ~1% error at the stencil's edge
   lengths near clearance 0.2);
+* assembly, per stencil offset: the cells whose neighbour along it lies
+  in the window form one slab, read as strided views of the node index
+  and clearance arrays; midpoints and segment lengths vary along one
+  axis each, so they are formed per axis and broadcast over the slab.
+  The offset fills one slot of a per-cell edge table, and one boolean
+  compaction of that table in (cell, slot) order yields the CSR rows;
+  no edge gathers its endpoints and no edge is scattered into its row;
 * both query points are attached to every node within (reach+1)*h via
   the same segment weights (plus a direct x-y edge when they are that
   close), so endpoint handling adds no O(h * density) detour penalty.
@@ -185,16 +192,20 @@ def _stencil(dimension: int) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
-def _segment_weights(domain: Domain, pu: np.ndarray, pv: np.ndarray,
-                     du: np.ndarray, dv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Simpson weights of 1/d along straight segments; invalid rows masked."""
-    mid = 0.5 * (pu + pv)
+def _segment_weights(domain: Domain, mid: np.ndarray, length: np.ndarray,
+                     du, dv) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson weights of 1/d along straight segments given by their
+    midpoints, lengths and endpoint clearances; rows whose midpoint lies
+    outside the domain are masked."""
     dm = domain.clearance_many(mid)
     ok = dm > 0.0
-    length = np.linalg.norm(pu - pv, axis=1)
     dm_safe = np.where(ok, dm, 1.0)
     w = length / 6.0 * (1.0 / du + 4.0 / dm_safe + 1.0 / dv)
     return w, ok
+
+
+def _box_text(lo: np.ndarray, hi: np.ndarray) -> str:
+    return " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi))
 
 
 def build_grid(domain: Domain, spacing: float, x, y,
@@ -205,7 +216,7 @@ def build_grid(domain: Domain, spacing: float, x, y,
     h = float(spacing)
     offsets, reach = _stencil(domain.dimension)
     lo, hi, extra_mask = domain.geodesic_window(x, y, (reach + 2) * h)
-    box = " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi))
+    box = _box_text(lo, hi)
 
     starts = np.ceil(lo / h - 1e-9).astype(np.int64)
     stops = np.floor(hi / h + 1e-9).astype(np.int64)
@@ -237,59 +248,57 @@ def build_grid(domain: Domain, spacing: float, x, y,
         )
     if n_valid == 0:
         raise DisconnectedGridError(
-            f"no grid nodes with clearance >= {0.5 * h} inside the window"
+            f"no grid nodes with clearance >= {0.5 * h} in the window {box} "
+            f"at spacing {h}"
         )
 
+    shape = tuple(dims)
     index_map = np.full(raw, -1, dtype=np.int64)
     index_map[mask] = np.arange(n_valid)
-    index_nd = index_map.reshape(tuple(dims))
+    index_nd = index_map.reshape(shape)
+    clear_nd = clear.reshape(shape)
     nodes = points[mask]
     node_clear = clear[mask]
 
-    # one (src, dst, weight) part per offset; src ascends within a part
-    # and holds each node at most once
-    parts = []
-    degree = np.zeros(n_valid, dtype=np.int64)
-    for off in offsets:
-        sl_a, sl_b = [], []
-        skip = False
-        for k, o in enumerate(off):
-            dk = int(dims[k])
-            if abs(o) >= dk:
-                skip = True
-                break
-            if o >= 0:
-                sl_a.append(slice(0, dk - o))
-                sl_b.append(slice(o, dk))
-            else:
-                sl_a.append(slice(-o, dk))
-                sl_b.append(slice(0, dk + o))
-        if skip:
+    # the edge table: entry (cell, j) holds the cell's edge along offset j,
+    # so its row-major order is the CSR order (rows by node, offsets in
+    # stencil order within a row); stored slot-major so that each offset
+    # writes one contiguous block
+    n_off = offsets.shape[0]
+    has = np.zeros((n_off, *shape), dtype=bool)
+    table_nbr = np.empty((n_off, *shape), dtype=np.int32)
+    table_w = np.empty((n_off, *shape))
+    for j, off in enumerate(offsets):
+        if np.any(np.abs(off) >= dims):
             continue
-        a = index_nd[tuple(sl_a)].ravel()
-        b = index_nd[tuple(sl_b)].ravel()
-        keep = (a >= 0) & (b >= 0)
-        if not np.any(keep):
+        # the slab of cells a whose neighbour b = a + off lies in the window
+        sl_a = tuple(slice(max(0, -o), d - max(0, o)) for o, d in zip(off, dims))
+        sl_b = tuple(slice(max(0, o), d - max(0, -o)) for o, d in zip(off, dims))
+        b = index_nd[sl_b]
+        keep = (index_nd[sl_a] >= 0) & (b >= 0)
+        if not keep.any():
             continue
-        src = a[keep]
-        dst = b[keep]
-        w, ok = _segment_weights(domain, nodes[src], nodes[dst],
-                                 node_clear[src], node_clear[dst])
-        src = src[ok]
-        parts.append((src, dst[ok], w[ok]))
-        degree[src] += 1
+        # coordinates vary along one axis each: form them per axis and
+        # broadcast over the slab
+        ua = np.ix_(*[ax[s] for ax, s in zip(axes, sl_a)])
+        ub = np.ix_(*[ax[s] for ax, s in zip(axes, sl_b)])
+        mid = np.stack([np.broadcast_to(0.5 * (u + v), keep.shape)[keep]
+                        for u, v in zip(ua, ub)], axis=1)
+        length = np.sqrt(functools.reduce(
+            np.add, [(u - v) * (u - v) for u, v in zip(ua, ub)])[keep])
+        w, ok = _segment_weights(domain, mid, length,
+                                 clear_nd[sl_a][keep], clear_nd[sl_b][keep])
+        table_nbr[(j, *sl_a)] = b
+        table_w[(j, *sl_a)][keep] = w
+        keep[keep] = ok
+        has[(j, *sl_a)] = keep
 
-    # counting sort of the parts into CSR rows, in part order within a row
+    by_cell = np.moveaxis(has, 0, -1)
+    neighbours = np.moveaxis(table_nbr, 0, -1)[by_cell]
+    del table_nbr  # lowers the peak while the weights are compacted
+    weights = np.moveaxis(table_w, 0, -1)[by_cell]
     indptr = np.zeros(n_valid + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    neighbours = np.empty(int(indptr[-1]), dtype=np.int32)
-    weights = np.empty(int(indptr[-1]))
-    fill = indptr[:-1].copy()
-    for src, dst, w in parts:
-        at = fill[src]
-        neighbours[at] = dst
-        weights[at] = w
-        fill[src] += 1
+    np.cumsum(np.count_nonzero(has, axis=0).reshape(-1)[mask], out=indptr[1:])
     for a in (nodes, node_clear, indptr, neighbours, weights, index_nd, starts):
         a.flags.writeable = False
     return GeodesicGrid(
@@ -326,8 +335,10 @@ def _query_grid(domain: Domain, spacing: float, x: np.ndarray, y: np.ndarray,
     return build_grid(domain, spacing, x, y, node_cap=node_cap)
 
 
-def _attach_endpoint(grid: GeodesicGrid, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edges from a query point to every node within (reach+1)*spacing."""
+def _attach_endpoint(grid: GeodesicGrid, p: np.ndarray,
+                     dp: float) -> tuple[np.ndarray, np.ndarray]:
+    """Edges from a query point of clearance dp to every node within
+    (reach+1)*spacing."""
     domain = grid.domain
     h = grid.spacing
     _, reach = _stencil(domain.dimension)
@@ -351,11 +362,8 @@ def _attach_endpoint(grid: GeodesicGrid, p: np.ndarray) -> tuple[np.ndarray, np.
             near = dist <= np.min(dist) * 1.0001  # fall back to the nearest node
         cand = cand[near]
         pos = pos[near]
-        dp = float(domain.clearance_many(p[None, :])[0])
-        w, ok = _segment_weights(
-            domain, np.repeat(p[None, :], pos.shape[0], axis=0), pos,
-            np.full(pos.shape[0], dp), grid.clearances[cand],
-        )
+        w, ok = _segment_weights(domain, 0.5 * (p + pos), np.linalg.norm(p - pos, axis=1),
+                                 dp, grid.clearances[cand])
         if np.any(ok):
             return cand[ok], w[ok]
     raise DisconnectedGridError(
@@ -363,19 +371,18 @@ def _attach_endpoint(grid: GeodesicGrid, p: np.ndarray) -> tuple[np.ndarray, np.
     )
 
 
-def _shortest_path_value(grid: GeodesicGrid, x: np.ndarray, y: np.ndarray) -> float:
+def _shortest_path_value(grid: GeodesicGrid, x: np.ndarray, y: np.ndarray,
+                         dx: float, dy: float) -> float:
+    """Grid distance from x to y, whose clearances are dx and dy."""
     n_nodes = grid.nodes.shape[0]
     ix, iy = n_nodes, n_nodes + 1
-    cx, wx = _attach_endpoint(grid, x)
-    cy, wy = _attach_endpoint(grid, y)
+    cx, wx = _attach_endpoint(grid, x, dx)
+    cy, wy = _attach_endpoint(grid, y, dy)
     gap = np.linalg.norm(x - y)
     _, reach = _stencil(grid.domain.dimension)
     if 0.0 < gap <= (reach + 1) * grid.spacing:
-        dxy = grid.domain.clearance_many(np.stack([x, y]))
-        w_direct, ok = _segment_weights(
-            grid.domain, x[None, :], y[None, :],
-            np.array([dxy[0]]), np.array([dxy[1]]),
-        )
+        w_direct, ok = _segment_weights(grid.domain, 0.5 * (x + y)[None, :],
+                                        np.linalg.norm((x - y)[None, :], axis=1), dx, dy)
         if ok[0]:
             cx = np.append(cx, iy)
             wx = np.append(wx, w_direct[0])
@@ -388,9 +395,11 @@ def _shortest_path_value(grid: GeodesicGrid, x: np.ndarray, y: np.ndarray) -> fl
     dist = dijkstra(graph, directed=False, indices=ix)
     val = float(dist[iy])
     if not np.isfinite(val):
+        lo = grid._axis_starts * grid.spacing
+        hi = (grid._axis_starts + np.array(grid._index_map.shape) - 1) * grid.spacing
         raise DisconnectedGridError(
-            "grid is disconnected between the query points at spacing "
-            f"{grid.spacing}"
+            "grid is disconnected between the query points in the lattice "
+            f"{_box_text(lo, hi)} at spacing {grid.spacing}"
         )
     return val
 
@@ -416,14 +425,17 @@ def k_estimate(
     """
     x = as_point(x, domain.dimension)
     y = as_point(y, domain.dimension)
-    if not (domain.contains(x) and domain.contains(y)):
+    # the one clearance read of each endpoint serves every level
+    dx, dy = domain.clearance_many(np.stack([x, y])).tolist()
+    if not (dx > 0.0 and dy > 0.0):
         raise ValueError("both query points must lie inside the domain")
     controls = KControls(initial_spacing, refinements, node_cap)
     spacings = [controls.spacing / 2**level for level in range(controls.refinements + 1)]
     if np.array_equal(x, y):
         history = [(h, 0.0) for h in spacings]
     else:
-        history = [(h, _shortest_path_value(_query_grid(domain, h, x, y, node_cap), x, y))
+        history = [(h, _shortest_path_value(_query_grid(domain, h, x, y, node_cap),
+                                            x, y, dx, dy))
                    for h in spacings]
     return KEstimate(history[-1][1], history[-1][0], history)
 

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from hypermetric.domains import UnitBall
+from hypermetric.domains import HalfSpace, UnitBall
 from hypermetric.metrics import MetricKind, MetricParams, h_metric
+from hypermetric.quasihyperbolic import k_estimate
 from hypermetric.verify import inequality_suite, triangle_scan
 
 C2 = MetricParams(2.0)
@@ -61,3 +62,30 @@ def test_suite_reads_each_point_once():
     ball = CountingBall(2)
     inequality_suite("C2_10", ball, C2, 500, seed=1)
     assert ball.rows == 2 * 1024 + 2 * 500
+
+
+class EndpointCountingHalfSpace(HalfSpace):
+    """The half-plane, counting the rows of its clearance queries that are
+    one of the two query points (their coordinates are off every lattice
+    and half-lattice, so no node or edge midpoint matches them)."""
+
+    def __init__(self, *endpoints):
+        super().__init__(2)
+        object.__setattr__(self, "endpoints", [np.asarray(p, dtype=float) for p in endpoints])
+        object.__setattr__(self, "rows", 0)
+
+    def clearance_many(self, xs):
+        hits = sum(int(np.count_nonzero(np.all(np.asarray(xs) == p, axis=1)))
+                   for p in self.endpoints)
+        object.__setattr__(self, "rows", self.rows + hits)
+        return super().clearance_many(xs)
+
+
+def test_k_estimate_reads_each_endpoint_once():
+    # three levels with a direct x-y edge at the first: the containment
+    # check, both attachments per level and the direct edge share one read
+    x, y = (0.0123, 1.0), (0.2071, 1.1)
+    half = EndpointCountingHalfSpace(x, y)
+    est = k_estimate(half, x, y, 0.05, 2)
+    assert half.rows == 2
+    assert est.refinement_history == k_estimate(HalfSpace(2), x, y, 0.05, 2).refinement_history

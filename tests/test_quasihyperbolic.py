@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermetric import quasihyperbolic
 from hypermetric.domains import (
@@ -237,3 +240,181 @@ class TestSharedGrids:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             grid.weights[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# slab assembly against the per-edge reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_segment_weights(domain, pu, pv, du, dv):
+    mid = 0.5 * (pu + pv)
+    dm = domain.clearance_many(mid)
+    ok = dm > 0.0
+    length = np.linalg.norm(pu - pv, axis=1)
+    dm_safe = np.where(ok, dm, 1.0)
+    w = length / 6.0 * (1.0 / du + 4.0 / dm_safe + 1.0 / dv)
+    return w, ok
+
+
+def reference_grid(domain, spacing, x, y):
+    """The per-edge lattice assembly: gather both endpoints of every edge,
+    weigh it, and counting-sort the edges into CSR rows (offset order
+    within a row).  Returns (indptr, neighbours, nodes, clearances, weights)."""
+    x = np.asarray(x, dtype=float).reshape(domain.dimension)
+    y = np.asarray(y, dtype=float).reshape(domain.dimension)
+    h = float(spacing)
+    offsets, reach = quasihyperbolic._stencil(domain.dimension)
+    lo, hi, extra_mask = domain.geodesic_window(x, y, (reach + 2) * h)
+    starts = np.ceil(lo / h - 1e-9).astype(np.int64)
+    stops = np.floor(hi / h + 1e-9).astype(np.int64)
+    dims = stops - starts + 1
+    axes = [np.arange(a, b + 1) * h for a, b in zip(starts, stops)]
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    clear = domain.clearance_many(points)
+    mask = clear >= 0.5 * h
+    if extra_mask is not None:
+        mask &= extra_mask(points)
+    n_valid = int(np.count_nonzero(mask))
+    index_map = np.full(points.shape[0], -1, dtype=np.int64)
+    index_map[mask] = np.arange(n_valid)
+    index_nd = index_map.reshape(tuple(dims))
+    nodes = points[mask]
+    node_clear = clear[mask]
+
+    parts = []
+    degree = np.zeros(n_valid, dtype=np.int64)
+    for off in offsets:
+        if np.any(np.abs(off) >= dims):
+            continue
+        sl_a = tuple(slice(max(0, -o), d - max(0, o)) for o, d in zip(off, dims))
+        sl_b = tuple(slice(max(0, o), d - max(0, -o)) for o, d in zip(off, dims))
+        a = index_nd[sl_a].ravel()
+        b = index_nd[sl_b].ravel()
+        keep = (a >= 0) & (b >= 0)
+        if not np.any(keep):
+            continue
+        src, dst = a[keep], b[keep]
+        w, ok = _reference_segment_weights(domain, nodes[src], nodes[dst],
+                                           node_clear[src], node_clear[dst])
+        parts.append((src[ok], dst[ok], w[ok]))
+        degree[src[ok]] += 1
+
+    indptr = np.zeros(n_valid + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    neighbours = np.empty(int(indptr[-1]), dtype=np.int32)
+    weights = np.empty(int(indptr[-1]))
+    fill = indptr[:-1].copy()
+    for src, dst, w in parts:
+        at = fill[src]
+        neighbours[at] = dst
+        weights[at] = w
+        fill[src] += 1
+    return indptr, neighbours, nodes, node_clear, weights
+
+
+def strip_domain():
+    """The strip |x_2| < 0.06: at spacing 0.05 its lattice window is three
+    rows tall and only the middle row holds nodes."""
+
+    def dist(xs):
+        return 0.06 - np.abs(xs[:, 1])
+
+    def member(xs):
+        return np.abs(xs[:, 1]) < 0.06
+
+    return GenericDomain(2, dist, member, ((-0.5, -0.06), (0.5, 0.06)))
+
+
+def assert_grid_bits(domain, spacing, x, y):
+    grid = build_grid(domain, spacing, x, y)
+    indptr, neighbours, nodes, clearances, weights = reference_grid(domain, spacing, x, y)
+    assert grid.indptr.dtype == indptr.dtype and np.array_equal(grid.indptr, indptr)
+    assert grid.neighbours.dtype == np.int32
+    assert np.array_equal(grid.neighbours, neighbours)
+    assert np.array_equal(grid.nodes.view(np.int64), nodes.view(np.int64))
+    assert np.array_equal(grid.clearances.view(np.int64), clearances.view(np.int64))
+    assert np.array_equal(grid.weights.view(np.int64), weights.view(np.int64))
+    return grid
+
+
+class TestSlabAssembly:
+    """build_grid reproduces the per-edge assembly bit for bit."""
+
+    @pytest.mark.parametrize("domain, spacing, x, y", [
+        (Interval(0, 1), 0.01, 0.2, 0.6),
+        (B2, 0.05, (0.0, 0.0), (0.0, 0.0)),
+        (H2, 0.05, (0.0, 1.0), (1.0, 1.0)),
+        (HalfSpace(3), 0.1, (0.0, 0.0, 1.0), (1.0, 0.3, 0.8)),
+        (P2, 0.05, (1.2, 0.0), (-0.6, -1.0)),
+        (annulus_domain(), 0.05, (0.5, 0.0), (0.0, 0.6)),
+    ], ids=["interval", "ball:2", "halfspace:2", "halfspace:3", "punctured:2", "annulus"])
+    def test_bit_identical(self, domain, spacing, x, y):
+        grid = assert_grid_bits(domain, spacing, x, y)
+        assert grid.weights.size > 0
+
+    def test_window_narrower_than_the_stencil(self):
+        # offsets (i, j) with |j| >= 3 do not fit the three rows, and those
+        # with j = +-1, +-2 fit but join no two nodes
+        strip = strip_domain()
+        grid = assert_grid_bits(strip, 0.05, (0.0, 0.0), (0.0, 0.0))
+        assert grid._index_map.shape[1] == 3
+        assert np.all(grid.nodes[:, 1] == 0.0)
+        steps = np.abs(np.diff(grid.nodes[grid.edges], axis=1)[:, 0, 0])
+        assert np.allclose(steps, 0.05)
+
+    @given(st.sampled_from([H2, P2]),
+           st.tuples(st.floats(-1.0, 1.0), st.floats(0.3, 1.5)),
+           st.tuples(st.floats(-1.0, 1.0), st.floats(0.3, 1.5)),
+           st.sampled_from([0.2, 0.1, 0.07, 0.05]))
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    def test_sweep(self, domain, x, y, spacing):
+        assert_grid_bits(domain, spacing, x, y)
+
+
+class TestBuildMemory:
+    def test_punctured_peak(self):
+        # the per-edge assembly peaked at 171 MB of traced allocations
+        # (numpy 2.4); the slab tables and the compaction stay below
+        build_grid(P2, 0.05, (1.2, 0.0), (-0.6, -1.0))
+        tracemalloc.start()
+        try:
+            grid = build_grid(P2, 0.0125, (1.2, 0.0), (-0.6, -1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.weights.size > 4_000_000
+        assert peak <= 163e6
+
+    def test_rejected_window_allocates_no_edge_table(self):
+        # 108944 nodes exceed the cap: the error comes before the
+        # (cells x offsets) tables, which would hold 5.9e6 entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(NodeBudgetError):
+                build_grid(P2, 0.0125, (1.2, 0.0), (-0.6, -1.0), node_cap=100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+
+class TestGridErrors:
+    def test_empty_node_set_names_window_and_spacing(self):
+        with pytest.raises(DisconnectedGridError,
+                           match=r"clearance >= 0\.1 in the window \[-0\.5, 0\.5\] x "
+                                 r"\[-0\.06, 0\.06\] at spacing 0\.2$"):
+            build_grid(strip_domain(), 0.2, (0.0, 0.0), (0.0, 0.0))
+
+    def test_disconnected_pair_names_lattice_and_spacing(self):
+        centers = np.array([[-2.0, 0.0], [2.0, 0.0]])
+
+        def dist(xs):
+            d = 0.5 - np.linalg.norm(xs[:, None, :] - centers[None, :, :], axis=2)
+            return np.max(d, axis=1)
+
+        twin = GenericDomain(2, dist, lambda xs: dist(xs) > 0, ((-3.0, -1.0), (3.0, 1.0)))
+        with pytest.raises(DisconnectedGridError,
+                           match=r"between the query points in the lattice "
+                                 r"\[-3, 3\] x \[-1, 1\] at spacing 0\.1$"):
+            k_estimate(twin, (-2.0, 0.0), (2.0, 0.0), 0.1, 0)
