@@ -36,19 +36,32 @@ approach k from above; no rigorous enclosure is claimed.  Each domain
 supplies the search window (``Domain.geodesic_window``); those of the
 unbounded domains provably contain the true geodesic.
 
-A grid holds its edge set once, as a CSR adjacency with one entry per
-undirected edge; a query appends the rows of its two endpoints to it and
-runs one undirected Dijkstra.  When the window does not depend on the
-query pair (``Domain.pair_window`` is false: ball, interval, generic
-domains) the lattice is the same for every pair, so the last
-``SHARED_GRIDS`` grids, keyed by (domain, spacing, node cap), are kept
-read-only in memory and shared by every query on them.  Pair-dependent
-windows (half-space, punctured space) build one grid per query and
-level, and nothing keeps it afterwards.
+Every query goes through ``_grid_values``: x is a source-only row
+appended to the grid's CSR adjacency, and y is no node; its value is the
+least dist[c] + w(c, y) over the nodes c it attaches to, or the direct
+x-y edge.  Dijkstra with non-negative weights returns the least
+left-to-right sum over paths, so this is bit for bit the distance a
+sink node for y would get.  Level l >= 1 stops its search at the level
+l - 1 value times ``_LIMIT_MARGIN``: nodes within the limit are settled
+exactly as without one, so a value within it is exact, and a value
+above it is searched again without a limit.
+
+When the window does not depend on the query pair (``Domain.pair_window``
+is false: ball, interval, generic domains) the lattice is the same for
+every pair, so the last ``SHARED_GRIDS`` grids, keyed by (domain,
+spacing, node cap), are kept read-only in memory and shared by every
+query on them.  A shared grid holds every edge in both directions and
+is searched directed, so ``k_estimate_many`` sends a batch's pairs
+through it together, a chunk of sources per Dijkstra call: no path can
+pass through another pair's source row.  Pair-dependent windows
+(half-space, punctured space) build one grid per query and level; it
+holds each edge once, serves one undirected search, and nothing keeps
+it afterwards.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -58,7 +71,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from .domains import Domain, as_point
+from .domains import Domain, as_point, as_points
 
 DEFAULT_NODE_CAP = 2_000_000
 
@@ -68,6 +81,14 @@ STENCIL_REACH_2D = 5
 #: grids kept for pair-independent windows; a sweep of one domain at
 #: two or three spacings reuses every one of them
 SHARED_GRIDS = 4
+
+#: level l >= 1 stops its search at the level l - 1 value times this
+_LIMIT_MARGIN = 1.05
+
+#: bounds on one chunk of pairs: float64 entries of its Dijkstra
+#: distance block (2 MB), and lattice cells its endpoints search
+_DIST_BLOCK = 1 << 18
+_CELL_BLOCK = 1 << 14
 
 
 class GridError(RuntimeError):
@@ -112,11 +133,14 @@ class KEstimate:
 class GeodesicGrid:
     """Lattice discretization of a domain window; its arrays are read-only.
 
-    The edge set is a CSR adjacency with one entry per undirected edge:
-    node u's edges are ``neighbours[indptr[u]:indptr[u+1]]`` with
-    ``weights`` at the same positions.  Every weight is the Simpson
-    approximation of the 1/d line integral along the straight segment
-    between its endpoints.
+    The edge set is a CSR adjacency: node u's edges are
+    ``neighbours[indptr[u]:indptr[u+1]]`` with ``weights`` at the same
+    positions.  Every weight is the Simpson approximation of the 1/d line
+    integral along the straight segment between its endpoints.  A grid
+    built for one query holds each undirected edge once, at its lower
+    node, and is searched undirected; a shared grid is ``directed``: it
+    holds every edge in both directions, so that one directed search
+    serves a batch of sources.
     """
 
     domain: Domain
@@ -128,13 +152,15 @@ class GeodesicGrid:
     clearances: np.ndarray = field(repr=False)       # (N,)
     _index_map: np.ndarray = field(repr=False)       # lattice -> node index
     _axis_starts: np.ndarray = field(repr=False)     # first lattice index per axis
+    directed: bool = False
 
     @property
     def edges(self) -> np.ndarray:
         """(E, 2) node indices, one undirected edge per row, formed on read."""
         rows = np.repeat(np.arange(self.nodes.shape[0], dtype=np.int32),
                          np.diff(self.indptr))
-        return np.stack([rows, self.neighbours], axis=1)
+        edges = np.stack([rows, self.neighbours], axis=1)
+        return edges[rows < self.neighbours] if self.directed else edges
 
 
 # ---------------------------------------------------------------------------
@@ -314,99 +340,228 @@ def build_grid(domain: Domain, spacing: float, x, y,
     )
 
 
+def _both_directions(grid: GeodesicGrid) -> GeodesicGrid:
+    """The grid with every edge in both directions, read-only.  Its two
+    halves never share an entry, so each sum is w + 0 = w."""
+    n = grid.nodes.shape[0]
+    half = sp.csr_matrix((grid.weights, grid.neighbours, grid.indptr), shape=(n, n))
+    both = half + half.T
+    for a in (both.indptr, both.indices, both.data):
+        a.flags.writeable = False
+    return dataclasses.replace(grid, indptr=both.indptr, neighbours=both.indices,
+                               weights=both.data, directed=True)
+
+
+def _shares_grids(domain: Domain) -> bool:
+    """Whether one lattice per spacing serves every pair of the domain:
+    its window ignores the pair and the domain can key a cache."""
+    if domain.pair_window:
+        return False
+    try:
+        hash(domain)
+    except TypeError:  # e.g. a GenericDomain whose box is a list
+        return False
+    return True
+
+
 @functools.lru_cache(maxsize=SHARED_GRIDS)
 def _shared_grid(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
     # the window ignores the pair, so any pair builds the shared lattice
     origin = np.zeros(domain.dimension)
-    return build_grid(domain, spacing, origin, origin, node_cap=node_cap)
+    return _both_directions(build_grid(domain, spacing, origin, origin, node_cap=node_cap))
 
 
 def _query_grid(domain: Domain, spacing: float, x: np.ndarray, y: np.ndarray,
                 node_cap: int) -> GeodesicGrid:
-    """The lattice for one query: shared across pairs when the domain's
-    window ignores them and the domain can key a cache, else built anew."""
-    if not domain.pair_window:
-        try:
-            hash(domain)
-        except TypeError:  # e.g. a GenericDomain whose box is a list
-            pass
-        else:
-            return _shared_grid(domain, spacing, node_cap)
+    """The lattice for the pair (x, y): the shared one when the domain
+    shares grids (then it serves every pair), else one built anew."""
+    if _shares_grids(domain):
+        return _shared_grid(domain, spacing, node_cap)
     return build_grid(domain, spacing, x, y, node_cap=node_cap)
 
 
-def _attach_endpoint(grid: GeodesicGrid, p: np.ndarray,
-                     dp: float) -> tuple[np.ndarray, np.ndarray]:
-    """Edges from a query point of clearance dp to every node within
-    (reach+1)*spacing."""
+def _cell_box(grid: GeodesicGrid, widen: int) -> np.ndarray:
+    """Lattice offsets of the cells searched around a query point's cell,
+    row-major; ``widen`` 1 is the wider second search."""
+    _, reach = _stencil(grid.domain.dimension)
+    r_aug = (reach + 1) * grid.spacing
+    span = int(math.ceil(r_aug / grid.spacing)) + 1 + widen * 4
+    axes = [np.arange(-span, span + 1)] * grid.domain.dimension
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _attach(grid: GeodesicGrid, ps: np.ndarray,
+            dps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges from query points ``ps`` of clearances ``dps`` to every node
+    within (reach+1)*spacing, as flat (point, node, weight) arrays grouped
+    by point; a point without a usable edge has none.
+
+    One gather reads every point's candidate cells.  A point with no node
+    that near falls back to its nearest nodes; a point with no candidate
+    cell or no usable edge searches once more in a wider box.
+    """
     domain = grid.domain
     h = grid.spacing
     _, reach = _stencil(domain.dimension)
     r_aug = (reach + 1) * h
     dims = np.asarray(grid._index_map.shape, dtype=np.int64)
-    cell = np.round(p / h).astype(np.int64) - grid._axis_starts
+    cells = np.round(ps / h).astype(np.int64) - grid._axis_starts
+    pending = np.arange(ps.shape[0])
+    found = []
     for widen in (0, 1):
-        span = int(math.ceil(r_aug / h)) + 1 + widen * 4
-        sl = tuple(
-            slice(max(0, int(c) - span), min(int(d), int(c) + span + 1))
-            for c, d in zip(cell, dims)
-        )
-        cand = grid._index_map[sl].ravel()
-        cand = cand[cand >= 0]
-        if cand.size == 0:
-            continue
+        at = cells[pending, None, :] + _cell_box(grid, widen)
+        owner, k = np.nonzero(np.all((at >= 0) & (at < dims), axis=2))
+        cand = grid._index_map[tuple(at[owner, k].T)]
+        owner, cand = owner[cand >= 0], cand[cand >= 0]
+        p = ps[pending[owner]]
         pos = grid.nodes[cand]
-        dist = np.linalg.norm(pos - p[None, :], axis=1)
+        dist = np.linalg.norm(pos - p, axis=1)
         near = dist <= r_aug * (1.0 + widen)
-        if not np.any(near):
-            near = dist <= np.min(dist) * 1.0001  # fall back to the nearest node
-        cand = cand[near]
-        pos = pos[near]
-        w, ok = _segment_weights(domain, 0.5 * (p + pos), np.linalg.norm(p - pos, axis=1),
-                                 dp, grid.clearances[cand])
-        if np.any(ok):
-            return cand[ok], w[ok]
-    raise DisconnectedGridError(
-        f"query point {p.tolist()} has no usable grid neighbours at spacing {h}"
-    )
+        lone = np.ones(pending.size, dtype=bool)
+        lone[owner[near]] = False
+        nearest = np.full(pending.size, np.inf)
+        np.minimum.at(nearest, owner, dist)
+        near |= lone[owner] & (dist <= nearest[owner] * 1.0001)
+        owner, cand = owner[near], cand[near]
+        w, ok = _segment_weights(domain, 0.5 * (p[near] + pos[near]), dist[near],
+                                 dps[pending[owner]], grid.clearances[cand])
+        found.append((pending[owner[ok]], cand[ok], w[ok]))
+        attached = np.zeros(pending.size, dtype=bool)
+        attached[owner[ok]] = True
+        pending = pending[~attached]
+        if pending.size == 0:
+            break
+    point, node, weight = (np.concatenate(parts) for parts in zip(*found))
+    order = np.argsort(point, kind="stable")
+    return point[order], node[order], weight[order]
 
 
-def _shortest_path_value(grid: GeodesicGrid, x: np.ndarray, y: np.ndarray,
-                         dx: float, dy: float) -> float:
-    """Grid distance from x to y, whose clearances are dx and dy."""
+def _chunk_size(grid: GeodesicGrid) -> int:
+    """Pairs per Dijkstra call on the grid: the distance block holds at
+    most _DIST_BLOCK entries and the endpoints search at most _CELL_BLOCK
+    cells."""
+    n = grid.nodes.shape[0]
+    return max(1, min(int((math.sqrt(n * n + 4 * _DIST_BLOCK) - n) / 2),
+                      _CELL_BLOCK // (2 * len(_cell_box(grid, 0)))))
+
+
+def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.ndarray,
+                 dys: np.ndarray, limits: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Grid distances of the pairs (x_i, y_i), whose clearances are dx_i
+    and dy_i, and the GridError of each pair that fails, by pair index.
+
+    Each x_i is a source-only row appended to the grid's adjacency, and a
+    chunk of sources is one Dijkstra call.  y_i is no node: its value is
+    the least dist[c] + w over the nodes c it attaches to, and the direct
+    x-y edge, which is the distance a sink node would get, bit for bit.
+    The search of pair i stops at ``limits[i]`` (nodes farther away read
+    inf); a value above its limit is searched again without one.  An
+    undirected grid serves one pair: its source's edges run both ways.
+    """
     n_nodes = grid.nodes.shape[0]
-    ix, iy = n_nodes, n_nodes + 1
-    cx, wx = _attach_endpoint(grid, x, dx)
-    cy, wy = _attach_endpoint(grid, y, dy)
-    gap = np.linalg.norm(x - y)
     _, reach = _stencil(grid.domain.dimension)
-    if 0.0 < gap <= (reach + 1) * grid.spacing:
-        w_direct, ok = _segment_weights(grid.domain, 0.5 * (x + y)[None, :],
-                                        np.linalg.norm((x - y)[None, :], axis=1), dx, dy)
-        if ok[0]:
-            cx = np.append(cx, iy)
-            wx = np.append(wx, w_direct[0])
-    # rows ix (x's edges and the direct edge) and iy follow the grid's rows
-    end = grid.indptr[-1]
-    indptr = np.concatenate([grid.indptr, [end + cx.size, end + cx.size + cy.size]])
-    indices = np.concatenate([grid.neighbours, cx, cy], dtype=np.int32)
-    data = np.concatenate([grid.weights, wx, wy])
-    graph = sp.csr_matrix((data, indices, indptr), shape=(ix + 2, ix + 2))
-    dist = dijkstra(graph, directed=False, indices=ix)
-    val = float(dist[iy])
-    if not np.isfinite(val):
+    values = np.full(xs.shape[0], np.inf)
+    failures = {}
+    # the same dot product as the norm of one vector, so the direct-edge
+    # test matches a per-pair query bit for bit
+    d = xs - ys
+    gap = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    direct = np.flatnonzero((gap > 0.0) & (gap <= (reach + 1) * grid.spacing))
+    if direct.size:
+        w, ok = _segment_weights(grid.domain, 0.5 * (xs[direct] + ys[direct]),
+                                 np.linalg.norm(d[direct], axis=1), dxs[direct], dys[direct])
+        values[direct[ok]] = w[ok]
+    size = _chunk_size(grid)
+    by_limit = np.argsort(limits, kind="stable")
+    for chunk in (by_limit[s:s + size] for s in range(0, by_limit.size, size)):
+        k = chunk.size
+        point, node, w = _attach(grid, np.concatenate([xs[chunk], ys[chunk]]),
+                                 np.concatenate([dxs[chunk], dys[chunk]]))
+        attached = np.bincount(point, minlength=2 * k).reshape(2, k) > 0
+        live = attached.all(axis=0)
+        for i in np.flatnonzero(~live):  # x is attached first
+            p = ys[chunk[i]] if attached[0, i] else xs[chunk[i]]
+            failures[int(chunk[i])] = DisconnectedGridError(
+                f"query point {p.tolist()} has no usable grid neighbours "
+                f"at spacing {grid.spacing}")
+        if not live.any():
+            continue
+        # one source row per live pair, after the grid's rows, holding its
+        # x edges; its y edges are read off the distance block
+        row = np.cumsum(live) - 1
+        pairs = chunk[live]
+        on_x = (point < k) & live[point % k]
+        on_y = (point >= k) & live[point % k]
+        x_row, y_row = row[point[on_x]], row[point[on_y] - k]
+        y_node, y_w = node[on_y], w[on_y]
+        n_src = pairs.size
+        graph = sp.csr_matrix(
+            (np.concatenate([grid.weights, w[on_x]]),
+             np.concatenate([grid.neighbours, node[on_x]], dtype=np.int32),
+             np.concatenate([grid.indptr, grid.indptr[-1]
+                             + np.cumsum(np.bincount(x_row, minlength=n_src))])),
+            shape=(n_nodes + n_src, n_nodes + n_src))
+        search = np.arange(n_src)
+        # pairs are sorted by limit, so the last one's is the chunk's
+        for limit in (float(limits[pairs[-1]]), np.inf):
+            if search.size == 0:
+                break
+            dist = dijkstra(graph, directed=grid.directed, indices=n_nodes + search, limit=limit)
+            at = np.flatnonzero(np.isin(y_row, search))
+            local = np.searchsorted(search, y_row[at])
+            best = values[pairs[search]]
+            np.minimum.at(best, local, dist[local, y_node[at]] + y_w[at])
+            values[pairs[search]] = best
+            # a value above its own limit may have been cut short
+            search = search[best > limits[pairs[search]]]
+    unreached = np.flatnonzero(~np.isfinite(values))
+    if unreached.size:
         lo = grid._axis_starts * grid.spacing
         hi = (grid._axis_starts + np.array(grid._index_map.shape) - 1) * grid.spacing
-        raise DisconnectedGridError(
+        exc = DisconnectedGridError(
             "grid is disconnected between the query points in the lattice "
-            f"{_box_text(lo, hi)} at spacing {grid.spacing}"
-        )
-    return val
+            f"{_box_text(lo, hi)} at spacing {grid.spacing}")
+        for i in unreached:
+            failures.setdefault(int(i), exc)
+    return values, failures
 
 
 # ---------------------------------------------------------------------------
 # the estimator
 # ---------------------------------------------------------------------------
+
+
+def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray, dxs: np.ndarray,
+               dys: np.ndarray, controls: KControls) -> tuple[np.ndarray, dict]:
+    """Values per pair and level of pairs whose clearances are dxs, dys,
+    and the first failure of each pair that fails, by pair index.
+
+    All pairs of one level share its grid, so they must number one or
+    the domain must share grids.  Level l >= 1 stops each pair's search
+    at its level l - 1 value times ``_LIMIT_MARGIN``.
+    """
+    spacings = [controls.spacing / 2**level for level in range(controls.refinements + 1)]
+    values = np.zeros((xs.shape[0], len(spacings)))
+    inside = (dxs > 0.0) & (dys > 0.0)
+    failures = {int(i): ValueError("both query points must lie inside the domain")
+                for i in np.flatnonzero(~inside)}
+    live = np.flatnonzero(inside & np.any(xs != ys, axis=1))
+    limits = np.full(xs.shape[0], np.inf)
+    for level, h in enumerate(spacings):
+        if live.size == 0:
+            break
+        try:
+            grid = _query_grid(domain, h, xs[live[0]], ys[live[0]], controls.node_cap)
+        except GridError as exc:
+            failures.update(dict.fromkeys(live.tolist(), exc))
+            break
+        vals, failed = _grid_values(grid, xs[live], ys[live], dxs[live], dys[live],
+                                    limits[live])
+        failures.update({int(live[i]): exc for i, exc in failed.items()})
+        values[live, level] = vals
+        limits[live] = vals * _LIMIT_MARGIN
+        live = np.delete(live, list(failed))
+    return values, failures
 
 
 def k_estimate(
@@ -425,32 +580,31 @@ def k_estimate(
     """
     x = as_point(x, domain.dimension)
     y = as_point(y, domain.dimension)
-    # the one clearance read of each endpoint serves every level
-    dx, dy = domain.clearance_many(np.stack([x, y])).tolist()
-    if not (dx > 0.0 and dy > 0.0):
-        raise ValueError("both query points must lie inside the domain")
     controls = KControls(initial_spacing, refinements, node_cap)
-    spacings = [controls.spacing / 2**level for level in range(controls.refinements + 1)]
-    if np.array_equal(x, y):
-        history = [(h, 0.0) for h in spacings]
-    else:
-        history = [(h, _shortest_path_value(_query_grid(domain, h, x, y, node_cap),
-                                            x, y, dx, dy))
-                   for h in spacings]
+    # the one clearance read of each endpoint serves every level
+    d = domain.clearance_many(np.stack([x, y]))
+    values, failures = _histories(domain, x[None], y[None], d[:1], d[1:], controls)
+    if failures:
+        raise failures[0]
+    history = [(controls.spacing / 2**level, float(v)) for level, v in enumerate(values[0])]
     return KEstimate(history[-1][1], history[-1][0], history)
 
 
 def k_estimate_many(domain: Domain, xs: np.ndarray, ys: np.ndarray,
                     controls: KControls) -> np.ndarray:
-    """Final-level estimates for an array of pairs (one query per pair)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    out = np.empty(xs.shape[0])
-    for i in range(xs.shape[0]):
-        out[i] = k_estimate(
-            domain, xs[i], ys[i],
-            initial_spacing=controls.spacing,
-            refinements=controls.refinements,
-            node_cap=controls.node_cap,
-        ).value
-    return out
+    """Final-level estimates for an array of pairs, each equal to its
+    ``k_estimate``.  On a domain that shares grids all pairs go through
+    each level's grid together; elsewhere each pair is one query.  A
+    failure is the one the first failing pair would raise on its own."""
+    if not _shares_grids(domain):
+        return np.array([k_estimate(domain, x, y, controls.spacing, controls.refinements,
+                                    controls.node_cap).value
+                         for x, y in zip(np.asarray(xs, dtype=float),
+                                         np.asarray(ys, dtype=float))])
+    xs = as_points(xs, domain.dimension)
+    ys = as_points(ys, domain.dimension)
+    d = domain.clearance_many(np.concatenate([xs, ys]))
+    values, failures = _histories(domain, xs, ys, d[:xs.shape[0]], d[xs.shape[0]:], controls)
+    if failures:
+        raise failures[min(failures)]
+    return values[:, -1]

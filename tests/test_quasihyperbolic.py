@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from hypermetric import quasihyperbolic
 from hypermetric.domains import (
@@ -18,10 +20,12 @@ from hypermetric.domains import (
 from hypermetric.metrics import j_many
 from hypermetric.quasihyperbolic import (
     DisconnectedGridError,
+    GridError,
     KControls,
     NodeBudgetError,
     build_grid,
     k_estimate,
+    k_estimate_many,
     k_exact_halfspace,
     k_exact_punctured,
 )
@@ -418,3 +422,255 @@ class TestGridErrors:
                            match=r"between the query points in the lattice "
                                  r"\[-3, 3\] x \[-1, 1\] at spacing 0\.1$"):
             k_estimate(twin, (-2.0, 0.0), (2.0, 0.0), 0.1, 0)
+
+
+# ---------------------------------------------------------------------------
+# batched, coarse-bounded queries against the sink-node reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_attach(grid, p, dp):
+    """One endpoint's edges, one point at a time: every node within
+    (reach+1)*h, else the nearest, else the same in a wider box."""
+    _, reach = quasihyperbolic._stencil(grid.domain.dimension)
+    h = grid.spacing
+    r_aug = (reach + 1) * h
+    cell = np.round(p / h).astype(np.int64) - grid._axis_starts
+    for widen in (0, 1):
+        span = int(math.ceil(r_aug / h)) + 1 + widen * 4
+        sl = tuple(slice(max(0, int(c) - span), min(int(d), int(c) + span + 1))
+                   for c, d in zip(cell, grid._index_map.shape))
+        cand = grid._index_map[sl].ravel()
+        cand = cand[cand >= 0]
+        if cand.size == 0:
+            continue
+        dist = np.linalg.norm(grid.nodes[cand] - p[None, :], axis=1)
+        near = dist <= r_aug * (1.0 + widen)
+        if not np.any(near):
+            near = dist <= np.min(dist) * 1.0001
+        cand = cand[near]
+        pos = grid.nodes[cand]
+        w, ok = _reference_segment_weights(grid.domain, p[None, :], pos, dp,
+                                           grid.clearances[cand])
+        if np.any(ok):
+            return cand[ok], w[ok]
+    raise DisconnectedGridError("no usable grid neighbours")
+
+
+def reference_history(domain, x, y, spacing, refinements):
+    """Per level: the pair's own lattice with each edge once, plus a node
+    for x (with the direct x-y edge) and one for y, searched undirected
+    without a limit; the value is y's distance."""
+    x = np.asarray(x, dtype=float).reshape(domain.dimension)
+    y = np.asarray(y, dtype=float).reshape(domain.dimension)
+    dx, dy = domain.clearance_many(np.stack([x, y]))
+    _, reach = quasihyperbolic._stencil(domain.dimension)
+    history = []
+    for level in range(refinements + 1):
+        h = spacing / 2**level
+        if np.array_equal(x, y):
+            history.append((h, 0.0))
+            continue
+        grid = build_grid(domain, h, x, y)
+        n = grid.nodes.shape[0]
+        cx, wx = _reference_attach(grid, x, dx)
+        cy, wy = _reference_attach(grid, y, dy)
+        if 0.0 < np.linalg.norm(x - y) <= (reach + 1) * h:
+            w, ok = _reference_segment_weights(domain, x[None, :], y[None, :], dx, dy)
+            if ok[0]:
+                cx, wx = np.append(cx, n + 1), np.append(wx, w[0])
+        end = grid.indptr[-1]
+        graph = sp.csr_matrix(
+            (np.concatenate([grid.weights, wx, wy]),
+             np.concatenate([grid.neighbours, cx, cy]),
+             np.concatenate([grid.indptr, [end + cx.size, end + cx.size + cy.size]])),
+            shape=(n + 2, n + 2))
+        history.append((h, float(scipy_dijkstra(graph, directed=False, indices=n)[n + 1])))
+    return history
+
+
+def _hex(history):
+    return [(float(h).hex(), float(v).hex()) for h, v in history]
+
+
+def _close_pairs(domain, count, seed):
+    """Pairs a few lattice steps apart, so that many get the direct edge."""
+    xs = sample_interior(domain, count, seed=seed, min_clearance=0.25)
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(-0.15, 0.15, size=xs.shape)
+    ys = xs + steps
+    inside = domain.clearance_many(ys) > 0.1
+    return xs[inside], ys[inside]
+
+
+def exactness_cases():
+    """(domain, pairs, spacing, refinements): 121 pairs over every
+    built-in kind and the annulus, with far pairs, close pairs and one
+    pair of equal points on the shared grids."""
+    ring = annulus_domain()
+    cases = []
+    for domain, far, close, spacing, refinements in [
+            (B2, 24, 12, 0.1, 1), (Interval(0, 1), 20, 8, 0.02, 2), (ring, 16, 8, 0.1, 1),
+            (H2, 8, 4, 0.1, 1), (HalfSpace(3), 4, 2, 0.2, 1), (P2, 8, 4, 0.1, 1)]:
+        xs = sample_interior(domain, far, seed=31, min_clearance=0.2)
+        ys = sample_interior(domain, far, seed=32, min_clearance=0.2)
+        cx, cy = _close_pairs(domain, close, seed=33)
+        xs, ys = np.concatenate([xs, cx]), np.concatenate([ys, cy])
+        if not domain.pair_window:
+            xs, ys = np.concatenate([xs, xs[:1]]), np.concatenate([ys, xs[:1]])
+        cases.append((domain, xs, ys, spacing, refinements))
+    return cases
+
+
+class TestBatchedQueries:
+    """Batches, coarse-to-fine limits and the sink-free readout keep every
+    value and history bit-identical to the per-pair sink-node query."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        out = []
+        for domain, xs, ys, spacing, refinements in exactness_cases():
+            reference = [_hex(reference_history(domain, x, y, spacing, refinements))
+                         for x, y in zip(xs, ys)]
+            out.append((domain, xs, ys, spacing, refinements, reference))
+        assert sum(xs.shape[0] for _, xs, *_ in out) >= 100
+        return out
+
+    @staticmethod
+    def _check(cases):
+        for domain, xs, ys, spacing, refinements, reference in cases:
+            histories = [_hex(k_estimate(domain, x, y, spacing, refinements).refinement_history)
+                         for x, y in zip(xs, ys)]
+            assert histories == reference, domain.spec_string()
+            if not domain.pair_window:  # elsewhere a batch is the per-pair loop
+                batch = k_estimate_many(domain, xs, ys, KControls(spacing, refinements))
+                assert [v.hex() for v in batch] == [r[-1][1] for r in reference]
+
+    def test_default_margin(self, cases):
+        self._check(cases)
+
+    def test_unlimited_search(self, cases, monkeypatch):
+        monkeypatch.setattr(quasihyperbolic, "_LIMIT_MARGIN", math.inf)
+        self._check(cases)
+
+    def test_every_limit_too_tight(self, cases, monkeypatch):
+        # finer values lie within a few percent of coarser ones, so every
+        # finer-level search hits its limit and runs again without one
+        monkeypatch.setattr(quasihyperbolic, "_LIMIT_MARGIN", 0.5)
+        self._check(cases)
+
+    def test_shared_grid_calls_per_level_and_chunk(self, monkeypatch):
+        xs = sample_interior(B2, 40, seed=41, min_clearance=0.2)
+        ys = sample_interior(B2, 40, seed=42, min_clearance=0.2)
+        controls = KControls(0.1, 1)
+        chunks = sum(math.ceil(40 / quasihyperbolic._chunk_size(
+            quasihyperbolic._shared_grid(B2, h, controls.node_cap))) for h in (0.1, 0.05))
+        calls = []
+        search = quasihyperbolic.dijkstra
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["limit"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(quasihyperbolic, "dijkstra", counting)
+        k_estimate_many(B2, xs, ys, controls)
+        assert 1 < len(calls) <= chunks
+        # level 1 searches are bounded by level 0 values
+        assert any(math.isfinite(limit) for limit in calls)
+
+
+def twin_disks():
+    """A disk of radius 0.5 at (-1, 0) and one of radius 0.04 at (0.3, 0),
+    too thin to hold a node at spacing 0.1, with segments to the big disk
+    leaving the domain."""
+    centers = np.array([[-1.0, 0.0], [0.3, 0.0]])
+    radii = np.array([0.5, 0.04])
+
+    def dist(xs):
+        return np.max(radii - np.linalg.norm(xs[:, None, :] - centers, axis=2), axis=1)
+
+    return GenericDomain(2, dist, lambda xs: dist(xs) > 0, ((-1.5, -0.5), (0.34, 0.5)))
+
+
+def far_disks():
+    centers = np.array([[-2.0, 0.0], [2.0, 0.0]])
+
+    def dist(xs):
+        return np.max(0.5 - np.linalg.norm(xs[:, None, :] - centers, axis=2), axis=1)
+
+    return GenericDomain(2, dist, lambda xs: dist(xs) > 0, ((-3.0, -1.0), (3.0, 1.0)))
+
+
+def first_level_cap(domain, spacing):
+    """The least node cap that admits the domain's lattice at ``spacing``:
+    it holds every node and an eighth of the window's cells."""
+    grid = build_grid(domain, spacing, np.zeros(domain.dimension), np.zeros(domain.dimension))
+    return max(grid.nodes.shape[0], -(-grid._index_map.size // 8))
+
+
+def first_failure(domain, xs, ys, controls):
+    for x, y in zip(xs, ys):
+        try:
+            k_estimate(domain, x, y, controls.spacing, controls.refinements, controls.node_cap)
+        except (ValueError, GridError) as exc:
+            return exc
+    raise AssertionError("no pair fails")
+
+
+class TestBatchErrors:
+    """A failing batch raises what the first failing pair raises alone."""
+
+    @staticmethod
+    def assert_same_failure(domain, xs, ys, controls):
+        xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
+        expected = first_failure(domain, xs, ys, controls)
+        with pytest.raises(type(expected)) as info:
+            k_estimate_many(domain, xs, ys, controls)
+        assert type(info.value) is type(expected)
+        assert str(info.value) == str(expected)
+        return expected
+
+    def test_disconnected_pair(self):
+        left = [(-2.1, 0.0), (-1.8, 0.1), (-2.0, -0.2)]
+        xs = [left[0], left[1], (-2.0, 0.0), left[2]]
+        ys = [left[1], left[2], (2.0, 0.0), left[0]]
+        exc = self.assert_same_failure(far_disks(), xs, ys, KControls(0.1, 1))
+        assert "between the query points" in str(exc)
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_point_without_usable_neighbours(self, end):
+        pairs = [[(-1.0, 0.1), (-0.8, -0.2)], [(-1.1, 0.0), (-0.7, 0.0)],
+                 [(-0.9, 0.0), (-1.2, 0.1)]]
+        pairs[1][end] = (0.3, 0.0)
+        xs, ys = zip(*pairs)
+        exc = self.assert_same_failure(twin_disks(), xs, ys, KControls(0.1, 1))
+        assert str(exc).startswith("query point [0.3, 0.0] has no usable grid neighbours")
+
+    @pytest.mark.parametrize("levels", [0, 1])
+    def test_node_cap(self, levels):
+        xs = sample_interior(B2, 6, seed=51, min_clearance=0.2)
+        ys = sample_interior(B2, 6, seed=52, min_clearance=0.2)
+        # a cap that holds the first level, which trips at the second
+        controls = KControls(0.1, 1, node_cap=first_level_cap(B2, 0.1) - 1 + levels)
+        exc = self.assert_same_failure(B2, xs, ys, controls)
+        assert isinstance(exc, NodeBudgetError)
+        assert f"at spacing {0.1 / 2**levels}" in str(exc)
+
+    def test_earliest_pair_wins_across_levels(self):
+        # the second pair is disconnected at the first level; the first
+        # fails only at the second, when the node cap trips
+        far = far_disks()
+        controls = KControls(0.1, 1, node_cap=first_level_cap(far, 0.1))
+        xs, ys = [(-2.1, 0.0), (-2.0, 0.0)], [(-1.8, 0.1), (2.0, 0.0)]
+        exc = self.assert_same_failure(far, xs, ys, controls)
+        assert isinstance(exc, NodeBudgetError)
+        exc = self.assert_same_failure(far, xs[::-1], ys[::-1], controls)
+        assert "between the query points" in str(exc)
+
+    def test_point_outside_after_a_failing_pair(self):
+        far = far_disks()
+        xs, ys = [(-2.0, 0.0), (0.0, 0.0)], [(2.0, 0.0), (-2.0, 0.0)]
+        exc = self.assert_same_failure(far, xs, ys, KControls(0.1, 0))
+        assert isinstance(exc, DisconnectedGridError)
+        exc = self.assert_same_failure(far, xs[::-1], ys[::-1], KControls(0.1, 0))
+        assert str(exc) == "both query points must lie inside the domain"

@@ -159,6 +159,22 @@ def test_symmetry_on_ball(x, y):
 
 
 @PROPERTY
+@given(ball_points, ball_points)
+def test_rho_ball_matches_its_tanh_form(x, y):
+    # tanh(rho/2) = q / sqrt(q^2 + p) with p = (1 - |x|^2)(1 - |y|^2), so
+    # rho = 2 log(A + q) - log p with A = hypot(q, sqrt(p)); p is formed
+    # as rho_ball_many forms it, whose rounding near the boundary the
+    # 50-digit tests above bound
+    xs, ys = x[None, :], y[None, :]
+    nx, ny = np.linalg.norm(xs, axis=1), np.linalg.norm(ys, axis=1)
+    q = np.linalg.norm(xs - ys, axis=1)
+    p = ((1.0 - nx) * (1.0 + nx)) * ((1.0 - ny) * (1.0 + ny))
+    rho_tanh = 2.0 * np.log(np.hypot(q, np.sqrt(p)) + q) - np.log(p)
+    rho = rho_ball_many(xs, ys)
+    assert abs(rho - rho_tanh)[0] <= 1e-12 * max(1.0, rho[0])
+
+
+@PROPERTY
 @given(halfspace_points, halfspace_points)
 def test_symmetry_on_halfspace(x, y):
     params = MetricParams(C)
