@@ -53,7 +53,6 @@ from .verify import (
     CollinearViolation,
     InequalityReport,
     PhiViolation,
-    TriangleWitness,
     UniformityEstimate,
     check_growth_bound,
     collinear_c_scan,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .domains import parse_domain
 from .maps import linear_dilatation, parse_map
-from .metrics import MetricKind, MetricParams
+from .metrics import MetricKind, MetricParams, pair_evaluator
 from .quasihyperbolic import DEFAULT_NODE_CAP, GridError, KControls, k_estimate
 from .verify import (
     SUITES,
@@ -126,14 +126,9 @@ def _cmd_dist(args) -> int:
     params = MetricParams(args.c)
     x = _parse_point(args.points[0])
     y = _parse_point(args.points[1])
-    if kind is MetricKind.QUASIHYPERBOLIC:
-        value = k_estimate(domain, x, y, args.spacing, args.refinements,
-                           node_cap=args.node_cap).value
-    else:
-        from .metrics import pair_evaluator
-
-        value = float(pair_evaluator(kind, domain, params)(
-            x[None, :], y[None, :])[0])
+    controls = (KControls(args.spacing, args.refinements, args.node_cap)
+                if kind is MetricKind.QUASIHYPERBOLIC else None)
+    value = float(pair_evaluator(kind, domain, params, controls)(x[None, :], y[None, :])[0])
     precision = min(max(args.precision, 0), 15)
     print(f"{value:.{precision}f}")
     return _EXIT_PASS

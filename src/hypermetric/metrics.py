@@ -269,8 +269,9 @@ def pair_kernel(kind: MetricKind, domain: Domain, params: MetricParams, k_contro
 
     ``dx``, ``dy`` are what :func:`kind_clearances` gives for each point
     set, so a caller pairing one point set with several others reads its
-    clearances once.  QUASIHYPERBOLIC evaluation runs one shortest-path
-    query per pair and is far slower than the closed forms.
+    clearances once.  QUASIHYPERBOLIC evaluation runs lattice shortest
+    paths (:func:`hypermetric.quasihyperbolic.k_estimate_many`) and is far
+    slower than the closed forms.
     """
     validate_kind(kind, domain)
     c = params.c

@@ -80,7 +80,17 @@ class Identity(SampleMap):
 
 @dataclass(frozen=True)
 class BallAutomorphism(SampleMap):
-    """Self-map of the unit ball sending ``center`` to the origin."""
+    """Self-map of the unit ball sending ``center`` a to the origin:
+
+        x -> R((1 - |a|^2)(x - a) - |x - a|^2 a) / (|x - a|^2 + (1 - |a|^2)(1 - |x|^2))
+
+    with R the reflection v -> v - 2 (v.u) u, u = a/|a|.  This is the
+    inversion in the sphere orthogonal to the unit sphere centred at
+    a/|a|^2, written without terms of size 1/|a| and with a denominator
+    that sums non-negative terms.  As a -> 0 it tends to the reflection
+    R, which depends on the direction of a; at a = 0 exactly the map is
+    the identity.
+    """
 
     center: np.ndarray
     dimension: int = field(init=False)
@@ -105,14 +115,17 @@ class BallAutomorphism(SampleMap):
         if np.any(np.linalg.norm(xs, axis=1) >= 1.0):
             raise ValueError("ball automorphism applied outside the unit ball")
         a = self.center
-        a2 = float(a @ a)
-        if a2 == 0.0:
+        if not np.any(a):
             return xs.copy()
-        pole = a / a2
-        rad2 = (1.0 - a2) / a2  # |pole|^2 - 1
-        diff = xs - pole[None, :]
-        denom = np.sum(diff * diff, axis=1)
-        return pole[None, :] + rad2 * diff / denom[:, None]
+        # u from a copy scaled by its largest entry, whose norm cannot underflow
+        s = a / np.max(np.abs(a))
+        u = s / np.linalg.norm(s)
+        a2 = float(a @ a)
+        d = xs - a[None, :]
+        d2 = np.sum(d * d, axis=1)
+        t = (1.0 - a2) * d - np.outer(d2, a)
+        t -= 2.0 * np.outer(t @ u, u)
+        return t / (d2 + (1.0 - a2) * (1.0 - np.sum(xs * xs, axis=1)))[:, None]
 
 
 @dataclass(frozen=True)

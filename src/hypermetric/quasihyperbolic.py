@@ -46,17 +46,20 @@ l - 1 value times ``_LIMIT_MARGIN``: nodes within the limit are settled
 exactly as without one, so a value within it is exact, and a value
 above it is searched again without a limit.
 
+Every k value comes from one driver, ``_histories``: ``k_estimate`` is
+its one-pair case, ``k_estimate_many`` reads its last level, and the
+CLI's ``dist --metric k`` goes through ``k_estimate_many``.  It reads
+the endpoints' clearances once and picks each level's grid by one rule.
 When the window does not depend on the query pair (``Domain.pair_window``
 is false: ball, interval, generic domains) the lattice is the same for
 every pair, so the last ``SHARED_GRIDS`` grids, keyed by (domain,
-spacing, node cap), are kept read-only in memory and shared by every
-query on them.  A shared grid holds every edge in both directions and
-is searched directed, so ``k_estimate_many`` sends a batch's pairs
-through it together, a chunk of sources per Dijkstra call: no path can
+spacing, node cap), are kept read-only in memory and serve all of a
+batch's pairs.  A shared grid holds every edge in both directions and
+is searched directed, a chunk of sources per Dijkstra call: no path can
 pass through another pair's source row.  Pair-dependent windows
-(half-space, punctured space) build one grid per query and level; it
-holds each edge once, serves one undirected search, and nothing keeps
-it afterwards.
+(half-space, punctured space) and unhashable domains build one grid per
+pair and level; it holds each edge once, serves one undirected search,
+and nothing keeps it afterwards.
 """
 
 from __future__ import annotations
@@ -86,7 +89,11 @@ SHARED_GRIDS = 4
 _LIMIT_MARGIN = 1.05
 
 #: bounds on one chunk of pairs: float64 entries of its Dijkstra
-#: distance block (2 MB), and lattice cells its endpoints search
+#: distance block (2 MB), and lattice cells its endpoints search.  The
+#: cell bound binds on the 2-D shared grids and the coarser 3-D ones (28
+#: pairs per chunk on ball:2, 23 on ball:3 at spacing 0.1); the small
+#: chunks it makes keep each chunk's one search limit close to its
+#: pairs' own limits
 _DIST_BLOCK = 1 << 18
 _CELL_BLOCK = 1 << 14
 
@@ -114,8 +121,13 @@ class KControls:
     def __post_init__(self):
         if not self.spacing > 0:
             raise ValueError("spacing must be positive")
+        if not math.isfinite(self.spacing):
+            raise ValueError("spacing must be finite")
         if self.refinements < 0:
             raise ValueError("refinements must be >= 0")
+        # level l runs at ldexp(spacing, -l), which never overflows
+        if not math.ldexp(self.spacing, -int(self.refinements)) > 0.0:
+            raise ValueError("refinements must leave a positive finest spacing")
         if self.node_cap < 1:
             raise ValueError("node_cap must be >= 1")
 
@@ -371,15 +383,6 @@ def _shared_grid(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
     return _both_directions(build_grid(domain, spacing, origin, origin, node_cap=node_cap))
 
 
-def _query_grid(domain: Domain, spacing: float, x: np.ndarray, y: np.ndarray,
-                node_cap: int) -> GeodesicGrid:
-    """The lattice for the pair (x, y): the shared one when the domain
-    shares grids (then it serves every pair), else one built anew."""
-    if _shares_grids(domain):
-        return _shared_grid(domain, spacing, node_cap)
-    return build_grid(domain, spacing, x, y, node_cap=node_cap)
-
-
 def _cell_box(grid: GeodesicGrid, widen: int) -> np.ndarray:
     """Lattice offsets of the cells searched around a query point's cell,
     row-major; ``widen`` 1 is the wider second search."""
@@ -531,37 +534,49 @@ def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.nda
 # ---------------------------------------------------------------------------
 
 
-def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray, dxs: np.ndarray,
-               dys: np.ndarray, controls: KControls) -> tuple[np.ndarray, dict]:
-    """Values per pair and level of pairs whose clearances are dxs, dys,
-    and the first failure of each pair that fails, by pair index.
+def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
+               controls: KControls) -> np.ndarray:
+    """Values per pair and level of the validated pairs (x_i, y_i); raises
+    the failure of the lowest-index pair that fails.
 
-    All pairs of one level share its grid, so they must number one or
-    the domain must share grids.  Level l >= 1 stops each pair's search
-    at its level l - 1 value times ``_LIMIT_MARGIN``.
+    One clearance read of the endpoints serves every level.  A level
+    runs all live pairs on the shared grid when the domain shares grids,
+    and otherwise each live pair on a grid built for it.  Level l >= 1
+    stops each pair's search at its level l - 1 value times
+    ``_LIMIT_MARGIN``.
     """
-    spacings = [controls.spacing / 2**level for level in range(controls.refinements + 1)]
-    values = np.zeros((xs.shape[0], len(spacings)))
+    m = xs.shape[0]
+    d = domain.clearance_many(np.concatenate([xs, ys]))
+    dxs, dys = d[:m], d[m:]
+    values = np.zeros((m, controls.refinements + 1))
     inside = (dxs > 0.0) & (dys > 0.0)
     failures = {int(i): ValueError("both query points must lie inside the domain")
                 for i in np.flatnonzero(~inside)}
     live = np.flatnonzero(inside & np.any(xs != ys, axis=1))
-    limits = np.full(xs.shape[0], np.inf)
-    for level, h in enumerate(spacings):
+    limits = np.full(m, np.inf)
+    shared = _shares_grids(domain)
+    for level in range(controls.refinements + 1):
         if live.size == 0:
             break
-        try:
-            grid = _query_grid(domain, h, xs[live[0]], ys[live[0]], controls.node_cap)
-        except GridError as exc:
-            failures.update(dict.fromkeys(live.tolist(), exc))
-            break
-        vals, failed = _grid_values(grid, xs[live], ys[live], dxs[live], dys[live],
-                                    limits[live])
-        failures.update({int(live[i]): exc for i, exc in failed.items()})
-        values[live, level] = vals
-        limits[live] = vals * _LIMIT_MARGIN
-        live = np.delete(live, list(failed))
-    return values, failures
+        h = math.ldexp(controls.spacing, -level)
+        for pairs in [live] if shared else live[:, None]:
+            try:
+                grid = (_shared_grid(domain, h, controls.node_cap) if shared else
+                        build_grid(domain, h, xs[pairs[0]], ys[pairs[0]],
+                                   node_cap=controls.node_cap))
+            except GridError as exc:
+                failures.update(dict.fromkeys(pairs.tolist(), exc))
+                continue
+            vals, failed = _grid_values(grid, xs[pairs], ys[pairs], dxs[pairs], dys[pairs],
+                                        limits[pairs])
+            failures.update({int(pairs[i]): exc for i, exc in failed.items()})
+            values[pairs, level] = vals
+            limits[pairs] = vals * _LIMIT_MARGIN
+            del grid  # the next build need not hold this one
+        live = live[~np.isin(live, list(failures))]
+    if failures:
+        raise failures[min(failures)]
+    return values
 
 
 def k_estimate(
@@ -581,30 +596,17 @@ def k_estimate(
     x = as_point(x, domain.dimension)
     y = as_point(y, domain.dimension)
     controls = KControls(initial_spacing, refinements, node_cap)
-    # the one clearance read of each endpoint serves every level
-    d = domain.clearance_many(np.stack([x, y]))
-    values, failures = _histories(domain, x[None], y[None], d[:1], d[1:], controls)
-    if failures:
-        raise failures[0]
-    history = [(controls.spacing / 2**level, float(v)) for level, v in enumerate(values[0])]
+    values = _histories(domain, x[None], y[None], controls)[0]
+    history = [(math.ldexp(controls.spacing, -level), float(v))
+               for level, v in enumerate(values)]
     return KEstimate(history[-1][1], history[-1][0], history)
 
 
 def k_estimate_many(domain: Domain, xs: np.ndarray, ys: np.ndarray,
                     controls: KControls) -> np.ndarray:
     """Final-level estimates for an array of pairs, each equal to its
-    ``k_estimate``.  On a domain that shares grids all pairs go through
-    each level's grid together; elsewhere each pair is one query.  A
-    failure is the one the first failing pair would raise on its own."""
-    if not _shares_grids(domain):
-        return np.array([k_estimate(domain, x, y, controls.spacing, controls.refinements,
-                                    controls.node_cap).value
-                         for x, y in zip(np.asarray(xs, dtype=float),
-                                         np.asarray(ys, dtype=float))])
+    ``k_estimate``; a failure is the one the first failing pair raises
+    on its own."""
     xs = as_points(xs, domain.dimension)
     ys = as_points(ys, domain.dimension)
-    d = domain.clearance_many(np.concatenate([xs, ys]))
-    values, failures = _histories(domain, xs, ys, d[:xs.shape[0]], d[xs.shape[0]:], controls)
-    if failures:
-        raise failures[min(failures)]
-    return values[:, -1]
+    return _histories(domain, xs, ys, controls)[:, -1]

@@ -66,18 +66,6 @@ _FRAC_UNIFORM, _FRAC_BOUNDARY, _FRAC_COLLINEAR = 0.60, 0.25, 0.15
 
 
 @dataclass
-class TriangleWitness:
-    """Worst triple of a scan; slack < 0 iff it witnesses a violation."""
-
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-    z: tuple[float, ...]
-    slack: float
-    metric: MetricKind
-    params: MetricParams
-
-
-@dataclass
 class InequalityReport:
     """Sampled-verification outcome with a serializable witness."""
 
@@ -91,7 +79,6 @@ class InequalityReport:
     passed: bool
     tolerance: float
     slacks: np.ndarray | None = field(default=None, repr=False, compare=False)
-    witness_record: TriangleWitness | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,7 +120,7 @@ class InequalityReport:
 
 
 def _make_report(suite_id, domain_str, params, seed, count, min_slack, witness,
-                 tolerance, slacks=None, witness_record=None) -> InequalityReport:
+                 tolerance, slacks=None) -> InequalityReport:
     return InequalityReport(
         suite_id=suite_id,
         domain=domain_str,
@@ -145,7 +132,6 @@ def _make_report(suite_id, domain_str, params, seed, count, min_slack, witness,
         passed=bool(min_slack >= -tolerance),
         tolerance=float(tolerance),
         slacks=slacks,
-        witness_record=witness_record,
     )
 
 
@@ -239,17 +225,12 @@ def triangle_scan(
                for i, start in enumerate(range(0, triple_count, _CHUNK))]
     best = min(results, key=lambda r: (r[0], r[1], r[2]))
     slacks = np.concatenate([r[4] for r in results]) if keep_slacks else None
-    wx, wy, wz = best[3]
-    record = TriangleWitness(
-        x=tuple(map(float, wx)), y=tuple(map(float, wy)), z=tuple(map(float, wz)),
-        slack=best[0], metric=metric, params=params,
-    )
     report_params = {"metric": metric.value}
     if metric is MetricKind.H:
         report_params["c"] = params.c
     return _make_report(
         "triangle", domain.spec_string(), report_params, seed, triple_count,
-        best[0], (wx, wy, wz), tolerance, slacks=slacks, witness_record=record,
+        best[0], best[3], tolerance, slacks=slacks,
     )
 
 

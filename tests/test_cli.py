@@ -1,7 +1,10 @@
 import io
 import json
-from contextlib import redirect_stdout
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from hypermetric.cli import run
 from hypermetric.verify import SUITES
@@ -38,6 +41,26 @@ class TestDist:
         )
         assert code == 0
         assert abs(float(out) - 0.962424) < 0.01
+
+    @pytest.mark.parametrize("precision", [[], ["--precision", "15"]])
+    @pytest.mark.parametrize("domain, points", [
+        ("ball:2", ["0.1,0.2", "0.5,-0.3"]),
+        ("halfspace:2", ["0,1", "1,1"]),
+        ("interval:0:1", ["0.2", "0.7"]),
+    ])
+    def test_k_metric_prints_the_k_estimate_value(self, domain, points, precision):
+        query = ["--domain", domain, "--points", *points, "--spacing", "0.1",
+                 "--refinements", "1"]
+        code, out = invoke(["k-estimate", *query])
+        assert code == 0
+        digits = int(precision[1]) if precision else 6
+        expected = f"{json.loads(out)['value']:.{digits}f}\n"
+        assert invoke(["dist", "--metric", "k", *query, *precision]) == (0, expected)
+
+    def test_closed_form_ignores_k_flags(self):
+        code, out = invoke(["dist", "--domain", "ball:2", "--metric", "h",
+                            "--points", "0.1,0.2", "0.5,-0.3", "--spacing", "0"])
+        assert (code, out) == (0, "1.178942\n")
 
 
 class TestFalsify:
@@ -171,6 +194,25 @@ class TestUsageErrors:
     def test_unknown_command(self):
         code, _ = invoke(["frobnicate"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["k-estimate", "--domain", "ball:2", "--points", "0,0", "0.5,0"],
+        ["dist", "--domain", "ball:2", "--metric", "k", "--points", "0,0", "0.5,0"],
+        ["uniformity", "--domain", "ball:2", "--count", "8"],
+        ["verify-suite", "--suite", "C4_5", "--domain", "ball:2", "--count", "4"],
+    ])
+    @pytest.mark.parametrize("flags, message", [
+        (["--spacing", "inf"], "spacing must be finite"),
+        (["--refinements", "5000"], "refinements must leave a positive finest spacing"),
+    ])
+    def test_k_controls_that_cannot_run(self, command, flags, message):
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with redirect_stderr(err):
+                code, out = invoke(command + flags)
+        assert (code, out) == (2, "")
+        assert err.getvalue() == f"hypermetric: error: {message}\n"
 
 
 class TestReproducibility:

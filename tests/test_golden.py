@@ -38,7 +38,7 @@ CLI_GOLDEN = [
     ('k-estimate --domain halfspace:2 --points 0,1 1,1 --spacing 0.05 --refinements 2', 0,
      '{"domain": "halfspace:2", "refinement_history": [[0.05, 0.9648072422687036], [0.025, 0.9634468887595058], [0.0125, 0.9633068855551247]], "spacing": 0.0125, "value": 0.9633068855551247}\n'),
     ('dilatation --map auto:0.5,0 --z 0,0 --radii 0.1,0.01,0.001', 0,
-     '{"H_hat": 1.001000500249843, "map": "auto:0.5,0", "radii": [0.1, 0.01, 0.001], "ratios": [1.1052631578947345, 1.0100502512563057, 1.001000500249843], "z": [0.0, 0.0]}\n'),
+     '{"H_hat": 1.0010005002500648, "map": "auto:0.5,0", "radii": [0.1, 0.01, 0.001], "ratios": [1.1052631578947378, 1.0100502512562604, 1.0010005002500648], "z": [0.0, 0.0]}\n'),
     ('uniformity --domain ball:2 --count 16 --seed 7', 0,
      '{"U_hat": 1.414971929027296, "domain": "ball:2", "sample_count": 16, "worst_pair": [[0.228201791614065, -0.7142386959687607], [-0.4995061505886059, 0.5878698370932843]]}\n'),
     ('scan-triangle --domain ball:2 --metric h --count 20000 --seed 3', 0,
@@ -66,9 +66,9 @@ CLI_GOLDEN = [
     ('dilatation --map stretch:2.0 --z 0.3,0.1', 0,
      '{"H_hat": 2.000714904598754, "map": "stretch:2.0", "radii": [0.1, 0.01, 0.001], "ratios": [2.3251795458305056, 2.031033800522497, 2.000714904598754], "z": [0.3, 0.1]}\n'),
     ('verify-suite --suite L2_5 --domain ball:2 --count 2000', 0,
-     '{"domain": "ball:2", "min_slack": 0.055610258324048326, "params": {"c": 2.0, "isometry_max_gap": 2.708944180085382e-13, "map_count": 20, "observed_sup_ratio": 1.413366262895025}, "pass": true, "sample_count": 2000, "seed": 0, "suite_id": "L2_5", "tolerance": 1e-10, "witness": [[0.07515009073350964, 0.01092059755703767], [0.05339960925816767, 0.03364584375362134]]}\n'),
+     '{"domain": "ball:2", "min_slack": 0.05561025832404791, "params": {"c": 2.0, "isometry_max_gap": 5.693223670277803e-13, "map_count": 20, "observed_sup_ratio": 1.4133662628950217}, "pass": true, "sample_count": 2000, "seed": 0, "suite_id": "L2_5", "tolerance": 1e-10, "witness": [[0.07515009073350964, 0.01092059755703767], [0.05339960925816767, 0.03364584375362134]]}\n'),
     ('verify-suite --suite L2_7 --domain ball:2 --count 2000', 0,
-     '{"domain": "ball:2", "min_slack": 0.011791214178475062, "params": {"c": 2.0, "isometry_max_gap": 2.398081733190338e-13, "map_count": 20, "observed_sup_ratio": 1.819783549505904}, "pass": true, "sample_count": 2000, "seed": 0, "suite_id": "L2_7", "tolerance": 1e-10, "witness": [[0.07515009073350964, 0.01092059755703767], [0.05339960925816767, 0.03364584375362134]]}\n'),
+     '{"domain": "ball:2", "min_slack": 0.01179121417847466, "params": {"c": 2.0, "isometry_max_gap": 5.133671265866724e-13, "map_count": 20, "observed_sup_ratio": 1.8197835495059103}, "pass": true, "sample_count": 2000, "seed": 0, "suite_id": "L2_7", "tolerance": 1e-10, "witness": [[0.07515009073350964, 0.01092059755703767], [0.05339960925816767, 0.03364584375362134]]}\n'),
     ('verify-suite --suite C4_5 --domain ball:2 --count 24 --seed 808', 0,
      '{"domain": "ball:2", "min_slack": 0.0823114942319264, "params": {"c": 2.0, "d_constant": 0.21762375133850673, "relative": true, "u_hat": 1.5316955584266356}, "pass": true, "sample_count": 24, "seed": 808, "suite_id": "C4_5", "tolerance": 0.02, "witness": [[0.38278745706250783, 0.1264250507542133], [0.39698609490621184, 0.07744457603333554]]}\n'),
     ('k-estimate --domain ball:2 --points 0.1,0.2 0.5,-0.3 --spacing 0.1 --refinements 1', 0,

@@ -188,6 +188,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             KControls(refinements=-1)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"spacing": math.inf}, "spacing must be finite"),
+        ({"refinements": 5000}, "refinements"),
+        ({"spacing": 1e-300, "refinements": 100}, "refinements"),
+        ({"refinements": 10**12}, "refinements"),
+    ])
+    def test_controls_reject_what_cannot_run(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            KControls(**kwargs)
+
 
 class TestSharedGrids:
     """Pair-independent windows share one grid per (domain, spacing, cap)."""
@@ -542,9 +552,8 @@ class TestBatchedQueries:
             histories = [_hex(k_estimate(domain, x, y, spacing, refinements).refinement_history)
                          for x, y in zip(xs, ys)]
             assert histories == reference, domain.spec_string()
-            if not domain.pair_window:  # elsewhere a batch is the per-pair loop
-                batch = k_estimate_many(domain, xs, ys, KControls(spacing, refinements))
-                assert [v.hex() for v in batch] == [r[-1][1] for r in reference]
+            batch = k_estimate_many(domain, xs, ys, KControls(spacing, refinements))
+            assert [v.hex() for v in batch] == [r[-1][1] for r in reference]
 
     def test_default_margin(self, cases):
         self._check(cases)
@@ -666,6 +675,15 @@ class TestBatchErrors:
         assert isinstance(exc, NodeBudgetError)
         exc = self.assert_same_failure(far, xs[::-1], ys[::-1], controls)
         assert "between the query points" in str(exc)
+
+    def test_halfspace_node_cap_and_outside_point(self):
+        # per-query grids: only the far pair's own window exceeds the cap
+        xs, ys = [(0.0, 1.0), (-3.0, 1.0), (0.0, 1.0)], [(0.5, 1.0), (3.0, 1.0), (0.5, -1.0)]
+        controls = KControls(0.1, 1, node_cap=1000)
+        exc = self.assert_same_failure(H2, xs, ys, controls)
+        assert isinstance(exc, NodeBudgetError)
+        exc = self.assert_same_failure(H2, xs[::-1], ys[::-1], controls)
+        assert str(exc) == "both query points must lie inside the domain"
 
     def test_point_outside_after_a_failing_pair(self):
         far = far_disks()

@@ -40,12 +40,10 @@ class TestTriangleScan:
         report = triangle_scan(B2, MetricKind.PHI, C2, 20_000, seed=42)
         assert not report.passed
         assert report.min_slack < 0
-        w = report.witness_record
-        assert w.slack == report.min_slack
         # recompute the violated rotation from the witness coordinates
         from hypermetric.metrics import phi_quantity
 
-        x, y, z = w.x, w.y, w.z
+        x, y, z = report.witness
         slacks = [
             phi_quantity(B2, x, z) + phi_quantity(B2, z, y) - phi_quantity(B2, x, y),
             phi_quantity(B2, x, y) + phi_quantity(B2, y, z) - phi_quantity(B2, x, z),
