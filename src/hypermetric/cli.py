@@ -146,9 +146,8 @@ def _cmd_scan_triangle(args) -> int:
     domain = parse_domain(args.domain)
     kind = MetricKind.parse(args.metric)
     params = MetricParams(args.c)
-    tol = 1e-9 if args.tolerance is None else args.tolerance
     report = triangle_scan(domain, kind, params, args.count, args.seed,
-                           tolerance=tol, keep_slacks=(args.output == "csv"))
+                           tolerance=args.tolerance, keep_slacks=(args.output == "csv"))
     return _emit_report(report, args.output)
 
 

@@ -16,9 +16,10 @@ Samplers and the estimator ask four geometry methods, whose base-class
 forms are the generic answers: ``boundary_sample`` (points at small
 clearance; base: the uniform law), ``chord_reach`` (base: none, so no
 collinear stratum), ``geodesic_window`` (base: the sample box) and
-``complement_sample`` (base: none).  ``boundary_stratum`` and
-``collinear_stratum`` declare whether a domain has the first two, and
-``pair_window`` whether its geodesic window depends on the query pair:
+``complement_sample`` (base: none).  ``boundary_strata`` declares
+whether a domain has the first two, so samplers draw its boundary-edge
+and collinear strata, and ``pair_window`` whether its geodesic window
+depends on the query pair:
 the half-space and the punctured space size it from the pair, the ball,
 the interval and ``GenericDomain`` use one box for every pair, so the
 estimator shares one lattice across their queries.  Domains are
@@ -85,9 +86,9 @@ class Domain:
     dimension: int
 
     #: ``boundary_sample`` parametrizes the boundary (else: uniform law)
-    boundary_stratum = False
-    #: ``chord_reach`` is defined, so scans draw collinear triples
-    collinear_stratum = False
+    #: and ``chord_reach`` is defined, so samplers draw boundary-edge pairs
+    #: and collinear triples
+    boundary_strata = False
     #: ``geodesic_window`` depends on the query pair (else one window, and
     #: so one lattice per spacing, serves every pair)
     pair_window = False
@@ -166,7 +167,7 @@ class Domain:
 class UnitBall(Domain):
     dimension: int
 
-    boundary_stratum = collinear_stratum = True
+    boundary_strata = True
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -207,7 +208,7 @@ class UnitBall(Domain):
 class HalfSpace(Domain):
     dimension: int
 
-    boundary_stratum = collinear_stratum = True
+    boundary_strata = True
     pair_window = True
 
     #: rejection box extent: last coordinate in (0, 4], others in [-2, 2]
@@ -279,7 +280,7 @@ class HalfSpace(Domain):
 class PuncturedSpace(Domain):
     dimension: int
 
-    boundary_stratum = collinear_stratum = True
+    boundary_strata = True
     pair_window = True
 
     _SIDE = 2.0
@@ -333,7 +334,7 @@ class Interval(Domain):
     a: float
     b: float
 
-    boundary_stratum = collinear_stratum = True
+    boundary_strata = True
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b)):
@@ -449,12 +450,12 @@ class PointSet:
 
 def distance_to_set(x, point_set: PointSet) -> float:
     """min over a in A of |x - a|."""
-    pts = point_set.points
-    p = as_point(x, pts.shape[1])
-    return float(np.min(np.linalg.norm(pts - p[None, :], axis=1)))
+    p = as_point(x, point_set.points.shape[1])
+    return float(distance_to_set_many(p[None, :], point_set)[0])
 
 
 def distance_to_set_many(xs: np.ndarray, point_set: PointSet) -> np.ndarray:
+    """min over a in A of |x - a| for each row."""
     pts = point_set.points
     xs = as_points(xs, pts.shape[1])
     diff = xs[:, None, :] - pts[None, :, :]
@@ -514,20 +515,16 @@ def sample_complement(domain: Domain, count: int, seed: int) -> PointSet:
     return PointSet.outside(domain, domain.complement_sample(count, np.random.default_rng(seed)))
 
 
-def lipschitz_defect(
-    domain: Domain,
-    count: int = 2000,
-    seed: int = 0,
-    min_clearance: float = 1e-9,
-) -> float:
-    """Max of |d(x) - d(y)| - |x - y| over sampled interior pairs.
+def lipschitz_defect(domain: Domain) -> float:
+    """Max of |d(x) - d(y)| - |x - y| over 2000 seeded interior pairs at
+    clearance >= 1e-9.
 
     Nonpositive (up to rounding) iff the clearance function is
     1-Lipschitz on the sample.  Intended for validating GenericDomain
     oracles as well as the built-ins.
     """
-    xs = sample_interior(domain, count, seed, min_clearance)
-    ys = sample_interior(domain, count, seed + 1, min_clearance)
+    xs = sample_interior(domain, 2000, 0, 1e-9)
+    ys = sample_interior(domain, 2000, 1, 1e-9)
     dx = domain.clearance_many(xs)
     dy = domain.clearance_many(ys)
     gap = np.abs(dx - dy) - np.linalg.norm(xs - ys, axis=1)

@@ -134,14 +134,14 @@ def linear_dilatation(
     map is not injective at this resolution.
     """
     z = as_point(z, mapping.source.dimension)
-    if not mapping.source.contains(z):
+    clearance = float(mapping.source.clearance_many(z[None, :])[0])
+    if not clearance > 0.0:
         raise ValueError("base point must lie inside the map source")
     radii = [float(r) for r in np.atleast_1d(np.asarray(radii, dtype=float))]
     if len(radii) == 0:
         raise ValueError("at least one radius is required")
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    clearance = mapping.source.boundary_distance(z)
     if radii[0] >= clearance:
         raise ValueError(
             f"largest radius {radii[0]} exceeds the clearance {clearance} of z"
@@ -185,19 +185,20 @@ def bilipschitz_estimate(
     params: MetricParams,
     pair_count: int,
     seed: int,
-    min_clearance: float = 1e-3,
 ) -> BilipschitzEstimate:
     """max over pairs of max(h'(f x, f y)/h(x, y), h/h'), with the pair
-    attaining it.  Degenerate x = y pairs are excluded by the sampler."""
+    attaining it, over seeded points at clearance >= 1e-3.  Degenerate
+    x = y pairs are excluded by the sampler."""
     if pair_count < 1:
         raise ValueError("pair_count must be >= 1")
     src = mapping.source
     tgt = mapping.target
-    xs = sample_interior(src, pair_count, seed, min_clearance)
-    ys = sample_interior(src, pair_count, seed + 1, min_clearance)
+    clearance = 1e-3
+    xs = sample_interior(src, pair_count, seed, clearance)
+    ys = sample_interior(src, pair_count, seed + 1, clearance)
     same = np.all(xs == ys, axis=1)
     if np.any(same):  # probability-zero guard; keep the sample size
-        ys[same] += min_clearance * 0.5
+        ys[same] += clearance * 0.5
     h_src = h_many(src, xs, ys, params.c)
     fx = mapping.apply_many(xs)
     fy = mapping.apply_many(ys)
@@ -211,7 +212,7 @@ def bilipschitz_estimate(
     )
 
 
-def parse_map(spec: str, dimension: int = 2) -> SampleMap:
+def parse_map(spec: str) -> SampleMap:
     """Parse map specs used by the CLI.
 
     identity:ball:2 | auto:0.5,0 | b2h:2 | stretch:2.0
@@ -230,7 +231,7 @@ def parse_map(spec: str, dimension: int = 2) -> SampleMap:
     if kind == "b2h" and len(parts) == 2:
         return BallToHalfSpace(int(parts[1]))
     if kind == "stretch" and len(parts) == 2:
-        return RadialStretch(float(parts[1]), dimension)
+        return RadialStretch(float(parts[1]))
     raise ValueError(
         f"unknown map spec {spec!r} (expected identity:DOMAIN, auto:A1,A2, "
         "b2h:N or stretch:ALPHA)"

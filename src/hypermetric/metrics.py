@@ -99,13 +99,9 @@ def pair_geometry(domain: Domain, xs: np.ndarray, ys: np.ndarray):
 
 
 def _one_pair(many, domain: Domain, x, y, *args) -> float:
-    """A vector front evaluated on one pair; exactly 0.0 for x == y."""
+    """A vector front evaluated on one pair."""
     n = domain.dimension
-    xs, ys = as_point(x, n)[None, :], as_point(y, n)[None, :]
-    if np.array_equal(xs, ys):
-        clearances(domain, xs)
-        return 0.0
-    return float(many(domain, xs, ys, *args)[0])
+    return float(many(domain, as_point(x, n)[None, :], as_point(y, n)[None, :], *args)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +224,6 @@ def rho_ball(x, y) -> float:
     """
     x = as_point(x)
     y = as_point(y, x.size)
-    if np.array_equal(x, y):
-        if np.linalg.norm(x) >= 1.0:
-            raise ValueError("ball points must satisfy |x| < 1")
-        return 0.0
     return float(rho_ball_many(x[None, :], y[None, :])[0])
 
 

@@ -609,4 +609,7 @@ def k_estimate_many(domain: Domain, xs: np.ndarray, ys: np.ndarray,
     on its own."""
     xs = as_points(xs, domain.dimension)
     ys = as_points(ys, domain.dimension)
+    if xs.shape[0] != ys.shape[0]:
+        raise ValueError(f"pairs need as many ys as xs, got {xs.shape[0]} xs "
+                         f"and {ys.shape[0]} ys")
     return _histories(domain, xs, ys, controls)[:, -1]

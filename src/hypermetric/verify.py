@@ -57,6 +57,13 @@ from .quasihyperbolic import KControls, k_estimate_many
 
 _CHUNK = 20_000
 
+#: clearance of the points the closed-form suites sample
+_SUITE_CLEARANCE = 1e-3
+#: clearance of the pairs whose k is estimated (keeps the lattice coarse)
+_K_CLEARANCE = 0.2
+#: pairs with j at or below this are degenerate for the k/j ratios
+_J_FLOOR = 1e-6
+
 #: strata proportions for triangle scans
 _FRAC_UNIFORM, _FRAC_BOUNDARY, _FRAC_COLLINEAR = 0.60, 0.25, 0.15
 
@@ -152,7 +159,7 @@ class UniformityEstimate:
 def _collinear_triples(domain: Domain, m: int, rng: np.random.Generator):
     """Triples x, y on a common line through z, biased toward the boundary."""
     n = domain.dimension
-    z = sample_interior(domain, m, rng, min_clearance=1e-6)
+    z = sample_interior(domain, m, rng)
     u = unit_directions(n, m, rng)
     delta = 10.0 ** rng.uniform(-6, -2, size=m)
     t_plus = domain.chord_reach(z, u, delta)
@@ -170,11 +177,11 @@ def _collinear_triples(domain: Domain, m: int, rng: np.random.Generator):
 
 def _triple_block(domain: Domain, size: int, rng: np.random.Generator):
     n_bdy = int(round(_FRAC_BOUNDARY * size))
-    n_col = int(round(_FRAC_COLLINEAR * size)) if domain.collinear_stratum else 0
+    n_col = int(round(_FRAC_COLLINEAR * size)) if domain.boundary_strata else 0
     n_uni = size - n_bdy - n_col
-    xs = [sample_interior(domain, n_uni, rng, min_clearance=1e-6)]
-    ys = [sample_interior(domain, n_uni, rng, min_clearance=1e-6)]
-    zs = [sample_interior(domain, n_uni, rng, min_clearance=1e-6)]
+    xs = [sample_interior(domain, n_uni, rng)]
+    ys = [sample_interior(domain, n_uni, rng)]
+    zs = [sample_interior(domain, n_uni, rng)]
     if n_bdy:  # a 1- or 2-triple chunk rounds its boundary stratum to 0 rows
         for pts in (xs, ys, zs):
             pts.append(domain.boundary_sample(n_bdy, rng, 1e-6, 5e-2))
@@ -192,18 +199,18 @@ def triangle_scan(
     params: MetricParams,
     triple_count: int,
     seed: int,
-    tolerance: float = 1e-9,
-    k_controls: KControls | None = None,
+    tolerance: float | None = None,
     keep_slacks: bool = False,
 ) -> InequalityReport:
     """Minimum triangle slack of a distance over stratified random triples.
 
     For each triple all three rotations of m(a,c) <= m(a,b) + m(b,c) are
-    evaluated and the smallest slack is kept.
+    evaluated and the smallest slack is kept; pass means slack >=
+    -tolerance (default 1e-9).
     """
     if triple_count < 1:
         raise ValueError("triple_count must be >= 1")
-    evaluate = metrics.pair_kernel(metric, domain, params, k_controls)
+    evaluate = metrics.pair_kernel(metric, domain, params)
 
     def worker(chunk_idx: int, size: int):
         rng = np.random.default_rng([seed, chunk_idx])
@@ -230,7 +237,7 @@ def triangle_scan(
         report_params["c"] = params.c
     return _make_report(
         "triangle", domain.spec_string(), report_params, seed, triple_count,
-        best[0], best[3], tolerance, slacks=slacks,
+        best[0], best[3], 1e-9 if tolerance is None else tolerance, slacks=slacks,
     )
 
 
@@ -314,7 +321,7 @@ def phi_triangle_counterexample(t_grid) -> PhiViolation:
 
 
 def _suite_pairs(domain: Domain, count: int, rng: np.random.Generator,
-                 min_clearance: float):
+                 min_clearance: float = _SUITE_CLEARANCE):
     xs = sample_interior(domain, count, rng, min_clearance=min_clearance)
     ys = sample_interior(domain, count, rng, min_clearance=min_clearance)
     same = np.all(xs == ys, axis=1)
@@ -324,10 +331,9 @@ def _suite_pairs(domain: Domain, count: int, rng: np.random.Generator,
     return xs, ys
 
 
-def _ball_centers(count: int, rng: np.random.Generator, n: int,
-                  max_norm: float = 0.8) -> np.ndarray:
+def _ball_centers(count: int, rng: np.random.Generator, n: int) -> np.ndarray:
     dirs = unit_directions(n, count, rng)
-    radii = max_norm * rng.random(count) ** (1.0 / n)
+    radii = 0.8 * rng.random(count) ** (1.0 / n)
     centers = dirs * radii[:, None]
     centers[0] = 0.0  # include the identity automorphism
     return centers
@@ -338,8 +344,8 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-def _suite_P2_3_1(domain, params, count, rng, min_clearance):
-    xs, ys = _suite_pairs(domain, count, rng, min_clearance)
+def _suite_P2_3_1(domain, params, count, rng):
+    xs, ys = _suite_pairs(domain, count, rng)
     rho = metrics.rho_halfspace_many(xs, ys)
     lhs = 2.0 * np.sinh(0.5 * rho)  # = sqrt(2 (cosh rho - 1))
     rhs = np.expm1(metrics.h_many(domain, xs, ys, params.c)) / params.c
@@ -347,16 +353,16 @@ def _suite_P2_3_1(domain, params, count, rng, min_clearance):
     return slacks, (xs, ys), {}
 
 
-def _suite_P2_3_2(domain, params, count, rng, min_clearance):
-    xs, ys = _suite_pairs(domain, count, rng, min_clearance)
+def _suite_P2_3_2(domain, params, count, rng):
+    xs, ys = _suite_pairs(domain, count, rng)
     s = np.sinh(0.5 * metrics.rho_ball_many(xs, ys))
     u = np.expm1(metrics.h_many(domain, xs, ys, params.c)) / params.c
     slacks = np.minimum(u - s, 2.0 * s - u)
     return slacks, (xs, ys), {}
 
 
-def _moebius_distortion(domain, params, count, rng, min_clearance, to_halfspace):
-    xs, ys = _suite_pairs(domain, count, rng, min_clearance)
+def _moebius_distortion(domain, params, count, rng, to_halfspace):
+    xs, ys = _suite_pairs(domain, count, rng)
     centers = _ball_centers(20, rng, domain.dimension)
     h_src = metrics.h_many(domain, xs, ys, params.c)
     cayley = moebius.BallToHalfSpace(domain.dimension) if to_halfspace else None
@@ -391,7 +397,7 @@ def _moebius_distortion(domain, params, count, rng, min_clearance, to_halfspace)
     return slacks, (xs, ys), extra
 
 
-def _suite_P2_8(domain, params, count, rng, min_clearance):
+def _suite_P2_8(domain, params, count, rng):
     c = params.c
     t = np.logspace(-6.0, math.log10(50.0), count)
     f = metrics.comparison_f(t, c)
@@ -399,8 +405,8 @@ def _suite_P2_8(domain, params, count, rng, min_clearance):
     return slacks, (t.reshape(-1, 1), t.reshape(-1, 1)), {"t_min": 1e-6, "t_max": 50.0}
 
 
-def _suite_L2_9(domain, params, count, rng, min_clearance):
-    xs, ys = _suite_pairs(domain, count, rng, min_clearance)
+def _suite_L2_9(domain, params, count, rng):
+    xs, ys = _suite_pairs(domain, count, rng)
     geom = metrics.pair_geometry(domain, xs, ys)
     j = metrics.j_kernel(*geom)
     phi = metrics.phi_kernel(*geom)
@@ -408,8 +414,8 @@ def _suite_L2_9(domain, params, count, rng, min_clearance):
     return slacks, (xs, ys), {}
 
 
-def _suite_C2_10(domain, params, count, rng, min_clearance):
-    xs, ys = _suite_pairs(domain, count, rng, min_clearance)
+def _suite_C2_10(domain, params, count, rng):
+    xs, ys = _suite_pairs(domain, count, rng)
     geom = metrics.pair_geometry(domain, xs, ys)
     j = metrics.j_kernel(*geom)
     phi = metrics.phi_kernel(*geom)
@@ -423,9 +429,9 @@ def _suite_C2_10(domain, params, count, rng, min_clearance):
     return slacks, (xs, ys), {"c": 1.0}
 
 
-def _suite_L3_1(domain, params, count, rng, min_clearance):
+def _suite_L3_1(domain, params, count, rng):
     point_set = sample_complement(domain, 8, int(rng.integers(2**32)))
-    xs, ys = _suite_pairs(domain, count, rng, min_clearance)
+    xs, ys = _suite_pairs(domain, count, rng)
     da_x = distance_to_set_many(xs, point_set)
     da_y = distance_to_set_many(ys, point_set)
     rho = np.linalg.norm(xs - ys, axis=1)
@@ -433,9 +439,9 @@ def _suite_L3_1(domain, params, count, rng, min_clearance):
     return slacks, (xs, ys), {"set_size": int(point_set.points.shape[0])}
 
 
-def _suite_L4_4_1(domain, params, count, rng, min_clearance):
+def _suite_L4_4_1(domain, params, count, rng):
     c = params.c
-    xs, ys = _suite_pairs(domain, count, rng, min_clearance)
+    xs, ys = _suite_pairs(domain, count, rng)
     geom = metrics.pair_geometry(domain, xs, ys)
     j = metrics.j_kernel(*geom)
     h = metrics.h_kernel(*geom, c)
@@ -448,9 +454,9 @@ def _suite_L4_4_1(domain, params, count, rng, min_clearance):
     return slacks, (xs, ys), {}
 
 
-def _suite_L4_4_2(domain, params, count, rng, min_clearance):
+def _suite_L4_4_2(domain, params, count, rng):
     c = params.c
-    xs = sample_interior(domain, count, rng, min_clearance=min_clearance)
+    xs = sample_interior(domain, count, rng, min_clearance=_SUITE_CLEARANCE)
     lam = rng.uniform(1e-3, 1.0 - 1e-3, size=count)
     frac = rng.random(count)
     dirs = unit_directions(domain.dimension, count, rng)
@@ -464,55 +470,49 @@ def _suite_L4_4_2(domain, params, count, rng, min_clearance):
     return slacks, (xs, ys), {"lambda_worst": float(lam[worst])}
 
 
-def _k_pairs(domain, params, count, rng, min_clearance, k_controls):
-    clearance = max(min_clearance, 0.2)
-    xs, ys = _suite_pairs(domain, count, rng, clearance)
+def _k_pairs(domain, count, rng, k_controls):
+    """Pairs at clearance >= _K_CLEARANCE with j above the floor: xs, ys,
+    their k estimates and (|x - y|, d(x), d(y))."""
+    xs, ys = _suite_pairs(domain, count, rng, _K_CLEARANCE)
     k_hat = k_estimate_many(domain, xs, ys, k_controls)
     geom = metrics.pair_geometry(domain, xs, ys)
-    return xs, ys, k_hat, geom
-
-
-def _suite_C4_5(domain, params, count, rng, min_clearance, k_controls):
-    c = params.c
-    xs, ys, k_hat, geom = _k_pairs(domain, params, count, rng, min_clearance, k_controls)
-    j = metrics.j_kernel(*geom)
-    h = metrics.h_kernel(*geom, c)
-    valid = j > 1e-6
+    valid = metrics.j_kernel(*geom) > _J_FLOOR
     _require(bool(np.any(valid)), "all sampled pairs are degenerate (j ~ 0)")
-    u_hat = float(np.max(k_hat[valid] / j[valid]))
+    return xs[valid], ys[valid], k_hat[valid], tuple(g[valid] for g in geom)
+
+
+def _suite_C4_5(domain, params, count, rng, k_controls):
+    c = params.c
+    xs, ys, k_hat, geom = _k_pairs(domain, count, rng, k_controls)
+    h = metrics.h_kernel(*geom, c)
+    u_hat = float(np.max(k_hat / metrics.j_kernel(*geom)))
     d_const = c / (2.0 * (1.0 + c) * u_hat)
-    hv, kv = h[valid], k_hat[valid]
-    slacks = np.minimum((hv - d_const * kv) / hv, (c * kv - hv) / hv)
-    return (slacks, (xs[valid], ys[valid]),
-            {"u_hat": u_hat, "d_constant": d_const, "relative": True})
+    slacks = np.minimum((h - d_const * k_hat) / h, (c * k_hat - h) / h)
+    return slacks, (xs, ys), {"u_hat": u_hat, "d_constant": d_const, "relative": True}
 
 
-def _suite_T4_6(domain, params, count, rng, min_clearance):
+def _suite_T4_6(domain, params, count, rng):
     c = params.c
     _require(c >= 2.0, "T4_6 requires c >= 2")
     rho_fn = (metrics.rho_ball_many if isinstance(domain, UnitBall)
               else metrics.rho_halfspace_many)
-    xs, ys = _suite_pairs(domain, count, rng, min_clearance)
+    xs, ys = _suite_pairs(domain, count, rng)
     rho = rho_fn(xs, ys)
     h = metrics.h_many(domain, xs, ys, c)
     slacks = np.minimum(rho - h / c, 2.0 * h - rho)
     return slacks, (xs, ys), {}
 
 
-def _suite_QHJ(domain, params, count, rng, min_clearance, k_controls):
-    xs, ys, k_hat, geom = _k_pairs(domain, params, count, rng, min_clearance, k_controls)
+def _suite_QHJ(domain, params, count, rng, k_controls):
+    xs, ys, k_hat, geom = _k_pairs(domain, count, rng, k_controls)
     j = metrics.j_kernel(*geom)
-    valid = j > 1e-6
-    _require(bool(np.any(valid)), "all sampled pairs are degenerate (j ~ 0)")
-    slacks = (k_hat[valid] - j[valid]) / j[valid]
-    return slacks, (xs[valid], ys[valid]), {"relative": True}
+    return (k_hat - j) / j, (xs, ys), {"relative": True}
 
 
 class Suite(NamedTuple):
     """One named estimate and its contract.
 
-    ``run(domain, params, count, rng, min_clearance[, k_controls])``
-    returns (slacks, (xs, ys), extra report params); ``domains`` is the
+    ``run(domain, params, count, rng[, k_controls])`` returns (slacks, (xs, ys), extra report params); ``domains`` is the
     tuple of accepted domain classes (None: any domain).
     """
 
@@ -563,7 +563,6 @@ def inequality_suite(
     seed: int,
     tolerance: float | None = None,
     k_controls: KControls | None = None,
-    min_clearance: float = 1e-3,
     keep_slacks: bool = False,
 ) -> InequalityReport:
     """Run one named two-sided estimate over seeded samples.
@@ -580,7 +579,7 @@ def inequality_suite(
         kinds = " or ".join(_DOMAIN_NOUNS[cls] for cls in suite.domains)
         raise ValueError(f"{suite_id} needs a {kinds} domain")
     rng = np.random.default_rng([seed, 1])
-    args = (domain, params, pair_count, rng, min_clearance)
+    args = (domain, params, pair_count, rng)
     if suite.needs_k:
         args += (k_controls if k_controls is not None else KControls(0.05, 1),)
     slacks, (xs, ys), extra = suite.run(*args)
@@ -619,7 +618,6 @@ def check_growth_bound(
     exponent: float,
     pairs: Sequence,
     tolerance: float = 1e-9,
-    suite_id: str = "growth_bound",
 ) -> InequalityReport:
     """Check m_target(x, y) <= coef * max(m_source, m_source^exponent)
     on explicit pairs.  Both metrics are callables of (x, y); supply a
@@ -642,7 +640,7 @@ def check_growth_bound(
     worst = int(np.argmin(slacks))
     witness = (pair_list[worst][0], pair_list[worst][1])
     return _make_report(
-        suite_id, "pairs", {"coef": coef, "exponent": exponent,
+        "growth_bound", "pairs", {"coef": coef, "exponent": exponent,
                             "worst_ratio": float(np.max(ratios))},
         0, len(pair_list), float(slacks[worst]), witness, tolerance,
         slacks=slacks,
@@ -659,31 +657,30 @@ def uniformity_estimate(
     pair_count: int,
     seed: int,
     k_controls: KControls | None = None,
-    min_clearance: float = 0.2,
-    j_floor: float = 1e-6,
 ) -> UniformityEstimate:
     """U_hat = max over sampled pairs of k_estimate / j (pairs with j
-    above ``j_floor`` only).  Finite stable values are expected exactly
-    on uniform domains.
+    above 1e-6 only).  Finite stable values are expected exactly on
+    uniform domains.
 
-    A quarter of the pairs put both endpoints at matched clearance in
-    [min_clearance, 2 min_clearance]: widely separated equal-clearance
-    pairs approach the k/j supremum, and sampling that family directly
-    keeps the reported max stable across seeds instead of depending on
-    rare corners of the uniform law.
+    Pairs keep clearance >= 0.2.  On a domain with boundary strata a
+    quarter of the pairs put both endpoints at matched clearance in
+    [0.2, 0.4]: widely separated equal-clearance pairs approach the k/j
+    supremum, and sampling that family directly keeps the reported max
+    stable across seeds instead of depending on rare corners of the
+    uniform law.
     """
     if pair_count < 1:
         raise ValueError("pair_count must be >= 1")
     controls = k_controls if k_controls is not None else KControls(0.1, 1)
     rng = np.random.default_rng([seed, 2])
-    n_edge = pair_count // 4 if domain.boundary_stratum else 0
-    xs, ys = _suite_pairs(domain, pair_count - n_edge, rng, min_clearance)
+    n_edge = pair_count // 4 if domain.boundary_strata else 0
+    xs, ys = _suite_pairs(domain, pair_count - n_edge, rng, _K_CLEARANCE)
     if n_edge:
-        lo, hi = min_clearance, 2.0 * min_clearance
+        lo, hi = _K_CLEARANCE, 2.0 * _K_CLEARANCE
         xs = np.concatenate([xs, domain.boundary_sample(n_edge, rng, lo, hi)])
         ys = np.concatenate([ys, domain.boundary_sample(n_edge, rng, lo, hi)])
     j = metrics.j_many(domain, xs, ys)
-    valid = j > j_floor
+    valid = j > _J_FLOOR
     if not np.any(valid):
         raise ValueError("all sampled pairs fall below the j floor")
     xs, ys, j = xs[valid], ys[valid], j[valid]

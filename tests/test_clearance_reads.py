@@ -3,7 +3,9 @@
 import numpy as np
 
 from hypermetric.domains import HalfSpace, UnitBall
+from hypermetric.maps import linear_dilatation
 from hypermetric.metrics import MetricKind, MetricParams, h_metric
+from hypermetric.moebius import Identity
 from hypermetric.quasihyperbolic import k_estimate
 from hypermetric.verify import inequality_suite, triangle_scan
 
@@ -34,6 +36,12 @@ def test_membership_is_the_clearance_query():
     assert ball.contains((0.5, 0.0)) and not ball.contains((1.5, 0.0))
     assert ball.boundary_distance((0.5, 0.0)) == 0.5
     assert ball.rows == 3
+
+
+def test_linear_dilatation_reads_the_base_point_once():
+    ball = CountingBall(2)
+    linear_dilatation(Identity(ball), (0.1, 0.2), [0.1, 0.01])
+    assert ball.rows == 1
 
 
 def test_triangle_scan_reads_at_most_eight_rows_per_triple():

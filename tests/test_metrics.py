@@ -56,8 +56,9 @@ class TestHMetric:
         assert h_metric(B2, C2, (0.3, 0.1), (0.3, 0.1)) == 0.0
 
     def test_outside_raises(self):
-        with pytest.raises(ValueError, match="not inside"):
-            h_metric(B2, C2, (2, 0), (0, 0))
+        for y in ((0, 0), (2, 0)):
+            with pytest.raises(ValueError, match="not inside"):
+                h_metric(B2, C2, (2, 0), y)
 
     def test_monotone_in_c(self):
         values = [h_metric(B2, MetricParams(c), (0, 0), (0.5, 0)) for c in (1, 2, 5, 10)]
@@ -136,8 +137,9 @@ class TestRhoBall:
         assert rho_ball((0.3, 0.3), (0.3, 0.3)) == 0.0
 
     def test_outside_rejected(self):
-        with pytest.raises(ValueError, match="< 1"):
-            rho_ball((1.0, 0), (0, 0))
+        for y in ((0, 0), (1.0, 0)):
+            with pytest.raises(ValueError, match="< 1"):
+                rho_ball((1.0, 0), y)
 
     def test_radial_log_form_on_grid(self):
         # rho(0, r e1) = log((1+r)/(1-r))

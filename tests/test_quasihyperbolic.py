@@ -676,6 +676,17 @@ class TestBatchErrors:
         exc = self.assert_same_failure(far, xs[::-1], ys[::-1], controls)
         assert "between the query points" in str(exc)
 
+    @pytest.mark.parametrize("domain", [B2, H2], ids=lambda d: d.spec_string())
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_unequal_pair_counts(self, domain, swap):
+        # ball:2 shares one grid per level, halfspace:2 builds one per query
+        xs, ys = [[0.1, 0.5], [0.2, 0.5]], [[0.3, 0.5]]
+        if swap:
+            xs, ys = ys, xs
+        counts = f"got {len(xs)} xs and {len(ys)} ys"
+        with pytest.raises(ValueError, match=counts):
+            k_estimate_many(domain, xs, ys, KControls(0.1, 0))
+
     def test_halfspace_node_cap_and_outside_point(self):
         # per-query grids: only the far pair's own window exceeds the cap
         xs, ys = [(0.0, 1.0), (-3.0, 1.0), (0.0, 1.0)], [(0.5, 1.0), (3.0, 1.0), (0.5, -1.0)]

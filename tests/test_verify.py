@@ -3,6 +3,7 @@ import pytest
 
 from hypermetric.domains import HalfSpace, Interval, PuncturedSpace, UnitBall
 from hypermetric.metrics import MetricKind, MetricParams, h_metric
+from hypermetric import verify
 from hypermetric.quasihyperbolic import KControls
 from hypermetric.verify import (
     CollinearViolation,
@@ -285,6 +286,7 @@ class TestUniformity:
         assert np.isfinite(est.U_hat)
         assert est.sample_count == 32
 
-    def test_degenerate_floor(self):
+    def test_degenerate_floor(self, monkeypatch):
+        monkeypatch.setattr(verify, "_J_FLOOR", 1e9)
         with pytest.raises(ValueError, match="j floor"):
-            uniformity_estimate(H2, 8, seed=9, j_floor=1e9)
+            uniformity_estimate(H2, 8, seed=9)
