@@ -12,14 +12,14 @@ built-in variants give it in closed form:
 * ``GenericDomain``      caller-supplied oracles (1-Lipschitz clearance
                          is a *tested* requirement, not an assumption)
 
-Samplers and the estimator ask four geometry methods, whose base-class
+Samplers and the estimator ask five geometry methods, whose base-class
 forms are the generic answers: ``boundary_sample`` (points at small
 clearance; base: the uniform law), ``chord_reach`` (base: none, so no
-collinear stratum), ``geodesic_window`` (base: the sample box) and
-``complement_sample`` (base: none).  ``boundary_strata`` declares
-whether a domain has the first two, so samplers draw its boundary-edge
-and collinear strata, and ``pair_window`` whether its geodesic window
-depends on the query pair:
+collinear stratum), ``geodesic_window`` (base: the sample box),
+``path_floor`` (base: j) and ``complement_sample`` (base: none).
+``boundary_strata`` declares whether a domain has the first two, so
+samplers draw its boundary-edge and collinear strata, and
+``pair_window`` whether its geodesic window depends on the query pair:
 the half-space and the punctured space size it from the pair, the ball,
 the interval and ``GenericDomain`` use one box for every pair, so the
 estimator shares one lattice across their queries.  Domains are
@@ -141,6 +141,19 @@ class Domain:
         lo, hi = self.sample_box()
         return lo, hi, None
 
+    def path_floor(self, sep, d_a, d_b):
+        """A lower bound on the estimator's weight of every polyline
+        between two points at separation ``sep`` with clearances d_a, d_b.
+
+        The base form is j.  A polyline that has run a length s from a
+        reaches clearance at most d_a + s (the clearance is 1-Lipschitz),
+        and a Simpson weight overestimates the integral of 1/(d_a + s + t),
+        whose fourth derivative is positive; so the polyline weighs at
+        least log(1 + |a - b| / d_a), and by symmetry at least j."""
+        from .metrics import j_kernel
+
+        return j_kernel(sep, d_a, d_b)
+
     def complement_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Seeded points outside the domain, one per row."""
         raise ValueError(f"cannot sample the complement of {self.spec_string()}")
@@ -255,6 +268,13 @@ class HalfSpace(Domain):
         lo[-1] = 0.4 * min(xn, yn)
         hi[-1] = 1.2 * apex + pad
         return lo, hi, None
+
+    def path_floor(self, sep, d_a, d_b):
+        # the clearance is affine along a segment, so each Simpson weight
+        # is at least the segment's hyperbolic length: the floor is rho_H
+        from .metrics import rho_halfspace_kernel
+
+        return rho_halfspace_kernel(sep * sep, d_a, d_b)
 
     def complement_sample(self, count, rng):
         pts = rng.uniform(-2.0, 2.0, size=(count, self.dimension))

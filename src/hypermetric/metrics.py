@@ -23,7 +23,10 @@ validate the points and read each clearance once.
 
 Inverse hyperbolics are evaluated through logarithmic forms (log1p /
 arcsinh) so coincident and near-boundary arguments stay finite; every
-distance returns exactly 0.0 for x == y.
+distance returns exactly 0.0 for x == y.  Where a product of two
+clearances is not a normal double (both below about 1.5e-162), h, phi
+and rho_H take the square roots apart, and phi takes 2 log r once r^2
+overflows; every other row is computed as before, bit for bit.
 """
 
 from __future__ import annotations
@@ -108,10 +111,26 @@ def _one_pair(many, domain: Domain, x, y, *args) -> float:
 # kernels: pure functions of the separation and the two clearances
 # ---------------------------------------------------------------------------
 
+#: the normal finite range of a float64 product of clearances
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+
+
+def _root_product(dx, dy):
+    """sqrt(dx dy); where the product is not a normal finite double (both
+    clearances below about 1.5e-162, or huge), sqrt(dx) sqrt(dy) instead,
+    so every other row keeps its bits."""
+    p = np.multiply(dx, dy)
+    root = np.sqrt(p)
+    odd = ~((p >= _TINY) & (p <= _HUGE))
+    if np.any(odd):
+        root = np.where(odd, np.sqrt(dx) * np.sqrt(dy), root)
+    return root
+
 
 def h_kernel(rho, dx, dy, c: float):
     """log(1 + c rho / sqrt(dx dy))."""
-    return np.log1p(c * rho / np.sqrt(dx * dy))
+    return np.log1p(c * rho / _root_product(dx, dy))
 
 
 def j_kernel(rho, dx, dy):
@@ -121,8 +140,14 @@ def j_kernel(rho, dx, dy):
 
 def phi_kernel(rho, dx, dy):
     """log(1 + max(r, r^2)) with r = rho / sqrt(dx dy)."""
-    r = rho / np.sqrt(dx * dy)
-    return np.log1p(np.maximum(r, r * r))
+    r = rho / _root_product(dx, dy)
+    with np.errstate(over="ignore"):
+        out = np.log1p(np.maximum(r, r * r))
+    # once r^2 overflows, log(1 + r^2) is 2 log r to double precision
+    big = np.isinf(out) & np.isfinite(r)
+    if np.any(big):
+        out = np.where(big, 2.0 * np.log(r), out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +213,28 @@ def phi_quantity(domain: Domain, x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
+def rho_halfspace_kernel(q2, xn, yn):
+    """arcosh(1 + q2 / (2 xn yn)) of a squared separation and two
+    clearances.  Where 2 xn yn is not a normal finite double, the equal
+    2 asinh(sqrt(q2) / (2 sqrt(xn) sqrt(yn))), which neither underflows
+    nor overflows there; every other row keeps its bits."""
+    p = 2.0 * np.multiply(xn, yn)
+    odd = ~((p >= _TINY) & (p <= _HUGE))
+    some = np.any(odd)
+    u = q2 / (np.where(odd, 1.0, p) if some else p)
+    # arcosh(1 + u) in a form that is exact at u = 0
+    rho = np.log1p(u + np.sqrt(u * (u + 2.0)))
+    if some:
+        rho = np.where(odd, 2.0 * np.arcsinh(np.sqrt(q2) / (2.0 * np.sqrt(xn) * np.sqrt(yn))),
+                       rho)
+    return rho
+
+
 def rho_halfspace_many(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     if np.any(xs[:, -1] <= 0.0) or np.any(ys[:, -1] <= 0.0):
         raise ValueError("half-space points need a positive last coordinate")
     q2 = np.sum((xs - ys) ** 2, axis=1)
-    u = q2 / (2.0 * xs[:, -1] * ys[:, -1])
-    # arcosh(1 + u) in a form that is exact at u = 0
-    return np.log1p(u + np.sqrt(u * (u + 2.0)))
+    return rho_halfspace_kernel(q2, xs[:, -1], ys[:, -1])
 
 
 def rho_halfspace(x, y) -> float:

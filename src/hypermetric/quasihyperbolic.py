@@ -36,6 +36,13 @@ approach k from above; no rigorous enclosure is claimed.  Each domain
 supplies the search window (``Domain.geodesic_window``); those of the
 unbounded domains provably contain the true geodesic.
 
+Every grid path from a to b weighs at least ``Domain.path_floor(|a - b|,
+d(a), d(b))``: j on every domain, because the clearance is 1-Lipschitz
+and Simpson overestimates the integral of 1/(d + t); rho_H on the
+half-space, because there the clearance is affine along each segment.
+So every estimate is at least j, and on the half-space at least
+rho_H = k.
+
 Every query goes through ``_grid_values``: x is a source-only row
 appended to the grid's CSR adjacency, and y is no node; its value is the
 least dist[c] + w(c, y) over the nodes c it attaches to, or the direct
@@ -45,6 +52,18 @@ sink node for y would get.  Level l >= 1 stops its search at the level
 l - 1 value times ``_LIMIT_MARGIN``: nodes within the limit are settled
 exactly as without one, so a value within it is exact, and a value
 above it is searched again without a limit.
+
+On a per-query grid, level l >= 1 also holds only the lens of its limit
+L: the nodes z with floor(x, z) + floor(z, y) <= L (1 + 1e-9), plus the
+whole wider attach box of each endpoint's cell, and its box is cropped
+to them.  A node on an optimal path of value V <= L has a floor sum of
+at most V, so it is kept; the float Dijkstra fixed point does not depend
+on node numbering, so every value within L is bit for bit the whole
+window's.  A pair that fails in its lens or comes back above L is built
+again on the whole window and searched without a limit, so its value
+and any error are unchanged; the node cap applies to the whole window.
+Level 0 has no limit and shared grids serve many pairs, so neither is
+pruned.
 
 Every k value comes from one driver, ``_histories``: ``k_estimate`` is
 its one-pair case, ``k_estimate_many`` reads its last level, and the
@@ -87,6 +106,10 @@ SHARED_GRIDS = 4
 
 #: level l >= 1 stops its search at the level l - 1 value times this
 _LIMIT_MARGIN = 1.05
+
+#: relative slack of the lens test, far above the rounding of a path's
+#: weight sum and of the floors
+_LENS_SLACK = 1e-9
 
 #: bounds on one chunk of pairs: float64 entries of its Dijkstra
 #: distance block (2 MB), and lattice cells its endpoints search.  The
@@ -246,9 +269,39 @@ def _box_text(lo: np.ndarray, hi: np.ndarray) -> str:
     return " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi))
 
 
+def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
+          starts: np.ndarray, points: np.ndarray, clear: np.ndarray,
+          window: np.ndarray) -> np.ndarray:
+    """Which cells of the window hold a node that a grid path from x to y
+    of weight at most the limit can pass through, or a node in the wider
+    attach box of either endpoint's cell.  ``lens`` is (d(x), d(y),
+    limit), and ``window`` marks the window's nodes by cell."""
+    dx, dy, limit = lens
+    at = np.flatnonzero(window)
+    z, dz = points[at], clear[at]
+    floor = (domain.path_floor(np.linalg.norm(z - x, axis=1), dx, dz)
+             + domain.path_floor(np.linalg.norm(z - y, axis=1), dz, dy))
+    keep = np.zeros(window.shape, dtype=bool)
+    keep.flat[at[floor <= limit * (1.0 + _LENS_SLACK)]] = True
+    # _attach sees the same candidates as on the whole window
+    span = _cell_span(domain.dimension, h, 1)
+    for p in (x, y):
+        cell = np.round(p / h).astype(np.int64) - starts
+        box = tuple(slice(min(max(c - span, 0), d), max(min(c + span + 1, d), 0))
+                    for c, d in zip(cell, window.shape))
+        keep[box] |= window[box]
+    return keep
+
+
 def build_grid(domain: Domain, spacing: float, x, y,
-               node_cap: int = DEFAULT_NODE_CAP) -> GeodesicGrid:
-    """Lattice graph over the query window of a domain."""
+               node_cap: int = DEFAULT_NODE_CAP, lens=None) -> GeodesicGrid:
+    """Lattice graph over the query window of a domain.
+
+    ``lens`` = (d(x), d(y), limit) keeps only the nodes that a grid path
+    from x to y of weight at most the limit can pass through, and those
+    near either endpoint, and crops the lattice box to them; the node cap
+    applies to the whole window all the same.
+    """
     x = as_point(x, domain.dimension)
     y = as_point(y, domain.dimension)
     h = float(spacing)
@@ -291,6 +344,23 @@ def build_grid(domain: Domain, spacing: float, x, y,
         )
 
     shape = tuple(dims)
+    if lens is not None:
+        keep = _lens(domain, h, x, y, lens, starts, points, clear, mask.reshape(shape))
+        kept = np.nonzero(keep)
+        if kept[0].size == 0:
+            raise DisconnectedGridError(f"no grid nodes in the lens at spacing {h}")
+        # crop the box to the kept nodes
+        crop = tuple(slice(int(k.min()), int(k.max()) + 1) for k in kept)
+        starts = starts + [c.start for c in crop]
+        axes = [ax[c] for ax, c in zip(axes, crop)]
+        dims = np.array([ax.size for ax in axes], dtype=np.int64)
+        points = points.reshape(*shape, -1)[crop].reshape(-1, len(shape))
+        clear = clear.reshape(shape)[crop].ravel()
+        mask = keep[crop].ravel()
+        shape = tuple(dims)
+        raw = mask.size
+        n_valid = int(np.count_nonzero(mask))
+
     index_map = np.full(raw, -1, dtype=np.int64)
     index_map[mask] = np.arange(n_valid)
     index_nd = index_map.reshape(shape)
@@ -383,12 +453,18 @@ def _shared_grid(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
     return _both_directions(build_grid(domain, spacing, origin, origin, node_cap=node_cap))
 
 
+def _cell_span(dimension: int, spacing: float, widen: int) -> int:
+    """Cells searched on each side of a query point's cell; ``widen`` 1
+    is the wider second search."""
+    _, reach = _stencil(dimension)
+    r_aug = (reach + 1) * spacing
+    return int(math.ceil(r_aug / spacing)) + 1 + widen * 4
+
+
 def _cell_box(grid: GeodesicGrid, widen: int) -> np.ndarray:
     """Lattice offsets of the cells searched around a query point's cell,
     row-major; ``widen`` 1 is the wider second search."""
-    _, reach = _stencil(grid.domain.dimension)
-    r_aug = (reach + 1) * grid.spacing
-    span = int(math.ceil(r_aug / grid.spacing)) + 1 + widen * 4
+    span = _cell_span(grid.domain.dimension, grid.spacing, widen)
     axes = [np.arange(-span, span + 1)] * grid.domain.dimension
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
@@ -529,6 +605,30 @@ def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.nda
     return values, failures
 
 
+def _own_grid_values(domain: Domain, h: float, node_cap: int, x: np.ndarray, y: np.ndarray,
+                     dx: np.ndarray, dy: np.ndarray,
+                     limit: np.ndarray) -> tuple[np.ndarray, dict]:
+    """``_grid_values`` of one pair (1-row arrays) on a lattice of its own.
+
+    Under a finite limit the lattice holds only the lens of the limit; a
+    pair that fails there or comes back above the limit is searched again,
+    without a limit, on the whole window, so its value and any error are
+    those of the whole window.
+    """
+    if np.isfinite(limit[0]):
+        try:
+            grid = build_grid(domain, h, x[0], y[0], node_cap, lens=(dx[0], dy[0], limit[0]))
+        except DisconnectedGridError:
+            pass
+        else:
+            vals, failed = _grid_values(grid, x, y, dx, dy, limit)
+            if not failed and vals[0] <= limit[0]:
+                return vals, failed
+            del grid  # the whole window's build need not hold the lens
+    return _grid_values(build_grid(domain, h, x[0], y[0], node_cap), x, y, dx, dy,
+                        np.full(1, np.inf))
+
+
 # ---------------------------------------------------------------------------
 # the estimator
 # ---------------------------------------------------------------------------
@@ -560,19 +660,17 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
             break
         h = math.ldexp(controls.spacing, -level)
         for pairs in [live] if shared else live[:, None]:
+            query = (xs[pairs], ys[pairs], dxs[pairs], dys[pairs], limits[pairs])
             try:
-                grid = (_shared_grid(domain, h, controls.node_cap) if shared else
-                        build_grid(domain, h, xs[pairs[0]], ys[pairs[0]],
-                                   node_cap=controls.node_cap))
+                vals, failed = (_grid_values(_shared_grid(domain, h, controls.node_cap), *query)
+                                if shared else _own_grid_values(domain, h, controls.node_cap,
+                                                                *query))
             except GridError as exc:
                 failures.update(dict.fromkeys(pairs.tolist(), exc))
                 continue
-            vals, failed = _grid_values(grid, xs[pairs], ys[pairs], dxs[pairs], dys[pairs],
-                                        limits[pairs])
             failures.update({int(pairs[i]): exc for i, exc in failed.items()})
             values[pairs, level] = vals
             limits[pairs] = vals * _LIMIT_MARGIN
-            del grid  # the next build need not hold this one
         live = live[~np.isin(live, list(failures))]
     if failures:
         raise failures[min(failures)]

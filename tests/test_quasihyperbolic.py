@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from hypermetric import quasihyperbolic
 from hypermetric.domains import (
+    Domain,
     GenericDomain,
     HalfSpace,
     Interval,
@@ -586,6 +587,163 @@ class TestBatchedQueries:
         assert 1 < len(calls) <= chunks
         # level 1 searches are bounded by level 0 values
         assert any(math.isfinite(limit) for limit in calls)
+
+
+# ---------------------------------------------------------------------------
+# the lens: path floors and pruned per-query lattices
+# ---------------------------------------------------------------------------
+
+
+def _source_distances(grid, x, dx):
+    """Distances from x over the grid and x's attach row, searched without
+    a limit."""
+    _, node, w = quasihyperbolic._attach(grid, x[None, :], np.array([dx]))
+    n = grid.nodes.shape[0]
+    graph = sp.csr_matrix(
+        (np.concatenate([grid.weights, w]), np.concatenate([grid.neighbours, node]),
+         np.concatenate([grid.indptr, [grid.indptr[-1] + w.size]])),
+        shape=(n + 1, n + 1))
+    return scipy_dijkstra(graph, directed=grid.directed, indices=n)[:n]
+
+
+J_FLOOR = Domain.path_floor  # the base form, j, on every domain
+
+
+class TestPathFloor:
+    """Every grid path from x to a node z weighs at least path_floor(x, z):
+    the lemma that lets a finer level drop the nodes outside its lens."""
+
+    @pytest.mark.parametrize("domain, floor, x, y, spacings", [
+        (H2, None, (0.0, 0.3), (1.5, 1.0), (0.1, 0.05)),
+        (H2, J_FLOOR, (0.0, 0.3), (1.5, 1.0), (0.1, 0.05)),
+        (HalfSpace(3), None, (0.0, 0.0, 0.4), (1.0, -0.5, 1.0), (0.2, 0.1)),
+        (HalfSpace(3), J_FLOOR, (0.0, 0.0, 0.4), (1.0, -0.5, 1.0), (0.2, 0.1)),
+        (P2, None, (1.0, 0.1), (-0.6, 0.7), (0.1, 0.05)),
+        (B2, None, (0.3, -0.2), (0.0, 0.0), (0.1, 0.05)),
+        (Interval(0, 1), None, (0.13,), (0.5,), (0.02, 0.01)),
+        (annulus_domain(), None, (0.5, 0.1), (0.0, 0.0), (0.1, 0.05)),
+    ], ids=["halfspace:2", "halfspace:2-j", "halfspace:3", "halfspace:3-j", "punctured:2",
+            "ball:2", "interval", "annulus"])
+    def test_grid_distances_stay_above_the_floor(self, domain, floor, x, y, spacings):
+        floor = floor or type(domain).path_floor
+        x = np.asarray(x, dtype=float)
+        dx = float(domain.clearance_many(x[None, :])[0])
+        for h in spacings:
+            grid = build_grid(domain, h, x, np.asarray(y, dtype=float))
+            dist = _source_distances(grid, x, dx)
+            reached = np.isfinite(dist)
+            bound = floor(domain, np.linalg.norm(grid.nodes - x, axis=1), dx, grid.clearances)
+            assert reached.sum() > 0.9 * reached.size
+            assert np.all(dist[reached] >= bound[reached] * (1.0 - 1e-12))
+            # the floor is tight along some direction, so the test has teeth
+            far = reached & (bound > 0.1)
+            assert np.min(dist[far] / bound[far]) < 1.05
+
+    def test_halfspace_floor_is_rho_h(self):
+        xs = sample_interior(H2, 50, seed=71, min_clearance=0.1)
+        ys = sample_interior(H2, 50, seed=72, min_clearance=0.1)
+        floor = H2.path_floor(np.linalg.norm(xs - ys, axis=1), xs[:, 1], ys[:, 1])
+        assert np.allclose(floor, [k_exact_halfspace(x, y) for x, y in zip(xs, ys)],
+                           rtol=1e-12)
+        assert np.all(floor >= j_many(H2, xs, ys))
+
+
+def _kquery_point(domain, rng):
+    """A point as the kquery benchmark draws them: half-space clearance in
+    [0.25, 1.5] under [-1.6, 1.6] sides, punctured radius in [0.5, 1.2]."""
+    if isinstance(domain, PuncturedSpace):
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        return rng.uniform(0.5, 1.2) * np.array([math.cos(t), math.sin(t)])
+    return np.append(rng.uniform(-1.6, 1.6, domain.dimension - 1), rng.uniform(0.25, 1.5))
+
+
+def kquery_cases():
+    """(domain, xs, ys, spacing, refinements) at the benchmark's kquery
+    resolutions: pairs at least 0.3 apart."""
+    rng = np.random.default_rng(67)
+    cases = []
+    for domain, count, spacing, refinements in [(H2, 4, 0.05, 2), (P2, 4, 0.05, 2),
+                                                (HalfSpace(3), 2, 0.1, 1)]:
+        pairs = []
+        while len(pairs) < count:
+            x, y = _kquery_point(domain, rng), _kquery_point(domain, rng)
+            if np.linalg.norm(x - y) >= 0.3:
+                pairs.append((x, y))
+        xs, ys = map(np.array, zip(*pairs))
+        cases.append((domain, xs, ys, spacing, refinements))
+    return cases
+
+
+class TestLens:
+    """A finer per-query level holds only its lens, and every value and
+    history stays bit-identical to the whole-window unlimited search."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [(domain, xs, ys, spacing, refinements,
+                 [_hex(reference_history(domain, x, y, spacing, refinements))
+                  for x, y in zip(xs, ys)])
+                for domain, xs, ys, spacing, refinements in kquery_cases()]
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = quasihyperbolic.build_grid
+
+        def counting(domain, spacing, *args, **kwargs):
+            grid = build(domain, spacing, *args, **kwargs)
+            calls.append((spacing, "lens" if kwargs.get("lens") else "whole"))
+            return grid
+
+        monkeypatch.setattr(quasihyperbolic, "build_grid", counting)
+        return calls
+
+    @staticmethod
+    def _check(cases, builds, margin_holds):
+        for domain, xs, ys, spacing, refinements, reference in cases:
+            for x, y, expected in zip(xs, ys, reference):
+                del builds[:]
+                history = k_estimate(domain, x, y, spacing, refinements).refinement_history
+                assert _hex(history) == expected, domain.spec_string()
+                levels = [spacing / 2**level for level in range(1, refinements + 1)]
+                finer = ([(h, "lens") for h in levels] if margin_holds else
+                         [b for h in levels for b in [(h, "lens"), (h, "whole")]])
+                assert builds == [(spacing, "whole")] + finer
+            batch = k_estimate_many(domain, xs, ys, KControls(spacing, refinements))
+            assert [v.hex() for v in batch] == [r[-1][1] for r in reference]
+
+    def test_default_margin_searches_the_lens_only(self, cases, builds):
+        self._check(cases, builds, margin_holds=True)
+
+    def test_lens_of_the_value_itself_keeps_it(self, cases):
+        # the tightest lens: the limit is the whole window's value
+        for domain, xs, ys, _, _, reference in cases:
+            for x, y, history in zip(xs, ys, reference):
+                dx, dy = domain.clearance_many(np.stack([x, y]))
+                for h, value in history[1:]:
+                    limit = float.fromhex(value)
+                    grid = build_grid(domain, float.fromhex(h), x, y, lens=(dx, dy, limit))
+                    vals, failed = quasihyperbolic._grid_values(
+                        grid, x[None], y[None], np.array([dx]), np.array([dy]),
+                        np.array([limit]))
+                    assert not failed and vals[0].hex() == value
+
+    def test_tight_margin_rebuilds_the_whole_window(self, cases, builds, monkeypatch):
+        monkeypatch.setattr(quasihyperbolic, "_LIMIT_MARGIN", 0.5)
+        self._check(cases, builds, margin_holds=False)
+
+    @pytest.mark.parametrize("domain, x, y, whole, lens", [
+        (H2, (-1.2, 0.4), (0.9, 1.3), 29240, 12118),
+        (P2, (1.1, 0.2), (-0.3, 0.8), 96816, 32694),
+    ], ids=["halfspace:2", "punctured:2"])
+    def test_pinned_node_counts(self, domain, x, y, whole, lens):
+        # the finest of three levels from spacing 0.05, limited by the second
+        x, y = np.asarray(x), np.asarray(y)
+        dx, dy = domain.clearance_many(np.stack([x, y]))
+        limit = k_estimate(domain, x, y, 0.05, 1).value * quasihyperbolic._LIMIT_MARGIN
+        full = build_grid(domain, 0.0125, x, y)
+        pruned = build_grid(domain, 0.0125, x, y, lens=(dx, dy, limit))
+        assert (full.nodes.shape[0], pruned.nodes.shape[0]) == (whole, lens)
 
 
 def twin_disks():

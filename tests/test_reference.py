@@ -6,7 +6,8 @@ relative bounds, with eps = 2^-52 and d_min the smaller true clearance of
 the pair:
 
 * half-space: the clearance x_n is exact, so h, j, phi and rho_H stay
-  within 4 eps at every clearance;
+  within 4 eps at every clearance, also below 1e-162 where the product
+  of two clearances underflows;
 * ball: 1 - |x| (and 1 - |x|^2 in rho_B) is formed from a rounded |x|, an
   absolute error of about eps and so a relative error of eps/d near the
   boundary.  h, j and rho_B pass it on once and phi, which squares its
@@ -120,6 +121,26 @@ def relative_errors(kind, domain, xs, ys):
 def test_halfspace_closed_forms_match_reference(kind, decade):
     xs, ys = decade_pairs(H2, decade)
     assert np.max(relative_errors(kind, H2, xs, ys)) <= 4 * EPS
+
+
+def underflow_pairs(decade):
+    """x at clearance 10^-decade; y far away at a like clearance or at
+    clearance 1e-300, so every product of the two clearances underflows."""
+    rng = np.random.default_rng([9, decade])
+    d, m = 10.0 ** -decade, PAIRS_PER_DECADE
+    d_y = np.where(np.arange(m) % 2 == 0, d * rng.uniform(0.5, 2.0, m), 1e-300)
+    xs = np.stack([rng.uniform(-1.0, 1.0, m), np.full(m, d)], axis=1)
+    ys = np.stack([rng.uniform(-1.0, 1.0, m), d_y], axis=1)
+    return xs, ys
+
+
+@pytest.mark.parametrize("decade", [170, 200, 250, 300])
+@pytest.mark.parametrize("kind", ["h", "j", "phi", "rho_H"])
+def test_halfspace_closed_forms_where_clearance_products_underflow(kind, decade):
+    xs, ys = underflow_pairs(decade)
+    assert np.max(relative_errors(kind, H2, xs, ys)) <= 4 * EPS
+    if kind != "rho_H":
+        assert np.all(library(kind, H2, xs, xs) == 0.0)
 
 
 @pytest.mark.parametrize("decade", DECADES)
