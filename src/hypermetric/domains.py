@@ -141,15 +141,21 @@ class Domain:
         lo, hi = self.sample_box()
         return lo, hi, None
 
-    def path_floor(self, sep, d_a, d_b):
+    def path_floor(self, sep, d_a, d_b, edges=None):
         """A lower bound on the estimator's weight of every polyline
         between two points at separation ``sep`` with clearances d_a, d_b.
 
-        The base form is j.  A polyline that has run a length s from a
-        reaches clearance at most d_a + s (the clearance is 1-Lipschitz),
-        and a Simpson weight overestimates the integral of 1/(d_a + s + t),
-        whose fourth derivative is positive; so the polyline weighs at
-        least log(1 + |a - b| / d_a), and by symmetry at least j."""
+        ``edges`` = (ell, r, slack) may narrow the bound to lattice paths:
+        every edge after the first is at most ell long and joins points of
+        clearance >= r, and the first edge weighs at least the narrowed
+        bound of its own ends (taken with slack 0) less ``slack``.
+
+        The base form is j and ignores ``edges``.  A polyline that has run
+        a length s from a reaches clearance at most d_a + s (the clearance
+        is 1-Lipschitz), and a Simpson weight overestimates the integral
+        of 1/(d_a + s + t), whose fourth derivative is positive; so the
+        polyline weighs at least log(1 + |a - b| / d_a), and by symmetry
+        at least j."""
         from .metrics import j_kernel
 
         return j_kernel(sep, d_a, d_b)
@@ -269,7 +275,7 @@ class HalfSpace(Domain):
         hi[-1] = 1.2 * apex + pad
         return lo, hi, None
 
-    def path_floor(self, sep, d_a, d_b):
+    def path_floor(self, sep, d_a, d_b, edges=None):
         # the clearance is affine along a segment, so each Simpson weight
         # is at least the segment's hyperbolic length: the floor is rho_H
         from .metrics import rho_halfspace_kernel
@@ -331,6 +337,43 @@ class PuncturedSpace(Domain):
             return (r >= r_lo) & (r <= r_hi)
 
         return np.full(self.dimension, -r_hi), np.full(self.dimension, r_hi), annulus
+
+    def path_floor(self, sep, d_a, d_b, edges=None):
+        """j, or with ``edges`` = (ell, r, slack) max(j, c k_P - slack),
+        where k_P = sqrt(theta^2 + log^2(d_a / d_b)) is the exact k and c
+        the share of it that a Simpson weight is proved to keep.
+
+        A lattice edge of length l <= ell between points of radius >= r
+        passes the origin at a distance q >= rho = sqrt(r^2 - ell^2 / 4),
+        since its nearer end lies within l / 2 of the foot of the
+        perpendicular.  Along the edge f = (s^2 + p^2)^(-1/2) has the
+        fourth derivative 3 (35 u^2 - 30 u + 3) / |z|^5 with u in [0, 1],
+        at most 24 / q^5 in size, and the exact integral is
+        I >= l / (q + l).  Simpson's remainder, l^5 / 2880 times the
+        fourth derivative, then gives S >= (1 - delta) I with
+        delta = t^4 (1 + t) / 120 at t = l / q <= ell / rho, and
+        c = 1 - delta - 1e-6 at t = ell / rho covers rounding.  I is at
+        least k_P of the edge's ends, so by the triangle inequality the
+        lattice edges weigh at least c k_P of their ends, and the first
+        edge adds at least c k_P of its own less ``slack``.  Where rho or
+        c is not positive the bound is j alone.  k_P is read off the
+        triangle (0, a, b) by the half-angle form sin^2(theta / 2) =
+        (sep - d_a + d_b)(sep + d_a - d_b) / (4 d_a d_b), which stays
+        accurate near theta = 0."""
+        j = super().path_floor(sep, d_a, d_b)
+        if edges is None:
+            return j
+        ell, r, slack = edges
+        rho2 = r * r - 0.25 * ell * ell
+        if not rho2 > 0.0:
+            return j
+        t = ell / math.sqrt(rho2)
+        c = 1.0 - t ** 4 * (1.0 + t) / 120.0 - 1e-6
+        if not c > 0.0:
+            return j
+        half = (sep - d_a + d_b) * (sep + d_a - d_b) / (4.0 * d_a * d_b)
+        theta = 2.0 * np.arcsin(np.sqrt(np.clip(half, 0.0, 1.0)))
+        return np.maximum(j, c * np.hypot(theta, np.log(d_a / d_b)) - slack)
 
     def complement_sample(self, count, rng):
         # the complement is the single puncture

@@ -26,7 +26,10 @@ arcsinh) so coincident and near-boundary arguments stay finite; every
 distance returns exactly 0.0 for x == y.  Where a product of two
 clearances is not a normal double (both below about 1.5e-162), h, phi
 and rho_H take the square roots apart, and phi takes 2 log r once r^2
-overflows; every other row is computed as before, bit for bit.
+overflows.  Where a separation is below about 1.5e-154, whose square is
+not a normal double, it is scaled by its largest coordinate difference
+before it is squared.  Every other row is computed as before, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -88,9 +91,31 @@ def clearances(domain: Domain, xs: np.ndarray) -> np.ndarray:
     return d
 
 
+#: the normal finite range of a float64 product of clearances
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+#: below this a sum of squares is not a normal double
+_ROOT_TINY = float(np.sqrt(_TINY))
+
+
+def _scaled_norms(d: np.ndarray) -> np.ndarray:
+    """|d| of each row, divided through by its largest entry first so that
+    no square underflows; 0 for a zero row."""
+    m = np.max(np.abs(d), axis=1)
+    m_safe = np.where(m > 0.0, m, 1.0)
+    return m * np.linalg.norm(d / m_safe[:, None], axis=1)
+
+
 def separation(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """|x - y| of paired rows."""
-    return np.linalg.norm(xs - ys, axis=1)
+    """|x - y| of paired rows.  Rows below sqrt(tiny), about 1.5e-154,
+    whose squares may underflow, are scaled first; every other row is
+    the plain norm, bit for bit."""
+    d = xs - ys
+    q = np.linalg.norm(d, axis=1)
+    small = q < _ROOT_TINY
+    if np.any(small):
+        q[small] = _scaled_norms(d[small])
+    return q
 
 
 def pair_geometry(domain: Domain, xs: np.ndarray, ys: np.ndarray):
@@ -110,10 +135,6 @@ def _one_pair(many, domain: Domain, x, y, *args) -> float:
 # ---------------------------------------------------------------------------
 # kernels: pure functions of the separation and the two clearances
 # ---------------------------------------------------------------------------
-
-#: the normal finite range of a float64 product of clearances
-_TINY = np.finfo(float).tiny
-_HUGE = np.finfo(float).max
 
 
 def _root_product(dx, dy):
@@ -233,8 +254,16 @@ def rho_halfspace_kernel(q2, xn, yn):
 def rho_halfspace_many(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     if np.any(xs[:, -1] <= 0.0) or np.any(ys[:, -1] <= 0.0):
         raise ValueError("half-space points need a positive last coordinate")
-    q2 = np.sum((xs - ys) ** 2, axis=1)
-    return rho_halfspace_kernel(q2, xs[:, -1], ys[:, -1])
+    d = xs - ys
+    q2 = np.sum(d ** 2, axis=1)
+    rho = rho_halfspace_kernel(q2, xs[:, -1], ys[:, -1])
+    small = q2 < _TINY
+    if np.any(small):
+        # q2 may have underflowed: the equal 2 asinh(q / (2 sqrt(xn yn)))
+        # needs only q, taken without squares
+        rho[small] = 2.0 * np.arcsinh(_scaled_norms(d[small]) / (
+            2.0 * np.sqrt(xs[small, -1]) * np.sqrt(ys[small, -1])))
+    return rho
 
 
 def rho_halfspace(x, y) -> float:
@@ -250,7 +279,7 @@ def rho_ball_many(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     ny = np.linalg.norm(ys, axis=1)
     if np.any(nx >= 1.0) or np.any(ny >= 1.0):
         raise ValueError("ball points must satisfy |x| < 1")
-    q = np.linalg.norm(xs - ys, axis=1)
+    q = separation(xs, ys)
     p = ((1.0 - nx) * (1.0 + nx)) * ((1.0 - ny) * (1.0 + ny))
     return 2.0 * np.arcsinh(q / np.sqrt(p))
 

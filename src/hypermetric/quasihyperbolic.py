@@ -41,7 +41,13 @@ d(a), d(b))``: j on every domain, because the clearance is 1-Lipschitz
 and Simpson overestimates the integral of 1/(d + t); rho_H on the
 half-space, because there the clearance is affine along each segment.
 So every estimate is at least j, and on the half-space at least
-rho_H = k.
+rho_H = k.  On the punctured space a path over the lattice weighs at
+least c k_P less the slack of its first edge, where k_P is the exact
+log-polar k and c < 1 bounds Simpson's error on edges no longer than
+the stencil's longest that keep clear of the puncture; near the
+puncture, where no c > 0 is proved, the floor is j (see
+``PuncturedSpace.path_floor``).  The slack is how far the endpoint's
+attach edges, which are longer, fall short of c k_P.
 
 Every query goes through ``_grid_values``: x is a source-only row
 appended to the grid's CSR adjacency, and y is no node; its value is the
@@ -56,14 +62,16 @@ above it is searched again without a limit.
 On a per-query grid, level l >= 1 also holds only the lens of its limit
 L: the nodes z with floor(x, z) + floor(z, y) <= L (1 + 1e-9), plus the
 whole wider attach box of each endpoint's cell, and its box is cropped
-to them.  A node on an optimal path of value V <= L has a floor sum of
-at most V, so it is kept; the float Dijkstra fixed point does not depend
-on node numbering, so every value within L is bit for bit the whole
-window's.  A pair that fails in its lens or comes back above L is built
-again on the whole window and searched without a limit, so its value
-and any error are unchanged; the node cap applies to the whole window.
-Level 0 has no limit and shared grids serve many pairs, so neither is
-pruned.
+to them.  Each floor is the domain's over the whole window's lattice
+edges and the endpoint's attach edges.  A node on an optimal path of
+value V <= L has a floor sum of at most V, so it is kept; the float
+Dijkstra fixed point does not depend on node numbering, so every value
+within L is bit for bit the whole window's.  A pair that fails in its
+lens or comes back above L is built again on the whole window and
+searched without a limit, with no second search of the lens, so its
+value and any error are unchanged; the node cap applies to the whole
+window.  Level 0 has no limit and shared grids serve many pairs, so
+neither is pruned.
 
 Every k value comes from one driver, ``_histories``: ``k_estimate`` is
 its one-pair case, ``k_estimate_many`` reads its last level, and the
@@ -269,6 +277,25 @@ def _box_text(lo: np.ndarray, hi: np.ndarray) -> str:
     return " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi))
 
 
+def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, z: np.ndarray, dz: np.ndarray,
+                near: np.ndarray, d_near: np.ndarray) -> np.ndarray:
+    """The domain's path floor from the query point p to each node z, a
+    lower bound on every grid path between them: ``z`` and ``dz`` are all
+    the window's nodes and their clearances, ``near`` and ``d_near``
+    those in p's wider attach box, which holds every node p attaches to.
+
+    Every lattice edge is at most the longest stencil offset long and
+    joins window nodes; the slack is how far the attach edges fall short
+    of the floor of their ends, so the first edge is covered too."""
+    offsets, _ = _stencil(domain.dimension)
+    edges = (h * float(np.max(np.linalg.norm(offsets, axis=1))), float(np.min(dz)))
+    gap = np.linalg.norm(near - p, axis=1)
+    w, ok = _segment_weights(domain, 0.5 * (p + near), gap, dp, d_near)
+    short = domain.path_floor(gap, dp, d_near, (*edges, 0.0)) - w
+    slack = max(0.0, float(np.max(short[ok], initial=0.0)))
+    return domain.path_floor(np.linalg.norm(z - p, axis=1), dp, dz, (*edges, slack))
+
+
 def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
           starts: np.ndarray, points: np.ndarray, clear: np.ndarray,
           window: np.ndarray) -> np.ndarray:
@@ -279,16 +306,22 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
     dx, dy, limit = lens
     at = np.flatnonzero(window)
     z, dz = points[at], clear[at]
-    floor = (domain.path_floor(np.linalg.norm(z - x, axis=1), dx, dz)
-             + domain.path_floor(np.linalg.norm(z - y, axis=1), dz, dy))
-    keep = np.zeros(window.shape, dtype=bool)
-    keep.flat[at[floor <= limit * (1.0 + _LENS_SLACK)]] = True
-    # _attach sees the same candidates as on the whole window
     span = _cell_span(domain.dimension, h, 1)
-    for p in (x, y):
+    boxes = []
+    floor = 0.0
+    for p, dp in ((x, dx), (y, dy)):
         cell = np.round(p / h).astype(np.int64) - starts
         box = tuple(slice(min(max(c - span, 0), d), max(min(c + span + 1, d), 0))
                     for c, d in zip(cell, window.shape))
+        near = window[box]
+        floor = floor + _floor_from(domain, h, p, dp, z, dz,
+                                    points.reshape(*window.shape, -1)[box][near],
+                                    clear.reshape(window.shape)[box][near])
+        boxes.append(box)
+    keep = np.zeros(window.shape, dtype=bool)
+    keep.flat[at[floor <= limit * (1.0 + _LENS_SLACK)]] = True
+    # _attach sees the same candidates as on the whole window
+    for box in boxes:
         keep[box] |= window[box]
     return keep
 
@@ -525,7 +558,8 @@ def _chunk_size(grid: GeodesicGrid) -> int:
 
 
 def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.ndarray,
-                 dys: np.ndarray, limits: np.ndarray) -> tuple[np.ndarray, dict]:
+                 dys: np.ndarray, limits: np.ndarray,
+                 retry: bool = True) -> tuple[np.ndarray, dict]:
     """Grid distances of the pairs (x_i, y_i), whose clearances are dx_i
     and dy_i, and the GridError of each pair that fails, by pair index.
 
@@ -534,7 +568,8 @@ def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.nda
     the least dist[c] + w over the nodes c it attaches to, and the direct
     x-y edge, which is the distance a sink node would get, bit for bit.
     The search of pair i stops at ``limits[i]`` (nodes farther away read
-    inf); a value above its limit is searched again without one.  An
+    inf); a value above its limit is searched again without one, unless
+    ``retry`` is false, and then it stands as read (it may be inf).  An
     undirected grid serves one pair: its source's edges run both ways.
     """
     n_nodes = grid.nodes.shape[0]
@@ -582,7 +617,8 @@ def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.nda
             shape=(n_nodes + n_src, n_nodes + n_src))
         search = np.arange(n_src)
         # pairs are sorted by limit, so the last one's is the chunk's
-        for limit in (float(limits[pairs[-1]]), np.inf):
+        limit = float(limits[pairs[-1]])
+        for limit in (limit, np.inf) if retry else (limit,):
             if search.size == 0:
                 break
             dist = dijkstra(graph, directed=grid.directed, indices=n_nodes + search, limit=limit)
@@ -621,7 +657,7 @@ def _own_grid_values(domain: Domain, h: float, node_cap: int, x: np.ndarray, y: 
         except DisconnectedGridError:
             pass
         else:
-            vals, failed = _grid_values(grid, x, y, dx, dy, limit)
+            vals, failed = _grid_values(grid, x, y, dx, dy, limit, retry=False)
             if not failed and vals[0] <= limit[0]:
                 return vals, failed
             del grid  # the whole window's build need not hold the lens

@@ -17,6 +17,7 @@ from hypermetric.domains import (
     PuncturedSpace,
     UnitBall,
     sample_interior,
+    unit_directions,
 )
 from hypermetric.metrics import j_many
 from hypermetric.quasihyperbolic import (
@@ -36,6 +37,7 @@ from test_domains import annulus_domain
 
 H2 = HalfSpace(2)
 P2 = PuncturedSpace(2)
+P3 = PuncturedSpace(3)
 B2 = UnitBall(2)
 
 ARCOSH_1_5 = 0.9624236501192069
@@ -609,6 +611,19 @@ def _source_distances(grid, x, dx):
 J_FLOOR = Domain.path_floor  # the base form, j, on every domain
 
 
+def lens_floor(grid, x, dx):
+    """The lens's floor from x to every node of a whole-window grid: the
+    domain's path floor over lattice edges, with the slack of x's attach
+    edges, which all end in its wider attach box."""
+    cells = (np.round(x / grid.spacing).astype(np.int64) - grid._axis_starts
+             + quasihyperbolic._cell_box(grid, 1))
+    cells = cells[np.all((cells >= 0) & (cells < grid._index_map.shape), axis=1)]
+    near = grid._index_map[tuple(cells.T)]
+    near = near[near >= 0]
+    return quasihyperbolic._floor_from(grid.domain, grid.spacing, x, dx, grid.nodes,
+                                       grid.clearances, grid.nodes[near], grid.clearances[near])
+
+
 class TestPathFloor:
     """Every grid path from x to a node z weighs at least path_floor(x, z):
     the lemma that lets a finer level drop the nodes outside its lens."""
@@ -618,26 +633,44 @@ class TestPathFloor:
         (H2, J_FLOOR, (0.0, 0.3), (1.5, 1.0), (0.1, 0.05)),
         (HalfSpace(3), None, (0.0, 0.0, 0.4), (1.0, -0.5, 1.0), (0.2, 0.1)),
         (HalfSpace(3), J_FLOOR, (0.0, 0.0, 0.4), (1.0, -0.5, 1.0), (0.2, 0.1)),
-        (P2, None, (1.0, 0.1), (-0.6, 0.7), (0.1, 0.05)),
+        (P2, None, (1.0, 0.1), (-0.6, 0.7), (0.05, 0.025)),
+        (P3, None, (0.5, 0.1, 0.0), (-0.4, 0.2, 0.2), (0.1, 0.05)),
         (B2, None, (0.3, -0.2), (0.0, 0.0), (0.1, 0.05)),
         (Interval(0, 1), None, (0.13,), (0.5,), (0.02, 0.01)),
         (annulus_domain(), None, (0.5, 0.1), (0.0, 0.0), (0.1, 0.05)),
     ], ids=["halfspace:2", "halfspace:2-j", "halfspace:3", "halfspace:3-j", "punctured:2",
-            "ball:2", "interval", "annulus"])
+            "punctured:3", "ball:2", "interval", "annulus"])
     def test_grid_distances_stay_above_the_floor(self, domain, floor, x, y, spacings):
-        floor = floor or type(domain).path_floor
+        # floor None is the lens's own floor, over lattice and attach edges
         x = np.asarray(x, dtype=float)
         dx = float(domain.clearance_many(x[None, :])[0])
         for h in spacings:
             grid = build_grid(domain, h, x, np.asarray(y, dtype=float))
             dist = _source_distances(grid, x, dx)
             reached = np.isfinite(dist)
-            bound = floor(domain, np.linalg.norm(grid.nodes - x, axis=1), dx, grid.clearances)
+            bound = (floor(domain, np.linalg.norm(grid.nodes - x, axis=1), dx, grid.clearances)
+                     if floor else lens_floor(grid, x, dx))
             assert reached.sum() > 0.9 * reached.size
             assert np.all(dist[reached] >= bound[reached] * (1.0 - 1e-12))
             # the floor is tight along some direction, so the test has teeth
             far = reached & (bound > 0.1)
             assert np.min(dist[far] / bound[far]) < 1.05
+
+    @pytest.mark.parametrize("x, y, h, certified", [
+        ((1.0, 0.1), (-0.6, 0.7), 0.025, True),
+        # at query radius 3h the annulus reaches in to 1.5h, where a
+        # stencil edge of 6.4h may pass the origin: no certificate
+        ((0.15, 0.0), (-0.1, 0.12), 0.05, False),
+    ], ids=["certified", "near-the-puncture"])
+    def test_punctured_floor_is_j_only_near_the_puncture(self, x, y, h, certified):
+        x = np.asarray(x, dtype=float)
+        dx = float(P2.clearance_many(x[None, :])[0])
+        grid = build_grid(P2, h, x, np.asarray(y, dtype=float))
+        bound = lens_floor(grid, x, dx)
+        j = J_FLOOR(P2, np.linalg.norm(grid.nodes - x, axis=1), dx, grid.clearances)
+        # across the puncture the certified floor lies far above j
+        assert (np.max(bound / np.maximum(j, 1e-300)) > 1.5) == certified
+        assert np.array_equal(bound, j) != certified
 
     def test_halfspace_floor_is_rho_h(self):
         xs = sample_interior(H2, 50, seed=71, min_clearance=0.1)
@@ -732,10 +765,54 @@ class TestLens:
         monkeypatch.setattr(quasihyperbolic, "_LIMIT_MARGIN", 0.5)
         self._check(cases, builds, margin_holds=False)
 
+    def test_tight_margin_skips_the_discarded_lens_search(self, monkeypatch):
+        # each finer level searches its lens once under the limit, then
+        # the whole window once: 1 + 2 + 2 calls over three levels
+        monkeypatch.setattr(quasihyperbolic, "_LIMIT_MARGIN", 0.5)
+        calls = []
+        search = quasihyperbolic.dijkstra
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["limit"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(quasihyperbolic, "dijkstra", counting)
+        x, y = np.array([-1.2, 0.4]), np.array([0.9, 1.3])
+        history = k_estimate(H2, x, y, 0.05, 2).refinement_history
+        assert len(calls) == 5
+        assert _hex(history) == _hex(reference_history(H2, x, y, 0.05, 2))
+
+    def test_tightest_lens_fuzz(self):
+        # the limit is the whole window's value itself, for pairs in every
+        # direction around the puncture at radii from 0.08 to 1.5 (0.6 in 3-D)
+        rng = np.random.default_rng(1313)
+        checked = {P2: 0, P3: 0}
+        for domain, count, top, spacings in [(P2, 40, 1.5, (0.05, 0.025)),
+                                             (P3, 3, 0.6, (0.1, 0.05))]:
+            for _ in range(count):
+                x, y = (np.exp(rng.uniform(math.log(0.08), math.log(top), (2, 1)))
+                        * unit_directions(domain.dimension, 2, rng))
+                d = domain.clearance_many(np.stack([x, y]))
+                for h in spacings:
+                    query = (x[None], y[None], d[:1], d[1:])
+                    try:
+                        whole = build_grid(domain, h, x, y)
+                    except GridError:
+                        continue
+                    value, failed = quasihyperbolic._grid_values(whole, *query, np.full(1, np.inf))
+                    if failed:
+                        continue
+                    lens = build_grid(domain, h, x, y, lens=(d[0], d[1], value[0]))
+                    vals, failed = quasihyperbolic._grid_values(lens, *query, value, retry=False)
+                    assert not failed and vals[0].hex() == value[0].hex(), (x, y, h)
+                    checked[domain] += 1
+        assert checked[P2] >= 2 * 40 - 5 and checked[P3] >= 3
+
     @pytest.mark.parametrize("domain, x, y, whole, lens", [
         (H2, (-1.2, 0.4), (0.9, 1.3), 29240, 12118),
-        (P2, (1.1, 0.2), (-0.3, 0.8), 96816, 32694),
-    ], ids=["halfspace:2", "punctured:2"])
+        (P2, (1.1, 0.2), (-0.3, 0.8), 96816, 6063),
+        (P2, (1.1, 0.2), (-1.0, -0.3), 95024, 21046),
+    ], ids=["halfspace:2", "punctured:2", "punctured:2-antipodal"])
     def test_pinned_node_counts(self, domain, x, y, whole, lens):
         # the finest of three levels from spacing 0.05, limited by the second
         x, y = np.asarray(x), np.asarray(y)

@@ -12,7 +12,10 @@ the pair:
   absolute error of about eps and so a relative error of eps/d near the
   boundary.  h, j and rho_B pass it on once and phi, which squares its
   ratio, twice: the bound is 4 eps (1 + 1/d_min).  About 12 digits of h
-  survive at clearance 1e-4 and about 4 at 1e-12.
+  survive at clearance 1e-4 and about 4 at 1e-12;
+* both: the same bounds at separations from 1e-160 to 1e-300, whose
+  squares underflow.  These references carry enough digits to hold
+  1 + |x - y|.
 """
 
 import math
@@ -141,6 +144,41 @@ def test_halfspace_closed_forms_where_clearance_products_underflow(kind, decade)
     assert np.max(relative_errors(kind, H2, xs, ys)) <= 4 * EPS
     if kind != "rho_H":
         assert np.all(library(kind, H2, xs, xs) == 0.0)
+
+
+def tiny_separation_pairs(domain, decade):
+    """Pairs about 10^-decade apart, so that the square of the separation
+    underflows.  On the half-space, half of them lie at a like clearance
+    and half at clearance 1; on the ball they lie near the centre."""
+    rng = np.random.default_rng([11, decade])
+    d, m = 10.0 ** -decade, PAIRS_PER_DECADE
+    xs, ys = d * rng.uniform(0.5, 2.0, (2, m, 2))
+    if isinstance(domain, HalfSpace):
+        xs[:, 0] = 0.0
+        xs[m // 2:, 1] = ys[m // 2:, 1] = 1.0
+    return xs, ys
+
+
+def test_tiny_separation_examples():
+    x, y = (0.0, 1e-200), (1e-200, 1e-200)
+    assert h_metric(H2, MetricParams(C), x, y) == pytest.approx(math.log(3), rel=4 * EPS)
+    assert rho_halfspace(x, y) == pytest.approx(math.acosh(1.5), rel=4 * EPS)
+    assert j_metric(H2, x, y) == pytest.approx(math.log(2), rel=4 * EPS)
+
+
+@pytest.mark.parametrize("decade", [160, 200, 250, 300])
+@pytest.mark.parametrize("domain, kinds", [(H2, ["h", "j", "phi", "rho_H"]),
+                                           (B2, ["h", "j", "phi", "rho_B"])],
+                         ids=["halfspace:2", "ball:2"])
+def test_closed_forms_where_separation_squares_underflow(domain, kinds, decade):
+    # the clearances are exact or 1, so the bound is 4 eps (1 + 1/d_min)
+    # at d_min = 1 on the ball; 1 + 10^-decade needs decade digits
+    xs, ys = tiny_separation_pairs(domain, decade)
+    bound = 8 * EPS if domain is B2 else 4 * EPS
+    for kind in kinds:
+        with mp.workdps(2 * decade + 50):
+            assert np.max(relative_errors(kind, domain, xs, ys)) <= bound, kind
+        assert np.all(library(kind, domain, xs, xs) == 0.0)
 
 
 @pytest.mark.parametrize("decade", DECADES)
