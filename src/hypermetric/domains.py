@@ -436,7 +436,9 @@ class Interval(Domain):
         return 0.5 * (self.b - self.a)
 
     def spec_string(self):
-        return f"interval:{self.a:g}:{self.b:g}"
+        # the short form where it parses back to the same endpoint
+        return "interval:" + ":".join(f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
+                                      for v in (self.a, self.b))
 
 
 @dataclass(frozen=True, repr=False)

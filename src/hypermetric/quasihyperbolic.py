@@ -32,9 +32,12 @@ Estimator construction, per refinement level (spacing halved each time):
   close), so endpoint handling adds no O(h * density) detour penalty.
 
 Grid paths are admissible curves up to quadrature error, so estimates
-approach k from above; no rigorous enclosure is claimed.  Each domain
-supplies the search window (``Domain.geodesic_window``); those of the
-unbounded domains provably contain the true geodesic.
+usually lie above k, but Simpson's rule can fall below the integral:
+across the kink of 1 - |z| at the ball's centre, the worst of 1000
+diameter pairs through it read 1.9% below k at spacing 0.1.  No
+rigorous enclosure is claimed.  Each domain supplies the search window
+(``Domain.geodesic_window``); those of the unbounded domains provably
+contain the true geodesic.
 
 Every grid path from a to b weighs at least ``Domain.path_floor(|a - b|,
 d(a), d(b))``: j on every domain, because the clearance is 1-Lipschitz
@@ -56,8 +59,10 @@ x-y edge.  Dijkstra with non-negative weights returns the least
 left-to-right sum over paths, so this is bit for bit the distance a
 sink node for y would get.  Level l >= 1 stops its search at the level
 l - 1 value times ``_LIMIT_MARGIN``: nodes within the limit are settled
-exactly as without one, so a value within it is exact, and a value
-above it is searched again without a limit.
+exactly as without one, so a value within it is exact.  One rule, in
+``_histories``, covers the rest: a value that comes back above its
+limit is searched once more, without a limit, on the whole window, and
+a pair is unreached only when a search without a limit misses it.
 
 On a per-query grid, level l >= 1 also holds only the lens of its limit
 L: the nodes z with floor(x, z) + floor(z, y) <= L (1 + 1e-9), plus the
@@ -66,12 +71,12 @@ to them.  Each floor is the domain's over the whole window's lattice
 edges and the endpoint's attach edges.  A node on an optimal path of
 value V <= L has a floor sum of at most V, so it is kept; the float
 Dijkstra fixed point does not depend on node numbering, so every value
-within L is bit for bit the whole window's.  A pair that fails in its
-lens or comes back above L is built again on the whole window and
-searched without a limit, with no second search of the lens, so its
-value and any error are unchanged; the node cap applies to the whole
-window.  Level 0 has no limit and shared grids serve many pairs, so
-neither is pruned.
+within L is bit for bit the whole window's.  The lens keeps the
+endpoints' attach candidates, so an endpoint attaches in it exactly as
+on the whole window.  A lens that holds no node counts as a value above
+L: by the one rule, its pair's value and any error are the whole
+window's, and the node cap applies to the whole window.  Level 0 has no
+limit and shared grids serve many pairs, so neither is pruned.
 
 Every k value comes from one driver, ``_histories``: ``k_estimate`` is
 its one-pair case, ``k_estimate_many`` reads its last level, and the
@@ -220,15 +225,16 @@ def k_exact_halfspace(x, y) -> float:
 
 def k_exact_punctured(x, y) -> float:
     """Exact quasihyperbolic distance of R^n minus the origin:
-    sqrt(theta^2 + log^2(|x|/|y|)) with theta the angle between x and y."""
+    sqrt(theta^2 + log^2(|x|/|y|)), with the angle theta formed as
+    2 atan2(| |y| x - |x| y |, | |y| x + |x| y |), accurate near 0 and pi."""
     x = as_point(x)
     y = as_point(y, x.size)
     rx = float(np.linalg.norm(x))
     ry = float(np.linalg.norm(y))
     if rx == 0.0 or ry == 0.0:
         raise ValueError("punctured-space points must be nonzero")
-    cos_t = float(np.clip(np.dot(x, y) / (rx * ry), -1.0, 1.0))
-    theta = math.acos(cos_t)
+    u, v = ry * x, rx * y
+    theta = 2.0 * math.atan2(float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v)))
     return math.hypot(theta, math.log(rx / ry))
 
 
@@ -558,19 +564,18 @@ def _chunk_size(grid: GeodesicGrid) -> int:
 
 
 def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.ndarray,
-                 dys: np.ndarray, limits: np.ndarray,
-                 retry: bool = True) -> tuple[np.ndarray, dict]:
+                 dys: np.ndarray, limits: np.ndarray) -> tuple[np.ndarray, dict]:
     """Grid distances of the pairs (x_i, y_i), whose clearances are dx_i
     and dy_i, and the GridError of each pair that fails, by pair index.
 
     Each x_i is a source-only row appended to the grid's adjacency, and a
-    chunk of sources is one Dijkstra call.  y_i is no node: its value is
-    the least dist[c] + w over the nodes c it attaches to, and the direct
-    x-y edge, which is the distance a sink node would get, bit for bit.
-    The search of pair i stops at ``limits[i]`` (nodes farther away read
-    inf); a value above its limit is searched again without one, unless
-    ``retry`` is false, and then it stands as read (it may be inf).  An
-    undirected grid serves one pair: its source's edges run both ways.
+    chunk of sources, sorted by limit, is one Dijkstra call under the
+    chunk's largest limit.  y_i is no node: its value is the least
+    dist[c] + w over the nodes c it attaches to, and the direct x-y edge,
+    which is the distance a sink node would get, bit for bit.  A value
+    above its own limit may be cut short (even inf) and is returned as
+    read; an unreached pair fails only under an inf limit.  An undirected
+    grid serves one pair: its source's edges run both ways.
     """
     n_nodes = grid.nodes.shape[0]
     _, reach = _stencil(grid.domain.dimension)
@@ -607,7 +612,6 @@ def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.nda
         on_x = (point < k) & live[point % k]
         on_y = (point >= k) & live[point % k]
         x_row, y_row = row[point[on_x]], row[point[on_y] - k]
-        y_node, y_w = node[on_y], w[on_y]
         n_src = pairs.size
         graph = sp.csr_matrix(
             (np.concatenate([grid.weights, w[on_x]]),
@@ -615,21 +619,13 @@ def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.nda
              np.concatenate([grid.indptr, grid.indptr[-1]
                              + np.cumsum(np.bincount(x_row, minlength=n_src))])),
             shape=(n_nodes + n_src, n_nodes + n_src))
-        search = np.arange(n_src)
         # pairs are sorted by limit, so the last one's is the chunk's
-        limit = float(limits[pairs[-1]])
-        for limit in (limit, np.inf) if retry else (limit,):
-            if search.size == 0:
-                break
-            dist = dijkstra(graph, directed=grid.directed, indices=n_nodes + search, limit=limit)
-            at = np.flatnonzero(np.isin(y_row, search))
-            local = np.searchsorted(search, y_row[at])
-            best = values[pairs[search]]
-            np.minimum.at(best, local, dist[local, y_node[at]] + y_w[at])
-            values[pairs[search]] = best
-            # a value above its own limit may have been cut short
-            search = search[best > limits[pairs[search]]]
-    unreached = np.flatnonzero(~np.isfinite(values))
+        dist = dijkstra(graph, directed=grid.directed, indices=n_nodes + np.arange(n_src),
+                        limit=float(limits[pairs[-1]]))
+        best = values[pairs]
+        np.minimum.at(best, y_row, dist[y_row, node[on_y]] + w[on_y])
+        values[pairs] = best
+    unreached = np.flatnonzero(~np.isfinite(values) & ~np.isfinite(limits))
     if unreached.size:
         lo = grid._axis_starts * grid.spacing
         hi = (grid._axis_starts + np.array(grid._index_map.shape) - 1) * grid.spacing
@@ -639,30 +635,6 @@ def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.nda
         for i in unreached:
             failures.setdefault(int(i), exc)
     return values, failures
-
-
-def _own_grid_values(domain: Domain, h: float, node_cap: int, x: np.ndarray, y: np.ndarray,
-                     dx: np.ndarray, dy: np.ndarray,
-                     limit: np.ndarray) -> tuple[np.ndarray, dict]:
-    """``_grid_values`` of one pair (1-row arrays) on a lattice of its own.
-
-    Under a finite limit the lattice holds only the lens of the limit; a
-    pair that fails there or comes back above the limit is searched again,
-    without a limit, on the whole window, so its value and any error are
-    those of the whole window.
-    """
-    if np.isfinite(limit[0]):
-        try:
-            grid = build_grid(domain, h, x[0], y[0], node_cap, lens=(dx[0], dy[0], limit[0]))
-        except DisconnectedGridError:
-            pass
-        else:
-            vals, failed = _grid_values(grid, x, y, dx, dy, limit, retry=False)
-            if not failed and vals[0] <= limit[0]:
-                return vals, failed
-            del grid  # the whole window's build need not hold the lens
-    return _grid_values(build_grid(domain, h, x[0], y[0], node_cap), x, y, dx, dy,
-                        np.full(1, np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -676,10 +648,12 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
     the failure of the lowest-index pair that fails.
 
     One clearance read of the endpoints serves every level.  A level
-    runs all live pairs on the shared grid when the domain shares grids,
-    and otherwise each live pair on a grid built for it.  Level l >= 1
-    stops each pair's search at its level l - 1 value times
-    ``_LIMIT_MARGIN``.
+    searches all live pairs on the shared grid when the domain shares
+    grids, and otherwise each live pair on a lattice of its own, its lens
+    under a finite limit.  Level l >= 1 stops each pair's search at its
+    level l - 1 value times ``_LIMIT_MARGIN``; a value above its limit,
+    or a lens with no node, is searched again without a limit on the
+    whole window (the same shared grid, or the pair's whole window).
     """
     m = xs.shape[0]
     d = domain.clearance_many(np.concatenate([xs, ys]))
@@ -691,16 +665,35 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
     live = np.flatnonzero(inside & np.any(xs != ys, axis=1))
     limits = np.full(m, np.inf)
     shared = _shares_grids(domain)
+
+    def grid(pairs, lens=None):
+        # passed straight to one search, so no two per-query grids coexist
+        if shared:
+            return _shared_grid(domain, h, controls.node_cap)
+        return build_grid(domain, h, xs[pairs[0]], ys[pairs[0]], controls.node_cap, lens=lens)
+
     for level in range(controls.refinements + 1):
         if live.size == 0:
             break
         h = math.ldexp(controls.spacing, -level)
         for pairs in [live] if shared else live[:, None]:
-            query = (xs[pairs], ys[pairs], dxs[pairs], dys[pairs], limits[pairs])
+            query = (xs[pairs], ys[pairs], dxs[pairs], dys[pairs])
+            limit = limits[pairs]
+            lens = (None if shared or np.isinf(limit[0])
+                    else (dxs[pairs[0]], dys[pairs[0]], limit[0]))
             try:
-                vals, failed = (_grid_values(_shared_grid(domain, h, controls.node_cap), *query)
-                                if shared else _own_grid_values(domain, h, controls.node_cap,
-                                                                *query))
+                try:
+                    vals, failed = _grid_values(grid(pairs, lens), *query, limit)
+                except DisconnectedGridError:
+                    if lens is None:
+                        raise
+                    vals, failed = np.full(1, np.inf), {}
+                # a pair that failed to attach does so on every search
+                again = [i for i in np.flatnonzero(vals > limit) if i not in failed]
+                if again:
+                    vals[again], more = _grid_values(grid(pairs), *(q[again] for q in query),
+                                                     np.full(len(again), np.inf))
+                    failed.update({int(again[i]): exc for i, exc in more.items()})
             except GridError as exc:
                 failures.update(dict.fromkeys(pairs.tolist(), exc))
                 continue
@@ -724,8 +717,8 @@ def k_estimate(
     """Shortest-path estimate of k(x, y), spacing halved per refinement.
 
     The refinement history usually decreases toward the true value
-    (estimates are approximations from above) but monotonicity is not
-    guaranteed and not asserted.
+    (estimates usually lie above it) but monotonicity is not guaranteed
+    and not asserted.
     """
     x = as_point(x, domain.dimension)
     y = as_point(y, domain.dimension)

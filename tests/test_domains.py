@@ -186,6 +186,16 @@ class TestParseDomain:
         for spec in ["ball:2", "halfspace:3", "punctured:2", "interval:0:1"]:
             assert parse_domain(spec).spec_string() == spec
 
+    @pytest.mark.parametrize("a, b, spec", [
+        (0.1234567, 1.0, "interval:0.1234567:1"),
+        (1 / 3, 2.5, "interval:0.3333333333333333:2.5"),
+        (-1e-7, 123456789.0, "interval:-1e-07:123456789.0"),
+    ])
+    def test_interval_spec_keeps_its_endpoints(self, a, b, spec):
+        domain = Interval(a, b)
+        assert domain.spec_string() == spec
+        assert parse_domain(spec) == domain
+
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown domain"):
             parse_domain("torus:2")

@@ -15,7 +15,11 @@ the pair:
   survive at clearance 1e-4 and about 4 at 1e-12;
 * both: the same bounds at separations from 1e-160 to 1e-300, whose
   squares underflow.  These references carry enough digits to hold
-  1 + |x - y|.
+  1 + |x - y|;
+* punctured space: the exact k = sqrt(theta^2 + log^2(|x|/|y|)) carries
+  an absolute error of about eps in each rescaled point, and so a
+  relative error of about eps/theta in theta: the bound is
+  4 eps (1 + 1/theta) at every angle, up to pi.
 """
 
 import math
@@ -41,6 +45,7 @@ from hypermetric.metrics import (
     rho_halfspace_many,
 )
 from hypermetric.moebius import BallAutomorphism, BallToHalfSpace
+from hypermetric.quasihyperbolic import k_exact_punctured
 
 EPS = float(np.finfo(float).eps)
 B2, H2 = UnitBall(2), HalfSpace(2)
@@ -189,6 +194,47 @@ def test_ball_closed_forms_match_reference(kind, decade):
                       for x, y in zip(xs, ys)])
     errors = relative_errors(kind, B2, xs, ys)
     assert np.all(errors <= 4 * EPS * (1.0 + 1.0 / d_min))
+
+
+def punctured_pairs(dimension):
+    """Pairs at angles from 1e-12 to pi - 1e-9, log-spaced towards both
+    ends, and radius ratios in [0.5, 2], in a random plane."""
+    rng = np.random.default_rng([13, dimension])
+    small = 10.0 ** np.linspace(-12.0, 0.0, 25)
+    thetas = np.concatenate([small, math.pi - 10.0 ** np.linspace(-9.0, -0.5, 18),
+                             rng.uniform(0.1, math.pi - 0.1, 15)])
+    e1, e2 = np.linalg.qr(rng.normal(size=(dimension, 2)))[0].T
+    rx = rng.uniform(0.5, 1.5, thetas.size)
+    ry = rx * np.exp(rng.uniform(-math.log(2.0), math.log(2.0), thetas.size))
+    xs = rx[:, None] * e1
+    ys = ry[:, None] * (np.cos(thetas)[:, None] * e1 + np.sin(thetas)[:, None] * e2)
+    return xs, ys
+
+
+def punctured_reference(x, y):
+    """50-digit k and theta at the float points x, y."""
+    x, y = _mp(x), _mp(y)
+    nx, ny = mp.sqrt(sum(v * v for v in x)), mp.sqrt(sum(v * v for v in y))
+    dot = sum(a * b for a, b in zip(x, y))
+    theta = mp.atan2(mp.sqrt(max(nx * nx * ny * ny - dot * dot, 0)), dot)
+    return mp.sqrt(theta ** 2 + mp.log(nx / ny) ** 2), theta
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_punctured_oracle_matches_reference(dimension):
+    xs, ys = punctured_pairs(dimension)
+    for x, y in zip(xs, ys):
+        k, theta = punctured_reference(x, y)
+        error = float(abs((mp.mpf(k_exact_punctured(x, y)) - k) / k))
+        assert error <= 4 * EPS * (1.0 + 1.0 / float(theta)), (x, y)
+
+
+def test_punctured_oracle_examples():
+    assert k_exact_punctured((1, 0), (1, 1e-9)) == pytest.approx(1e-9, rel=4 * EPS)
+    assert k_exact_punctured((1, 0, 0), (1, 1e-12, 0)) == pytest.approx(1e-12, rel=4 * EPS)
+    assert k_exact_punctured((1, 0), (-1, 1e-9)) == pytest.approx(math.pi - 1e-9, rel=4 * EPS)
+    with pytest.raises(ValueError, match="must be nonzero"):
+        k_exact_punctured((0, 0), (1, 0))
 
 
 # ---------------------------------------------------------------------------
