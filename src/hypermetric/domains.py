@@ -2,8 +2,11 @@
 
 A domain answers one query, the signed clearance ``clearance_many``:
 d(x) = dist(x, boundary) inside and a value <= 0 at every point outside
-the open set, so membership is d > 0, never a second query.  The
-built-in variants give it in closed form:
+the open set, so membership is d > 0, never a second query.
+``clearance_grid`` is its lattice form: the same values, bit for bit,
+at every point of a product of 1-D coordinate arrays, which the ball,
+the half-space and the punctured space give per axis without forming
+the points.  The built-in variants give it in closed form:
 
 * ``UnitBall(n)``        interior {|x| < 1},      d(x) = 1 - |x|
 * ``HalfSpace(n)``       interior {x_n > 0},      d(x) = x_n
@@ -29,6 +32,7 @@ concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -76,6 +80,22 @@ def unit_directions(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _grid_axes(axes, dim: int) -> list[np.ndarray]:
+    """The coordinate arrays of a product lattice, as 1-D float arrays."""
+    axes = [np.asarray(a, dtype=float).reshape(-1) for a in axes]
+    if len(axes) != dim:
+        raise ValueError(f"expected {dim} coordinate axes, got {len(axes)}")
+    if not all(np.all(np.isfinite(a)) for a in axes):
+        raise ValueError("point coordinates must be finite (no NaN/inf)")
+    return axes
+
+
+def _radius_grid(axes, dim: int) -> np.ndarray:
+    """|x| over the product lattice of ``axes``: the per-axis squares added
+    in axis order, as ``np.linalg.norm(xs, axis=1)`` adds each row's."""
+    return np.sqrt(functools.reduce(np.add, np.ix_(*[a * a for a in _grid_axes(axes, dim)])))
+
+
 def _log_uniform(rng: np.random.Generator, m: int, lo: float, hi: float) -> np.ndarray:
     return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size=m)
 
@@ -117,6 +137,16 @@ class Domain:
 
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
         return self.clearance_many(xs) > 0.0
+
+    def clearance_grid(self, axes) -> np.ndarray:
+        """``clearance_many`` at every point of the product lattice of the
+        1-D coordinate arrays ``axes``, shaped ``(len(a) for a in axes)``;
+        the same values, bit for bit, as on the row-major points.  The
+        built-in domains override it, so a subclass of one that changes
+        ``clearance_many`` changes this too."""
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return self.clearance_many(np.stack([m.ravel() for m in mesh], axis=1)).reshape(
+            mesh[0].shape)
 
     # -- geometry used by samplers and the estimator ------------------
 
@@ -196,6 +226,9 @@ class UnitBall(Domain):
         xs = as_points(xs, self.dimension)
         return 1.0 - np.linalg.norm(xs, axis=1)
 
+    def clearance_grid(self, axes):
+        return 1.0 - _radius_grid(axes, self.dimension)
+
     def boundary_sample(self, m, rng, lo, hi):
         delta = _log_uniform(rng, m, lo, hi)
         return (1.0 - delta)[:, None] * unit_directions(self.dimension, m, rng)
@@ -241,6 +274,10 @@ class HalfSpace(Domain):
     def clearance_many(self, xs):
         xs = as_points(xs, self.dimension)
         return xs[:, -1].copy()
+
+    def clearance_grid(self, axes):
+        axes = _grid_axes(axes, self.dimension)
+        return np.broadcast_to(axes[-1], tuple(a.size for a in axes)).copy()
 
     def boundary_sample(self, m, rng, lo, hi):
         delta = _log_uniform(rng, m, lo, hi)
@@ -318,6 +355,9 @@ class PuncturedSpace(Domain):
     def clearance_many(self, xs):
         xs = as_points(xs, self.dimension)
         return np.linalg.norm(xs, axis=1)
+
+    def clearance_grid(self, axes):
+        return _radius_grid(axes, self.dimension)
 
     def boundary_sample(self, m, rng, lo, hi):
         delta = _log_uniform(rng, m, lo, hi)

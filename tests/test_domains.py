@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermetric.domains import (
     GenericDomain,
@@ -203,3 +205,56 @@ class TestParseDomain:
     def test_bad_interval(self):
         with pytest.raises(ValueError, match="a < b"):
             parse_domain("interval:1:0")
+
+
+# mixed signs, magnitudes 1e-300..1e3, exact zeros, and full mantissas
+# of one scale, where the order of a sum of squares shows in its bits
+COORDINATE = st.one_of(
+    st.just(0.0),
+    st.floats(-2.0, 2.0),
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0, exclude_max=True),
+              st.integers(-300, 2)))
+
+
+@st.composite
+def lattice_axes(draw, domain):
+    return [np.array(draw(st.lists(COORDINATE, min_size=1, max_size=6)))
+            for _ in range(domain.dimension)]
+
+
+GRID_DOMAINS = [UnitBall(1), UnitBall(2), UnitBall(3), HalfSpace(1), HalfSpace(2), HalfSpace(3),
+                PuncturedSpace(2), PuncturedSpace(3), Interval(0.0, 1.0), annulus_domain()]
+
+
+class TestClearanceGrid:
+    """The lattice form of the clearance query gives the row form's bits."""
+
+    @given(st.sampled_from(GRID_DOMAINS).flatmap(
+        lambda domain: st.tuples(st.just(domain), lattice_axes(domain))))
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_bit_identical_to_clearance_many(self, case):
+        domain, axes = case
+        grid = domain.clearance_grid(axes)
+        rows = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        expected = domain.clearance_many(rows)
+        assert grid.shape == tuple(a.size for a in axes)
+        assert np.array_equal(grid.ravel().view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("domain", [UnitBall(2), HalfSpace(2), PuncturedSpace(2)],
+                             ids=["ball", "halfspace", "punctured"])
+    def test_axis_count_must_match_the_dimension(self, domain):
+        with pytest.raises(ValueError, match="expected 2 coordinate axes"):
+            domain.clearance_grid([np.zeros(3)])
+
+    @pytest.mark.parametrize("domain", GRID_DOMAINS, ids=lambda d: d.spec_string())
+    def test_non_finite_coordinates_are_rejected(self, domain):
+        axes = [np.zeros(2)] * (domain.dimension - 1) + [np.array([0.5, np.nan])]
+        with pytest.raises(ValueError, match="finite"):
+            domain.clearance_grid(axes)
+
+    def test_result_is_a_fresh_array(self):
+        axis = np.array([0.5, 1.0])
+        grid = HalfSpace(2).clearance_grid([np.zeros(3), axis])
+        grid[0, 0] = -1.0
+        assert axis[0] == 0.5 and np.all(grid[1:] == axis)

@@ -294,10 +294,25 @@ class TestGrid:
         ({"refinements": 5000}, "refinements"),
         ({"spacing": 1e-300, "refinements": 100}, "refinements"),
         ({"refinements": 10**12}, "refinements"),
+        ({"refinements": 1.5}, "^refinements must be an integer$"),
+        ({"refinements": 2.0}, "^refinements must be an integer$"),
+        ({"refinements": "2"}, "^refinements must be an integer$"),
+        ({"node_cap": 1e5}, "^node_cap must be an integer$"),
+        ({"node_cap": None}, "^node_cap must be an integer$"),
     ])
     def test_controls_reject_what_cannot_run(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             KControls(**kwargs)
+
+    def test_k_estimate_rejects_a_float_refinement_count(self):
+        with pytest.raises(ValueError, match="^refinements must be an integer$"):
+            k_estimate(H2, (0, 1), (1, 1), 0.05, 2.0)
+
+    def test_controls_accept_numpy_integers(self):
+        controls = KControls(0.1, np.int64(1), np.int32(100_000))
+        xs, ys = np.array([[0.1, 0.2]]), np.array([[0.5, -0.3]])
+        assert k_estimate_many(B2, xs, ys, controls) == k_estimate_many(B2, xs, ys,
+                                                                         KControls(0.1, 1))
 
 
 class TestSharedGrids:
@@ -463,7 +478,10 @@ class TestSlabAssembly:
         (HalfSpace(3), 0.1, (0.0, 0.0, 1.0), (1.0, 0.3, 0.8)),
         (P2, 0.05, (1.2, 0.0), (-0.6, -1.0)),
         (annulus_domain(), 0.05, (0.5, 0.0), (0.0, 0.6)),
-    ], ids=["interval", "ball:2", "halfspace:2", "halfspace:3", "punctured:2", "annulus"])
+        (UnitBall(3), 0.1, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        (P3, 0.1, (0.5, 0.1, 0.0), (-0.4, 0.2, 0.2)),
+    ], ids=["interval", "ball:2", "halfspace:2", "halfspace:3", "punctured:2", "annulus",
+            "ball:3", "punctured:3"])
     def test_bit_identical(self, domain, spacing, x, y):
         grid = assert_grid_bits(domain, spacing, x, y)
         assert grid.weights.size > 0
