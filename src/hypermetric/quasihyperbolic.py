@@ -80,7 +80,7 @@ endpoints' attach candidates, so an endpoint attaches in it exactly as
 on the whole window.  A lens that holds no node counts as a value above
 L: by the one rule, its pair's value and any error are the whole
 window's, and the node cap applies to the whole window.  Level 0 has no
-limit and shared grids serve many pairs, so neither is pruned.
+limit and shared grids serve many pairs, so neither gets a lens.
 
 Every k value comes from one driver, ``_histories``: ``k_estimate`` is
 its one-pair case, ``k_estimate_many`` reads its last level, and the
@@ -90,9 +90,19 @@ When the window does not depend on the query pair (``Domain.pair_window``
 is false: ball, interval, generic domains) the lattice is the same for
 every pair, so the last ``SHARED_GRIDS`` grids, keyed by (domain,
 spacing, node cap), are kept read-only in memory and serve all of a
-batch's pairs.  A shared grid holds every edge in both directions and
-is searched directed, a chunk of sources per Dijkstra call: no path can
-pass through another pair's source row.  Pair-dependent windows
+batch's pairs.  A shared grid holds every *kept* edge in both
+directions and is searched directed, a chunk of sources per Dijkstra
+call: no path can pass through another pair's source row.  It drops,
+once, as it fills the cache, each edge that a two-edge detour along the
+stencil beats by a relative 1e-9 (``_pruned``; about two thirds of the
+edges at spacing 0.1 on the disc, a quarter at 0.0125; none in 1-D or
+3-D).  Every node distance up to its bound G = (1e-9 / (3.01 * 2^-53) -
+1) * 2 w_min, with w_min its lightest edge, is bit for bit the whole
+edge set's, and a pruned value is never low (the lemma is in
+``_pruned``); so ``_histories`` takes min(limit, G) as a shared grid's
+limit in the one rule, and a value above it is searched again on every
+edge of the lattice, built afresh (only an endpoint within about 3e-8
+of the boundary reads above G).  Pair-dependent windows
 (half-space, punctured space) and unhashable domains build one grid per
 pair and level; it holds each edge once, serves one undirected search,
 and nothing keeps it afterwards.
@@ -128,6 +138,10 @@ _LIMIT_MARGIN = 1.05
 #: relative slack of the lens test, far above the rounding of a path's
 #: weight sum and of the floors
 _LENS_SLACK = 1e-9
+
+#: a shared grid drops an edge that a two-edge detour beats by this much
+#: relative to the detour's weight, far above the rounding of its sum
+_DETOUR_MARGIN = 1e-9
 
 #: bounds on one chunk of pairs: float64 entries of its Dijkstra
 #: distance block (2 MB), and lattice cells its endpoints search.  The
@@ -197,8 +211,10 @@ class GeodesicGrid:
     integral along the straight segment between its endpoints.  A grid
     built for one query holds each undirected edge once, at its lower
     node, and is searched undirected; a shared grid is ``directed``: it
-    holds every edge in both directions, so that one directed search
-    serves a batch of sources.
+    holds every kept edge in both directions, so that one directed search
+    serves a batch of sources.  It keeps the edges no two-edge detour
+    beats (``_pruned``): every node distance up to ``exact_to``, its
+    bound G, is bit for bit that of the same lattice with every edge.
     """
 
     domain: Domain
@@ -211,6 +227,7 @@ class GeodesicGrid:
     _index_map: np.ndarray = field(repr=False)       # lattice -> node index
     _axis_starts: np.ndarray = field(repr=False)     # first lattice index per axis
     directed: bool = False
+    exact_to: float = math.inf  # G; inf when the grid holds every edge
 
     @property
     def edges(self) -> np.ndarray:
@@ -495,11 +512,120 @@ def _shares_grids(domain: Domain) -> bool:
     return True
 
 
+@functools.cache
+def _detours(dimension: int) -> tuple[tuple[int, int, tuple, int, tuple], ...]:
+    """The two-edge detours of each stencil edge: (j, k1, at1, k2, at2)
+    for every split of half-offset j into two stencil offsets, of either
+    sign, whose lengths add up to within 1/32 of its own.  The detour's
+    first edge is the one stored along half-offset k1 at the cell ``at1``
+    steps from the split edge's cell, its second the one along k2 at
+    ``at2``.  The 2-D stencil has 80, over 32 of its 40 half-offsets; the
+    1-D and 3-D ones have none."""
+    offsets, _ = _stencil(dimension)
+    half = {o: k for k, o in enumerate(map(tuple, offsets.tolist()))}
+
+    def neg(o):
+        return tuple(-c for c in o)
+
+    def stored(o, at):
+        # the edge from cell ``at`` along o; one along -o is stored at its
+        # far end, along +o
+        if o in half:
+            return half[o], at
+        return half[neg(o)], tuple(a + c for a, c in zip(at, o))
+
+    detours = []
+    for j, off in enumerate(half):
+        for o1 in [*half, *map(neg, half)]:
+            o2 = tuple(a - b for a, b in zip(off, o1))
+            if ((o2 in half or neg(o2) in half)
+                    and math.hypot(*o1) + math.hypot(*o2)
+                    <= math.hypot(*off) * (1.0 + 1.0 / 32.0)):
+                detours.append((j, *stored(o1, (0,) * dimension), *stored(o2, o1)))
+    return tuple(detours)
+
+
+def _pruned(grid: GeodesicGrid) -> tuple[GeodesicGrid, float]:
+    """The grid of the edges of a ``build_grid`` grid that no two-edge
+    detour beats, and the bound G up to which it keeps every distance;
+    the grid itself and inf when no edge is beaten.
+
+    Edge u -> v of weight w is dropped when a detour u -> m -> v of
+    ``_detours`` with weights a and b has w > (a + b)(1 + mu), with mu
+    ``_DETOUR_MARGIN``; its reverse is dropped with it, since a shared
+    grid's two directions carry the same float and fl(a + b) = fl(b + a).
+    G is (mu / (3.01 u) - 1) 2 w_min, with u = 2^-53 and w_min the
+    lightest edge, so G <= (mu / (3.01 u) - 1)(a + b) for every detour.
+
+    Lemma: every node distance D <= G, from any source row, is bit for
+    bit the whole edge set's.  Floating addition is monotone, and for
+    g <= G, (g + a + b)(1 + u)^2 <= (g + w)(1 - u), so
+    fl(fl(g + a) + b) <= fl(g + w) (the 3.01 in place of 3 covers the
+    rounding of the test and of G).  On an optimal path to a node at D,
+    no prefix exceeds D; replacing a dropped edge by its detour keeps
+    every prefix sum and the total at most D, and lowers the path's
+    exact weight by more than mu (a + b), so replacing ends, on a path of
+    kept edges; so, too, a node is reached on the kept edges when it is on
+    every edge.  The kept edges are a subgraph, so their distances are no
+    smaller.  Hence a value at most G is exact, and a pruned value is
+    never low: one above G is searched again on every edge."""
+    offsets, reach = _stencil(grid.domain.dimension)
+    detours = _detours(grid.domain.dimension)
+    if not detours:
+        return grid, math.inf
+    # the weights by (offset, cell) over the lattice padded by the reach,
+    # cells flat and nan where no edge: each detour edge of a cell is then
+    # a fixed flat shift away, and each padded extent exceeds 2 reach, so
+    # an edge's offset is read off its flat step
+    shape = grid._index_map.shape
+    padded = [d + 2 * reach for d in shape]
+    strides = np.array([math.prod(padded[i + 1:]) for i in range(len(shape))])
+    cell = (np.argwhere(grid._index_map >= 0) + reach) @ strides
+    at = np.repeat(cell, np.diff(grid.indptr))
+    far = reach * int(strides.sum())
+    lut = np.full(2 * far + 1, -1, dtype=np.int64)
+    lut[offsets @ strides + far] = np.arange(offsets.shape[0])
+    slot = lut[cell[grid.neighbours] - at + far]
+    size = math.prod(padded)
+    table = np.full(offsets.shape[0] * size, np.nan)
+    table[slot * size + at] = grid.weights
+    table = table.reshape(offsets.shape[0], size)
+
+    # every cell of the lattice lies in [lo, hi)
+    lo, hi = far, (np.array(shape) - 1 + reach) @ strides + 1
+    dropped = np.zeros((offsets.shape[0], hi - lo), dtype=bool)
+    detour = np.empty(hi - lo)
+    beaten = np.empty(hi - lo, dtype=bool)
+    for j, k1, at1, k2, at2 in detours:
+        s1, s2 = int(np.dot(at1, strides)), int(np.dot(at2, strides))
+        np.add(table[k1, lo + s1:hi + s1], table[k2, lo + s2:hi + s2], out=detour)
+        detour *= 1.0 + _DETOUR_MARGIN
+        # nan, where an edge is missing, beats nothing
+        np.greater(table[j, lo:hi], detour, out=beaten)
+        dropped[j] |= beaten
+    keep = ~dropped.ravel()[slot * (hi - lo) + at - lo]
+    if keep.all():
+        return grid, math.inf
+    kept_before = np.concatenate([[0], np.cumsum(keep)])
+    kept = dataclasses.replace(grid, indptr=kept_before[grid.indptr],
+                               neighbours=grid.neighbours[keep], weights=grid.weights[keep])
+    w_min = float(np.min(grid.weights))
+    return kept, (_DETOUR_MARGIN / (3.01 * 2.0 ** -53) - 1.0) * 2.0 * w_min
+
+
+def _lattice(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
+    """The lattice of a pair-independent window, each edge once."""
+    # the window ignores the pair, so any pair builds it
+    origin = np.zeros(domain.dimension)
+    return build_grid(domain, spacing, origin, origin, node_cap=node_cap)
+
+
 @functools.lru_cache(maxsize=SHARED_GRIDS)
 def _shared_grid(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
-    # the window ignores the pair, so any pair builds the shared lattice
-    origin = np.zeros(domain.dimension)
-    return _both_directions(build_grid(domain, spacing, origin, origin, node_cap=node_cap))
+    """The shared lattice: its kept edges (``_pruned``) in both
+    directions, with its bound G as ``exact_to``."""
+    kept, exact_to = _pruned(_lattice(domain, spacing, node_cap))
+    return dataclasses.replace(_both_directions(kept), exact_to=exact_to)
 
 
 def _cell_span(dimension: int, spacing: float, widen: int) -> int:
@@ -512,10 +638,17 @@ def _cell_span(dimension: int, spacing: float, widen: int) -> int:
 
 def _cell_box(grid: GeodesicGrid, widen: int) -> np.ndarray:
     """Lattice offsets of the cells searched around a query point's cell,
-    row-major; ``widen`` 1 is the wider second search."""
-    span = _cell_span(grid.domain.dimension, grid.spacing, widen)
-    axes = [np.arange(-span, span + 1)] * grid.domain.dimension
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    row-major and read-only; ``widen`` 1 is the wider second search."""
+    return _box_offsets(grid.domain.dimension,
+                        _cell_span(grid.domain.dimension, grid.spacing, widen))
+
+
+@functools.cache
+def _box_offsets(dimension: int, span: int) -> np.ndarray:
+    axes = [np.arange(-span, span + 1)] * dimension
+    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dimension)
+    box.flags.writeable = False
+    return box
 
 
 def _attach(grid: GeodesicGrid, ps: np.ndarray,
@@ -662,8 +795,10 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
     grids, and otherwise each live pair on a lattice of its own, its lens
     under a finite limit.  Level l >= 1 stops each pair's search at its
     level l - 1 value times ``_LIMIT_MARGIN``; a value above its limit,
-    or a lens with no node, is searched again without a limit on the
-    whole window (the same shared grid, or the pair's whole window).
+    or above a shared grid's ``exact_to``, or a lens with no node, is
+    searched again without a limit on every edge of the whole window
+    (the shared grid itself when it holds every edge, else the shared
+    lattice built afresh, or the pair's whole window).
     """
     m = xs.shape[0]
     d = domain.clearance_many(np.concatenate([xs, ys]))
@@ -676,11 +811,15 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
     limits = np.full(m, np.inf)
     shared = _shares_grids(domain)
 
-    def grid(pairs, lens=None):
-        # passed straight to one search, so no two per-query grids coexist
-        if shared:
-            return _shared_grid(domain, h, controls.node_cap)
-        return build_grid(domain, h, xs[pairs[0]], ys[pairs[0]], controls.node_cap, lens=lens)
+    def grid(pairs, lens=None, whole=False):
+        # passed straight to one search, so no two per-query grids coexist;
+        # ``whole`` asks for every edge of the whole window
+        if not shared:
+            return build_grid(domain, h, xs[pairs[0]], ys[pairs[0]], controls.node_cap, lens=lens)
+        kept = _shared_grid(domain, h, controls.node_cap)
+        if whole and kept.exact_to < math.inf:
+            return _both_directions(_lattice(domain, h, controls.node_cap))
+        return kept
 
     for level in range(controls.refinements + 1):
         if live.size == 0:
@@ -698,10 +837,13 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
                     if lens is None:
                         raise
                     vals, failed = np.full(1, np.inf), {}
+                if shared:  # a kept-edge value above G counts as above its limit
+                    limit = np.minimum(limit, _shared_grid(domain, h, controls.node_cap).exact_to)
                 # a pair that failed to attach does so on every search
                 again = [i for i in np.flatnonzero(vals > limit) if i not in failed]
                 if again:
-                    vals[again], more = _grid_values(grid(pairs), *(q[again] for q in query),
+                    vals[again], more = _grid_values(grid(pairs, whole=True),
+                                                     *(q[again] for q in query),
                                                      np.full(len(again), np.inf))
                     failed.update({int(again[i]): exc for i, exc in more.items()})
             except GridError as exc:

@@ -726,6 +726,107 @@ class TestBatchedQueries:
 
 
 # ---------------------------------------------------------------------------
+# shared grids keep only the edges no two-edge detour beats
+# ---------------------------------------------------------------------------
+
+
+def _csr(grid):
+    n = grid.nodes.shape[0]
+    return sp.csr_matrix((grid.weights, grid.neighbours, grid.indptr), shape=(n, n))
+
+
+def _every_edge(domain, spacing):
+    """The shared lattice with every edge, in both directions."""
+    return quasihyperbolic._both_directions(build_grid(domain, spacing, (0.0,) * domain.dimension,
+                                                       (0.0,) * domain.dimension))
+
+
+class TestPrunedSharedGrids:
+    """Every distance up to a shared grid's bound G is bit for bit the
+    whole edge set's, and a value above G is searched on every edge."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        quasihyperbolic._shared_grid.cache_clear()
+        yield
+        quasihyperbolic._shared_grid.cache_clear()
+
+    @pytest.mark.parametrize("domain, spacing", [
+        (B2, 0.1), (B2, 0.05), (annulus_domain(), 0.1)], ids=["ball:2-0.1", "ball:2-0.05", "annulus"])
+    @pytest.mark.parametrize("limit", [math.inf, 1.5])
+    def test_distance_blocks_match_every_edge(self, domain, spacing, limit):
+        grid = quasihyperbolic._shared_grid(domain, spacing, quasihyperbolic.DEFAULT_NODE_CAP)
+        every = _every_edge(domain, spacing)
+        assert grid.neighbours.size < every.neighbours.size
+        kept = scipy_dijkstra(_csr(grid), directed=True, limit=limit)
+        whole = scipy_dijkstra(_csr(every), directed=True, limit=limit)
+        assert np.max(kept[np.isfinite(kept)]) <= grid.exact_to
+        assert np.array_equal(kept.view(np.int64), whole.view(np.int64))
+
+    def test_value_above_the_bound_is_searched_on_every_edge(self, monkeypatch):
+        x, y = np.array([1.0 - 1e-12, 0.0]), np.array([0.2, 0.3])
+        searches = []
+        search = quasihyperbolic._grid_values
+
+        def recording(grid, *args):
+            values, failures = search(grid, *args)
+            searches.append((grid, values.copy()))
+            return values, failures
+
+        monkeypatch.setattr(quasihyperbolic, "_grid_values", recording)
+        history = k_estimate(B2, x, y, 0.1, 1).refinement_history
+        assert _hex(history) == _hex(reference_history(B2, x, y, 0.1, 1))
+        # per level: the kept edges, read above G, then every edge
+        assert len(searches) == 4
+        for h, (kept, first), (whole, again) in zip((0.1, 0.05), searches[::2], searches[1::2]):
+            assert kept is quasihyperbolic._shared_grid(B2, h, quasihyperbolic.DEFAULT_NODE_CAP)
+            assert first[0] > kept.exact_to
+            assert whole.directed and whole.exact_to == math.inf
+            assert np.array_equal(whole.neighbours, _every_edge(B2, h).neighbours)
+            assert again[0] > kept.exact_to
+
+    @pytest.mark.parametrize("domain, spacing", [(UnitBall(3), 0.2), (Interval(0, 1), 0.02)],
+                             ids=["ball:3", "interval"])
+    def test_no_detours_keep_every_edge(self, domain, spacing):
+        grid = quasihyperbolic._shared_grid(domain, spacing, quasihyperbolic.DEFAULT_NODE_CAP)
+        assert quasihyperbolic._detours(domain.dimension) == ()
+        assert grid.exact_to == math.inf
+        every = _every_edge(domain, spacing)
+        assert np.array_equal(grid.indptr, every.indptr)
+        assert np.array_equal(grid.neighbours, every.neighbours)
+
+    # The kept share falls as the lattice refines, because Simpson's error
+    # on a long edge shrinks with the spacing; the Dijkstra work of a warm
+    # shared grid rests on these counts, and they move only with the
+    # stencil, the detour set, the margin or the lattice
+    @pytest.mark.parametrize("spacing, kept, whole", [
+        (0.1, 2840, 8512), (0.05, 17872, 41488), (0.025, 106144, 182920)])
+    def test_pinned_kept_edge_counts(self, spacing, kept, whole):
+        grid = quasihyperbolic._shared_grid(B2, spacing, quasihyperbolic.DEFAULT_NODE_CAP)
+        assert (grid.edges.shape[0], _every_edge(B2, spacing).edges.shape[0]) == (kept, whole)
+
+    def test_kept_grid_is_read_only_and_lists_each_edge_once(self):
+        grid = quasihyperbolic._shared_grid(B2, 0.1, quasihyperbolic.DEFAULT_NODE_CAP)
+        for arr in (grid.indptr, grid.neighbours, grid.weights):
+            assert not arr.flags.writeable
+        edges = grid.edges
+        assert np.all(edges[:, 0] < edges[:, 1])
+        assert edges.shape[0] * 2 == grid.neighbours.size
+        assert np.unique(edges, axis=0).shape[0] == edges.shape[0]
+        # every kept edge runs both ways, with the same weight
+        matrix = _csr(grid)
+        assert (matrix != matrix.T).nnz == 0
+        half, _ = quasihyperbolic._pruned(build_grid(B2, 0.1, (0.0, 0.0), (0.0, 0.0)))
+        assert np.array_equal(np.unique(edges, axis=0), np.unique(half.edges, axis=0))
+
+    def test_cell_box_is_cached_and_read_only(self):
+        grid = quasihyperbolic._shared_grid(B2, 0.1, quasihyperbolic.DEFAULT_NODE_CAP)
+        box = quasihyperbolic._cell_box(grid, 0)
+        assert box is quasihyperbolic._cell_box(grid, 0)
+        assert not box.flags.writeable
+
+
+# ---------------------------------------------------------------------------
 # the lens: path floors and pruned per-query lattices
 # ---------------------------------------------------------------------------
 
