@@ -3,10 +3,11 @@
 A domain answers one query, the signed clearance ``clearance_many``:
 d(x) = dist(x, boundary) inside and a value <= 0 at every point outside
 the open set, so membership is d > 0, never a second query.
-``clearance_grid`` is its lattice form: the same values, bit for bit,
-at every point of a product of 1-D coordinate arrays, which the ball,
-the half-space and the punctured space give per axis without forming
-the points.  The built-in variants give it in closed form:
+``clearance_grid`` is its array form: the same values, bit for bit, at
+the points whose coordinates are arrays that broadcast together, such
+as ``np.ix_(*axes)`` for a product lattice, which the ball, the
+half-space and the punctured space give without forming the points.
+The built-in variants give it in closed form:
 
 * ``UnitBall(n)``        interior {|x| < 1},      d(x) = 1 - |x|
 * ``HalfSpace(n)``       interior {x_n > 0},      d(x) = x_n
@@ -81,8 +82,8 @@ def unit_directions(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _grid_axes(axes, dim: int) -> list[np.ndarray]:
-    """The coordinate arrays of a product lattice, as 1-D float arrays."""
-    axes = [np.asarray(a, dtype=float).reshape(-1) for a in axes]
+    """The coordinate arrays of ``clearance_grid``, as float arrays."""
+    axes = [np.asarray(a, dtype=float) for a in axes]
     if len(axes) != dim:
         raise ValueError(f"expected {dim} coordinate axes, got {len(axes)}")
     if not all(np.all(np.isfinite(a)) for a in axes):
@@ -91,9 +92,10 @@ def _grid_axes(axes, dim: int) -> list[np.ndarray]:
 
 
 def _radius_grid(axes, dim: int) -> np.ndarray:
-    """|x| over the product lattice of ``axes``: the per-axis squares added
-    in axis order, as ``np.linalg.norm(xs, axis=1)`` adds each row's."""
-    return np.sqrt(functools.reduce(np.add, np.ix_(*[a * a for a in _grid_axes(axes, dim)])))
+    """|x| at the points of the broadcast coordinate arrays ``axes``: the
+    squares added in axis order, as ``np.linalg.norm(xs, axis=1)`` adds
+    each row's."""
+    return np.sqrt(functools.reduce(np.add, [a * a for a in _grid_axes(axes, dim)]))
 
 
 def _log_uniform(rng: np.random.Generator, m: int, lo: float, hi: float) -> np.ndarray:
@@ -139,14 +141,15 @@ class Domain:
         return self.clearance_many(xs) > 0.0
 
     def clearance_grid(self, axes) -> np.ndarray:
-        """``clearance_many`` at every point of the product lattice of the
-        1-D coordinate arrays ``axes``, shaped ``(len(a) for a in axes)``;
-        the same values, bit for bit, as on the row-major points.  The
-        built-in domains override it, so a subclass of one that changes
-        ``clearance_many`` changes this too."""
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return self.clearance_many(np.stack([m.ravel() for m in mesh], axis=1)).reshape(
-            mesh[0].shape)
+        """``clearance_many`` at the points whose coordinates are the
+        arrays ``axes``, one per axis, which broadcast together (the
+        product lattice of 1-D axes is ``np.ix_(*axes)``), shaped as their
+        broadcast; the same values, bit for bit, as on the points as rows.
+        The built-in domains override it, so a subclass of one that
+        changes ``clearance_many`` changes this too."""
+        coords = np.broadcast_arrays(*_grid_axes(axes, self.dimension))
+        return self.clearance_many(np.stack([c.ravel() for c in coords], axis=1)).reshape(
+            coords[0].shape)
 
     # -- geometry used by samplers and the estimator ------------------
 
@@ -277,7 +280,7 @@ class HalfSpace(Domain):
 
     def clearance_grid(self, axes):
         axes = _grid_axes(axes, self.dimension)
-        return np.broadcast_to(axes[-1], tuple(a.size for a in axes)).copy()
+        return np.broadcast_to(axes[-1], np.broadcast_shapes(*(a.shape for a in axes))).copy()
 
     def boundary_sample(self, m, rng, lo, hi):
         delta = _log_uniform(rng, m, lo, hi)

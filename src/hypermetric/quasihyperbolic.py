@@ -20,17 +20,19 @@ Estimator construction, per refinement level (spacing halved each time):
 * weights: Simpson quadrature of 1/d along the straight segment
   (endpoint-only trapezoid carries ~1% error at the stencil's edge
   lengths near clearance 0.2);
-* assembly, per stencil offset: the cells whose neighbour along it lies
-  in the window form one slab, read as strided views of the node index
-  and 1/d arrays; midpoints and segment lengths vary along one axis
-  each, so they are formed per axis, the midpoint clearances are
-  ``Domain.clearance_grid`` of the per-axis midpoints, and the Simpson
-  weights are formed over the whole slab in ``_segment_weights``' order,
-  bit for bit its values.  The offset fills one slot of a per-cell edge
-  table, and one boolean compaction of that table in (cell, slot) order
-  yields the CSR rows; no edge gathers its endpoints and no edge is
-  scattered into its row.  Nodes are read off the axes at the window's
-  cells, and no (cells, n) point matrix is formed;
+* assembly, node-major over the kept nodes, in blocks of nodes: each
+  node's stencil neighbours are one fixed flat step per offset away in
+  the node index map padded by the reach.  Midpoint coordinates and
+  squared steps vary along one axis each, so each node's row of them is
+  read from small (cells on the axis, offsets) tables built once per
+  axis; the midpoint clearances are one ``Domain.clearance_grid`` call
+  on those rows, and the Simpson weights are formed with
+  ``_segment_weights``' operations, bit for bit its values.  The block's
+  (node, offset) table is in CSR order, so its kept entries are the CSR
+  rows, written straight into outputs sized by the lattice edges; no
+  edge gathers its endpoints' positions and no edge is scattered into
+  its row.  Nodes are read off the axes at the window's cells, and no
+  (cells, n) point matrix is formed;
 * both query points are attached to every node within (reach+1)*h via
   the same segment weights (plus a direct x-y edge when they are that
   close), so endpoint handling adds no O(h * density) detour penalty.
@@ -133,7 +135,7 @@ STENCIL_REACH_2D = 5
 SHARED_GRIDS = 4
 
 #: level l >= 1 stops its search at the level l - 1 value times this
-_LIMIT_MARGIN = 1.05
+_LIMIT_MARGIN = 1.01
 
 #: relative slack of the lens test, far above the rounding of a path's
 #: weight sum and of the floors
@@ -151,6 +153,10 @@ _DETOUR_MARGIN = 1e-9
 #: pairs' own limits
 _DIST_BLOCK = 1 << 18
 _CELL_BLOCK = 1 << 14
+
+#: nodes per block of ``build_grid``'s edge table: a block's (nodes,
+#: offsets) arrays, 160 kB each in 2-D, stay in cache
+_NODE_BLOCK = 1 << 9
 
 
 class GridError(RuntimeError):
@@ -347,7 +353,7 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
     ``window`` the clearance and the window's nodes by cell."""
     dx, dy, limit = lens
     z, dz = _lattice_points(axes, window), clear[window]
-    span = _cell_span(domain.dimension, h, 1)
+    span = _cell_span(domain.dimension, 1)
     boxes = []
     floor = 0.0
     for p, dp in ((x, dx), (y, dy)):
@@ -398,7 +404,7 @@ def build_grid(domain: Domain, spacing: float, x, y,
         )
 
     axes = [np.arange(a, b + 1) * h for a, b in zip(starts, stops)]
-    clear = domain.clearance_grid(axes)
+    clear = domain.clearance_grid(np.ix_(*axes))
     mask = clear >= 0.5 * h
     if extra_mask is not None:
         mask[mask] = extra_mask(_lattice_points(axes, mask))
@@ -424,55 +430,77 @@ def build_grid(domain: Domain, spacing: float, x, y,
         crop = tuple(slice(int(k.min()), int(k.max()) + 1) for k in kept)
         starts = starts + [c.start for c in crop]
         axes = [ax[c] for ax, c in zip(axes, crop)]
-        dims = np.array([ax.size for ax in axes], dtype=np.int64)
         clear = clear[crop]
         mask = keep[crop]
-        shape = tuple(dims)
+        shape = mask.shape
         n_valid = int(np.count_nonzero(mask))
 
-    index_nd = np.full(shape, -1, dtype=np.int64)
-    index_nd[mask] = np.arange(n_valid)
-    nodes = _lattice_points(axes, mask)
+    # node indices by cell, padded by the reach: each stencil neighbour of
+    # a node is then one fixed flat step away, and -1 where it is no node
+    padded = tuple(d + 2 * reach for d in shape)
+    index_pad = np.full(padded, -1, dtype=np.int32)
+    index_nd = index_pad[tuple(slice(reach, reach + d) for d in shape)]
+    index_nd[mask] = np.arange(n_valid, dtype=np.int32)
+    flat_index = index_pad.ravel()
+    strides = [math.prod(padded[i + 1:]) for i in range(len(shape))]
+    steps = offsets @ strides
+    cells = np.nonzero(mask)
+    at = functools.reduce(np.add, [(c + reach) * s for c, s in zip(cells, strides)])
+    nodes = np.stack([ax[c] for ax, c in zip(axes, cells)], axis=1)
     node_clear = clear[mask]
-    inv = 1.0 / np.where(mask, clear, 1.0)
+    # 1/d by node, and 1.0 at index -1 for a neighbour that is no node
+    inv = 1.0 / np.append(node_clear, 1.0)
 
-    # the edge table: entry (cell, j) holds the cell's edge along offset j,
-    # so its row-major order is the CSR order (rows by node, offsets in
-    # stencil order within a row); stored slot-major so that each offset
-    # writes one contiguous block
-    n_off = offsets.shape[0]
-    has = np.zeros((n_off, *shape), dtype=bool)
-    table_nbr = np.empty((n_off, *shape), dtype=np.int32)
-    table_w = np.empty((n_off, *shape))
-    for j, off in enumerate(offsets):
-        if np.any(np.abs(off) >= dims):
-            continue
-        # the slab of cells a whose neighbour b = a + off lies in the window
-        sl_a = tuple(slice(max(0, -o), d - max(0, o)) for o, d in zip(off, dims))
-        sl_b = tuple(slice(max(0, o), d - max(0, -o)) for o, d in zip(off, dims))
-        keep = mask[sl_a] & mask[sl_b]
-        if not keep.any():
-            continue
-        # midpoints and lengths vary along one axis each: the midpoint
-        # clearance is the domain's on their product lattice, and Simpson's
-        # weight is formed over the whole slab in _segment_weights' order
-        ua = [ax[s] for ax, s in zip(axes, sl_a)]
-        ub = [ax[s] for ax, s in zip(axes, sl_b)]
-        dm = domain.clearance_grid([0.5 * (u + v) for u, v in zip(ua, ub)])
+    # per axis, (cells, offsets) tables of the midpoint coordinate and the
+    # squared step along it, from the axis padded by the reach and formed
+    # as the window's axes are, so the same bits
+    mids, steps_sq = [], []
+    for axis, (start, d) in enumerate(zip(starts, shape)):
+        coord = np.arange(start - reach, start + d + reach) * h
+        u = coord[reach:reach + d, None]
+        v = coord[np.arange(reach, reach + d)[:, None] + offsets[:, axis]]
+        mids.append(0.5 * (u + v))
+        steps_sq.append((u - v) * (u - v))
+
+    # the edge table (node, offset) is in CSR order: rows by node, offsets
+    # in stencil order within a row.  Its neighbour column is found first,
+    # so the outputs are sized by the lattice edges and each block of nodes
+    # writes its kept entries straight into them; only a midpoint outside
+    # the domain leaves their tail unused
+    blocks = [slice(b, min(b + _NODE_BLOCK, n_valid)) for b in range(0, n_valid, _NODE_BLOCK)]
+    nbr = np.empty((n_valid, offsets.shape[0]), dtype=np.int32)
+    for block in blocks:
+        nbr[block] = flat_index[at[block, None] + steps]
+    size = int(np.count_nonzero(nbr >= 0))
+    neighbours = np.empty(size, dtype=np.int32)
+    weights = np.empty(size)
+    counts = np.zeros(n_valid + 1, dtype=np.int64)
+    end = 0
+    for block in blocks:
+        near = nbr[block]
+        rows = [c[block] for c in cells]
+        dm = domain.clearance_grid([m[r] for m, r in zip(mids, rows)])
         ok = dm > 0.0
-        length = np.sqrt(functools.reduce(
-            np.add, np.ix_(*[(u - v) * (u - v) for u, v in zip(ua, ub)])))
-        table_nbr[(j, *sl_a)] = index_nd[sl_b]
-        table_w[(j, *sl_a)] = length / 6.0 * (inv[sl_a] + 4.0 / np.where(ok, dm, 1.0)
-                                              + inv[sl_b])
-        has[(j, *sl_a)] = keep & ok
-
-    by_cell = np.moveaxis(has, 0, -1)
-    neighbours = np.moveaxis(table_nbr, 0, -1)[by_cell]
-    del table_nbr  # lowers the peak while the weights are compacted
-    weights = np.moveaxis(table_w, 0, -1)[by_cell]
-    indptr = np.zeros(n_valid + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(has, axis=0)[mask], out=indptr[1:])
+        # Simpson's weight as _segment_weights forms it, in place: each
+        # step is the same commutative IEEE operation, so bit for bit
+        w = np.where(ok, dm, 1.0)
+        np.divide(4.0, w, out=w)
+        w += inv[block, None]
+        w += inv[near]
+        length = steps_sq[0][rows[0]]
+        for q, r in zip(steps_sq[1:], rows[1:]):
+            length += q[r]
+        np.sqrt(length, out=length)
+        length /= 6.0
+        w *= length
+        has = ok & (near >= 0)
+        count = int(np.count_nonzero(has))
+        neighbours[end:end + count] = near[has]
+        weights[end:end + count] = w[has]
+        end += count
+        counts[block.start + 1:block.stop + 1] = np.count_nonzero(has, axis=1)
+    neighbours, weights = neighbours[:end], weights[:end]
+    indptr = np.cumsum(counts)
     for a in (nodes, node_clear, indptr, neighbours, weights, index_nd, starts):
         a.flags.writeable = False
     return GeodesicGrid(
@@ -628,19 +656,19 @@ def _shared_grid(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
     return dataclasses.replace(_both_directions(kept), exact_to=exact_to)
 
 
-def _cell_span(dimension: int, spacing: float, widen: int) -> int:
+def _cell_span(dimension: int, widen: int) -> int:
     """Cells searched on each side of a query point's cell; ``widen`` 1
-    is the wider second search."""
+    is the wider second search.  The point lies within half a cell of its
+    cell, so reach + 2 cells hold every node within (reach + 1) h."""
     _, reach = _stencil(dimension)
-    r_aug = (reach + 1) * spacing
-    return int(math.ceil(r_aug / spacing)) + 1 + widen * 4
+    return reach + 2 + widen * 4
 
 
 def _cell_box(grid: GeodesicGrid, widen: int) -> np.ndarray:
     """Lattice offsets of the cells searched around a query point's cell,
     row-major and read-only; ``widen`` 1 is the wider second search."""
     return _box_offsets(grid.domain.dimension,
-                        _cell_span(grid.domain.dimension, grid.spacing, widen))
+                        _cell_span(grid.domain.dimension, widen))
 
 
 @functools.cache

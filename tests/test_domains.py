@@ -223,38 +223,78 @@ def lattice_axes(draw, domain):
             for _ in range(domain.dimension)]
 
 
+@st.composite
+def point_blocks(draw, domain):
+    """One (N, k) coordinate array per axis, as a block of lattice nodes
+    and stencil offsets gives them."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 4)))
+    return [np.array(draw(st.lists(COORDINATE, min_size=shape[0] * shape[1],
+                                   max_size=shape[0] * shape[1]))).reshape(shape)
+            for _ in range(domain.dimension)]
+
+
 GRID_DOMAINS = [UnitBall(1), UnitBall(2), UnitBall(3), HalfSpace(1), HalfSpace(2), HalfSpace(3),
                 PuncturedSpace(2), PuncturedSpace(3), Interval(0.0, 1.0), annulus_domain()]
 
 
+def as_blocks(*axes):
+    """(N, k) coordinate arrays, as a block of lattice nodes and stencil
+    offsets gives them: each 1-D axis repeated in three rows."""
+    return [np.tile(a, (3, 1)) for a in axes]
+
+
 class TestClearanceGrid:
-    """The lattice form of the clearance query gives the row form's bits."""
+    """The array form of the clearance query gives the row form's bits."""
+
+    @staticmethod
+    def assert_rows_bits(domain, coords):
+        grid = domain.clearance_grid(coords)
+        coords = np.broadcast_arrays(*coords)
+        rows = np.stack([c.ravel() for c in coords], axis=1)
+        expected = domain.clearance_many(rows)
+        assert grid.shape == coords[0].shape
+        assert np.array_equal(grid.ravel().view(np.int64), expected.view(np.int64))
 
     @given(st.sampled_from(GRID_DOMAINS).flatmap(
         lambda domain: st.tuples(st.just(domain), lattice_axes(domain))))
     @settings(derandomize=True, max_examples=400, deadline=None)
     def test_bit_identical_to_clearance_many(self, case):
         domain, axes = case
-        grid = domain.clearance_grid(axes)
-        rows = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-        expected = domain.clearance_many(rows)
-        assert grid.shape == tuple(a.size for a in axes)
-        assert np.array_equal(grid.ravel().view(np.int64), expected.view(np.int64))
+        self.assert_rows_bits(domain, np.ix_(*axes))
+
+    @given(st.sampled_from(GRID_DOMAINS).flatmap(
+        lambda domain: st.tuples(st.just(domain), point_blocks(domain))))
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_blocks_bit_identical_to_clearance_many(self, case):
+        domain, coords = case
+        self.assert_rows_bits(domain, coords)
 
     @pytest.mark.parametrize("domain", [UnitBall(2), HalfSpace(2), PuncturedSpace(2)],
                              ids=["ball", "halfspace", "punctured"])
     def test_axis_count_must_match_the_dimension(self, domain):
         with pytest.raises(ValueError, match="expected 2 coordinate axes"):
-            domain.clearance_grid([np.zeros(3)])
+            domain.clearance_grid(np.ix_(np.zeros(3)))
+
+    @pytest.mark.parametrize("domain", [UnitBall(2), HalfSpace(2), PuncturedSpace(2)],
+                             ids=["ball", "halfspace", "punctured"])
+    def test_blocks_axis_count_must_match_the_dimension(self, domain):
+        with pytest.raises(ValueError, match="expected 2 coordinate axes"):
+            domain.clearance_grid(as_blocks(np.zeros(3)))
 
     @pytest.mark.parametrize("domain", GRID_DOMAINS, ids=lambda d: d.spec_string())
     def test_non_finite_coordinates_are_rejected(self, domain):
         axes = [np.zeros(2)] * (domain.dimension - 1) + [np.array([0.5, np.nan])]
         with pytest.raises(ValueError, match="finite"):
-            domain.clearance_grid(axes)
+            domain.clearance_grid(np.ix_(*axes))
+
+    @pytest.mark.parametrize("domain", GRID_DOMAINS, ids=lambda d: d.spec_string())
+    def test_blocks_non_finite_coordinates_are_rejected(self, domain):
+        axes = [np.zeros(2)] * (domain.dimension - 1) + [np.array([0.5, np.nan])]
+        with pytest.raises(ValueError, match="finite"):
+            domain.clearance_grid(as_blocks(*axes))
 
     def test_result_is_a_fresh_array(self):
         axis = np.array([0.5, 1.0])
-        grid = HalfSpace(2).clearance_grid([np.zeros(3), axis])
+        grid = HalfSpace(2).clearance_grid(np.ix_(np.zeros(3), axis))
         grid[0, 0] = -1.0
         assert axis[0] == 0.5 and np.all(grid[1:] == axis)

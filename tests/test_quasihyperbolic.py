@@ -508,7 +508,7 @@ class TestSlabAssembly:
 class TestBuildMemory:
     def test_punctured_peak(self):
         # the per-edge assembly peaked at 171 MB of traced allocations
-        # (numpy 2.4); the slab tables and the compaction stay below
+        # (numpy 2.4); the node-major edge table stays below
         build_grid(P2, 0.05, (1.2, 0.0), (-0.6, -1.0))
         tracemalloc.start()
         try:
@@ -518,6 +518,23 @@ class TestBuildMemory:
             tracemalloc.stop()
         assert grid.weights.size > 4_000_000
         assert peak <= 163e6
+
+    def test_whole_window_peak_stays_near_its_arrays(self):
+        # the near-antipodal pair's whole window at spacing 0.0125: the
+        # edge table is written block by block into outputs sized up front,
+        # so no second copy of the edges is ever held
+        x, y = (1.1, 0.2), (-1.0, -0.3)
+        build_grid(P2, 0.05, x, y)
+        tracemalloc.start()
+        try:
+            grid = build_grid(P2, 0.0125, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (grid.nodes, grid.indptr, grid.neighbours, grid.weights,
+                                      grid.clearances, grid._index_map, grid._axis_starts))
+        assert grid.nodes.shape[0] == 95024
+        assert peak <= 2.1 * held
 
     def test_rejected_window_allocates_no_edge_table(self):
         # 108944 nodes exceed the cap: the error comes before the
@@ -942,6 +959,15 @@ def kquery_cases():
     return cases
 
 
+#: (domain, x, y, whole-window nodes, lens nodes) at the finest of three
+#: levels from spacing 0.05; the README quotes the counts
+PINNED_LENSES = [
+    (H2, (-1.2, 0.4), (0.9, 1.3), 29240, 5929),
+    (P2, (1.1, 0.2), (-0.3, 0.8), 96816, 3164),
+    (P2, (1.1, 0.2), (-1.0, -0.3), 95024, 9093),
+]
+
+
 class TestLens:
     """A finer per-query level holds only its lens, and every value and
     history stays bit-identical to the whole-window unlimited search."""
@@ -1043,11 +1069,8 @@ class TestLens:
                     checked[domain] += 1
         assert checked[P2] >= 2 * 40 - 5 and checked[P3] >= 3
 
-    @pytest.mark.parametrize("domain, x, y, whole, lens", [
-        (H2, (-1.2, 0.4), (0.9, 1.3), 29240, 12118),
-        (P2, (1.1, 0.2), (-0.3, 0.8), 96816, 6063),
-        (P2, (1.1, 0.2), (-1.0, -0.3), 95024, 21046),
-    ], ids=["halfspace:2", "punctured:2", "punctured:2-antipodal"])
+    @pytest.mark.parametrize("domain, x, y, whole, lens", PINNED_LENSES,
+                             ids=["halfspace:2", "punctured:2", "punctured:2-antipodal"])
     def test_pinned_node_counts(self, domain, x, y, whole, lens):
         # the finest of three levels from spacing 0.05, limited by the second
         x, y = np.asarray(x), np.asarray(y)

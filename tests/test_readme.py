@@ -1,7 +1,8 @@
 """README's Library tour runs as written, and each expression's trailing
 comment states its value: ``0.881373...`` (within one unit of the last
 digit shown), ``log 2``, ``None`` or
-``CollinearViolation(r=0.99749..., ...)``."""
+``CollinearViolation(r=0.99749..., ...)``; the estimator's search margin
+and pinned lens counts that it quotes are the code's and the tests'."""
 
 import ast
 import io
@@ -9,6 +10,10 @@ import math
 import re
 import tokenize
 from pathlib import Path
+
+from hypermetric import quasihyperbolic
+
+from test_quasihyperbolic import PINNED_LENSES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -52,3 +57,11 @@ def test_library_tour_runs_and_matches_its_comments():
         else:
             exec(code, namespace)
     assert checked == 6
+
+
+def test_estimator_figures_match_the_code():
+    text = " ".join(README.read_text().split())
+    margin = re.search(r"stops its search at ([\d.]+) times the previous level's value", text)
+    assert float(margin.group(1)) == quasihyperbolic._LIMIT_MARGIN
+    for _, _, _, whole, lens in PINNED_LENSES:
+        assert re.search(rf"\b{lens} of {whole}\b", text), (lens, whole)
