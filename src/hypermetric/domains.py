@@ -168,6 +168,9 @@ class Domain:
     def geodesic_window(self, x: np.ndarray, y: np.ndarray, pad: float):
         """Axis box (lo, hi) holding the geodesics from x to y, plus an
         optional extra node mask; ``pad`` is the stencil's reach in length.
+        The mask takes coordinate arrays as ``clearance_grid`` does, one
+        per axis, broadcasting together, and returns a boolean array of
+        their broadcast shape.
 
         The base form is the sample box, the same for every pair; a
         domain that sizes the window from x and y sets ``pair_window``."""
@@ -188,7 +191,16 @@ class Domain:
         is 1-Lipschitz), and a Simpson weight overestimates the integral
         of 1/(d_a + s + t), whose fourth derivative is positive; so the
         polyline weighs at least log(1 + |a - b| / d_a), and by symmetry
-        at least j."""
+        at least j.
+
+        An override must keep the floor from a fixed point a 1-Lipschitz
+        function of the other point in k, with the same ``edges``:
+        |floor(a, z) - floor(a, c)| <= k(z, c).  The estimator's lens
+        relies on it to bound the floor over a tile of lattice cells from
+        its centre.  j is a metric and j <= k (Gehring and Osgood 1979),
+        so the base form has it; rho_H on the half-space is k itself; and
+        c k_P - A with c < 1 on the punctured space has it, k_P being k
+        there.  A max of such floors has it too."""
         from .metrics import j_kernel
 
         return j_kernel(sep, d_a, d_b)
@@ -375,8 +387,8 @@ class PuncturedSpace(Domain):
         rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
         r_lo, r_hi = 0.5 * min(rx, ry), 2.0 * max(rx, ry)
 
-        def annulus(points: np.ndarray) -> np.ndarray:
-            r = np.linalg.norm(points, axis=1)
+        def annulus(coords) -> np.ndarray:
+            r = _radius_grid(coords, self.dimension)
             return (r >= r_lo) & (r <= r_hi)
 
         return np.full(self.dimension, -r_hi), np.full(self.dimension, r_hi), annulus

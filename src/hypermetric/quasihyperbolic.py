@@ -64,14 +64,18 @@ least dist[c] + w(c, y) over the nodes c it attaches to, or the direct
 x-y edge.  Dijkstra with non-negative weights returns the least
 left-to-right sum over paths, so this is bit for bit the distance a
 sink node for y would get.  Level l >= 1 stops its search at the level
-l - 1 value times ``_LIMIT_MARGIN``: nodes within the limit are settled
-exactly as without one, so a value within it is exact.  One rule, in
-``_histories``, covers the rest: a value that comes back above its
-limit is searched once more, without a limit, on the whole window, and
-a pair is unreached only when a search without a limit misses it.
+l - 1 value times ``_LIMIT_MARGIN``, and level 0 of a per-query grid at
+the pair's path floor times 1 + beta and ``_LIMIT_MARGIN``, with beta
+the stencil's worst-direction overhead (``_overhead``: 0.49% in 2-D,
+12.8% in 3-D).  Nodes within the limit are settled exactly as without
+one, so a value within it is exact; the limit is a search bound, not a
+claim.  One rule, in ``_histories``, covers the rest: a value that
+comes back above its limit is searched once more, without a limit, on
+the whole window, and a pair is unreached only when a search without a
+limit misses it.
 
-On a per-query grid, level l >= 1 also holds only the lens of its limit
-L: the nodes z with floor(x, z) + floor(z, y) <= L (1 + 1e-9), plus the
+On a per-query grid, every level holds only the lens of its limit L:
+the nodes z with floor(x, z) + floor(z, y) <= L (1 + 1e-9), plus the
 whole wider attach box of each endpoint's cell, and its box is cropped
 to them.  Each floor is the domain's over the whole window's lattice
 edges and the endpoint's attach edges.  A node on an optimal path of
@@ -81,8 +85,14 @@ within L is bit for bit the whole window's.  The lens keeps the
 endpoints' attach candidates, so an endpoint attaches in it exactly as
 on the whole window.  A lens that holds no node counts as a value above
 L: by the one rule, its pair's value and any error are the whole
-window's, and the node cap applies to the whole window.  Level 0 has no
-limit and shared grids serve many pairs, so neither gets a lens.
+window's, and the node cap applies to the whole window.  The floors are
+evaluated node by node only in the tiles of ``_TILE`` cells a side that
+a test at the tile's centre c keeps: each floor from a fixed endpoint
+is 1-Lipschitz in k, and every cell of a tile of radius rho < d(c) lies
+within k = log(d(c) / (d(c) - rho)) of c, so a tile whose floor sum at
+c, less twice that, exceeds L holds no node of the lens.  No (nodes, n)
+matrix of the window is formed.  Shared grids serve many pairs, so they
+get no lens, and their level 0 has no limit.
 
 Every k value comes from one driver, ``_histories``: ``k_estimate`` is
 its one-pair case, ``k_estimate_many`` reads its last level, and the
@@ -101,8 +111,8 @@ edges at spacing 0.1 on the disc, a quarter at 0.0125; none in 1-D or
 3-D).  Every node distance up to its bound G = (1e-9 / (3.01 * 2^-53) -
 1) * 2 w_min, with w_min its lightest edge, is bit for bit the whole
 edge set's, and a pruned value is never low (the lemma is in
-``_pruned``); so ``_histories`` takes min(limit, G) as a shared grid's
-limit in the one rule, and a value above it is searched again on every
+``_pruned``); so in the one rule a shared grid's whole window is its
+kept edges, and only a value above G is searched once more, on every
 edge of the lattice, built afresh (only an endpoint within about 3e-8
 of the boundary reads above G).  Pair-dependent windows
 (half-space, punctured space) and unhashable domains build one grid per
@@ -140,6 +150,10 @@ _LIMIT_MARGIN = 1.01
 #: relative slack of the lens test, far above the rounding of a path's
 #: weight sum and of the floors
 _LENS_SLACK = 1e-9
+
+#: cells on each side of a lens tile, whose floors are first bounded at
+#: its centre
+_TILE = 4
 
 #: a shared grid drops an edge that a two-edge detour beats by this much
 #: relative to the detour's weight, far above the rounding of its sum
@@ -295,6 +309,34 @@ def _stencil(dimension: int) -> tuple[np.ndarray, int]:
     return offsets, int(np.max(np.abs(offsets)))
 
 
+@functools.cache
+def _longest_offset(dimension: int) -> float:
+    """Length of the longest stencil offset, in cells."""
+    offsets, _ = _stencil(dimension)
+    return float(np.max(np.linalg.norm(offsets, axis=1)))
+
+
+@functools.cache
+def _overhead(dimension: int) -> float:
+    """beta, the stencil's worst-direction overhead: the most by which the
+    shortest path along stencil directions exceeds the straight segment,
+    relative to its length.  It is 1/r - 1 for r the least distance from
+    the origin to a facet of the hull of the unit stencil directions and
+    their negatives."""
+    offsets, _ = _stencil(dimension)
+    if dimension == 2:
+        # directions at angles a and a + g span a hull edge at cos(g / 2)
+        angles = np.sort(np.arctan2(offsets[:, 1], offsets[:, 0]))
+        gap = float(np.max(np.diff(angles, append=angles[0] + math.pi)))
+        return 1.0 / math.cos(0.5 * gap) - 1.0
+    # the single ring: up to signs and axis order every facet is the
+    # simplex of e_1, (e_1 + e_2) / sqrt 2, ..., (e_1 + ... + e_n) / sqrt n,
+    # which lies in the plane u.v = 1 for u = (1, sqrt 2 - 1, ...,
+    # sqrt n - sqrt(n - 1)), at 1 / |u| from the origin
+    return math.sqrt(sum((math.sqrt(k) - math.sqrt(k - 1)) ** 2
+                         for k in range(1, dimension + 1))) - 1.0
+
+
 # ---------------------------------------------------------------------------
 # grid construction
 # ---------------------------------------------------------------------------
@@ -316,26 +358,31 @@ def _box_text(lo: np.ndarray, hi: np.ndarray) -> str:
     return " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi))
 
 
-def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, z: np.ndarray, dz: np.ndarray,
-                near: np.ndarray, d_near: np.ndarray) -> np.ndarray:
-    """The domain's path floor from the query point p to each node z, a
-    lower bound on every grid path between them: ``z`` and ``dz`` are all
-    the window's nodes and their clearances, ``near`` and ``d_near``
-    those in p's wider attach box, which holds every node p attaches to.
+def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, r: float, near: np.ndarray,
+                d_near: np.ndarray):
+    """The domain's path floor from the query point p, a lower bound on
+    every grid path from p to a node, as a function of the node's
+    coordinates (arrays, one per axis, that broadcast together) and
+    clearance.  ``r`` is the least clearance of a window node, ``near``
+    and ``d_near`` the nodes in p's wider attach box, which holds every
+    node p attaches to, and their clearances.
 
     Every lattice edge is at most the longest stencil offset long and
     joins window nodes; the slack is how far the attach edges fall short
     of the floor of their ends, so the first edge is covered too."""
-    offsets, _ = _stencil(domain.dimension)
-    edges = (h * float(np.max(np.linalg.norm(offsets, axis=1))), float(np.min(dz)))
+    edges = (h * _longest_offset(domain.dimension), r)
     gap = np.linalg.norm(near - p, axis=1)
     w, ok = _segment_weights(domain, 0.5 * (p + near), gap, dp, d_near)
     short = domain.path_floor(gap, dp, d_near, (*edges, 0.0)) - w
     slack = max(0.0, float(np.max(short[ok], initial=0.0)))
-    # |z - p| column by column: several times faster than norm(axis=1) on
-    # n-wide rows, and summed in its order, so bit for bit its value
-    sep = np.sqrt(functools.reduce(np.add, [(c - q) * (c - q) for c, q in zip(z.T, p)]))
-    return domain.path_floor(sep, dp, dz, (*edges, slack))
+
+    def floor(coords, dz):
+        # |z - p| axis by axis: several times faster than norm(axis=1) on
+        # n-wide rows, and summed in its order, so bit for bit its value
+        sep = np.sqrt(functools.reduce(np.add, [(c - q) * (c - q) for c, q in zip(coords, p)]))
+        return domain.path_floor(sep, dp, dz, (*edges, slack))
+
+    return floor
 
 
 def _lattice_points(axes: list[np.ndarray], mask: np.ndarray) -> np.ndarray:
@@ -350,23 +397,54 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
     of weight at most the limit can pass through, or a node in the wider
     attach box of either endpoint's cell.  ``lens`` is (d(x), d(y),
     limit), ``axes`` the lattice coordinates, and ``clear`` and
-    ``window`` the clearance and the window's nodes by cell."""
+    ``window`` the clearance and the window's nodes by cell.
+
+    The floor sum F is evaluated cell by cell only in the tiles of
+    ``_TILE`` cells a side that a test at the tile's centre c keeps.
+    Every cell z of the tile lies within rho of c, so when d(c) > rho
+    it lies in the ball B(c, d(c)) inside the domain, and
+    k(c, z) <= log(d(c) / (d(c) - rho)) along the segment.  Each floor
+    from a fixed endpoint is 1-Lipschitz in k (``Domain.path_floor``), so
+    F(z) >= F(c) - 2 log(d(c) / (d(c) - rho)), and a tile where that
+    exceeds the lens bound, with a relative guard for rounding, holds no
+    cell the lens keeps."""
     dx, dy, limit = lens
-    z, dz = _lattice_points(axes, window), clear[window]
-    span = _cell_span(domain.dimension, 1)
-    boxes = []
-    floor = 0.0
+    n = domain.dimension
+    # the least clearance of a window node, with no gather: min is exact
+    r = float(np.min(clear, where=window, initial=np.inf))
+    span = _cell_span(n, 1)
+    boxes, floors = [], []
     for p, dp in ((x, dx), (y, dy)):
         cell = np.round(p / h).astype(np.int64) - starts
         box = tuple(slice(min(max(c - span, 0), d), max(min(c + span + 1, d), 0))
                     for c, d in zip(cell, window.shape))
         near = window[box]
         near_axes = [ax[s] for ax, s in zip(axes, box)]
-        floor = floor + _floor_from(domain, h, p, dp, z, dz, _lattice_points(near_axes, near),
-                                    clear[box][near])
+        floors.append(_floor_from(domain, h, p, dp, r, _lattice_points(near_axes, near),
+                                  clear[box][near]))
         boxes.append(box)
+    bound = limit * (1.0 + _LENS_SLACK)
+
+    def floor_sum(coords, dz):
+        return floors[0](coords, dz) + floors[1](coords, dz)
+
+    # the tiles' centres and their radius, widened past the rounding of
+    # the coordinates
+    centres = [(np.arange(-(-d // _TILE)) * _TILE + (s + 0.5 * (_TILE - 1))) * h
+               for d, s in zip(window.shape, starts)]
+    rho = 0.5 * (_TILE - 1) * h * math.sqrt(n) * (1.0 + _LENS_SLACK)
+    d_centre = domain.clearance_grid(np.ix_(*centres))
+    inner = np.nonzero(d_centre > rho)
+    dc = d_centre[inner]
+    k_tile = np.log(dc / (dc - rho))
+    low = floor_sum([c[i] for c, i in zip(centres, inner)], dc)
+    live = np.ones(d_centre.shape, dtype=bool)
+    live[inner] = low * (1.0 - _LENS_SLACK) - 2.0 * k_tile * (1.0 + _LENS_SLACK) <= bound
+    for axis in range(n):
+        live = np.repeat(live, _TILE, axis=axis)
+    cells = np.nonzero(window & live[tuple(slice(d) for d in window.shape)])
     keep = np.zeros(window.shape, dtype=bool)
-    keep[window] = floor <= limit * (1.0 + _LENS_SLACK)
+    keep[cells] = floor_sum([ax[c] for ax, c in zip(axes, cells)], clear[cells]) <= bound
     # _attach sees the same candidates as on the whole window
     for box in boxes:
         keep[box] |= window[box]
@@ -407,7 +485,7 @@ def build_grid(domain: Domain, spacing: float, x, y,
     clear = domain.clearance_grid(np.ix_(*axes))
     mask = clear >= 0.5 * h
     if extra_mask is not None:
-        mask[mask] = extra_mask(_lattice_points(axes, mask))
+        mask &= extra_mask(np.ix_(*axes))
     n_valid = int(np.count_nonzero(mask))
     if n_valid > node_cap:
         raise NodeBudgetError(
@@ -821,12 +899,13 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
     One clearance read of the endpoints serves every level.  A level
     searches all live pairs on the shared grid when the domain shares
     grids, and otherwise each live pair on a lattice of its own, its lens
-    under a finite limit.  Level l >= 1 stops each pair's search at its
-    level l - 1 value times ``_LIMIT_MARGIN``; a value above its limit,
-    or above a shared grid's ``exact_to``, or a lens with no node, is
-    searched again without a limit on every edge of the whole window
-    (the shared grid itself when it holds every edge, else the shared
-    lattice built afresh, or the pair's whole window).
+    under its limit.  Level 0 on a per-query lattice stops its search at
+    the pair's path floor times 1 + beta (``_overhead``) and
+    ``_LIMIT_MARGIN``, and level l >= 1 at its level l - 1 value times
+    ``_LIMIT_MARGIN``.  A value above its limit, or a lens with no node,
+    is searched again without a limit on the whole window (a shared
+    grid's kept edges), and a shared-grid value above its ``exact_to``,
+    once more on every edge of the shared lattice, built afresh.
     """
     m = xs.shape[0]
     d = domain.clearance_many(np.concatenate([xs, ys]))
@@ -838,16 +917,32 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
     live = np.flatnonzero(inside & np.any(xs != ys, axis=1))
     limits = np.full(m, np.inf)
     shared = _shares_grids(domain)
+    if not shared:
+        # a search bound, not a claim: a value above it is searched again
+        ell = controls.spacing * _longest_offset(domain.dimension)
+        scale = _LIMIT_MARGIN * (1.0 + _overhead(domain.dimension))
+        for i in live:
+            floor = domain.path_floor(float(np.linalg.norm(xs[i] - ys[i])), dxs[i], dys[i],
+                                      (ell, min(dxs[i], dys[i]), 0.0))
+            limits[i] = scale * float(floor)
 
-    def grid(pairs, lens=None, whole=False):
+    def grid(pairs, lens=None, every=False):
         # passed straight to one search, so no two per-query grids coexist;
-        # ``whole`` asks for every edge of the whole window
+        # ``every`` asks for the shared lattice with every edge
         if not shared:
             return build_grid(domain, h, xs[pairs[0]], ys[pairs[0]], controls.node_cap, lens=lens)
-        kept = _shared_grid(domain, h, controls.node_cap)
-        if whole and kept.exact_to < math.inf:
+        if every:
             return _both_directions(_lattice(domain, h, controls.node_cap))
-        return kept
+        return _shared_grid(domain, h, controls.node_cap)
+
+    def search_again(pairs, query, vals, failed, above, every=False):
+        # a pair that failed to attach does so on every search
+        again = [i for i in np.flatnonzero(above) if i not in failed]
+        if again:
+            vals[again], more = _grid_values(grid(pairs, every=every),
+                                             *(q[again] for q in query),
+                                             np.full(len(again), np.inf))
+            failed.update({int(again[i]): exc for i, exc in more.items()})
 
     for level in range(controls.refinements + 1):
         if live.size == 0:
@@ -865,15 +960,11 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
                     if lens is None:
                         raise
                     vals, failed = np.full(1, np.inf), {}
-                if shared:  # a kept-edge value above G counts as above its limit
-                    limit = np.minimum(limit, _shared_grid(domain, h, controls.node_cap).exact_to)
-                # a pair that failed to attach does so on every search
-                again = [i for i in np.flatnonzero(vals > limit) if i not in failed]
-                if again:
-                    vals[again], more = _grid_values(grid(pairs, whole=True),
-                                                     *(q[again] for q in query),
-                                                     np.full(len(again), np.inf))
-                    failed.update({int(again[i]): exc for i, exc in more.items()})
+                # the kept edges give every value up to G exactly, so a
+                # limit at or above G leaves a value above it to every edge
+                exact_to = grid(pairs).exact_to if shared else math.inf
+                search_again(pairs, query, vals, failed, (vals > limit) & (limit < exact_to))
+                search_again(pairs, query, vals, failed, vals > exact_to, every=True)
             except GridError as exc:
                 failures.update(dict.fromkeys(pairs.tolist(), exc))
                 continue

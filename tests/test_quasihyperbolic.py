@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,7 +363,9 @@ class TestSharedGrids:
         for x, y in pairs:
             shared = k_estimate(ring, x, y, 0.05, 1).refinement_history
             assert k_estimate(listed, x, y, 0.05, 1).refinement_history == shared
-        assert builds.count(("generic:2", 0.05)) == 1 + len(pairs)
+        # j is a weak floor, so each unhashable pair's level 0 misses its
+        # lens and searches its whole window
+        assert builds.count(("generic:2", 0.05)) == 1 + 2 * len(pairs)
 
     def test_cached_grid_is_read_only(self, builds):
         k_estimate(B2, (0.1, 0.2), (0.5, -0.3), 0.1, 0)
@@ -404,7 +410,7 @@ def reference_grid(domain, spacing, x, y):
     clear = domain.clearance_many(points)
     mask = clear >= 0.5 * h
     if extra_mask is not None:
-        mask &= extra_mask(points)
+        mask &= extra_mask(list(points.T))
     n_valid = int(np.count_nonzero(mask))
     index_map = np.full(points.shape[0], -1, dtype=np.int64)
     index_map[mask] = np.arange(n_valid)
@@ -535,6 +541,26 @@ class TestBuildMemory:
                                       grid.clearances, grid._index_map, grid._axis_starts))
         assert grid.nodes.shape[0] == 95024
         assert peak <= 2.1 * held
+
+    def test_lens_peak_stays_near_its_arrays(self):
+        # the pinned punctured:2 lens at spacing 0.0125: no (nodes, n)
+        # matrix of the window, and floors only in the tiles a centre test
+        # keeps; evaluating them at every window node peaked at 6.3 times
+        # the grid's arrays (numpy 2.4), the tiles at 3.4
+        x, y = np.array([1.1, 0.2]), np.array([-0.3, 0.8])
+        dx, dy = P2.clearance_many(np.stack([x, y]))
+        lens = (dx, dy, k_estimate(P2, x, y, 0.05, 1).value * quasihyperbolic._LIMIT_MARGIN)
+        build_grid(P2, 0.0125, x, y, lens=lens)
+        tracemalloc.start()
+        try:
+            grid = build_grid(P2, 0.0125, x, y, lens=lens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (grid.nodes, grid.indptr, grid.neighbours, grid.weights,
+                                      grid.clearances, grid._index_map, grid._axis_starts))
+        assert grid.nodes.shape[0] == 3164
+        assert peak <= 4 * held
 
     def test_rejected_window_allocates_no_edge_table(self):
         # 108944 nodes exceed the cap: the error comes before the
@@ -872,8 +898,10 @@ def lens_floor(grid, x, dx):
     cells = cells[np.all((cells >= 0) & (cells < grid._index_map.shape), axis=1)]
     near = grid._index_map[tuple(cells.T)]
     near = near[near >= 0]
-    return quasihyperbolic._floor_from(grid.domain, grid.spacing, x, dx, grid.nodes,
-                                       grid.clearances, grid.nodes[near], grid.clearances[near])
+    floor = quasihyperbolic._floor_from(grid.domain, grid.spacing, x, dx,
+                                        float(np.min(grid.clearances)), grid.nodes[near],
+                                        grid.clearances[near])
+    return floor(grid.nodes.T, grid.clearances)
 
 
 class TestPathFloor:
@@ -931,6 +959,55 @@ class TestPathFloor:
         assert np.allclose(floor, [k_exact_halfspace(x, y) for x, y in zip(xs, ys)],
                            rtol=1e-12)
         assert np.all(floor >= j_many(H2, xs, ys))
+
+
+class TestLevelZero:
+    """A per-query level 0 searches its lens under the pair's floor times
+    1 + beta, the stencil's worst-direction overhead, and the margin."""
+
+    @pytest.mark.parametrize("dimension, beta", [(2, 0.0049), (3, 0.1281)])
+    def test_overhead_is_the_stencil_hull_gauge(self, dimension, beta):
+        from scipy.spatial import ConvexHull
+
+        offsets, _ = quasihyperbolic._stencil(dimension)
+        units = offsets / np.linalg.norm(offsets, axis=1)[:, None]
+        hull = ConvexHull(np.concatenate([units, -units]))
+        # the cheapest path along stencil directions costs the hull's
+        # gauge per unit length, at most 1 / (least facet distance)
+        gauge = 1.0 / np.min(-hull.equations[:, -1])
+        assert quasihyperbolic._overhead(dimension) == pytest.approx(gauge - 1.0, rel=1e-9)
+        assert round(quasihyperbolic._overhead(dimension), 4) == beta
+        assert quasihyperbolic._overhead(1) == 0.0
+
+    @pytest.mark.parametrize("domain, x, y, exact", [
+        (H2, (-1.2, 0.4), (0.9, 1.3), k_exact_halfspace),
+        (HalfSpace(3), (0.0, 0.0, 0.4), (1.0, -0.5, 1.0), k_exact_halfspace)],
+        ids=["halfspace:2", "halfspace:3"])
+    def test_limit_is_the_floor_times_the_overhead(self, domain, x, y, exact, monkeypatch):
+        # on the half-space the floor is k itself
+        limits = []
+        search = quasihyperbolic.dijkstra
+
+        def recording(*args, **kwargs):
+            limits.append(kwargs["limit"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(quasihyperbolic, "dijkstra", recording)
+        value = k_estimate(domain, x, y, 0.1, 0).value
+        beta = quasihyperbolic._overhead(domain.dimension)
+        assert limits == [pytest.approx(quasihyperbolic._LIMIT_MARGIN * (1.0 + beta)
+                                        * exact(x, y), rel=1e-12)]
+        assert value <= limits[0]
+
+    def test_estimator_does_not_import_scipy_spatial(self):
+        # its import costs more than a small k estimate
+        code = ("import sys; from hypermetric import quasihyperbolic as q, domains as d; "
+                "q.k_estimate(d.HalfSpace(2), (0, 1), (1, 1), 0.1, 1); "
+                "q.k_estimate(d.PuncturedSpace(3), (1, 0, 0), (0, 1, 0), 0.2, 1); "
+                "sys.exit('scipy.spatial' in sys.modules)")
+        src = str(Path(quasihyperbolic.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def _kquery_point(domain, rng):
@@ -999,10 +1076,9 @@ class TestLens:
                 del builds[:]
                 history = k_estimate(domain, x, y, spacing, refinements).refinement_history
                 assert _hex(history) == expected, domain.spec_string()
-                levels = [spacing / 2**level for level in range(1, refinements + 1)]
-                finer = ([(h, "lens") for h in levels] if margin_holds else
-                         [b for h in levels for b in [(h, "lens"), (h, "whole")]])
-                assert builds == [(spacing, "whole")] + finer
+                levels = [spacing / 2**level for level in range(refinements + 1)]
+                assert builds == ([(h, "lens") for h in levels] if margin_holds else
+                                  [b for h in levels for b in [(h, "lens"), (h, "whole")]])
             batch = k_estimate_many(domain, xs, ys, KControls(spacing, refinements))
             assert [v.hex() for v in batch] == [r[-1][1] for r in reference]
 
@@ -1027,8 +1103,8 @@ class TestLens:
         self._check(cases, builds, margin_holds=False)
 
     def test_tight_margin_skips_the_discarded_lens_search(self, monkeypatch):
-        # each finer level searches its lens once under the limit, then
-        # the whole window once: 1 + 2 + 2 calls over three levels
+        # each level searches its lens once under the limit, then the
+        # whole window once: 2 + 2 + 2 calls over three levels
         monkeypatch.setattr(quasihyperbolic, "_LIMIT_MARGIN", 0.5)
         calls = []
         search = quasihyperbolic.dijkstra
@@ -1040,7 +1116,7 @@ class TestLens:
         monkeypatch.setattr(quasihyperbolic, "dijkstra", counting)
         x, y = np.array([-1.2, 0.4]), np.array([0.9, 1.3])
         history = k_estimate(H2, x, y, 0.05, 2).refinement_history
-        assert len(calls) == 5
+        assert len(calls) == 6
         assert _hex(history) == _hex(reference_history(H2, x, y, 0.05, 2))
 
     def test_tightest_lens_fuzz(self):
@@ -1079,6 +1155,112 @@ class TestLens:
         full = build_grid(domain, 0.0125, x, y)
         pruned = build_grid(domain, 0.0125, x, y, lens=(dx, dy, limit))
         assert (full.nodes.shape[0], pruned.nodes.shape[0]) == (whole, lens)
+
+    def test_tile_culled_lens_keeps_the_whole_window_cells(self):
+        dropping = set()
+        for domain, h, x, y, limit in lens_fuzz_cases():
+            window = lens_window(domain, h, x, y)
+            lens = (*domain.clearance_many(np.stack([x, y])), limit)
+            keep = quasihyperbolic._lens(domain, h, x, y, lens, *window)
+            expected = whole_window_lens(domain, h, x, y, lens, *window)
+            assert np.array_equal(keep, expected), (domain.spec_string(), h, x, y, limit)
+            if np.count_nonzero(keep) < np.count_nonzero(window[3]):
+                dropping.add(domain.spec_string())
+        # every built-in kind has lenses that drop nodes, and the strip's
+        # window at spacing 0.05 is three rows tall
+        assert dropping >= {"halfspace:2", "halfspace:3", "punctured:2", "punctured:3"}
+        assert lens_window(strip_domain(), 0.05, x, y)[3].shape[1] == 3
+
+    def test_culled_lens_evaluates_few_floors(self, monkeypatch):
+        # the pinned punctured:2 lens: tile centres and the cells of the
+        # tiles they keep, against the 96816 window nodes
+        evaluated = []
+        floor_from = quasihyperbolic._floor_from
+
+        def counting(*args):
+            floor = floor_from(*args)
+
+            def counted(coords, dz):
+                evaluated.append(np.size(dz))
+                return floor(coords, dz)
+            return counted
+
+        monkeypatch.setattr(quasihyperbolic, "_floor_from", counting)
+        domain, x, y, whole, nodes = PINNED_LENSES[1]
+        x, y = np.asarray(x), np.asarray(y)
+        dx, dy = domain.clearance_many(np.stack([x, y]))
+        limit = k_estimate(domain, x, y, 0.05, 1).value * quasihyperbolic._LIMIT_MARGIN
+        del evaluated[:]
+        grid = build_grid(domain, 0.0125, x, y, lens=(dx, dy, limit))
+        assert grid.nodes.shape[0] == nodes
+        # both endpoints' floors, at the centres and then at the cells
+        assert len(evaluated) == 4
+        assert sum(evaluated) / 2 < 0.15 * whole
+
+
+def lens_window(domain, h, x, y):
+    """``build_grid``'s window: (lattice starts, axes, clearance by cell,
+    node mask by cell)."""
+    _, reach = quasihyperbolic._stencil(domain.dimension)
+    lo, hi, extra_mask = domain.geodesic_window(x, y, (reach + 2) * h)
+    starts = np.ceil(lo / h - 1e-9).astype(np.int64)
+    stops = np.floor(hi / h + 1e-9).astype(np.int64)
+    axes = [np.arange(a, b + 1) * h for a, b in zip(starts, stops)]
+    clear = domain.clearance_grid(np.ix_(*axes))
+    mask = clear >= 0.5 * h
+    if extra_mask is not None:
+        mask &= extra_mask(np.ix_(*axes))
+    return starts, axes, clear, mask
+
+
+def whole_window_lens(domain, h, x, y, lens, starts, axes, clear, window):
+    """The lens with both floors evaluated at every window node."""
+    dx, dy, limit = lens
+    z, dz = np.nonzero(window), clear[window]
+    span = quasihyperbolic._cell_span(domain.dimension, 1)
+    floor, boxes = 0.0, []
+    for p, dp in ((x, dx), (y, dy)):
+        cell = np.round(p / h).astype(np.int64) - starts
+        box = tuple(slice(min(max(c - span, 0), d), max(min(c + span + 1, d), 0))
+                    for c, d in zip(cell, window.shape))
+        near = [ax[s][i] for ax, s, i in zip(axes, box, np.nonzero(window[box]))]
+        floor_from = quasihyperbolic._floor_from(domain, h, p, dp, float(np.min(dz)),
+                                                 np.stack(near, axis=1), clear[box][window[box]])
+        floor = floor + floor_from([ax[i] for ax, i in zip(axes, z)], dz)
+        boxes.append(box)
+    keep = np.zeros(window.shape, dtype=bool)
+    keep[window] = floor <= limit * (1.0 + quasihyperbolic._LENS_SLACK)
+    for box in boxes:
+        keep[box] |= window[box]
+    return keep
+
+
+def lens_fuzz_cases():
+    """(domain, spacing, x, y, limit): half-space heights from 0.03 and
+    punctured radii from 0.05, limits from 0.3 to 2 times k, and the
+    strip, whose window is narrower than a tile."""
+    rng = np.random.default_rng(1801)
+    cases = []
+    for domain, count, spacings, exact in [
+            (H2, 60, (0.05, 0.025, 0.0125), k_exact_halfspace),
+            (HalfSpace(3), 20, (0.1, 0.05), k_exact_halfspace),
+            (P2, 60, (0.05, 0.025, 0.0125), k_exact_punctured),
+            (P3, 20, (0.1, 0.05), k_exact_punctured)]:
+        n = domain.dimension
+        for _ in range(count):
+            if isinstance(domain, PuncturedSpace):
+                x, y = (np.exp(rng.uniform(math.log(0.05), math.log(1.2), (2, 1)))
+                        * unit_directions(n, 2, rng))
+            else:
+                x, y = np.concatenate([rng.uniform(-1.2, 1.2, (2, n - 1)),
+                                       np.exp(rng.uniform(math.log(0.03), math.log(1.2), (2, 1)))],
+                                      axis=1)
+            limit = exact(x, y) * math.exp(rng.uniform(math.log(0.3), math.log(2.0)))
+            cases.append((domain, float(rng.choice(spacings)), x, y, limit))
+    x, y = np.array([-0.3, 0.0]), np.array([0.35, 0.01])
+    cases += [(strip_domain(), h, x, y, limit) for h in (0.05, 0.025)
+              for limit in (0.5, 2.0, 3.0, 6.0)]
+    return cases
 
 
 def twin_disks():

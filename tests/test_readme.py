@@ -1,8 +1,9 @@
 """README's Library tour runs as written, and each expression's trailing
 comment states its value: ``0.881373...`` (within one unit of the last
 digit shown), ``log 2``, ``None`` or
-``CollinearViolation(r=0.99749..., ...)``; the estimator's search margin
-and pinned lens counts that it quotes are the code's and the tests'."""
+``CollinearViolation(r=0.99749..., ...)``; the estimator's search margin,
+level-0 overheads, lens tile and pinned lens counts that it quotes are
+the code's and the tests'."""
 
 import ast
 import io
@@ -63,5 +64,12 @@ def test_estimator_figures_match_the_code():
     text = " ".join(README.read_text().split())
     margin = re.search(r"stops its search at ([\d.]+) times the previous level's value", text)
     assert float(margin.group(1)) == quasihyperbolic._LIMIT_MARGIN
+    level0 = re.search(r"level 0 stops at ([\d.]+) times \(1 \+ beta\) times the pair's path "
+                       r"floor \(below\), where beta is the stencil's worst-direction overhead: "
+                       r"([\d.]+)% in 2-D and ([\d.]+)% in 3-D", text)
+    overhead = quasihyperbolic._overhead
+    assert [float(v) for v in level0.groups()] == [
+        quasihyperbolic._LIMIT_MARGIN, round(100.0 * overhead(2), 2), round(100.0 * overhead(3), 1)]
+    assert f"tiles of {quasihyperbolic._TILE} cells a side" in text
     for _, _, _, whole, lens in PINNED_LENSES:
         assert re.search(rf"\b{lens} of {whole}\b", text), (lens, whole)
