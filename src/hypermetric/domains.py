@@ -16,11 +16,12 @@ The built-in variants give it in closed form:
 * ``GenericDomain``      caller-supplied oracles (1-Lipschitz clearance
                          is a *tested* requirement, not an assumption)
 
-Samplers and the estimator ask five geometry methods, whose base-class
+Samplers and the estimator ask six geometry methods, whose base-class
 forms are the generic answers: ``boundary_sample`` (points at small
 clearance; base: the uniform law), ``chord_reach`` (base: none, so no
 collinear stratum), ``geodesic_window`` (base: the sample box),
-``path_floor`` (base: j) and ``complement_sample`` (base: none).
+``path_floor`` (base: j), ``floor_share``, the share of k the floor is
+proved to keep (base: 0), and ``complement_sample`` (base: none).
 ``boundary_strata`` declares whether a domain has the first two, so
 samplers draw its boundary-edge and collinear strata, and
 ``pair_window`` whether its geodesic window depends on the query pair:
@@ -170,7 +171,8 @@ class Domain:
         optional extra node mask; ``pad`` is the stencil's reach in length.
         The mask takes coordinate arrays as ``clearance_grid`` does, one
         per axis, broadcasting together, and returns a boolean array of
-        their broadcast shape.
+        their broadcast shape; ``build_grid`` rejects a mask of any other
+        shape.
 
         The base form is the sample box, the same for every pair; a
         domain that sizes the window from x and y sets ``pair_window``."""
@@ -204,6 +206,14 @@ class Domain:
         from .metrics import j_kernel
 
         return j_kernel(sep, d_a, d_b)
+
+    def floor_share(self, edges) -> float:
+        """A share c of k that ``path_floor`` with these ``edges`` (and
+        slack 0) is proved to keep at every pair: floor >= c k.  The
+        estimator gives a per-query level 0 a search limit only where c
+        is close to 1.  The base form is j, for which no share is
+        proved, so 0."""
+        return 0.0
 
     def complement_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Seeded points outside the domain, one per row."""
@@ -334,6 +344,10 @@ class HalfSpace(Domain):
 
         return rho_halfspace_kernel(sep * sep, d_a, d_b)
 
+    def floor_share(self, edges):
+        # rho_H is k on the half-space
+        return 1.0
+
     def complement_sample(self, count, rng):
         pts = rng.uniform(-2.0, 2.0, size=(count, self.dimension))
         pts[:, -1] = -rng.uniform(0.0, 2.0, size=count)
@@ -416,19 +430,21 @@ class PuncturedSpace(Domain):
         (sep - d_a + d_b)(sep + d_a - d_b) / (4 d_a d_b), which stays
         accurate near theta = 0."""
         j = super().path_floor(sep, d_a, d_b)
-        if edges is None:
-            return j
-        ell, r, slack = edges
-        rho2 = r * r - 0.25 * ell * ell
-        if not rho2 > 0.0:
-            return j
-        t = ell / math.sqrt(rho2)
-        c = 1.0 - t ** 4 * (1.0 + t) / 120.0 - 1e-6
-        if not c > 0.0:
+        c = 0.0 if edges is None else self.floor_share(edges)
+        if c == 0.0:
             return j
         half = (sep - d_a + d_b) * (sep + d_a - d_b) / (4.0 * d_a * d_b)
         theta = 2.0 * np.arcsin(np.sqrt(np.clip(half, 0.0, 1.0)))
-        return np.maximum(j, c * np.hypot(theta, np.log(d_a / d_b)) - slack)
+        return np.maximum(j, c * np.hypot(theta, np.log(d_a / d_b)) - edges[2])
+
+    def floor_share(self, edges):
+        """c of ``path_floor``, or 0 where rho or c is not positive."""
+        ell, r, _ = edges
+        rho2 = r * r - 0.25 * ell * ell
+        if not rho2 > 0.0:
+            return 0.0
+        t = ell / math.sqrt(rho2)
+        return max(0.0, 1.0 - t ** 4 * (1.0 + t) / 120.0 - 1e-6)
 
     def complement_sample(self, count, rng):
         # the complement is the single puncture

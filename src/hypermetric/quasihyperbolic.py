@@ -67,7 +67,12 @@ sink node for y would get.  Level l >= 1 stops its search at the level
 l - 1 value times ``_LIMIT_MARGIN``, and level 0 of a per-query grid at
 the pair's path floor times 1 + beta and ``_LIMIT_MARGIN``, with beta
 the stencil's worst-direction overhead (``_overhead``: 0.49% in 2-D,
-12.8% in 3-D).  Nodes within the limit are settled exactly as without
+12.8% in 3-D), where the floor keeps a share c >= 1 / ``_LIMIT_MARGIN``
+of k (``Domain.floor_share``): the half-space, and the punctured space
+away from the puncture.  That limit is at least (1 + beta) k; a weaker
+floor (j, or the punctured floor near the puncture) would put it below
+the level-0 value, so level 0 is searched there with no limit, on its
+whole window.  Nodes within the limit are settled exactly as without
 one, so a value within it is exact; the limit is a search bound, not a
 claim.  One rule, in ``_histories``, covers the rest: a value that
 comes back above its limit is searched once more, without a limit, on
@@ -87,12 +92,13 @@ on the whole window.  A lens that holds no node counts as a value above
 L: by the one rule, its pair's value and any error are the whole
 window's, and the node cap applies to the whole window.  The floors are
 evaluated node by node only in the tiles of ``_TILE`` cells a side that
-a test at the tile's centre c keeps: each floor from a fixed endpoint
-is 1-Lipschitz in k, and every cell of a tile of radius rho < d(c) lies
-within k = log(d(c) / (d(c) - rho)) of c, so a tile whose floor sum at
-c, less twice that, exceeds L holds no node of the lens.  No (nodes, n)
-matrix of the window is formed.  Shared grids serve many pairs, so they
-get no lens, and their level 0 has no limit.
+hold a window node and that a test at the tile's centre c keeps: each
+floor from a fixed endpoint is 1-Lipschitz in k, and every cell of a
+tile of radius rho < d(c) lies within k = log(d(c) / (d(c) - rho)) of
+c, so a tile whose floor sum at c, less twice that, exceeds L holds no
+node of the lens.  No (nodes, n) matrix of the window is formed.
+Shared grids serve many pairs, so they get no lens, and their level 0
+has no limit.
 
 Every k value comes from one driver, ``_histories``: ``k_estimate`` is
 its one-pair case, ``k_estimate_many`` reads its last level, and the
@@ -323,16 +329,18 @@ def _overhead(dimension: int) -> float:
     relative to its length.  It is 1/r - 1 for r the least distance from
     the origin to a facet of the hull of the unit stencil directions and
     their negatives."""
-    offsets, _ = _stencil(dimension)
     if dimension == 2:
         # directions at angles a and a + g span a hull edge at cos(g / 2)
+        offsets, _ = _stencil(dimension)
         angles = np.sort(np.arctan2(offsets[:, 1], offsets[:, 0]))
         gap = float(np.max(np.diff(angles, append=angles[0] + math.pi)))
         return 1.0 / math.cos(0.5 * gap) - 1.0
-    # the single ring: up to signs and axis order every facet is the
-    # simplex of e_1, (e_1 + e_2) / sqrt 2, ..., (e_1 + ... + e_n) / sqrt n,
-    # which lies in the plane u.v = 1 for u = (1, sqrt 2 - 1, ...,
-    # sqrt n - sqrt(n - 1)), at 1 / |u| from the origin
+    # a closed form for the single-ring stencil of n >= 3 (and the one
+    # direction of n = 1), so it does not read the offsets: up to signs
+    # and axis order every facet is the simplex of e_1, (e_1 + e_2) /
+    # sqrt 2, ..., (e_1 + ... + e_n) / sqrt n, which lies in the plane
+    # u.v = 1 for u = (1, sqrt 2 - 1, ..., sqrt n - sqrt(n - 1)), at
+    # 1 / |u| from the origin
     return math.sqrt(sum((math.sqrt(k) - math.sqrt(k - 1)) ** 2
                          for k in range(1, dimension + 1))) - 1.0
 
@@ -400,7 +408,8 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
     ``window`` the clearance and the window's nodes by cell.
 
     The floor sum F is evaluated cell by cell only in the tiles of
-    ``_TILE`` cells a side that a test at the tile's centre c keeps.
+    ``_TILE`` cells a side that hold a window node and that a test at
+    the tile's centre c keeps.
     Every cell z of the tile lies within rho of c, so when d(c) > rho
     it lies in the ball B(c, d(c)) inside the domain, and
     k(c, z) <= log(d(c) / (d(c) - rho)) along the segment.  Each floor
@@ -428,18 +437,26 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
     def floor_sum(coords, dz):
         return floors[0](coords, dz) + floors[1](coords, dz)
 
-    # the tiles' centres and their radius, widened past the rounding of
-    # the coordinates
-    centres = [(np.arange(-(-d // _TILE)) * _TILE + (s + 0.5 * (_TILE - 1))) * h
-               for d, s in zip(window.shape, starts)]
+    # the tiles that hold a window node (an any over each tile of the
+    # window padded to whole tiles), their centres and their radius,
+    # widened past the rounding of the coordinates
+    tiles = [-(-d // _TILE) for d in window.shape]
+    padded = np.zeros([t * _TILE for t in tiles], dtype=bool)
+    padded[tuple(slice(d) for d in window.shape)] = window
+    occupied = padded.reshape([v for t in tiles for v in (t, _TILE)]).any(
+        axis=tuple(range(1, 2 * n, 2)))
+    held = np.nonzero(occupied)
+    centres = [(t * _TILE + (s + 0.5 * (_TILE - 1))) * h for t, s in zip(held, starts)]
     rho = 0.5 * (_TILE - 1) * h * math.sqrt(n) * (1.0 + _LENS_SLACK)
-    d_centre = domain.clearance_grid(np.ix_(*centres))
-    inner = np.nonzero(d_centre > rho)
+    d_centre = domain.clearance_grid(centres)
+    inner = d_centre > rho
     dc = d_centre[inner]
     k_tile = np.log(dc / (dc - rho))
-    low = floor_sum([c[i] for c, i in zip(centres, inner)], dc)
-    live = np.ones(d_centre.shape, dtype=bool)
-    live[inner] = low * (1.0 - _LENS_SLACK) - 2.0 * k_tile * (1.0 + _LENS_SLACK) <= bound
+    low = floor_sum([c[inner] for c in centres], dc)
+    test = np.ones(d_centre.shape, dtype=bool)
+    test[inner] = low * (1.0 - _LENS_SLACK) - 2.0 * k_tile * (1.0 + _LENS_SLACK) <= bound
+    live = np.zeros(occupied.shape, dtype=bool)
+    live[held] = test
     for axis in range(n):
         live = np.repeat(live, _TILE, axis=axis)
     cells = np.nonzero(window & live[tuple(slice(d) for d in window.shape)])
@@ -485,7 +502,13 @@ def build_grid(domain: Domain, spacing: float, x, y,
     clear = domain.clearance_grid(np.ix_(*axes))
     mask = clear >= 0.5 * h
     if extra_mask is not None:
-        mask &= extra_mask(np.ix_(*axes))
+        extra = np.asarray(extra_mask(np.ix_(*axes)))
+        if extra.shape != mask.shape:
+            raise ValueError(
+                f"the window mask of {domain.spec_string()} returned shape {extra.shape} "
+                f"for the window's {mask.shape} cells; it takes coordinate arrays, one "
+                "per axis, and returns their broadcast shape")
+        mask &= extra
     n_valid = int(np.count_nonzero(mask))
     if n_valid > node_cap:
         raise NodeBudgetError(
@@ -901,7 +924,8 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
     grids, and otherwise each live pair on a lattice of its own, its lens
     under its limit.  Level 0 on a per-query lattice stops its search at
     the pair's path floor times 1 + beta (``_overhead``) and
-    ``_LIMIT_MARGIN``, and level l >= 1 at its level l - 1 value times
+    ``_LIMIT_MARGIN`` where the floor keeps a share of k of at least
+    1 / ``_LIMIT_MARGIN`` (``Domain.floor_share``), and level l >= 1 at its level l - 1 value times
     ``_LIMIT_MARGIN``.  A value above its limit, or a lens with no node,
     is searched again without a limit on the whole window (a shared
     grid's kept edges), and a shared-grid value above its ``exact_to``,
@@ -918,13 +942,17 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
     limits = np.full(m, np.inf)
     shared = _shares_grids(domain)
     if not shared:
-        # a search bound, not a claim: a value above it is searched again
+        # a search bound, not a claim: a value above it is searched again;
+        # only a floor that keeps a share c >= 1 / margin of k gives a
+        # limit of at least (1 + beta) k, the stencil's worst direction
         ell = controls.spacing * _longest_offset(domain.dimension)
         scale = _LIMIT_MARGIN * (1.0 + _overhead(domain.dimension))
         for i in live:
-            floor = domain.path_floor(float(np.linalg.norm(xs[i] - ys[i])), dxs[i], dys[i],
-                                      (ell, min(dxs[i], dys[i]), 0.0))
-            limits[i] = scale * float(floor)
+            edges = (ell, min(dxs[i], dys[i]), 0.0)
+            if domain.floor_share(edges) * _LIMIT_MARGIN >= 1.0:
+                floor = domain.path_floor(float(np.linalg.norm(xs[i] - ys[i])), dxs[i], dys[i],
+                                          edges)
+                limits[i] = scale * float(floor)
 
     def grid(pairs, lens=None, every=False):
         # passed straight to one search, so no two per-query grids coexist;

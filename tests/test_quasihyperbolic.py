@@ -363,9 +363,9 @@ class TestSharedGrids:
         for x, y in pairs:
             shared = k_estimate(ring, x, y, 0.05, 1).refinement_history
             assert k_estimate(listed, x, y, 0.05, 1).refinement_history == shared
-        # j is a weak floor, so each unhashable pair's level 0 misses its
-        # lens and searches its whole window
-        assert builds.count(("generic:2", 0.05)) == 1 + 2 * len(pairs)
+        # j keeps no share of k, so an unhashable pair's level 0 searches
+        # its whole window with no limit and no lens
+        assert builds.count(("generic:2", 0.05)) == 1 + len(pairs)
 
     def test_cached_grid_is_read_only(self, builds):
         k_estimate(B2, (0.1, 0.2), (0.5, -0.3), 0.1, 0)
@@ -546,7 +546,7 @@ class TestBuildMemory:
         # the pinned punctured:2 lens at spacing 0.0125: no (nodes, n)
         # matrix of the window, and floors only in the tiles a centre test
         # keeps; evaluating them at every window node peaked at 6.3 times
-        # the grid's arrays (numpy 2.4), the tiles at 3.4
+        # the grid's arrays (numpy 2.4), the tiles at 3.45
         x, y = np.array([1.1, 0.2]), np.array([-0.3, 0.8])
         dx, dy = P2.clearance_many(np.stack([x, y]))
         lens = (dx, dy, k_estimate(P2, x, y, 0.05, 1).value * quasihyperbolic._LIMIT_MARGIN)
@@ -594,6 +594,18 @@ class TestGridErrors:
                            match=r"between the query points in the lattice "
                                  r"\[-3, 3\] x \[-1, 1\] at spacing 0\.1$"):
             k_estimate(twin, (-2.0, 0.0), (2.0, 0.0), 0.1, 0)
+
+    def test_window_mask_of_another_shape_is_rejected(self):
+        # a mask written for an (N, n) points matrix, here a norm over
+        # axis 1 of the per-axis arrays, fails at the build, not downstream
+        class RowMask(PuncturedSpace):
+            def geodesic_window(self, x, y, pad):
+                lo, hi, _ = super().geodesic_window(x, y, pad)
+                return lo, hi, lambda coords: np.linalg.norm(coords[0], axis=1) > 0.1
+
+        with pytest.raises(ValueError, match=r"window mask of punctured:2 returned shape "
+                                             r"\(\d+,\) for the window's \(\d+, \d+\) cells"):
+            build_grid(RowMask(2), 0.1, (0.5, 0.0), (0.0, 0.6))
 
 
 # ---------------------------------------------------------------------------
@@ -999,6 +1011,70 @@ class TestLevelZero:
                                         * exact(x, y), rel=1e-12)]
         assert value <= limits[0]
 
+    def test_floor_share(self):
+        # path_floor >= share * k: 1 on the half-space, the punctured
+        # space's proved c, and 0 for j
+        ell = 0.05 * quasihyperbolic._longest_offset(2)
+        assert H2.floor_share((ell, 0.01, 0.0)) == 1.0
+        assert Domain.floor_share(B2, (ell, 0.5, 0.0)) == 0.0
+        assert annulus_domain().floor_share((ell, 0.5, 0.0)) == 0.0
+        rng = np.random.default_rng(29)
+        shares = []
+        for r in (0.15, 0.3, 0.5, 1.0):
+            c = P2.floor_share((ell, r, 0.0))
+            xs = np.exp(rng.uniform(math.log(r), 0.5, (40, 1))) * unit_directions(2, 40, rng)
+            ys = np.exp(rng.uniform(math.log(r), 0.5, (40, 1))) * unit_directions(2, 40, rng)
+            dx, dy = np.linalg.norm(xs, axis=1), np.linalg.norm(ys, axis=1)
+            floor = P2.path_floor(np.linalg.norm(xs - ys, axis=1), dx, dy, (ell, r, 0.0))
+            k = np.array([k_exact_punctured(x, y) for x, y in zip(xs, ys)])
+            assert np.all(floor >= c * k * (1.0 - 1e-12))
+            shares.append(c)
+        # no share near the puncture, and close to 1 from the kquery
+        # benchmark's least radius 0.5 on
+        margin = quasihyperbolic._LIMIT_MARGIN
+        assert shares[0] == 0.0 and 0.9 < shares[1] < 1 / margin < shares[2] < shares[3]
+
+    @pytest.mark.parametrize("domain, x, y, limited", [
+        (P2, (0.3, 0.0), (0.0, 0.6), False),
+        (P2, (0.5, 0.0), (0.0, 0.6), True),
+        (annulus_domain(), (0.5, 0.0), (0.0, 0.6), False),
+        (H2, (0.0, 0.3), (0.5, 0.4), True)],
+        ids=["punctured:2-near", "punctured:2", "annulus", "halfspace:2"])
+    def test_only_a_tight_floor_limits_level_zero(self, domain, x, y, limited, monkeypatch):
+        # a floor that keeps less than 1 / margin of k would put the limit
+        # below the level-0 value, and the lens would be searched in vain;
+        # the annulus is hashable but searched per query here
+        monkeypatch.setattr(quasihyperbolic, "_shares_grids", lambda domain: False)
+        limits = []
+        search = quasihyperbolic.dijkstra
+
+        def recording(*args, **kwargs):
+            limits.append(kwargs["limit"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(quasihyperbolic, "dijkstra", recording)
+        value = k_estimate(domain, x, y, 0.05, 0).value
+        assert len(limits) == 1
+        assert math.isfinite(limits[0]) == limited
+        assert value <= limits[0]
+
+    def test_level_zero_miss_searches_the_whole_window(self, monkeypatch):
+        # with beta forced to -0.5 the level-0 limit lies below the value:
+        # its lens, then its whole window, and the same bits
+        monkeypatch.setattr(quasihyperbolic, "_overhead", lambda dimension: -0.5)
+        builds = []
+        build = quasihyperbolic.build_grid
+
+        def counting(domain, spacing, *args, **kwargs):
+            builds.append((spacing, "lens" if kwargs.get("lens") else "whole"))
+            return build(domain, spacing, *args, **kwargs)
+
+        monkeypatch.setattr(quasihyperbolic, "build_grid", counting)
+        x, y = np.array([-1.2, 0.4]), np.array([0.9, 1.3])
+        history = k_estimate(H2, x, y, 0.05, 1).refinement_history
+        assert builds == [(0.05, "lens"), (0.05, "whole"), (0.025, "lens")]
+        assert _hex(history) == _hex(reference_history(H2, x, y, 0.05, 1))
+
     def test_estimator_does_not_import_scipy_spatial(self):
         # its import costs more than a small k estimate
         code = ("import sys; from hypermetric import quasihyperbolic as q, domains as d; "
@@ -1076,9 +1152,12 @@ class TestLens:
                 del builds[:]
                 history = k_estimate(domain, x, y, spacing, refinements).refinement_history
                 assert _hex(history) == expected, domain.spec_string()
+                # a margin below 1 gives level 0 no limit (no floor keeps a
+                # share of k above 1 / margin) and every finer limit misses
                 levels = [spacing / 2**level for level in range(refinements + 1)]
                 assert builds == ([(h, "lens") for h in levels] if margin_holds else
-                                  [b for h in levels for b in [(h, "lens"), (h, "whole")]])
+                                  [(spacing, "whole")] +
+                                  [b for h in levels[1:] for b in [(h, "lens"), (h, "whole")]])
             batch = k_estimate_many(domain, xs, ys, KControls(spacing, refinements))
             assert [v.hex() for v in batch] == [r[-1][1] for r in reference]
 
@@ -1103,8 +1182,8 @@ class TestLens:
         self._check(cases, builds, margin_holds=False)
 
     def test_tight_margin_skips_the_discarded_lens_search(self, monkeypatch):
-        # each level searches its lens once under the limit, then the
-        # whole window once: 2 + 2 + 2 calls over three levels
+        # each finer level searches its lens once under the limit, then
+        # the whole window once: 1 + 2 + 2 calls over three levels
         monkeypatch.setattr(quasihyperbolic, "_LIMIT_MARGIN", 0.5)
         calls = []
         search = quasihyperbolic.dijkstra
@@ -1116,7 +1195,7 @@ class TestLens:
         monkeypatch.setattr(quasihyperbolic, "dijkstra", counting)
         x, y = np.array([-1.2, 0.4]), np.array([0.9, 1.3])
         history = k_estimate(H2, x, y, 0.05, 2).refinement_history
-        assert len(calls) == 6
+        assert len(calls) == 5
         assert _hex(history) == _hex(reference_history(H2, x, y, 0.05, 2))
 
     def test_tightest_lens_fuzz(self):
@@ -1196,6 +1275,12 @@ class TestLens:
         # both endpoints' floors, at the centres and then at the cells
         assert len(evaluated) == 4
         assert sum(evaluated) / 2 < 0.15 * whole
+        # centres only of the tiles that hold a window node: the square
+        # box holds about a quarter more tiles outside the annulus
+        window = lens_window(domain, 0.0125, x, y)[3]
+        tiles = np.add.reduceat(np.add.reduceat(window, np.arange(0, window.shape[0], 4), axis=0),
+                                np.arange(0, window.shape[1], 4), axis=1)
+        assert evaluated[0] <= np.count_nonzero(tiles) < 0.8 * tiles.size
 
 
 def lens_window(domain, h, x, y):

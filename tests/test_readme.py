@@ -70,6 +70,8 @@ def test_estimator_figures_match_the_code():
     overhead = quasihyperbolic._overhead
     assert [float(v) for v in level0.groups()] == [
         quasihyperbolic._LIMIT_MARGIN, round(100.0 * overhead(2), 2), round(100.0 * overhead(3), 1)]
+    share = re.search(r"proved to keep a share of k of at least 1/([\d.]+) ", text)
+    assert float(share.group(1)) == quasihyperbolic._LIMIT_MARGIN
     assert f"tiles of {quasihyperbolic._TILE} cells a side" in text
     for _, _, _, whole, lens in PINNED_LENSES:
         assert re.search(rf"\b{lens} of {whole}\b", text), (lens, whole)
