@@ -11,7 +11,6 @@ from .domains import (
     PointSet,
     PuncturedSpace,
     UnitBall,
-    distance_to_set,
     lipschitz_defect,
     parse_domain,
     sample_complement,
@@ -22,7 +21,6 @@ from .metrics import (
     MetricParams,
     comparison_f,
     h_metric,
-    h_metric_general,
     j_metric,
     phi_quantity,
     rho_ball,
@@ -37,26 +35,21 @@ from .quasihyperbolic import (
     NodeBudgetError,
     build_grid,
     k_estimate,
-    k_exact_halfspace,
     k_exact_punctured,
 )
 from .maps import (
     BilipschitzEstimate,
     DilatationEstimate,
     RadialStretch,
-    apply_map,
     bilipschitz_estimate,
     linear_dilatation,
-    u_quantity,
 )
 from .verify import (
     CollinearViolation,
     InequalityReport,
     PhiViolation,
     UniformityEstimate,
-    check_growth_bound,
     collinear_c_scan,
-    growth_bound_constant,
     inequality_suite,
     phi_triangle_counterexample,
     triangle_scan,

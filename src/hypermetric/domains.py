@@ -530,6 +530,17 @@ class GenericDomain(Domain):
     membership_fn: Callable[[np.ndarray], np.ndarray]
     box: tuple[tuple[float, ...], tuple[float, ...]]
 
+    def __post_init__(self):
+        try:
+            lo, hi = (tuple(map(float, row)) for row in self.box)
+        except (TypeError, ValueError):
+            lo = hi = ()
+        if not (self.dimension >= 1 and len(lo) == len(hi) == self.dimension
+                and all(-math.inf < a < b < math.inf for a, b in zip(lo, hi))):
+            raise ValueError(f"box {self.box!r} must be two rows (lo, hi) of {self.dimension} "
+                             "finite coordinates, lo < hi in each, with dimension >= 1")
+        object.__setattr__(self, "box", (lo, hi))
+
     def clearance_many(self, xs):
         xs = as_points(xs, self.dimension)
         d = np.asarray(self.distance_fn(xs), dtype=float)
@@ -582,12 +593,6 @@ class PointSet:
             bad = pts[np.argmax(inside)]
             raise ValueError(f"point {bad.tolist()} lies inside the domain")
         return cls(pts)
-
-
-def distance_to_set(x, point_set: PointSet) -> float:
-    """min over a in A of |x - a|."""
-    p = as_point(x, point_set.points.shape[1])
-    return float(distance_to_set_many(p[None, :], point_set)[0])
 
 
 def distance_to_set_many(xs: np.ndarray, point_set: PointSet) -> np.ndarray:

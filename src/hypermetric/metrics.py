@@ -44,19 +44,14 @@ from .domains import Domain, HalfSpace, UnitBall, as_point, as_points
 
 @dataclass(frozen=True)
 class MetricParams:
-    """Parameter bundle for h_c.  c < 2 is allowed (needed by the
-    falsification scans) but flagged via :attr:`sub_sharp`."""
+    """Parameter bundle for h_c.  c < 2 is allowed: the falsification
+    scans need it, and h_c may then fail the triangle inequality."""
 
     c: float = 2.0
 
     def __post_init__(self):
         if not (np.isfinite(self.c) and self.c > 0):
             raise ValueError(f"c must be a positive real, got {self.c}")
-
-    @property
-    def sub_sharp(self) -> bool:
-        """True when c < 2, i.e. h_c may fail the triangle inequality."""
-        return self.c < 2.0
 
 
 class MetricKind(Enum):
@@ -184,20 +179,6 @@ def h_many(domain: Domain, xs: np.ndarray, ys: np.ndarray, c: float) -> np.ndarr
 def h_metric(domain: Domain, params: MetricParams, x, y) -> float:
     """log(1 + c |x-y| / sqrt(d(x) d(y))) for interior points."""
     return _one_pair(h_many, domain, x, y, params.c)
-
-
-def h_metric_general(rho_xy: float, dA_x: float, dA_y: float, params: MetricParams) -> float:
-    """h built from a precomputed separation and two clearances.
-
-    ``h_metric`` is this composed with the boundary clearance; the
-    clearances may instead come from any nonempty set in the complement
-    (see :func:`hypermetric.domains.distance_to_set`).
-    """
-    if not rho_xy >= 0.0:
-        raise ValueError(f"separation must be nonnegative, got {rho_xy}")
-    if not (dA_x > 0.0 and dA_y > 0.0):
-        raise ValueError("clearances must be positive")
-    return float(h_kernel(rho_xy, dA_x, dA_y, params.c))
 
 
 # ---------------------------------------------------------------------------

@@ -269,13 +269,6 @@ class GeodesicGrid:
 # ---------------------------------------------------------------------------
 
 
-def k_exact_halfspace(x, y) -> float:
-    """Exact quasihyperbolic distance of the upper half-space."""
-    from .metrics import rho_halfspace
-
-    return rho_halfspace(x, y)
-
-
 def k_exact_punctured(x, y) -> float:
     """Exact quasihyperbolic distance of R^n minus the origin:
     sqrt(theta^2 + log^2(|x|/|y|)), with the angle theta formed as
@@ -636,7 +629,7 @@ def _shares_grids(domain: Domain) -> bool:
         return False
     try:
         hash(domain)
-    except TypeError:  # e.g. a GenericDomain whose box is a list
+    except TypeError:  # e.g. a GenericDomain whose oracle defines __eq__ but not __hash__
         return False
     return True
 

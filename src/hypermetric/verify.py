@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .domains import (
     Domain,
     HalfSpace,
     UnitBall,
-    as_point,
     distance_to_set_many,
     sample_complement,
     sample_interior,
@@ -144,7 +143,8 @@ def _make_report(suite_id, domain_str, params, seed, count, min_slack, witness,
 
 @dataclass
 class UniformityEstimate:
-    """Empirical uniformity constant: max over sampled pairs of k/j."""
+    """The largest sampled k/j: up to the estimator's error, a lower bound
+    on sup k/j over the sampled region, not the uniformity constant."""
 
     U_hat: float
     sample_count: int
@@ -569,6 +569,7 @@ def inequality_suite(
 
     :data:`SUITES` holds each suite's statement, default tolerance and
     domain requirement; slack >= -tolerance on every sample means pass.
+    The k suites default to ``KControls()``, as ``verify-suite`` does.
     """
     if suite_id not in SUITES:
         raise ValueError(f"unknown suite {suite_id!r}; choose from {tuple(SUITES)}")
@@ -581,7 +582,7 @@ def inequality_suite(
     rng = np.random.default_rng([seed, 1])
     args = (domain, params, pair_count, rng)
     if suite.needs_k:
-        args += (k_controls if k_controls is not None else KControls(0.05, 1),)
+        args += (k_controls if k_controls is not None else KControls(),)
     slacks, (xs, ys), extra = suite.run(*args)
     tol = suite.tolerance if tolerance is None else float(tolerance)
     worst = int(np.argmin(slacks))
@@ -592,58 +593,6 @@ def inequality_suite(
         suite_id, domain.spec_string(), report_params, seed,
         int(slacks.shape[0]), float(slacks[worst]), witness, tol,
         slacks=slacks if keep_slacks else None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# generic growth-bound checker
-# ---------------------------------------------------------------------------
-
-
-def growth_bound_constant(a: float, c: float) -> float:
-    """The coefficient A = a/(2(1+c)) appearing when a j-growth bound with
-    exponent a is transported to h_c; feed 1/A as ``coef`` to
-    :func:`check_growth_bound`."""
-    if not (0.0 < a <= 1.0):
-        raise ValueError("exponent a must lie in (0, 1]")
-    if not c > 0:
-        raise ValueError("c must be positive")
-    return a / (2.0 * (1.0 + c))
-
-
-def check_growth_bound(
-    source_metric: Callable,
-    target_metric: Callable,
-    coef: float,
-    exponent: float,
-    pairs: Sequence,
-    tolerance: float = 1e-9,
-) -> InequalityReport:
-    """Check m_target(x, y) <= coef * max(m_source, m_source^exponent)
-    on explicit pairs.  Both metrics are callables of (x, y); supply a
-    mapped target (lambda x, y: m(f(x), f(y))) to exercise image bounds.
-    """
-    if not coef > 0:
-        raise ValueError("coef must be positive")
-    if not (0.0 < exponent <= 1.0):
-        raise ValueError("exponent must lie in (0, 1]")
-    pair_list = [(as_point(x), as_point(y)) for x, y in pairs]
-    if not pair_list:
-        raise ValueError("at least one pair is required")
-    ms = np.array([float(source_metric(x, y)) for x, y in pair_list])
-    mt = np.array([float(target_metric(x, y)) for x, y in pair_list])
-    bound = coef * np.maximum(ms, np.power(ms, exponent))
-    slacks = bound - mt
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(bound > 0, mt / np.where(bound > 0, bound, 1.0), np.inf)
-        ratios = np.where((bound == 0) & (mt == 0), 0.0, ratios)
-    worst = int(np.argmin(slacks))
-    witness = (pair_list[worst][0], pair_list[worst][1])
-    return _make_report(
-        "growth_bound", "pairs", {"coef": coef, "exponent": exponent,
-                            "worst_ratio": float(np.max(ratios))},
-        0, len(pair_list), float(slacks[worst]), witness, tolerance,
-        slacks=slacks,
     )
 
 
@@ -659,8 +608,9 @@ def uniformity_estimate(
     k_controls: KControls | None = None,
 ) -> UniformityEstimate:
     """U_hat = max over sampled pairs of k_estimate / j (pairs with j
-    above 1e-6 only).  Finite stable values are expected exactly on
-    uniform domains.
+    above 1e-6 only), a lower bound on sup k/j, not the uniformity constant
+    (see :class:`UniformityEstimate`).  Finite stable values are expected
+    exactly on uniform domains.
 
     Pairs keep clearance >= 0.2.  On a domain with boundary strata a
     quarter of the pairs put both endpoints at matched clearance in

@@ -19,12 +19,11 @@ from hypermetric.maps import (
     bilipschitz_estimate,
     linear_dilatation,
 )
-from hypermetric.metrics import MetricKind, MetricParams, j_many
+from hypermetric.metrics import MetricKind, MetricParams, j_many, rho_halfspace
 from hypermetric.moebius import BallAutomorphism, Identity
 from hypermetric.quasihyperbolic import (
     KControls,
     k_estimate,
-    k_exact_halfspace,
     k_exact_punctured,
 )
 from hypermetric.verify import (
@@ -173,7 +172,7 @@ def test_criterion_07_quasihyperbolic_oracle_error():
     (clearance >= 0.2, separation <= 5, spacing 0.05, 2 refinements);
     k >= j with 2% slack; every query under 5 s."""
     cases = [
-        (H2, _acceptance_pairs_halfspace(50, 707), k_exact_halfspace),
+        (H2, _acceptance_pairs_halfspace(50, 707), rho_halfspace),
         (P2, _acceptance_pairs_punctured(50, 707), k_exact_punctured),
     ]
     ok = True

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from hypermetric.cli import run
-from hypermetric.verify import SUITES
+from hypermetric.domains import UnitBall
+from hypermetric.metrics import MetricParams
+from hypermetric.verify import SUITES, inequality_suite
 
 
 def invoke(argv):
@@ -107,6 +109,12 @@ class TestVerifySuite:
                   rest.rstrip().removesuffix("|").strip().replace("\\|", "|"))
                  for cell, rest in rows]
         assert table == [(suite_id, suite.statement) for suite_id, suite in SUITES.items()]
+
+    def test_k_suite_default_controls_are_the_cli_defaults(self):
+        _, out = invoke(["verify-suite", "--suite", "C4_5", "--domain", "ball:2",
+                         "--count", "4", "--seed", "1"])
+        report = inequality_suite("C4_5", UnitBall(2), MetricParams(2.0), 4, seed=1)
+        assert out == report.to_json() + "\n"
 
     def test_csv_row_count(self):
         code, out = invoke(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hypermetric.domains import (
     PuncturedSpace,
     UnitBall,
     as_point,
-    distance_to_set,
+    distance_to_set_many,
     lipschitz_defect,
     parse_domain,
     sample_complement,
@@ -119,16 +121,16 @@ class TestBruteForceBoundaryOracle:
 class TestDistanceToSet:
     def test_single_point(self):
         a = PointSet(np.array([[1.0, 0.0]]))
-        assert distance_to_set((0, 0), a) == pytest.approx(1.0)
+        assert distance_to_set_many([(0, 0)], a) == pytest.approx([1.0])
 
     def test_nearer_of_two(self):
         a = PointSet(np.array([[3.0, 0.0], [0.0, 2.0]]))
-        assert distance_to_set((0, 0), a) == pytest.approx(2.0)
+        assert distance_to_set_many([(0, 0)], a) == pytest.approx([2.0])
 
     def test_translation(self):
         eps = 0.125
         a = PointSet(np.array([[1.0, 1.0 + eps]]))
-        assert distance_to_set((1, 1), a) == pytest.approx(eps, abs=1e-15)
+        assert distance_to_set_many([(1, 1)], a) == pytest.approx([eps], abs=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -148,7 +150,6 @@ class TestDistanceToSet:
         a = sample_complement(domain, 6, seed=4)
         xs = sample_interior(domain, 400, seed=5, min_clearance=1e-6)
         ys = sample_interior(domain, 400, seed=6, min_clearance=1e-6)
-        from hypermetric.domains import distance_to_set_many
 
         gap = np.abs(distance_to_set_many(xs, a) - distance_to_set_many(ys, a))
         assert np.all(gap <= np.linalg.norm(xs - ys, axis=1) + 1e-12)
@@ -173,6 +174,31 @@ class TestSampling:
     def test_infeasible_clearance(self):
         with pytest.raises(ValueError, match="infeasible"):
             sample_interior(UnitBall(2), 10, seed=0, min_clearance=1.0)
+
+
+class TestGenericBox:
+    def test_list_box_is_stored_as_float_tuples(self):
+        ring = annulus_domain()
+        listed = GenericDomain(2, ring.distance_fn, ring.membership_fn, [[-1, -1], [1, 1]])
+        assert listed.box == ((-1.0, -1.0), (1.0, 1.0)) == ring.box
+        assert all(type(v) is float for row in listed.box for v in row)
+
+    @pytest.mark.parametrize("dimension, box", [
+        (0, ((), ())),
+        (2, ((-1.0, -1.0),)),
+        (2, ((-1.0, -1.0), (1.0, 1.0), (2.0, 2.0))),
+        (2, ((-1.0,), (1.0,))),
+        (2, ((-1.0, "a"), (1.0, 1.0))),
+        (2, ((-1.0, -1.0), (1.0, math.inf))),
+        (2, ((-1.0, math.nan), (1.0, 1.0))),
+        (2, ((1.0, -1.0), (-1.0, 1.0))),
+        (2, ((-1.0, 1.0), (1.0, 1.0))),
+    ], ids=["dimension-0", "one-row", "three-rows", "short-rows", "not-a-number",
+            "infinite", "nan", "inverted", "empty"])
+    def test_bad_box_rejected(self, dimension, box):
+        ring = annulus_domain()
+        with pytest.raises(ValueError, match=r"box .* must be two rows"):
+            GenericDomain(dimension, ring.distance_fn, ring.membership_fn, box)
 
 
 class TestLipschitz:

@@ -5,11 +5,9 @@ from hypermetric.domains import HalfSpace, UnitBall, sample_interior
 from hypermetric.maps import (
     BilipschitzEstimate,
     RadialStretch,
-    apply_map,
     bilipschitz_estimate,
     linear_dilatation,
     parse_map,
-    u_quantity,
 )
 from hypermetric.metrics import MetricParams, h_many
 from hypermetric.moebius import BallAutomorphism, BallToHalfSpace, Identity
@@ -18,15 +16,13 @@ B2 = UnitBall(2)
 H2 = HalfSpace(2)
 C2 = MetricParams(2.0)
 
-INV_SQRT2 = 0.7071067811865476
-
 
 class TestApplyMap:
     def test_identity(self):
-        assert np.array_equal(apply_map(Identity(B2), (0.3, -0.4)), (0.3, -0.4))
+        assert np.array_equal(Identity(B2).apply((0.3, -0.4)), (0.3, -0.4))
 
     def test_stretch_example(self):
-        assert np.allclose(apply_map(RadialStretch(2.0), (0.5, 0)), (0.25, 0), atol=1e-15)
+        assert np.allclose(RadialStretch(2.0).apply((0.5, 0)), (0.25, 0), atol=1e-15)
 
     def test_stretch_alpha_one_is_identity(self):
         pts = sample_interior(B2, 200, seed=0, min_clearance=1e-3)
@@ -34,7 +30,7 @@ class TestApplyMap:
         assert np.allclose(out, pts, atol=1e-15)
 
     def test_stretch_fixes_origin(self):
-        assert np.array_equal(apply_map(RadialStretch(2.0), (0.0, 0.0)), (0.0, 0.0))
+        assert np.array_equal(RadialStretch(2.0).apply((0.0, 0.0)), (0.0, 0.0))
 
     def test_stretch_maps_ball_to_ball(self):
         pts = sample_interior(B2, 500, seed=1, min_clearance=1e-4)
@@ -43,33 +39,12 @@ class TestApplyMap:
 
     def test_outside_source_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            apply_map(RadialStretch(2.0), (1.5, 0.0))
+            RadialStretch(2.0).apply((1.5, 0.0))
 
     def test_moebius_target_domain(self):
         m = BallToHalfSpace(2)
         assert m.source.spec_string() == "ball:2"
         assert m.target.spec_string() == "halfspace:2"
-
-
-class TestUQuantity:
-    def test_zero_at_equal(self):
-        assert u_quantity(B2, C2, (0.1, 0.1), (0.1, 0.1)) == 0.0
-
-    def test_ball_example(self):
-        assert u_quantity(B2, C2, (0, 0), (0.5, 0)) == pytest.approx(INV_SQRT2, abs=1e-12)
-
-    def test_halfspace_example_c5(self):
-        assert u_quantity(H2, MetricParams(5.0), (0, 1), (0, 2)) == pytest.approx(
-            INV_SQRT2, abs=1e-12
-        )
-
-    def test_c_independence(self):
-        rng = np.random.default_rng(2)
-        xs = sample_interior(B2, 200, seed=3, min_clearance=1e-2)
-        ys = sample_interior(B2, 200, seed=4, min_clearance=1e-2)
-        for x, y in zip(xs[:50], ys[:50]):
-            vals = [u_quantity(B2, MetricParams(c), x, y) for c in (1.0, 2.0, 5.0)]
-            assert max(vals) - min(vals) <= 1e-12
 
 
 class TestLinearDilatation:

@@ -8,7 +8,6 @@ from hypermetric.metrics import (
     comparison_f,
     h_many,
     h_metric,
-    h_metric_general,
     j_many,
     j_metric,
     pair_evaluator,
@@ -40,10 +39,6 @@ class TestParams:
         with pytest.raises(ValueError, match="positive"):
             MetricParams(0.0)
 
-    def test_sub_sharp_flag(self):
-        assert MetricParams(1.9).sub_sharp
-        assert not MetricParams(2.0).sub_sharp
-
 
 class TestHMetric:
     def test_ball_example(self):
@@ -63,24 +58,6 @@ class TestHMetric:
     def test_monotone_in_c(self):
         values = [h_metric(B2, MetricParams(c), (0, 0), (0.5, 0)) for c in (1, 2, 5, 10)]
         assert all(a < b for a, b in zip(values, values[1:]))
-
-    def test_general_form(self):
-        assert h_metric_general(0.0, 3.0, 4.0, C2) == 0.0
-        assert h_metric_general(1.0, 1.0, 1.0, C2) == pytest.approx(LOG3, abs=1e-14)
-        assert h_metric_general(1.0, 4.0, 1.0, C2) == pytest.approx(LOG2, abs=1e-14)
-
-    def test_general_rejects_bad_clearance(self):
-        with pytest.raises(ValueError, match="positive"):
-            h_metric_general(1.0, 0.0, 1.0, C2)
-
-    def test_matches_general_composition(self):
-        x, y = (0.2, 0.1), (-0.4, 0.3)
-        dx = B2.boundary_distance(x)
-        dy = B2.boundary_distance(y)
-        rho = float(np.linalg.norm(np.subtract(x, y)))
-        assert h_metric(B2, C2, x, y) == pytest.approx(
-            h_metric_general(rho, dx, dy, C2), abs=1e-15
-        )
 
 
 class TestJMetric:

@@ -23,7 +23,7 @@ from hypermetric.domains import (
     sample_interior,
     unit_directions,
 )
-from hypermetric.metrics import j_many
+from hypermetric.metrics import j_many, rho_halfspace
 from hypermetric.quasihyperbolic import (
     DisconnectedGridError,
     GridError,
@@ -32,7 +32,6 @@ from hypermetric.quasihyperbolic import (
     build_grid,
     k_estimate,
     k_estimate_many,
-    k_exact_halfspace,
     k_exact_punctured,
 )
 from hypermetric.verify import uniformity_estimate
@@ -45,23 +44,6 @@ P3 = PuncturedSpace(3)
 B2 = UnitBall(2)
 
 ARCOSH_1_5 = 0.9624236501192069
-
-
-class TestExactHalfspace:
-    def test_vertical(self):
-        assert k_exact_halfspace((0, 1), (0, 2)) == pytest.approx(
-            math.log(2), abs=1e-14
-        )
-
-    def test_unit_offset(self):
-        assert k_exact_halfspace((0, 1), (1, 1)) == pytest.approx(ARCOSH_1_5, abs=1e-14)
-
-    def test_zero_at_equal(self):
-        assert k_exact_halfspace((2, 0.7), (2, 0.7)) == 0.0
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            k_exact_halfspace((0, -1), (0, 1))
 
 
 class TestExactPunctured:
@@ -101,7 +83,7 @@ class TestEstimator:
         assert est.value == est.refinement_history[-1][1]
 
     def test_error_decreases_from_first_to_final(self):
-        exact = k_exact_halfspace((0.3, 0.9), (1.4, 0.5))
+        exact = rho_halfspace((0.3, 0.9), (1.4, 0.5))
         est = k_estimate(H2, (0.3, 0.9), (1.4, 0.5), 0.1, 2)
         errs = [abs(v - exact) for _, v in est.refinement_history]
         assert errs[-1] <= errs[0]
@@ -128,7 +110,7 @@ class TestEstimator:
     def test_very_close_pair_uses_direct_segment(self):
         a, b = (0.0, 1.0), (0.01, 1.0)
         est = k_estimate(H2, a, b, 0.05, 0)
-        exact = k_exact_halfspace(a, b)
+        exact = rho_halfspace(a, b)
         assert abs(est.value - exact) / exact < 0.01
 
     def test_lower_bound_by_j(self):
@@ -221,7 +203,7 @@ def _oracle_case(name):
         return Interval(0, 1), xs[keep], ys[keep], _k_interval(0.0, 1.0, xs[keep], ys[keep])
     # as the kquery benchmark draws them, at punctured radii in [0.5, 1.2]
     halfspace = name == "halfspace:3"
-    domain, oracle = (HalfSpace(3), k_exact_halfspace) if halfspace else (P3, k_exact_punctured)
+    domain, oracle = (HalfSpace(3), rho_halfspace) if halfspace else (P3, k_exact_punctured)
     xs, ys = [], []
     while len(xs) < (12 if halfspace else 8):
         x, y = ((_kquery_point(domain, rng), _kquery_point(domain, rng)) if halfspace else
@@ -357,15 +339,33 @@ class TestSharedGrids:
 
     def test_unhashable_generic_domain_builds_per_query(self, builds):
         ring = annulus_domain()
-        listed = GenericDomain(2, ring.distance_fn, ring.membership_fn,
-                               [[-1.0, -1.0], [1.0, 1.0]])
+
+        class Unhashable:
+            """The ring's distance oracle, with __eq__ and so no __hash__."""
+
+            def __call__(self, xs):
+                return ring.distance_fn(xs)
+
+            def __eq__(self, other):
+                return self is other
+
+        unhashable = GenericDomain(2, Unhashable(), ring.membership_fn, ring.box)
         pairs = [((0.5, 0.0), (0.0, 0.6)), ((-0.4, 0.3), (0.6, -0.2))]
         for x, y in pairs:
             shared = k_estimate(ring, x, y, 0.05, 1).refinement_history
-            assert k_estimate(listed, x, y, 0.05, 1).refinement_history == shared
+            assert k_estimate(unhashable, x, y, 0.05, 1).refinement_history == shared
         # j keeps no share of k, so an unhashable pair's level 0 searches
         # its whole window with no limit and no lens
         assert builds.count(("generic:2", 0.05)) == 1 + len(pairs)
+
+    def test_list_box_shares_the_tuple_box_grids(self, builds):
+        ring = annulus_domain()
+        listed = GenericDomain(2, ring.distance_fn, ring.membership_fn, [[-1, -1], [1, 1]])
+        assert listed == ring and hash(listed) == hash(ring)
+        for x, y in [((0.5, 0.0), (0.0, 0.6)), ((-0.4, 0.3), (0.6, -0.2))]:
+            shared = k_estimate(ring, x, y, 0.05, 1).refinement_history
+            assert k_estimate(listed, x, y, 0.05, 1).refinement_history == shared
+        assert builds.count(("generic:2", 0.05)) == 1
 
     def test_cached_grid_is_read_only(self, builds):
         k_estimate(B2, (0.1, 0.2), (0.5, -0.3), 0.1, 0)
@@ -968,7 +968,7 @@ class TestPathFloor:
         xs = sample_interior(H2, 50, seed=71, min_clearance=0.1)
         ys = sample_interior(H2, 50, seed=72, min_clearance=0.1)
         floor = H2.path_floor(np.linalg.norm(xs - ys, axis=1), xs[:, 1], ys[:, 1])
-        assert np.allclose(floor, [k_exact_halfspace(x, y) for x, y in zip(xs, ys)],
+        assert np.allclose(floor, [rho_halfspace(x, y) for x, y in zip(xs, ys)],
                            rtol=1e-12)
         assert np.all(floor >= j_many(H2, xs, ys))
 
@@ -992,8 +992,8 @@ class TestLevelZero:
         assert quasihyperbolic._overhead(1) == 0.0
 
     @pytest.mark.parametrize("domain, x, y, exact", [
-        (H2, (-1.2, 0.4), (0.9, 1.3), k_exact_halfspace),
-        (HalfSpace(3), (0.0, 0.0, 0.4), (1.0, -0.5, 1.0), k_exact_halfspace)],
+        (H2, (-1.2, 0.4), (0.9, 1.3), rho_halfspace),
+        (HalfSpace(3), (0.0, 0.0, 0.4), (1.0, -0.5, 1.0), rho_halfspace)],
         ids=["halfspace:2", "halfspace:3"])
     def test_limit_is_the_floor_times_the_overhead(self, domain, x, y, exact, monkeypatch):
         # on the half-space the floor is k itself
@@ -1327,8 +1327,8 @@ def lens_fuzz_cases():
     rng = np.random.default_rng(1801)
     cases = []
     for domain, count, spacings, exact in [
-            (H2, 60, (0.05, 0.025, 0.0125), k_exact_halfspace),
-            (HalfSpace(3), 20, (0.1, 0.05), k_exact_halfspace),
+            (H2, 60, (0.05, 0.025, 0.0125), rho_halfspace),
+            (HalfSpace(3), 20, (0.1, 0.05), rho_halfspace),
             (P2, 60, (0.05, 0.025, 0.0125), k_exact_punctured),
             (P3, 20, (0.1, 0.05), k_exact_punctured)]:
         n = domain.dimension

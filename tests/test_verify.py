@@ -8,10 +8,8 @@ from hypermetric.quasihyperbolic import KControls
 from hypermetric.verify import (
     CollinearViolation,
     InequalityReport,
-    check_growth_bound,
     collinear_c_scan,
     default_r_grid,
-    growth_bound_constant,
     inequality_suite,
     phi_triangle_counterexample,
     triangle_scan,
@@ -239,44 +237,6 @@ class TestReports:
         report = triangle_scan(B2, MetricKind.H, C2, 100, seed=1)
         with pytest.raises(ValueError, match="slacks"):
             report.csv_lines()
-
-
-class TestGrowthBound:
-    def test_identity_same_metric(self):
-        pairs = [((0.0, 0.0), (0.5, 0.0)), ((0.1, 0.1), (-0.2, 0.4))]
-        metric = lambda x, y: h_metric(B2, C2, x, y)
-        report = check_growth_bound(metric, metric, 1.0, 1.0, pairs)
-        assert report.passed
-        assert report.min_slack == 0.0
-        assert report.params["worst_ratio"] == pytest.approx(1.0)
-
-    def test_moebius_distortion_as_growth_bound(self):
-        from hypermetric.moebius import BallAutomorphism
-
-        auto = BallAutomorphism(np.array([0.5, 0.0]))
-        rng = np.random.default_rng(8)
-        pts = rng.uniform(-0.6, 0.6, size=(50, 2, 2))
-        pairs = [(p[0], p[1]) for p in pts]
-        source = lambda x, y: h_metric(B2, C2, x, y)
-        target = lambda x, y: h_metric(B2, C2, auto.apply(x), auto.apply(y))
-        report = check_growth_bound(source, target, 2.0, 1.0, pairs)
-        assert report.passed
-
-    def test_constant_arithmetic(self):
-        assert growth_bound_constant(0.5, 2.0) == pytest.approx(1.0 / 12.0, abs=1e-15)
-        coef = 1.0 / growth_bound_constant(0.5, 2.0)
-        assert coef == pytest.approx(12.0, abs=1e-12)
-        pairs = [((0.0, 0.0), (0.3, 0.0))]
-        metric = lambda x, y: h_metric(B2, C2, x, y)
-        report = check_growth_bound(metric, metric, coef, 0.5, pairs)
-        assert report.passed
-
-    def test_validation(self):
-        metric = lambda x, y: 0.0
-        with pytest.raises(ValueError, match="exponent"):
-            check_growth_bound(metric, metric, 1.0, 1.5, [((0,), (1,))])
-        with pytest.raises(ValueError, match="coef"):
-            check_growth_bound(metric, metric, -1.0, 1.0, [((0,), (1,))])
 
 
 class TestUniformity:
