@@ -1,13 +1,13 @@
 """Open subsets of R^n and the geometry the metrics read from them.
 
-A domain answers one query, the signed clearance ``clearance_many``:
-d(x) = dist(x, boundary) inside and a value <= 0 at every point outside
-the open set, so membership is d > 0, never a second query.
-``clearance_grid`` is its array form: the same values, bit for bit, at
-the points whose coordinates are arrays that broadcast together, such
-as ``np.ix_(*axes)`` for a product lattice, which the ball, the
-half-space and the punctured space give without forming the points.
-The built-in variants give it in closed form:
+A domain answers one query, the signed clearance: d(x) = dist(x,
+boundary) inside and a value <= 0 at every point outside the open set,
+so membership is d > 0, never a second query.  A domain writes it once,
+either as ``clearance_grid``, at the points whose coordinates are arrays
+that broadcast together (``np.ix_(*axes)`` for a product lattice, the
+columns for rows), or as ``clearance_many`` on points as rows; the base
+class gives the other form from it.  The closed forms write the first,
+``GenericDomain`` the second:
 
 * ``UnitBall(n)``        interior {|x| < 1},      d(x) = 1 - |x|
 * ``HalfSpace(n)``       interior {x_n > 0},      d(x) = x_n
@@ -93,9 +93,9 @@ def _grid_axes(axes, dim: int) -> list[np.ndarray]:
 
 
 def _radius_grid(axes, dim: int) -> np.ndarray:
-    """|x| at the points of the broadcast coordinate arrays ``axes``: the
-    squares added in axis order, as ``np.linalg.norm(xs, axis=1)`` adds
-    each row's."""
+    """|x| at the points of the broadcast coordinate arrays ``axes``, the
+    squares added in axis order (``np.linalg.norm(xs, axis=1)`` adds a
+    row's that way only below 8 coordinates)."""
     return np.sqrt(functools.reduce(np.add, [a * a for a in _grid_axes(axes, dim)]))
 
 
@@ -135,19 +135,21 @@ class Domain:
 
     def clearance_many(self, xs: np.ndarray) -> np.ndarray:
         """Signed clearance of each row: dist(x, boundary) inside, <= 0 at
-        every point outside the open set."""
-        raise NotImplementedError
+        every point outside the open set.  The base form validates the
+        rows and reads their columns through ``clearance_grid``."""
+        if type(self).clearance_grid is Domain.clearance_grid:
+            raise NotImplementedError(f"{type(self).__name__} defines no clearance")
+        return self.clearance_grid(list(as_points(xs, self.dimension).T))
 
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
         return self.clearance_many(xs) > 0.0
 
     def clearance_grid(self, axes) -> np.ndarray:
-        """``clearance_many`` at the points whose coordinates are the
+        """The signed clearance at the points whose coordinates are the
         arrays ``axes``, one per axis, which broadcast together (the
         product lattice of 1-D axes is ``np.ix_(*axes)``), shaped as their
-        broadcast; the same values, bit for bit, as on the points as rows.
-        The built-in domains override it, so a subclass of one that
-        changes ``clearance_many`` changes this too."""
+        broadcast.  The closed-form domains write their formula here;
+        the base form stacks the points as rows for ``clearance_many``."""
         coords = np.broadcast_arrays(*_grid_axes(axes, self.dimension))
         return self.clearance_many(np.stack([c.ravel() for c in coords], axis=1)).reshape(
             coords[0].shape)
@@ -226,10 +228,6 @@ class Domain:
         for unbounded variants)."""
         raise NotImplementedError
 
-    def max_feasible_clearance(self) -> float:
-        """Upper bound on clearances reachable inside the sample box."""
-        raise NotImplementedError
-
     def spec_string(self) -> str:
         raise NotImplementedError
 
@@ -246,10 +244,6 @@ class UnitBall(Domain):
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-
-    def clearance_many(self, xs):
-        xs = as_points(xs, self.dimension)
-        return 1.0 - np.linalg.norm(xs, axis=1)
 
     def clearance_grid(self, axes):
         return 1.0 - _radius_grid(axes, self.dimension)
@@ -274,9 +268,6 @@ class UnitBall(Domain):
         n = self.dimension
         return -np.ones(n), np.ones(n)
 
-    def max_feasible_clearance(self):
-        return 1.0
-
     def spec_string(self):
         return f"ball:{self.dimension}"
 
@@ -295,10 +286,6 @@ class HalfSpace(Domain):
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-
-    def clearance_many(self, xs):
-        xs = as_points(xs, self.dimension)
-        return xs[:, -1].copy()
 
     def clearance_grid(self, axes):
         axes = _grid_axes(axes, self.dimension)
@@ -361,9 +348,6 @@ class HalfSpace(Domain):
         hi[-1] = self._HEIGHT
         return lo, hi
 
-    def max_feasible_clearance(self):
-        return self._HEIGHT
-
     def spec_string(self):
         return f"halfspace:{self.dimension}"
 
@@ -380,10 +364,6 @@ class PuncturedSpace(Domain):
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-
-    def clearance_many(self, xs):
-        xs = as_points(xs, self.dimension)
-        return np.linalg.norm(xs, axis=1)
 
     def clearance_grid(self, axes):
         return _radius_grid(axes, self.dimension)
@@ -454,9 +434,6 @@ class PuncturedSpace(Domain):
         n = self.dimension
         return np.full(n, -self._SIDE), np.full(n, self._SIDE)
 
-    def max_feasible_clearance(self):
-        return self._SIDE
-
     def spec_string(self):
         return f"punctured:{self.dimension}"
 
@@ -480,9 +457,8 @@ class Interval(Domain):
     def dimension(self) -> int:
         return 1
 
-    def clearance_many(self, xs):
-        xs = as_points(xs, 1)
-        t = xs[:, 0]
+    def clearance_grid(self, axes):
+        (t,) = _grid_axes(axes, 1)
         return np.minimum(t - self.a, self.b - t)
 
     def boundary_sample(self, m, rng, lo, hi):
@@ -502,9 +478,6 @@ class Interval(Domain):
 
     def sample_box(self):
         return np.array([self.a]), np.array([self.b])
-
-    def max_feasible_clearance(self):
-        return 0.5 * (self.b - self.a)
 
     def spec_string(self):
         # the short form where it parses back to the same endpoint
@@ -554,10 +527,6 @@ class GenericDomain(Domain):
     def sample_box(self):
         lo, hi = self.box
         return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-
-    def max_feasible_clearance(self):
-        lo, hi = self.sample_box()
-        return 0.5 * float(np.max(hi - lo))
 
     def spec_string(self):
         return f"generic:{self.dimension}"
@@ -619,16 +588,13 @@ def sample_interior(
     Points are uniform over the domain's sample box, filtered to
     clearance >= ``min_clearance``.  The same (domain, count, seed,
     min_clearance) always yields the same array; a ``Generator`` seed is
-    drawn from in place, continuing its stream.
+    drawn from in place, continuing its stream.  A clearance the box
+    cannot reach fails after ``_MAX_REJECTION_ROUNDS`` batches.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if not min_clearance > 0.0:
         raise ValueError("min_clearance must be positive")
-    if min_clearance >= domain.max_feasible_clearance():
-        raise ValueError(
-            f"min_clearance {min_clearance} is infeasible for {domain.spec_string()}"
-        )
     rng = np.random.default_rng(seed)
     lo, hi = domain.sample_box()
     out = np.empty((count, domain.dimension))

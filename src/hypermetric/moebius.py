@@ -112,7 +112,7 @@ class BallAutomorphism(SampleMap):
 
     def apply_many(self, xs):
         xs = as_points(xs, self.dimension)
-        if np.any(np.linalg.norm(xs, axis=1) >= 1.0):
+        if np.any(self.source.clearance_many(xs) <= 0.0):
             raise ValueError("ball automorphism applied outside the unit ball")
         a = self.center
         if not np.any(a):
@@ -148,7 +148,7 @@ class BallToHalfSpace(SampleMap):
 
     def apply_many(self, xs):
         xs = as_points(xs, self.dimension)
-        if np.any(np.linalg.norm(xs, axis=1) >= 1.0):
+        if np.any(self.source.clearance_many(xs) <= 0.0):
             raise ValueError("ball-to-half-space map applied outside the unit ball")
         north = np.zeros(self.dimension)
         north[-1] = 1.0

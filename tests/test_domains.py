@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermetric.domains import (
+    Domain,
     GenericDomain,
     HalfSpace,
     Interval,
@@ -175,6 +176,17 @@ class TestSampling:
         with pytest.raises(ValueError, match="infeasible"):
             sample_interior(UnitBall(2), 10, seed=0, min_clearance=1.0)
 
+    def test_clearance_reached_only_in_the_box_corners(self):
+        # |x| reaches 2 sqrt(2) at the corners of [-2, 2]^2
+        pts = sample_interior(PuncturedSpace(2), 3, 0, min_clearance=2.2)
+        assert np.all(PuncturedSpace(2).clearance_many(pts) >= 2.2)
+
+    def test_clearance_reached_only_along_a_tall_box(self):
+        upper = GenericDomain(2, lambda xs: xs[:, 1], lambda xs: xs[:, 1] > 0.0,
+                              ((-1.0, 0.0), (1.0, 3.0)))
+        pts = sample_interior(upper, 3, 0, min_clearance=2.0)
+        assert np.all(pts[:, 1] >= 2.0)
+
 
 class TestGenericBox:
     def test_list_box_is_stored_as_float_tuples(self):
@@ -324,3 +336,32 @@ class TestClearanceGrid:
         grid = HalfSpace(2).clearance_grid(np.ix_(np.zeros(3), axis))
         grid[0, 0] = -1.0
         assert axis[0] == 0.5 and np.all(grid[1:] == axis)
+
+    @pytest.mark.parametrize("domain", [cls(n) for cls in (UnitBall, PuncturedSpace, HalfSpace)
+                                        for n in range(1, 11)] + [Interval(-0.3, 1.7)],
+                             ids=lambda d: d.spec_string())
+    def test_rows_read_the_lattice_bits(self, domain):
+        # norm(axis=1) sums 8 or more squares pairwise, the lattice in axis order
+        rng = np.random.default_rng(1)
+        n = domain.dimension
+        xs = rng.normal(size=(4000, n)) * 10.0 ** rng.integers(-5, 2, size=(4000, 1))
+        rows = domain.clearance_many(xs)
+        assert np.array_equal(rows.view(np.int64),
+                              domain.clearance_grid(list(xs.T)).view(np.int64))
+
+    def test_each_domain_writes_one_clearance_formula(self):
+        for cls in (UnitBall, HalfSpace, PuncturedSpace, Interval):
+            assert "clearance_grid" in vars(cls) and "clearance_many" not in vars(cls)
+        assert "clearance_many" in vars(GenericDomain)
+        assert "clearance_grid" not in vars(GenericDomain)
+        for cls in (Domain, UnitBall, HalfSpace, PuncturedSpace, Interval, GenericDomain):
+            assert not hasattr(cls, "max_feasible_clearance")
+
+    def test_a_domain_without_a_clearance_says_so(self):
+        class Bare(Domain):
+            dimension = 2
+
+        with pytest.raises(NotImplementedError):
+            Bare().clearance_many(np.zeros((3, 2)))
+        with pytest.raises(NotImplementedError):
+            Bare().clearance_grid(np.ix_(np.zeros(3), np.zeros(2)))
