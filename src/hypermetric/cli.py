@@ -220,6 +220,7 @@ def _cmd_uniformity(args) -> int:
     print(_dump({
         "domain": domain.spec_string(),
         "U_hat": est.U_hat,
+        "k_source": est.k_source,
         "sample_count": est.sample_count,
         "worst_pair": [list(est.worst_pair[0]), list(est.worst_pair[1])],
     }))

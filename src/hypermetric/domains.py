@@ -27,9 +27,12 @@ samplers draw its boundary-edge and collinear strata, and
 ``pair_window`` whether its geodesic window depends on the query pair:
 the half-space and the punctured space size it from the pair, the ball,
 the interval and ``GenericDomain`` use one box for every pair, so the
-estimator shares one lattice across their queries.  Domains are
-immutable values; no meshes; all operations are pure and safe to call
-concurrently.
+estimator shares one lattice across their queries.  ``k_exact`` gives
+the quasihyperbolic distance k where a closed form is known, NaN
+elsewhere: every built-in answers it (the ball by Clairaut shooting,
+see ``quasihyperbolic._k_ball``), ``GenericDomain`` does not.  Domains
+are immutable values; no meshes; all operations are pure and safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -82,8 +85,15 @@ def unit_directions(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+class _Columns(list):
+    """The columns of rows that ``as_points`` has already validated."""
+
+
 def _grid_axes(axes, dim: int) -> list[np.ndarray]:
-    """The coordinate arrays of ``clearance_grid``, as float arrays."""
+    """The coordinate arrays of ``clearance_grid``, as float arrays; the
+    columns of the row front are taken as they are, checked once."""
+    if isinstance(axes, _Columns):
+        return axes
     axes = [np.asarray(a, dtype=float) for a in axes]
     if len(axes) != dim:
         raise ValueError(f"expected {dim} coordinate axes, got {len(axes)}")
@@ -97,6 +107,38 @@ def _radius_grid(axes, dim: int) -> np.ndarray:
     squares added in axis order (``np.linalg.norm(xs, axis=1)`` adds a
     row's that way only below 8 coordinates)."""
     return np.sqrt(functools.reduce(np.add, [a * a for a in _grid_axes(axes, dim)]))
+
+
+def _radii_and_angle(xs: np.ndarray, ys: np.ndarray):
+    """|x|, |y| and the angle between x and y of paired rows, the angle
+    as 2 atan2(| |y| x - |x| y |, | |y| x + |x| y |), accurate near 0 and
+    pi (and 0 where either point is the origin)."""
+    rx = np.linalg.norm(xs, axis=1)
+    ry = np.linalg.norm(ys, axis=1)
+    u, v = ry[:, None] * xs, rx[:, None] * ys
+    return rx, ry, 2.0 * np.arctan2(np.linalg.norm(u - v, axis=1), np.linalg.norm(u + v, axis=1))
+
+
+def as_pairs(xs, ys, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce paired rows (x_i, y_i) to two (N, dim) arrays of finite
+    coordinates, as many ys as xs."""
+    xs = as_points(xs, dim)
+    ys = as_points(ys, dim)
+    if xs.shape[0] != ys.shape[0]:
+        raise ValueError(f"pairs need as many ys as xs, got {xs.shape[0]} xs "
+                         f"and {ys.shape[0]} ys")
+    return xs, ys
+
+
+def _interior_pairs(domain: "Domain", xs, ys):
+    """Paired rows of a k query and their clearances; raises when a point
+    lies outside the domain."""
+    xs, ys = as_pairs(xs, ys, domain.dimension)
+    d = domain.clearance_many(np.concatenate([xs, ys]))
+    if not np.all(d > 0.0):
+        raise ValueError("both query points must lie inside the domain")
+    m = xs.shape[0]
+    return xs, ys, d[:m], d[m:]
 
 
 def _log_uniform(rng: np.random.Generator, m: int, lo: float, hi: float) -> np.ndarray:
@@ -139,7 +181,7 @@ class Domain:
         rows and reads their columns through ``clearance_grid``."""
         if type(self).clearance_grid is Domain.clearance_grid:
             raise NotImplementedError(f"{type(self).__name__} defines no clearance")
-        return self.clearance_grid(list(as_points(xs, self.dimension).T))
+        return self.clearance_grid(_Columns(as_points(xs, self.dimension).T))
 
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
         return self.clearance_many(xs) > 0.0
@@ -153,6 +195,15 @@ class Domain:
         coords = np.broadcast_arrays(*_grid_axes(axes, self.dimension))
         return self.clearance_many(np.stack([c.ravel() for c in coords], axis=1)).reshape(
             coords[0].shape)
+
+    def k_exact(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The quasihyperbolic distance k of each pair of rows (x_i, y_i)
+        where a closed form is known, NaN where none is.  The base form
+        knows none; a domain that overrides it raises for a point outside.
+        The consumers of k (uniformity, C4_5, QHJ and ``dist --metric k``)
+        run the lattice estimator only on the NaN pairs."""
+        xs, _ = as_pairs(xs, ys, self.dimension)
+        return np.full(xs.shape[0], np.nan)
 
     # -- geometry used by samplers and the estimator ------------------
 
@@ -248,6 +299,14 @@ class UnitBall(Domain):
     def clearance_grid(self, axes):
         return 1.0 - _radius_grid(axes, self.dimension)
 
+    def k_exact(self, xs, ys):
+        # Clairaut's relation for the radial density 1 / (1 - |z|), in
+        # the plane through 0, x and y
+        from .quasihyperbolic import _k_ball
+
+        xs, ys, _, _ = _interior_pairs(self, xs, ys)
+        return _k_ball(*_radii_and_angle(xs, ys))
+
     def boundary_sample(self, m, rng, lo, hi):
         delta = _log_uniform(rng, m, lo, hi)
         return (1.0 - delta)[:, None] * unit_directions(self.dimension, m, rng)
@@ -290,6 +349,13 @@ class HalfSpace(Domain):
     def clearance_grid(self, axes):
         axes = _grid_axes(axes, self.dimension)
         return np.broadcast_to(axes[-1], np.broadcast_shapes(*(a.shape for a in axes))).copy()
+
+    def k_exact(self, xs, ys):
+        # the density 1 / x_n is the hyperbolic one: k is rho_H
+        from .metrics import rho_halfspace_many
+
+        xs, ys, _, _ = _interior_pairs(self, xs, ys)
+        return rho_halfspace_many(xs, ys)
 
     def boundary_sample(self, m, rng, lo, hi):
         delta = _log_uniform(rng, m, lo, hi)
@@ -367,6 +433,12 @@ class PuncturedSpace(Domain):
 
     def clearance_grid(self, axes):
         return _radius_grid(axes, self.dimension)
+
+    def k_exact(self, xs, ys):
+        # in log-polar coordinates the geodesic is a straight line
+        xs, ys, _, _ = _interior_pairs(self, xs, ys)
+        rx, ry, theta = _radii_and_angle(xs, ys)
+        return np.hypot(theta, np.log(rx / ry))
 
     def boundary_sample(self, m, rng, lo, hi):
         delta = _log_uniform(rng, m, lo, hi)
@@ -460,6 +532,18 @@ class Interval(Domain):
     def clearance_grid(self, axes):
         (t,) = _grid_axes(axes, 1)
         return np.minimum(t - self.a, self.b - t)
+
+    def k_exact(self, xs, ys):
+        # k = |Phi(y) - Phi(x)| with Phi(t) = log((t - a) / (m - a)) for
+        # t <= m = (a + b) / 2 and -log((b - t) / (b - m)) for t >= m: a
+        # sum of two logs across m, log(d_far / d_near) on one side, where
+        # the difference of the clearances is the separation
+        xs, ys, dx, dy = _interior_pairs(self, xs, ys)
+        m = 0.5 * (self.a + self.b)
+        lo, hi = np.minimum(xs[:, 0], ys[:, 0]), np.maximum(xs[:, 0], ys[:, 0])
+        across = np.log((m - self.a) / (lo - self.a)) + np.log((self.b - m) / (self.b - hi))
+        return np.where((lo <= m) & (hi >= m), across,
+                        np.log1p(np.abs(dx - dy) / np.minimum(dx, dy)))
 
     def boundary_sample(self, m, rng, lo, hi):
         delta = _log_uniform(rng, m, lo, hi)
@@ -588,8 +672,10 @@ def sample_interior(
     Points are uniform over the domain's sample box, filtered to
     clearance >= ``min_clearance``.  The same (domain, count, seed,
     min_clearance) always yields the same array; a ``Generator`` seed is
-    drawn from in place, continuing its stream.  A clearance the box
-    cannot reach fails after ``_MAX_REJECTION_ROUNDS`` batches.
+    drawn from in place, continuing its stream.  Each batch draws
+    max(1024, twice the points still missing) candidates; a clearance the
+    box cannot reach fails after ``_MAX_REJECTION_ROUNDS`` batches in a row
+    that accept no point.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -598,20 +684,21 @@ def sample_interior(
     rng = np.random.default_rng(seed)
     lo, hi = domain.sample_box()
     out = np.empty((count, domain.dimension))
-    have = 0
-    for _ in range(_MAX_REJECTION_ROUNDS):
+    have = misses = 0
+    while have < count:
         batch = max(1024, 2 * (count - have))
         cand = rng.uniform(lo, hi, size=(batch, domain.dimension))
         ok = domain.clearance_many(cand) >= min_clearance
         take = cand[ok][: count - have]
         out[have : have + take.shape[0]] = take
         have += take.shape[0]
-        if have == count:
-            return out
-    raise ValueError(
-        f"could not reach clearance {min_clearance} in {domain.spec_string()}; "
-        "clearance is likely infeasible for the sample box"
-    )
+        misses = 0 if take.shape[0] else misses + 1
+        if misses == _MAX_REJECTION_ROUNDS:
+            raise ValueError(
+                f"could not reach clearance {min_clearance} in {domain.spec_string()}; "
+                "clearance is likely infeasible for the sample box"
+            )
+    return out
 
 
 def sample_complement(domain: Domain, count: int, seed: int) -> PointSet:

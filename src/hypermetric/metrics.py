@@ -311,9 +311,10 @@ def pair_kernel(kind: MetricKind, domain: Domain, params: MetricParams, k_contro
 
     ``dx``, ``dy`` are what :func:`kind_clearances` gives for each point
     set, so a caller pairing one point set with several others reads its
-    clearances once.  QUASIHYPERBOLIC evaluation runs lattice shortest
-    paths (:func:`hypermetric.quasihyperbolic.k_estimate_many`) and is far
-    slower than the closed forms.
+    clearances once.  QUASIHYPERBOLIC evaluation reads ``Domain.k_exact``
+    (:func:`hypermetric.quasihyperbolic.k_many`), exact on every built-in
+    domain, and runs lattice shortest paths at ``k_controls`` only where
+    it is NaN, far slower than the closed forms.
     """
     validate_kind(kind, domain)
     c = params.c
@@ -330,10 +331,10 @@ def pair_kernel(kind: MetricKind, domain: Domain, params: MetricParams, k_contro
         return lambda xs, ys, dx, dy: rho_halfspace_many(as_points(xs, domain.dimension),
                                                          as_points(ys, domain.dimension))
     if kind is MetricKind.QUASIHYPERBOLIC:
-        from .quasihyperbolic import KControls, k_estimate_many
+        from .quasihyperbolic import KControls, k_many
 
         controls = k_controls if k_controls is not None else KControls()
-        return lambda xs, ys, dx, dy: k_estimate_many(domain, xs, ys, controls)
+        return lambda xs, ys, dx, dy: k_many(domain, xs, ys, controls)[0]
     raise ValueError(f"unsupported metric kind {kind}")
 
 

@@ -1,13 +1,25 @@
 """Quasihyperbolic distance k(x, y) = inf over curves of the 1/d(z) line
-integral, estimated by shortest paths on a lattice graph.
+integral: exact where the domain knows it, and estimated by shortest
+paths on a lattice graph.
 
-Exact closed forms exist for two of the built-in domains and serve as
-oracles for the estimator:
+Every built-in domain answers ``Domain.k_exact``:
 
 * half-space: the density 1/x_n is the hyperbolic one, so k equals the
   half-space hyperbolic distance;
 * punctured space: in log-polar coordinates the geodesic is a straight
-  line, giving k = sqrt(theta^2 + log^2(|x|/|y|)).
+  line, giving k = sqrt(theta^2 + log^2(|x|/|y|)) (``k_exact_punctured``
+  is its one-pair front);
+* interval: k = |Phi(y) - Phi(x)|, Phi the integral of 1/d from the
+  midpoint;
+* ball: Clairaut's relation for the radial density turns k into a 1-D
+  shooting problem, solved to about 1e-11 relative error (``_k_ball``).
+
+The consumers of k read it through ``k_many``: uniformity, C4_5, QHJ
+and ``dist --metric k`` take ``k_exact`` where it is finite and run the
+estimator on the other pairs only, so on a built-in domain they carry
+no estimator error and build no lattice.  ``k_estimate``,
+``k_estimate_many`` and the ``k-estimate`` CLI stay the estimator on
+every domain: the closed forms are their oracles.
 
 Estimator construction, per refinement level (spacing halved each time):
 
@@ -59,7 +71,9 @@ puncture, where no c > 0 is proved, the floor is j (see
 attach edges, which are longer, fall short of c k_P.
 
 Every query goes through ``_grid_values``: x is a source-only row
-appended to the grid's CSR adjacency, and y is no node; its value is the
+appended to the grid's CSR adjacency (a shared grid keeps room for one
+chunk's rows after its arrays and writes only those, a per-query grid
+is copied with them appended), and y is no node; its value is the
 least dist[c] + w(c, y) over the nodes c it attaches to, or the direct
 x-y edge.  Dijkstra with non-negative weights returns the least
 left-to-right sum over paths, so this is bit for bit the distance a
@@ -100,9 +114,10 @@ node of the lens.  No (nodes, n) matrix of the window is formed.
 Shared grids serve many pairs, so they get no lens, and their level 0
 has no limit.
 
-Every k value comes from one driver, ``_histories``: ``k_estimate`` is
-its one-pair case, ``k_estimate_many`` reads its last level, and the
-CLI's ``dist --metric k`` goes through ``k_estimate_many``.  It reads
+Every estimate comes from one driver, ``_histories``: ``k_estimate`` is
+its one-pair case, ``k_estimate_many`` reads its last level, and
+``k_many`` calls ``k_estimate_many`` on the pairs without a closed
+form.  It reads
 the endpoints' clearances once and picks each level's grid by one rule.
 When the window does not depend on the query pair (``Domain.pair_window``
 is false: ball, interval, generic domains) the lattice is the same for
@@ -128,18 +143,21 @@ and nothing keeps it afterwards.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from .domains import Domain, as_point, as_points
+from .domains import Domain, PuncturedSpace, as_pairs, as_point
 
 DEFAULT_NODE_CAP = 2_000_000
 
@@ -227,6 +245,17 @@ class KEstimate:
     refinement_history: list[tuple[float, float]]
 
 
+class _SourceRows(NamedTuple):
+    """A shared grid's CSR arrays at the heads of writable buffers, which
+    have room after them for one chunk's source rows, and the lock of
+    those tails."""
+
+    weights: np.ndarray
+    neighbours: np.ndarray
+    indptr: np.ndarray
+    lock: threading.Lock
+
+
 @dataclass
 class GeodesicGrid:
     """Lattice discretization of a domain window; its arrays are read-only.
@@ -254,6 +283,8 @@ class GeodesicGrid:
     _axis_starts: np.ndarray = field(repr=False)     # first lattice index per axis
     directed: bool = False
     exact_to: float = math.inf  # G; inf when the grid holds every edge
+    # a shared grid's writable buffers, room for one chunk's source rows
+    _source_rows: "_SourceRows | None" = field(default=None, repr=False, compare=False)
 
     @property
     def edges(self) -> np.ndarray:
@@ -270,18 +301,182 @@ class GeodesicGrid:
 
 
 def k_exact_punctured(x, y) -> float:
-    """Exact quasihyperbolic distance of R^n minus the origin:
-    sqrt(theta^2 + log^2(|x|/|y|)), with the angle theta formed as
-    2 atan2(| |y| x - |x| y |, | |y| x + |x| y |), accurate near 0 and pi."""
+    """Exact quasihyperbolic distance of R^n minus the origin, one pair:
+    sqrt(theta^2 + log^2(|x|/|y|)) (``PuncturedSpace.k_exact``), with the
+    angle theta formed as 2 atan2(| |y| x - |x| y |, | |y| x + |x| y |),
+    accurate near 0 and pi."""
     x = as_point(x)
     y = as_point(y, x.size)
-    rx = float(np.linalg.norm(x))
-    ry = float(np.linalg.norm(y))
-    if rx == 0.0 or ry == 0.0:
+    if not (np.any(x) and np.any(y)):
         raise ValueError("punctured-space points must be nonzero")
-    u, v = ry * x, rx * y
-    theta = 2.0 * math.atan2(float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v)))
-    return math.hypot(theta, math.log(rx / ry))
+    return float(PuncturedSpace(x.size).k_exact(x[None], y[None])[0])
+
+
+#: Gauss-Legendre nodes per leg of the ball's Clairaut integrals
+_CLAIRAUT_NODES = 64
+
+#: |s| bound of the ball's shooting parameter, far past every angle
+#: that a double can tell from 0 or pi
+_SHOOT_BOUND = 600.0
+
+#: a shooting residual below this is converged: it moves k by less than
+#: 1e-12 k, and the residual's own rounding is about 1e-14
+_SHOOT_TOLERANCE = 1e-12
+
+#: a cap on the shooting steps; bisection alone would need about 70
+_SHOOT_STEPS = 100
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, built on
+    first use: Newton steps on P_n from Tricomi's first guesses
+    cos(pi (i - 1/4) / (n + 1/2)), and w = 2 / ((1 - x^2) P_n'(x)^2), within
+    1e-13 of the exact weights.  (numpy's ``leggauss`` calls LAPACK's
+    eigensolver, whose first use holds about 1 MB more memory.)"""
+    n = _CLAIRAUT_NODES
+    nodes = np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+
+    def legendre(x):
+        # P_n(x) and P_n'(x) by the three-term recurrence
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    for _ in range(5):
+        p, dp = legendre(nodes)
+        nodes = nodes - p / dp
+    _, dp = legendre(nodes)
+    weights = 2.0 / ((1.0 - nodes * nodes) * dp * dp)
+    for a in (nodes, weights):
+        a.flags.writeable = False
+    return nodes, weights
+
+
+def _clairaut(s, r_m, d_m, r_M, length=False):
+    """The angle swept between radii r_m <= r_M (clearances d = 1 - r) by
+    the ball's geodesic that leaves the point at radius r_m at the angle
+    psi = pi / (1 + e^-s) to the outward radius; with ``length`` also its
+    k-length.  See ``_k_ball``."""
+    a = math.pi / (1.0 + np.exp(np.abs(s)))       # min(psi, pi - psi)
+    sin_a = np.sin(a)
+    c = r_m / d_m * sin_a                           # Clairaut's constant
+    r_c = c / (1.0 + c)
+    one_rc = 1.0 / (1.0 + c)
+    sh2_m = d_m * np.cos(a) ** 2 / (sin_a * (1.0 + sin_a))     # sinh^2 U_m
+    sh2_M = sh2_m + (r_M - r_m) / r_c
+    u_m, u_M = np.arcsinh(np.sqrt(sh2_m)), np.arcsinh(np.sqrt(sh2_M))
+    perigee = s >= 0.0
+    # the two legs as panels [lo, hi] in u: [U_m, U_M] and an empty one on
+    # the monotone branch, [0, U_M] and [0, U_m] on the perigee branch
+    lo = np.concatenate([np.where(perigee, 0.0, u_m), np.zeros_like(u_m)])
+    hi = np.concatenate([u_M, np.where(perigee, u_m, 0.0)])
+    nodes, weights = _gauss_legendre()
+    half = 0.5 * (hi - lo)
+    sh = np.sinh(0.5 * (hi + lo)[:, None] + half[:, None] * nodes)
+    sh2 = sh * sh
+    ch = np.sqrt(1.0 + sh2)
+    rc, one_rc2 = np.tile(r_c, 2)[:, None], np.tile(one_rc, 2)[:, None]
+    rsh2 = rc * sh2                                 # r - r_c
+    one_r = one_rc2 - rsh2                          # 1 - r
+    q = np.sqrt(2.0 * one_r + sh2)
+    m = s.size
+    # einsum sums row by row, so a pair's value does not depend on its batch
+    angle = 2.0 * half * np.einsum("ij,j->i", one_r / (ch * q), weights)
+    angle = angle[:m] + angle[m:]
+    if not length:
+        return angle
+    rest = 2.0 * half * np.einsum(
+        "ij,j->i", rc * rc * ch * one_r / (q * ((rc + rsh2) * one_rc2 + rc * sh * q)), weights)
+    radial = np.where(perigee, np.log1p(r_c * sh2_m / d_m) + np.log1p(r_c * sh2_M / (1.0 - r_M)),
+                      np.log1p((r_M - r_m) / (1.0 - r_M)))
+    return radial + rest[:m] + rest[m:]
+
+
+def _k_ball(r_x, r_y, theta) -> np.ndarray:
+    """k of the unit ball between points at radii r_x, r_y whose angle at
+    the origin is theta, vectorized over pairs.
+
+    The density 1 / (1 - |z|) is radial, so (folding about the axis
+    through x) k in R^n is k in the plane through 0, x and y.  Write
+    g(r) = r / (1 - r).  Along a geodesic, Clairaut's relation keeps
+    g(r) sin(alpha) = C, alpha the angle to the radius, so a geodesic
+    either runs monotonically in r or has one perigee at r_c = C / (1 + C),
+    where g(r_c) = C.  With r = r_c cosh^2 u and Q = sqrt(cosh^2 u + 1 - 2r)
+    the angle it sweeps is the integral of 2 (1 - r) / (cosh u Q) du, and
+    its k-length that of 2 r (1 - r_c) cosh u / ((1 - r) Q) du; each leg
+    runs from 0 to U, the U of its endpoint, and a pair takes the U_M leg
+    less the U_m leg (one panel [U_m, U_M]) on the monotone branch, their
+    sum on the perigee branch, m for the smaller radius.  The k-length is
+    taken as its radial part, log((1 - r_c) / (1 - r)) per leg, in closed
+    form, plus the rest, 2 r_c^2 cosh u (1 - r) / (Q (r (1 - r_c) +
+    r_c sinh u Q)), which has no pole at the boundary and no
+    cancellation; 1 - r_c = 1 / (1 + C) and r - r_c = r_c sinh^2 u are
+    formed directly.  Each panel is one 64-node Gauss-Legendre rule.
+
+    The geodesic is shot from the point at the smaller radius at the
+    angle psi = pi / (1 + e^-s) to its outward radius, so psi < pi / 2
+    (s < 0) is the monotone branch and psi > pi / 2 the perigee branch,
+    and a safeguarded secant step solves logit(angle / pi) = logit(theta /
+    pi) in s.  The swept angle never decreases with psi.
+    log(1 / (1 - |z|)) is convex, so the plane with k has curvature <= 0
+    in Alexandrov's sense (-1 / r away from the origin); complete and
+    simply connected, it is a CAT(0) space, whose geodesics are unique.
+    A geodesic from x meets the circle of radius r_M once (at x itself
+    when r_M = r_m and psi <= pi / 2), and two directions that met it at
+    the same angle > 0 would give two geodesics to one point; so the
+    angle is continuous and, where positive, injective, hence monotone in
+    psi, from 0 (radial) to pi (through the origin).  A test checks it
+    densely as well.  Its logit grows like s at both ends, and the first
+    guess is the direction of the hyperbolic geodesic, so the secant
+    steps settle in about six evaluations.
+
+    theta = 0, a point at the origin and theta = pi have the closed forms
+    k = log((1 - r_m) / (1 - r_M)) and -log(1 - r_m) - log(1 - r_M)
+    (Martin, Trans. AMS 292, 1985).  Where the shooting underflows, at
+    radii or angles below about 1e-150, the first of these stands."""
+    r_m, r_M = np.minimum(r_x, r_y), np.maximum(r_x, r_y)
+    d_m, d_M = 1.0 - r_m, 1.0 - r_M
+    k = np.where(theta >= math.pi, -np.log1p(-r_m) - np.log1p(-r_M),
+                 np.log1p((r_M - r_m) / d_M))
+    todo = np.flatnonzero((theta > 0.0) & (theta < math.pi) & (r_m > 0.0))
+    if todo.size == 0:
+        return k
+    theta, r_m, d_m, r_M = theta[todo], r_m[todo], d_m[todo], r_M[todo]
+    target = np.log(theta / (math.pi - theta))
+    # the first guess: the direction at the smaller radius of the ball's
+    # hyperbolic geodesic, the circle through x, y and x / |x|^2, whose
+    # density 2 / (1 - r^2) is 1 / (1 - r) times a factor in [1, 2)
+    psi = np.arctan2(r_M * np.sin(theta) * (1.0 - r_m * r_m),
+                     r_M * np.cos(theta) * (1.0 + r_m * r_m) - r_m * (1.0 + r_M * r_M))
+    with np.errstate(divide="ignore"):
+        s = np.clip(np.log(psi / (math.pi - psi)), -_SHOOT_BOUND, _SHOOT_BOUND)
+    lo, hi = np.full(s.size, -_SHOOT_BOUND), np.full(s.size, _SHOOT_BOUND)
+    live = np.arange(s.size)
+    last = None
+    # an angle of 0 (equal radii, monotone branch) or pi reads as -inf or
+    # inf, and what underflows is caught at the end
+    with np.errstate(all="ignore"):
+        for _ in range(_SHOOT_STEPS):
+            if live.size == 0:
+                break
+            at = s[live]
+            angle = _clairaut(at, r_m[live], d_m[live], r_M[live])
+            g = np.log(angle / np.maximum(math.pi - angle, 0.0)) - target[live]
+            lo[live] = np.where(g < 0.0, at, lo[live])
+            hi[live] = np.where(g > 0.0, at, hi[live])
+            # a secant step, the first with slope 1, else halve the bracket
+            nxt = at - (g if last is None else g * (at - last[0]) / (g - last[1]))
+            nxt = np.where((nxt > lo[live]) & (nxt < hi[live]), nxt, 0.5 * (lo[live] + hi[live]))
+            settled = np.abs(g) <= _SHOOT_TOLERANCE
+            done = settled | (np.abs(nxt - at) <= 4e-16 * np.maximum(1.0, np.abs(at)))
+            s[live] = np.where(settled, at, nxt)
+            last = (at[~done], g[~done])
+            live = live[~done]
+        shot = _clairaut(s, r_m, d_m, r_M, length=True)
+    k[todo] = np.where(np.isfinite(shot), shot, k[todo])
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -707,15 +902,23 @@ def _pruned(grid: GeodesicGrid) -> tuple[GeodesicGrid, float]:
     far = reach * int(strides.sum())
     lut = np.full(2 * far + 1, -1, dtype=np.int64)
     lut[offsets @ strides + far] = np.arange(offsets.shape[0])
-    slot = lut[cell[grid.neighbours] - at + far]
     size = math.prod(padded)
+    # each edge's flat (offset, cell) index, formed in place: a few arrays
+    # of one entry per edge are the peak of a shared grid's build
+    where = cell[grid.neighbours]
+    where -= at
+    where += far
+    where = lut[where]
+    where *= size
+    where += at
+    del at
     table = np.full(offsets.shape[0] * size, np.nan)
-    table[slot * size + at] = grid.weights
+    table[where] = grid.weights
     table = table.reshape(offsets.shape[0], size)
 
     # every cell of the lattice lies in [lo, hi)
     lo, hi = far, (np.array(shape) - 1 + reach) @ strides + 1
-    dropped = np.zeros((offsets.shape[0], hi - lo), dtype=bool)
+    dropped = np.zeros((offsets.shape[0], size), dtype=bool)
     detour = np.empty(hi - lo)
     beaten = np.empty(hi - lo, dtype=bool)
     for j, k1, at1, k2, at2 in detours:
@@ -724,8 +927,9 @@ def _pruned(grid: GeodesicGrid) -> tuple[GeodesicGrid, float]:
         detour *= 1.0 + _DETOUR_MARGIN
         # nan, where an edge is missing, beats nothing
         np.greater(table[j, lo:hi], detour, out=beaten)
-        dropped[j] |= beaten
-    keep = ~dropped.ravel()[slot * (hi - lo) + at - lo]
+        dropped[j, lo:hi] |= beaten
+    del table
+    keep = ~dropped.ravel()[where]
     if keep.all():
         return grid, math.inf
     kept_before = np.concatenate([[0], np.cumsum(keep)])
@@ -745,9 +949,28 @@ def _lattice(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
 @functools.lru_cache(maxsize=SHARED_GRIDS)
 def _shared_grid(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
     """The shared lattice: its kept edges (``_pruned``) in both
-    directions, with its bound G as ``exact_to``."""
-    kept, exact_to = _pruned(_lattice(domain, spacing, node_cap))
-    return dataclasses.replace(_both_directions(kept), exact_to=exact_to)
+    directions, with its bound G as ``exact_to``, its CSR arrays read-only
+    views of the heads of buffers with room for one chunk's source rows."""
+    grid, exact_to = _pruned(_lattice(domain, spacing, node_cap))
+    # rebound, so that the one-direction arrays are freed before the copies
+    grid = _both_directions(grid)
+    # a source attaches to at most the cells of its box, and only near the
+    # boundary to those of the wider box, when the chunk is copied instead.
+    # The room is at most the grid's own size: scipy copies a view of less
+    # than half its buffer
+    rows = min(_chunk_size(grid), grid.indptr.size)
+    edges = min(rows * len(_cell_box(grid, 0)), grid.weights.size)
+    buffers = {}
+    for name, extra in (("weights", edges), ("neighbours", edges), ("indptr", rows)):
+        head = getattr(grid, name)
+        buffers[name] = np.empty(head.size + extra, dtype=head.dtype)
+        buffers[name][:head.size] = head
+        head = buffers[name][:head.size]
+        head.flags.writeable = False
+        # each array is freed as soon as its copy replaces it
+        grid = dataclasses.replace(grid, **{name: head})
+    return dataclasses.replace(grid, exact_to=exact_to,
+                               _source_rows=_SourceRows(**buffers, lock=threading.Lock()))
 
 
 def _cell_span(dimension: int, widen: int) -> int:
@@ -828,6 +1051,34 @@ def _chunk_size(grid: GeodesicGrid) -> int:
                       _CELL_BLOCK // (2 * len(_cell_box(grid, 0)))))
 
 
+@contextlib.contextmanager
+def _with_sources(grid: GeodesicGrid, x_row: np.ndarray, node: np.ndarray, w: np.ndarray,
+                  n_src: int):
+    """The grid's adjacency with ``n_src`` source rows after its own, row
+    i holding the edges to ``node`` of weight ``w`` where ``x_row`` is i.
+    A shared grid writes only those rows, into the tails of its buffers,
+    under their lock; another grid, or a shared one whose tails are busy,
+    gets a fresh copy of its arrays with the rows appended."""
+    n, e = grid.nodes.shape[0], grid.weights.size
+    shape = (n + n_src, n + n_src)
+    ends = e + np.cumsum(np.bincount(x_row, minlength=n_src))
+    rows = grid._source_rows
+    if (rows is not None and e + node.size <= rows.weights.size
+            and n + 1 + n_src <= rows.indptr.size and rows.lock.acquire(blocking=False)):
+        try:
+            rows.weights[e:e + node.size] = w
+            rows.neighbours[e:e + node.size] = node
+            rows.indptr[n + 1:n + 1 + n_src] = ends
+            yield sp.csr_matrix((rows.weights[:e + node.size], rows.neighbours[:e + node.size],
+                                 rows.indptr[:n + 1 + n_src]), shape=shape)
+        finally:
+            rows.lock.release()
+        return
+    yield sp.csr_matrix((np.concatenate([grid.weights, w]),
+                         np.concatenate([grid.neighbours, node], dtype=np.int32),
+                         np.concatenate([grid.indptr, ends])), shape=shape)
+
+
 def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.ndarray,
                  dys: np.ndarray, limits: np.ndarray) -> tuple[np.ndarray, dict]:
     """Grid distances of the pairs (x_i, y_i), whose clearances are dx_i
@@ -878,15 +1129,10 @@ def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.nda
         on_y = (point >= k) & live[point % k]
         x_row, y_row = row[point[on_x]], row[point[on_y] - k]
         n_src = pairs.size
-        graph = sp.csr_matrix(
-            (np.concatenate([grid.weights, w[on_x]]),
-             np.concatenate([grid.neighbours, node[on_x]], dtype=np.int32),
-             np.concatenate([grid.indptr, grid.indptr[-1]
-                             + np.cumsum(np.bincount(x_row, minlength=n_src))])),
-            shape=(n_nodes + n_src, n_nodes + n_src))
         # pairs are sorted by limit, so the last one's is the chunk's
-        dist = dijkstra(graph, directed=grid.directed, indices=n_nodes + np.arange(n_src),
-                        limit=float(limits[pairs[-1]]))
+        with _with_sources(grid, x_row, node[on_x], w[on_x], n_src) as graph:
+            dist = dijkstra(graph, directed=grid.directed, indices=n_nodes + np.arange(n_src),
+                            limit=float(limits[pairs[-1]]))
         best = values[pairs]
         np.minimum.at(best, y_row, dist[y_row, node[on_y]] + w[on_y])
         values[pairs] = best
@@ -1021,14 +1267,24 @@ def k_estimate(
     return KEstimate(history[-1][1], history[-1][0], history)
 
 
+def k_many(domain: Domain, xs: np.ndarray, ys: np.ndarray,
+           controls: KControls) -> tuple[np.ndarray, str]:
+    """k of each pair, as the consumers of k read it: ``Domain.k_exact``
+    where it is finite, ``k_estimate_many`` at ``controls`` on the other
+    pairs only; and the source read, "exact", "estimate" or "mixed"."""
+    xs, ys = as_pairs(xs, ys, domain.dimension)
+    k = domain.k_exact(xs, ys)
+    rest = np.flatnonzero(np.isnan(k))
+    if rest.size:
+        k[rest] = k_estimate_many(domain, xs[rest], ys[rest], controls)
+    source = "estimate" if rest.size == k.size else "exact" if rest.size == 0 else "mixed"
+    return k, source
+
+
 def k_estimate_many(domain: Domain, xs: np.ndarray, ys: np.ndarray,
                     controls: KControls) -> np.ndarray:
     """Final-level estimates for an array of pairs, each equal to its
     ``k_estimate``; a failure is the one the first failing pair raises
     on its own."""
-    xs = as_points(xs, domain.dimension)
-    ys = as_points(ys, domain.dimension)
-    if xs.shape[0] != ys.shape[0]:
-        raise ValueError(f"pairs need as many ys as xs, got {xs.shape[0]} xs "
-                         f"and {ys.shape[0]} ys")
+    xs, ys = as_pairs(xs, ys, domain.dimension)
     return _histories(domain, xs, ys, controls)[:, -1]

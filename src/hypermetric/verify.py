@@ -11,15 +11,18 @@ Three kinds of checks:
   targeted falsifiers on the symmetric collinear family (r, 0, -r) in
   the plane ball, where all known violations live.
 * :func:`inequality_suite` -- the named two-sided estimates relating h,
-  j, phi, the model hyperbolic metrics and the quasihyperbolic
-  estimate, each reduced to a per-sample slack with pass defined as
+  j, phi, the model hyperbolic metrics and the quasihyperbolic metric k,
+  each reduced to a per-sample slack with pass defined as
   min_slack >= -tolerance.
 
-Tolerances: 1e-9 absolute for closed-form inequalities (1e-10 for the
-identity/sandwich and Moebius-distortion suites, 1e-12 for plain
-triangle-inequality facts), 2% relative wherever the shortest-path
-estimator participates (each suite's default is in :data:`SUITES`).
-This separates formula rounding from discretization error.
+k is ``Domain.k_exact`` wherever it is finite, which is every built-in
+domain, and the shortest-path estimate elsewhere (``GenericDomain``);
+each report that reads k names its source.  Tolerances: 1e-9 absolute
+for closed-form inequalities (1e-10 for the identity/sandwich and
+Moebius-distortion suites, 1e-12 for plain triangle-inequality facts),
+2% relative in the k suites, where the estimator may participate (each
+suite's default is in :data:`SUITES`).  This separates formula rounding
+from discretization error.
 
 Determinism: every sample derives from ``numpy.random.default_rng``
 seeded by (seed, chunk); scans partition work into fixed chunks whose
@@ -52,13 +55,13 @@ from .domains import (
     unit_directions,
 )
 from .metrics import MetricKind, MetricParams
-from .quasihyperbolic import KControls, k_estimate_many
+from .quasihyperbolic import KControls, k_many
 
 _CHUNK = 20_000
 
 #: clearance of the points the closed-form suites sample
 _SUITE_CLEARANCE = 1e-3
-#: clearance of the pairs whose k is estimated (keeps the lattice coarse)
+#: clearance of the pairs whose k is read (keeps the lattice coarse where k is estimated)
 _K_CLEARANCE = 0.2
 #: pairs with j at or below this are degenerate for the k/j ratios
 _J_FLOOR = 1e-6
@@ -143,12 +146,16 @@ def _make_report(suite_id, domain_str, params, seed, count, min_slack, witness,
 
 @dataclass
 class UniformityEstimate:
-    """The largest sampled k/j: up to the estimator's error, a lower bound
-    on sup k/j over the sampled region, not the uniformity constant."""
+    """The largest sampled k/j: a lower bound on sup k/j over the sampled
+    region, not the uniformity constant.  ``k_source`` names where k came
+    from: "exact" (``Domain.k_exact``, every built-in domain) carries no
+    estimator error, "estimate" (the lattice, ``GenericDomain``) carries
+    the estimator's, and "mixed" both."""
 
     U_hat: float
     sample_count: int
     worst_pair: tuple[tuple[float, ...], tuple[float, ...]]
+    k_source: str
 
 
 # ---------------------------------------------------------------------------
@@ -472,23 +479,24 @@ def _suite_L4_4_2(domain, params, count, rng):
 
 def _k_pairs(domain, count, rng, k_controls):
     """Pairs at clearance >= _K_CLEARANCE with j above the floor: xs, ys,
-    their k estimates and (|x - y|, d(x), d(y))."""
+    their k (``k_many``), (|x - y|, d(x), d(y)) and the k source."""
     xs, ys = _suite_pairs(domain, count, rng, _K_CLEARANCE)
-    k_hat = k_estimate_many(domain, xs, ys, k_controls)
+    k_hat, source = k_many(domain, xs, ys, k_controls)
     geom = metrics.pair_geometry(domain, xs, ys)
     valid = metrics.j_kernel(*geom) > _J_FLOOR
     _require(bool(np.any(valid)), "all sampled pairs are degenerate (j ~ 0)")
-    return xs[valid], ys[valid], k_hat[valid], tuple(g[valid] for g in geom)
+    return xs[valid], ys[valid], k_hat[valid], tuple(g[valid] for g in geom), source
 
 
 def _suite_C4_5(domain, params, count, rng, k_controls):
     c = params.c
-    xs, ys, k_hat, geom = _k_pairs(domain, count, rng, k_controls)
+    xs, ys, k_hat, geom, source = _k_pairs(domain, count, rng, k_controls)
     h = metrics.h_kernel(*geom, c)
     u_hat = float(np.max(k_hat / metrics.j_kernel(*geom)))
     d_const = c / (2.0 * (1.0 + c) * u_hat)
     slacks = np.minimum((h - d_const * k_hat) / h, (c * k_hat - h) / h)
-    return slacks, (xs, ys), {"u_hat": u_hat, "d_constant": d_const, "relative": True}
+    return slacks, (xs, ys), {"u_hat": u_hat, "d_constant": d_const, "relative": True,
+                              "k_source": source}
 
 
 def _suite_T4_6(domain, params, count, rng):
@@ -504,9 +512,9 @@ def _suite_T4_6(domain, params, count, rng):
 
 
 def _suite_QHJ(domain, params, count, rng, k_controls):
-    xs, ys, k_hat, geom = _k_pairs(domain, count, rng, k_controls)
+    xs, ys, k_hat, geom, source = _k_pairs(domain, count, rng, k_controls)
     j = metrics.j_kernel(*geom)
-    return (k_hat - j) / j, (xs, ys), {"relative": True}
+    return (k_hat - j) / j, (xs, ys), {"relative": True, "k_source": source}
 
 
 class Suite(NamedTuple):
@@ -545,7 +553,8 @@ SUITES = {
     "L4_4_2": Suite(_suite_L4_4_2, False, 1e-9, None,
                     "(1-L)/(1+L) j <= h_c for pairs with |x-y| < L d(x), L sampled in (0,1)"),
     "C4_5": Suite(_suite_C4_5, True, 0.02, None,
-                  "d k <= h_c <= c k with d = c/(2(1+c) U_hat), 2% relative slack"),
+                  "d k <= h_c <= c k with d = c/(2(1+c) U_hat), k exact on the built-in "
+                  "domains, 2% relative slack"),
     "T4_6": Suite(_suite_T4_6, False, 1e-9, (UnitBall, HalfSpace),
                   "h_c/c <= rho_G <= 2 h_c on the ball / half-space models, c >= 2"),
     "QHJ": Suite(_suite_QHJ, True, 0.02, None, "k >= j within 2% relative slack"),
@@ -607,10 +616,12 @@ def uniformity_estimate(
     seed: int,
     k_controls: KControls | None = None,
 ) -> UniformityEstimate:
-    """U_hat = max over sampled pairs of k_estimate / j (pairs with j
-    above 1e-6 only), a lower bound on sup k/j, not the uniformity constant
-    (see :class:`UniformityEstimate`).  Finite stable values are expected
-    exactly on uniform domains.
+    """U_hat = max over sampled pairs of k / j (pairs with j above 1e-6
+    only), a lower bound on sup k/j, not the uniformity constant (see
+    :class:`UniformityEstimate`).  k is ``Domain.k_exact`` where it is
+    finite, so a built-in domain's U_hat carries no estimator error, and
+    the estimate at ``k_controls`` on the other pairs.  Finite stable
+    values are expected exactly on uniform domains.
 
     Pairs keep clearance >= 0.2.  On a domain with boundary strata a
     quarter of the pairs put both endpoints at matched clearance in
@@ -634,11 +645,12 @@ def uniformity_estimate(
     if not np.any(valid):
         raise ValueError("all sampled pairs fall below the j floor")
     xs, ys, j = xs[valid], ys[valid], j[valid]
-    k_hat = k_estimate_many(domain, xs, ys, controls)
+    k_hat, source = k_many(domain, xs, ys, controls)
     ratios = k_hat / j
     worst = int(np.argmax(ratios))
     return UniformityEstimate(
         U_hat=float(ratios[worst]),
         sample_count=int(j.shape[0]),
         worst_pair=(tuple(map(float, xs[worst])), tuple(map(float, ys[worst]))),
+        k_source=source,
     )

@@ -4,12 +4,16 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hypermetric.cli import run
-from hypermetric.domains import UnitBall
-from hypermetric.metrics import MetricParams
+from hypermetric.domains import Domain, UnitBall, parse_domain
+from hypermetric.metrics import MetricKind, MetricParams, pair_evaluator
+from hypermetric.quasihyperbolic import KControls, k_estimate
 from hypermetric.verify import SUITES, inequality_suite
+
+from test_domains import annulus_domain
 
 
 def invoke(argv):
@@ -51,13 +55,26 @@ class TestDist:
         ("interval:0:1", ["0.2", "0.7"]),
     ])
     def test_k_metric_prints_the_k_estimate_value(self, domain, points, precision):
+        # the value k's consumers read: Domain.k_exact on the built-ins,
+        # which k-estimate does not print; the estimate where no closed
+        # form is known is test_k_metric_is_the_estimate_on_a_generic_domain
         query = ["--domain", domain, "--points", *points, "--spacing", "0.1",
                  "--refinements", "1"]
         code, out = invoke(["k-estimate", *query])
         assert code == 0
+        x, y = (np.array([[float(v) for v in p.split(",")]]) for p in points)
+        exact = float(parse_domain(domain).k_exact(x, y)[0])
+        assert exact != json.loads(out)["value"]
         digits = int(precision[1]) if precision else 6
-        expected = f"{json.loads(out)['value']:.{digits}f}\n"
+        expected = f"{exact:.{digits}f}\n"
         assert invoke(["dist", "--metric", "k", *query, *precision]) == (0, expected)
+
+    def test_k_metric_is_the_estimate_on_a_generic_domain(self):
+        ring = annulus_domain()
+        xs, ys = np.array([[0.5, 0.0], [-0.4, 0.3]]), np.array([[0.0, 0.6], [0.6, -0.2]])
+        controls = KControls(0.1, 1)
+        k = pair_evaluator(MetricKind.QUASIHYPERBOLIC, ring, MetricParams(2.0), controls)(xs, ys)
+        assert np.array_equal(k, [k_estimate(ring, x, y, 0.1, 1).value for x, y in zip(xs, ys)])
 
     def test_closed_form_ignores_k_flags(self):
         code, out = invoke(["dist", "--domain", "ball:2", "--metric", "h",
@@ -110,10 +127,14 @@ class TestVerifySuite:
                  for cell, rest in rows]
         assert table == [(suite_id, suite.statement) for suite_id, suite in SUITES.items()]
 
-    def test_k_suite_default_controls_are_the_cli_defaults(self):
+    def test_k_suite_default_controls_are_the_cli_defaults(self, monkeypatch):
+        # the ball's k is exact whatever the controls, so hide its closed
+        # form to read the estimate at the default controls
+        monkeypatch.setattr(UnitBall, "k_exact", Domain.k_exact)
         _, out = invoke(["verify-suite", "--suite", "C4_5", "--domain", "ball:2",
                          "--count", "4", "--seed", "1"])
         report = inequality_suite("C4_5", UnitBall(2), MetricParams(2.0), 4, seed=1)
+        assert report.params["k_source"] == "estimate"
         assert out == report.to_json() + "\n"
 
     def test_csv_row_count(self):
@@ -175,7 +196,7 @@ class TestUniformity:
         )
         assert code == 0
         obj = json.loads(out)
-        assert obj["U_hat"] >= 1.0
+        assert obj["U_hat"] >= 1.0 and obj["k_source"] == "exact"
 
 
 class TestUsageErrors:

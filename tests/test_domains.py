@@ -173,8 +173,26 @@ class TestSampling:
         assert np.all((pts >= 0.01) & (pts <= 0.99))
 
     def test_infeasible_clearance(self):
-        with pytest.raises(ValueError, match="infeasible"):
+        with pytest.raises(ValueError, match="^could not reach clearance 1.0 in ball:2; "
+                                             "clearance is likely infeasible for the sample box$"):
             sample_interior(UnitBall(2), 10, seed=0, min_clearance=1.0)
+
+    def test_rare_acceptance_still_fills_the_request(self):
+        # under 1% of the 9-cube lies in the ball: well over 200 batches,
+        # each accepting a few points
+        pts = sample_interior(UnitBall(9), 10000, 1, 1e-3)
+        assert pts.shape == (10000, 9)
+        assert np.all(UnitBall(9).clearance_many(pts) >= 1e-3)
+
+    def test_batches_that_accept_points_keep_the_stream(self):
+        # the batch sizes are as before, so a request that filled within
+        # 200 batches draws the same points
+        rng = np.random.default_rng(4)
+        expected = []
+        while len(expected) < 50:
+            cand = rng.uniform(-1.0, 1.0, size=(max(1024, 2 * (50 - len(expected))), 3))
+            expected.extend(cand[UnitBall(3).clearance_many(cand) >= 0.6][:50 - len(expected)])
+        assert np.array_equal(sample_interior(UnitBall(3), 50, 4, 0.6), expected)
 
     def test_clearance_reached_only_in_the_box_corners(self):
         # |x| reaches 2 sqrt(2) at the corners of [-2, 2]^2
@@ -330,6 +348,21 @@ class TestClearanceGrid:
         axes = [np.zeros(2)] * (domain.dimension - 1) + [np.array([0.5, np.nan])]
         with pytest.raises(ValueError, match="finite"):
             domain.clearance_grid(as_blocks(*axes))
+
+    @pytest.mark.parametrize("domain", GRID_DOMAINS, ids=lambda d: d.spec_string())
+    def test_rows_with_non_finite_coordinates_are_rejected(self, domain):
+        rows = np.full((2, domain.dimension), 0.5)
+        rows[1, -1] = np.inf
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            domain.clearance_many(rows)
+
+    @pytest.mark.parametrize("domain", GRID_DOMAINS[:-1], ids=lambda d: d.spec_string())
+    def test_rows_give_a_fresh_array(self, domain):
+        rows = np.full((3, domain.dimension), 0.25)
+        d = domain.clearance_many(rows)
+        assert not np.shares_memory(d, rows)
+        d[:] = -1.0
+        assert np.all(rows == 0.25)
 
     def test_result_is_a_fresh_array(self):
         axis = np.array([0.5, 1.0])

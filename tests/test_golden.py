@@ -25,7 +25,10 @@ from test_domains import annulus_domain
 #: built-in variant, one punctured-space k estimate, the other three map
 #: specs, the two Moebius-distortion suites, and the k queries on shared
 #: grids (C4_5 and a k estimate on the ball, QHJ on the interval),
-#: captured before grids were shared between queries
+#: captured before grids were shared between queries.  The outputs that
+#: print a k that uniformity, C4_5 and QHJ read (ball uniformity, ball
+#: C4_5, interval QHJ) were re-captured when those consumers began to
+#: read Domain.k_exact, with the k source they name
 CLI_GOLDEN = [
     ('dist --domain ball:2 --metric h --c 2 --points 0,0 0.5,0', 0,
      '0.881374\n'),
@@ -40,7 +43,7 @@ CLI_GOLDEN = [
     ('dilatation --map auto:0.5,0 --z 0,0 --radii 0.1,0.01,0.001', 0,
      '{"H_hat": 1.0010005002500648, "map": "auto:0.5,0", "radii": [0.1, 0.01, 0.001], "ratios": [1.1052631578947378, 1.0100502512562604, 1.0010005002500648], "z": [0.0, 0.0]}\n'),
     ('uniformity --domain ball:2 --count 16 --seed 7', 0,
-     '{"U_hat": 1.414971929027296, "domain": "ball:2", "sample_count": 16, "worst_pair": [[0.228201791614065, -0.7142386959687607], [-0.4995061505886059, 0.5878698370932843]]}\n'),
+     '{"U_hat": 1.4131358097900195, "domain": "ball:2", "k_source": "exact", "sample_count": 16, "worst_pair": [[0.228201791614065, -0.7142386959687607], [-0.4995061505886059, 0.5878698370932843]]}\n'),
     ('scan-triangle --domain ball:2 --metric h --count 20000 --seed 3', 0,
      '{"domain": "ball:2", "min_slack": 0.0, "params": {"c": 2.0, "metric": "h"}, "pass": true, "sample_count": 20000, "seed": 3, "suite_id": "triangle", "tolerance": 1e-09, "witness": [[0.04661399895862117, -0.8635161670885498], [-0.7606492113086258, -0.6434595126253619], [-0.7606492113086258, -0.6434595126253619]]}\n'),
     ('scan-triangle --domain halfspace:2 --metric h --count 20000 --seed 3', 0,
@@ -70,11 +73,11 @@ CLI_GOLDEN = [
     ('verify-suite --suite L2_7 --domain ball:2 --count 2000', 0,
      '{"domain": "ball:2", "min_slack": 0.01179121417847466, "params": {"c": 2.0, "isometry_max_gap": 5.133671265866724e-13, "map_count": 20, "observed_sup_ratio": 1.8197835495059103}, "pass": true, "sample_count": 2000, "seed": 0, "suite_id": "L2_7", "tolerance": 1e-10, "witness": [[0.07515009073350964, 0.01092059755703767], [0.05339960925816767, 0.03364584375362134]]}\n'),
     ('verify-suite --suite C4_5 --domain ball:2 --count 24 --seed 808', 0,
-     '{"domain": "ball:2", "min_slack": 0.0823114942319264, "params": {"c": 2.0, "d_constant": 0.21762375133850673, "relative": true, "u_hat": 1.5316955584266356}, "pass": true, "sample_count": 24, "seed": 808, "suite_id": "C4_5", "tolerance": 0.02, "witness": [[0.38278745706250783, 0.1264250507542133], [0.39698609490621184, 0.07744457603333554]]}\n'),
+     '{"domain": "ball:2", "min_slack": 0.08198319114828145, "params": {"c": 2.0, "d_constant": 0.2178088559691384, "k_source": "exact", "relative": true, "u_hat": 1.5303938485428883}, "pass": true, "sample_count": 24, "seed": 808, "suite_id": "C4_5", "tolerance": 0.02, "witness": [[0.38278745706250783, 0.1264250507542133], [0.39698609490621184, 0.07744457603333554]]}\n'),
     ('k-estimate --domain ball:2 --points 0.1,0.2 0.5,-0.3 --spacing 0.1 --refinements 1', 0,
      '{"domain": "ball:2", "refinement_history": [[0.1, 0.9897692372889575], [0.05, 0.9886775362602391]], "spacing": 0.05, "value": 0.9886775362602391}\n'),
     ('verify-suite --suite QHJ --domain interval:0:1', 0,
-     '{"domain": "interval:0:1", "min_slack": 1.2463521170631643e-16, "params": {"c": 2.0, "relative": true}, "pass": true, "sample_count": 10000, "seed": 0, "suite_id": "QHJ", "tolerance": 0.02, "witness": [[0.4367420026142165], [0.43664703243358616]]}\n'),
+     '{"domain": "interval:0:1", "min_slack": 0.0, "params": {"c": 2.0, "k_source": "exact", "relative": true}, "pass": true, "sample_count": 10000, "seed": 0, "suite_id": "QHJ", "tolerance": 0.02, "witness": [[0.7878121978721646], [0.652678770181085]]}\n'),
 ]
 
 

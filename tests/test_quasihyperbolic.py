@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -187,8 +188,14 @@ def _k_interval(a, b, xs, ys):
 
 
 def _oracle_case(name):
-    """(domain, xs, ys, exact k per pair) of one oracle case."""
+    """(domain, xs, ys) of one oracle case."""
     rng = np.random.default_rng(97)
+    if name == "ball:2-random":
+        # off every diameter, at the uniformity sampler's clearance
+        xs = sample_interior(B2, 40, 95, min_clearance=0.2)
+        ys = sample_interior(B2, 40, 96, min_clearance=0.2)
+        keep = np.linalg.norm(xs - ys, axis=1) >= 0.3
+        return B2, xs[keep], ys[keep]
     if name.startswith("ball"):
         dimension = int(name[5])
         if dimension == 2:
@@ -196,14 +203,14 @@ def _oracle_case(name):
         else:
             pairs = [_diameter_pairs(3, 12, 93, across) for across in (False, True)]
             xs, ys = (np.concatenate(p) for p in zip(*pairs))
-        return UnitBall(dimension), xs, ys, _k_ball_diameter(xs, ys)
+        return UnitBall(dimension), xs, ys
     if name == "interval":
         xs, ys = rng.uniform(0.02, 0.98, (2, 60, 1))
         keep = np.abs(xs - ys)[:, 0] >= 0.05
-        return Interval(0, 1), xs[keep], ys[keep], _k_interval(0.0, 1.0, xs[keep], ys[keep])
+        return Interval(0, 1), xs[keep], ys[keep]
     # as the kquery benchmark draws them, at punctured radii in [0.5, 1.2]
     halfspace = name == "halfspace:3"
-    domain, oracle = (HalfSpace(3), rho_halfspace) if halfspace else (P3, k_exact_punctured)
+    domain = HalfSpace(3) if halfspace else P3
     xs, ys = [], []
     while len(xs) < (12 if halfspace else 8):
         x, y = ((_kquery_point(domain, rng), _kquery_point(domain, rng)) if halfspace else
@@ -211,16 +218,17 @@ def _oracle_case(name):
         if np.linalg.norm(x - y) >= 0.3:
             xs.append(x)
             ys.append(y)
-    xs, ys = np.array(xs), np.array(ys)
-    return domain, xs, ys, np.array([oracle(x, y) for x, y in zip(xs, ys)])
+    return domain, np.array(xs), np.array(ys)
 
 
 class TestOracleError:
-    """Relative error of k_estimate_many against every closed form, at the
+    """Relative error of k_estimate_many against ``Domain.k_exact``, at the
     CLI default (0.05, 2) and the uniformity default (0.1, 1); ball:3 at
     (0.05, 2) exceeds the node cap.  Each bound is the measured range
     widened by a margin.  The 3-D bounds are the 26-neighbourhood's
-    direction bias, which ROADMAP item 3 is to tighten."""
+    direction bias, which ROADMAP item 2 is to tighten.  The random ball:2
+    pairs check the shared-grid path, which every ``GenericDomain`` query
+    takes, off a diameter."""
 
     @pytest.mark.parametrize("name, controls, low, high", [
         # measured: +0.00002..+0.0084 and -0.0026..+0.0033 (Simpson's rule
@@ -230,6 +238,9 @@ class TestOracleError:
         # measured: +0.00001..+0.0043 and -0.00002..+0.0044
         ("ball:2-same", (0.05, 2), -0.001, 0.006),
         ("ball:2-across", (0.05, 2), -0.001, 0.006),
+        # measured: -0.00065..+0.0052 and +0.00007..+0.0029
+        ("ball:2-random", (0.1, 1), -0.002, 0.008),
+        ("ball:2-random", (0.05, 2), -0.001, 0.005),
         # measured: -0.0046..+0.0011 and +0.000001..+0.00003
         ("interval", (0.1, 1), -0.007, 0.002),
         ("interval", (0.05, 2), -0.0005, 0.0005),
@@ -240,8 +251,9 @@ class TestOracleError:
         ("punctured:3", (0.1, 1), 0.0, 0.10),
     ], ids=lambda v: "h{}x{}".format(*v) if isinstance(v, tuple) else None)
     def test_relative_error_within_bound(self, name, controls, low, high):
-        domain, xs, ys, exact = _oracle_case(name)
-        error = k_estimate_many(domain, xs, ys, KControls(*controls)) / exact - 1.0
+        domain, xs, ys = _oracle_case(name)
+        estimate = k_estimate_many(domain, xs, ys, KControls(*controls))
+        error = estimate / domain.k_exact(xs, ys) - 1.0
         assert low <= error.min() and error.max() <= high, (error.min(), error.max())
 
 
@@ -319,9 +331,13 @@ class TestSharedGrids:
         quasihyperbolic._shared_grid.cache_clear()
 
     def test_uniformity_builds_one_grid_per_spacing(self, builds):
-        est = uniformity_estimate(B2, 160, 7)
-        assert est.sample_count > 100
-        assert builds == [("ball:2", 0.1), ("ball:2", 0.05)]
+        # the annulus has no closed form, so its k is the estimate; the
+        # ball's is exact and builds no lattice
+        est = uniformity_estimate(annulus_domain(), 40, 7)
+        assert est.sample_count > 30 and est.k_source == "estimate"
+        assert builds == [("generic:2", 0.1), ("generic:2", 0.05)]
+        assert uniformity_estimate(B2, 160, 7).k_source == "exact"
+        assert len(builds) == 2
 
     def test_halfspace_builds_per_query_and_level(self, builds):
         xs = sample_interior(H2, 3, seed=4, min_clearance=0.3)
@@ -879,6 +895,54 @@ class TestPrunedSharedGrids:
         box = quasihyperbolic._cell_box(grid, 0)
         assert box is quasihyperbolic._cell_box(grid, 0)
         assert not box.flags.writeable
+
+    def test_chunk_source_rows_are_written_into_the_buffers(self, monkeypatch):
+        # a chunk's Dijkstra graph is the grid's buffers, not a copy of them
+        graphs = []
+        search = quasihyperbolic.dijkstra
+
+        def recording(graph, **kwargs):
+            graphs.append(graph)
+            return search(graph, **kwargs)
+
+        monkeypatch.setattr(quasihyperbolic, "dijkstra", recording)
+        k_estimate(B2, (0.1, 0.2), (0.5, -0.3), 0.1, 0)
+        grid = quasihyperbolic._shared_grid(B2, 0.1, quasihyperbolic.DEFAULT_NODE_CAP)
+        rows = grid._source_rows
+        (graph,) = graphs
+        for array, buffer in ((graph.data, rows.weights), (graph.indices, rows.neighbours),
+                              (graph.indptr, rows.indptr)):
+            assert np.shares_memory(array, buffer)
+        assert np.shares_memory(grid.weights, rows.weights) and not grid.weights.flags.writeable
+
+    def test_concurrent_queries_on_one_shared_grid(self):
+        # more threads than cores, switching often, share the grids' source
+        # rows: each value must be the one a lone query reads
+        pairs = [(sample_interior(B2, 30, seed, 0.2), sample_interior(B2, 30, seed + 50, 0.2))
+                 for seed in range(6)]
+        controls = KControls(0.1, 1)
+        alone = [k_estimate_many(B2, xs, ys, controls) for xs, ys in pairs]
+        results = {}
+
+        def work(i):
+            for _ in range(3):
+                results.setdefault(i, []).append(k_estimate_many(B2, *pairs[i], controls))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(pairs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, values in results.items():
+            assert len(values) == 3
+            assert all(np.array_equal(v, alone[i]) for v in values)
+        assert len(results) == len(pairs)
 
 
 # ---------------------------------------------------------------------------
