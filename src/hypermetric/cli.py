@@ -26,7 +26,7 @@ import numpy as np
 from .domains import parse_domain
 from .maps import linear_dilatation, parse_map
 from .metrics import MetricKind, MetricParams, pair_evaluator
-from .quasihyperbolic import DEFAULT_NODE_CAP, GridError, KControls, k_estimate
+from .quasihyperbolic import DEFAULT_NODE_CAP, GridError, k_estimate
 from .verify import (
     SUITES,
     collinear_c_scan,
@@ -58,12 +58,6 @@ def _add_common(p: argparse.ArgumentParser, *, count_default: int):
     p.add_argument("--output", choices=["json", "csv"], default="json")
 
 
-def _add_k_flags(p: argparse.ArgumentParser, spacing: float = 0.05, refinements: int = 2):
-    p.add_argument("--spacing", type=float, default=spacing)
-    p.add_argument("--refinements", type=int, default=refinements)
-    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="hypermetric", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -77,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", nargs=2, required=True, metavar="PT",
                    help="two points, comma-separated coordinates each")
     p.add_argument("--precision", type=int, default=6)
-    _add_k_flags(p)
 
     p = sub.add_parser("scan-triangle", help="triangle-inequality scan")
     _add_common(p, count_default=100_000)
@@ -91,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p, count_default=10_000)
     p.add_argument("--suite", required=True, choices=list(SUITES))
-    _add_k_flags(p)
 
     p = sub.add_parser("falsify", help="collinear scan for sub-sharp c")
     p.add_argument("--domain", default="ball:2")
@@ -102,7 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("k-estimate", help="quasihyperbolic estimate")
     p.add_argument("--domain", required=True)
     p.add_argument("--points", nargs=2, required=True, metavar="PT")
-    _add_k_flags(p)
+    p.add_argument("--spacing", type=float, default=0.05)
+    p.add_argument("--refinements", type=int, default=2)
+    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
 
     p = sub.add_parser("dilatation", help="linear dilatation of a map")
     p.add_argument("--map", required=True,
@@ -116,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--count", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    _add_k_flags(p, spacing=0.1, refinements=1)
     return top
 
 
@@ -126,9 +119,7 @@ def _cmd_dist(args) -> int:
     params = MetricParams(args.c)
     x = _parse_point(args.points[0])
     y = _parse_point(args.points[1])
-    controls = (KControls(args.spacing, args.refinements, args.node_cap)
-                if kind is MetricKind.QUASIHYPERBOLIC else None)
-    value = float(pair_evaluator(kind, domain, params, controls)(x[None, :], y[None, :])[0])
+    value = float(pair_evaluator(kind, domain, params)(x[None, :], y[None, :])[0])
     precision = min(max(args.precision, 0), 15)
     print(f"{value:.{precision}f}")
     return _EXIT_PASS
@@ -154,11 +145,9 @@ def _cmd_scan_triangle(args) -> int:
 def _cmd_verify_suite(args) -> int:
     domain = parse_domain(args.domain)
     params = MetricParams(args.c)
-    controls = KControls(args.spacing, args.refinements, args.node_cap)
     report = inequality_suite(
         args.suite, domain, params, args.count, args.seed,
-        tolerance=args.tolerance, k_controls=controls,
-        keep_slacks=(args.output == "csv"),
+        tolerance=args.tolerance, keep_slacks=(args.output == "csv"),
     )
     return _emit_report(report, args.output)
 
@@ -215,8 +204,7 @@ def _cmd_dilatation(args) -> int:
 
 def _cmd_uniformity(args) -> int:
     domain = parse_domain(args.domain)
-    controls = KControls(args.spacing, args.refinements, args.node_cap)
-    est = uniformity_estimate(domain, args.count, args.seed, controls)
+    est = uniformity_estimate(domain, args.count, args.seed)
     print(_dump({
         "domain": domain.spec_string(),
         "U_hat": est.U_hat,

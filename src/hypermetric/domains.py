@@ -19,20 +19,21 @@ class gives the other form from it.  The closed forms write the first,
 Samplers and the estimator ask six geometry methods, whose base-class
 forms are the generic answers: ``boundary_sample`` (points at small
 clearance; base: the uniform law), ``chord_reach`` (base: none, so no
-collinear stratum), ``geodesic_window`` (base: the sample box),
-``path_floor`` (base: j), ``floor_share``, the share of k the floor is
-proved to keep (base: 0), and ``complement_sample`` (base: none).
-``boundary_strata`` declares whether a domain has the first two, so
-samplers draw its boundary-edge and collinear strata, and
-``pair_window`` whether its geodesic window depends on the query pair:
-the half-space and the punctured space size it from the pair, the ball,
-the interval and ``GenericDomain`` use one box for every pair, so the
-estimator shares one lattice across their queries.  ``k_exact`` gives
-the quasihyperbolic distance k where a closed form is known, NaN
-elsewhere: every built-in answers it (the ball by Clairaut shooting,
-see ``quasihyperbolic._k_ball``), ``GenericDomain`` does not.  Domains
-are immutable values; no meshes; all operations are pure and safe to
-call concurrently.
+collinear stratum), ``geodesic_window``, a box and a band of clearances
+(base: the sample box and every clearance), ``path_floor`` (base: j),
+``floor_share``, the share of k the floor is proved to keep (base: 0),
+and ``complement_sample`` (base: none).  ``boundary_strata`` declares
+whether a domain has the first two, so samplers draw its boundary-edge
+and collinear strata, and ``pair_window`` whether its geodesic window
+depends on the query pair: the half-space and the punctured space (a
+band of clearance |x|) size it from the pair, the others use one window
+for every pair, so the estimator shares one lattice across their
+queries.  ``k_exact`` gives the quasihyperbolic distance k where a
+closed form is known, NaN elsewhere: every built-in answers it (the ball
+by Clairaut shooting, see ``quasihyperbolic._k_ball``; across the
+puncture of ``punctured:1`` it raises), ``GenericDomain`` does not.
+Domains are immutable values; no meshes; all operations are pure and
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ class Domain:
     #: and ``chord_reach`` is defined, so samplers draw boundary-edge pairs
     #: and collinear triples
     boundary_strata = False
-    #: ``geodesic_window`` depends on the query pair (else one window, and
-    #: so one lattice per spacing, serves every pair)
+    #: ``geodesic_window`` depends on the query pair, which alone picks the
+    #: estimator's grids: one per pair, else one per spacing for every pair
     pair_window = False
 
     # -- scalar API ---------------------------------------------------
@@ -220,17 +221,16 @@ class Domain:
         raise ValueError(f"no collinear stratum for {self.spec_string()}")
 
     def geodesic_window(self, x: np.ndarray, y: np.ndarray, pad: float):
-        """Axis box (lo, hi) holding the geodesics from x to y, plus an
-        optional extra node mask; ``pad`` is the stencil's reach in length.
-        The mask takes coordinate arrays as ``clearance_grid`` does, one
-        per axis, broadcasting together, and returns a boolean array of
-        their broadcast shape; ``build_grid`` rejects a mask of any other
-        shape.
+        """Axis box (lo, hi) holding the geodesics from x to y, and a band
+        (d_lo, d_hi) of clearances they keep to; ``pad`` is the stencil's
+        reach in length.  The lattice keeps the nodes of the box whose
+        clearance lies in [max(h / 2, d_lo), d_hi] at spacing h.
 
-        The base form is the sample box, the same for every pair; a
-        domain that sizes the window from x and y sets ``pair_window``."""
+        The base form is the sample box and the band (0, inf), the same
+        for every pair; a domain that sizes the window from x and y sets
+        ``pair_window``."""
         lo, hi = self.sample_box()
-        return lo, hi, None
+        return lo, hi, (0.0, math.inf)
 
     def path_floor(self, sep, d_a, d_b, edges=None):
         """A lower bound on the estimator's weight of every polyline
@@ -388,7 +388,7 @@ class HalfSpace(Domain):
         hi[:-1] += side_pad
         lo[-1] = 0.4 * min(xn, yn)
         hi[-1] = 1.2 * apex + pad
-        return lo, hi, None
+        return lo, hi, (0.0, math.inf)
 
     def path_floor(self, sep, d_a, d_b, edges=None):
         # the clearance is affine along a segment, so each Simpson weight
@@ -437,6 +437,9 @@ class PuncturedSpace(Domain):
     def k_exact(self, xs, ys):
         # in log-polar coordinates the geodesic is a straight line
         xs, ys, _, _ = _interior_pairs(self, xs, ys)
+        if self.dimension == 1 and np.any((xs < 0.0) != (ys < 0.0)):
+            raise ValueError("no curve joins a pair across the puncture of punctured:1: its two "
+                             "components (-inf, 0) and (0, inf) are disjoint half-lines")
         rx, ry, theta = _radii_and_angle(xs, ys)
         return np.hypot(theta, np.log(rx / ry))
 
@@ -449,15 +452,10 @@ class PuncturedSpace(Domain):
 
     def geodesic_window(self, x, y, pad):
         # log-polar geodesics stay between half the smaller and twice the
-        # larger query radius
+        # larger query radius, and the clearance is the radius
         rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
         r_lo, r_hi = 0.5 * min(rx, ry), 2.0 * max(rx, ry)
-
-        def annulus(coords) -> np.ndarray:
-            r = _radius_grid(coords, self.dimension)
-            return (r >= r_lo) & (r <= r_hi)
-
-        return np.full(self.dimension, -r_hi), np.full(self.dimension, r_hi), annulus
+        return np.full(self.dimension, -r_hi), np.full(self.dimension, r_hi), (r_lo, r_hi)
 
     def path_floor(self, sep, d_a, d_b, edges=None):
         """j, or with ``edges`` = (ell, r, slack) max(j, c k_P - slack),

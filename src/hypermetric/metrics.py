@@ -306,15 +306,15 @@ def validate_kind(kind: MetricKind, domain: Domain) -> None:
         raise ValueError("rho-halfspace is only defined on half-space domains")
 
 
-def pair_kernel(kind: MetricKind, domain: Domain, params: MetricParams, k_controls=None):
+def pair_kernel(kind: MetricKind, domain: Domain, params: MetricParams):
     """Vectorized (xs, ys, dx, dy) -> distances for a metric kind.
 
     ``dx``, ``dy`` are what :func:`kind_clearances` gives for each point
     set, so a caller pairing one point set with several others reads its
     clearances once.  QUASIHYPERBOLIC evaluation reads ``Domain.k_exact``
     (:func:`hypermetric.quasihyperbolic.k_many`), exact on every built-in
-    domain, and runs lattice shortest paths at ``k_controls`` only where
-    it is NaN, far slower than the closed forms.
+    domain, and runs lattice shortest paths at ``KControls()`` only where
+    it is NaN (a ``GenericDomain``), far slower than the closed forms.
     """
     validate_kind(kind, domain)
     c = params.c
@@ -333,14 +333,13 @@ def pair_kernel(kind: MetricKind, domain: Domain, params: MetricParams, k_contro
     if kind is MetricKind.QUASIHYPERBOLIC:
         from .quasihyperbolic import KControls, k_many
 
-        controls = k_controls if k_controls is not None else KControls()
-        return lambda xs, ys, dx, dy: k_many(domain, xs, ys, controls)[0]
+        return lambda xs, ys, dx, dy: k_many(domain, xs, ys, KControls())[0]
     raise ValueError(f"unsupported metric kind {kind}")
 
 
-def pair_evaluator(kind: MetricKind, domain: Domain, params: MetricParams, k_controls=None):
+def pair_evaluator(kind: MetricKind, domain: Domain, params: MetricParams):
     """Vectorized (xs, ys) -> distances evaluator for a metric kind."""
-    kernel = pair_kernel(kind, domain, params, k_controls)
+    kernel = pair_kernel(kind, domain, params)
     return lambda xs, ys: kernel(xs, ys, kind_clearances(kind, domain, xs),
                                  kind_clearances(kind, domain, ys))
 

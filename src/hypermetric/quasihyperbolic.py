@@ -23,8 +23,9 @@ every domain: the closed forms are their oracles.
 
 Estimator construction, per refinement level (spacing halved each time):
 
-* nodes: the global lattice (spacing h) restricted to a query window,
-  keeping points with clearance >= h/2;
+* nodes: the global lattice (spacing h) in a query window, a box and a
+  band of clearances (d_lo, d_hi) from ``Domain.geodesic_window``,
+  keeping the points with clearance in [max(h/2, d_lo), d_hi];
 * edges: all primitive integer offsets with max-norm <= 5 in 2-D (a
   single-ring 8/26-neighbourhood leaves a direction-quantization error
   of several percent, far above the 1% target, so the stencil is
@@ -118,12 +119,12 @@ Every estimate comes from one driver, ``_histories``: ``k_estimate`` is
 its one-pair case, ``k_estimate_many`` reads its last level, and
 ``k_many`` calls ``k_estimate_many`` on the pairs without a closed
 form.  It reads
-the endpoints' clearances once and picks each level's grid by one rule.
-When the window does not depend on the query pair (``Domain.pair_window``
-is false: ball, interval, generic domains) the lattice is the same for
-every pair, so the last ``SHARED_GRIDS`` grids, keyed by (domain,
-spacing, node cap), are kept read-only in memory and serve all of a
-batch's pairs.  A shared grid holds every *kept* edge in both
+the endpoints' clearances once, and ``Domain.pair_window`` alone picks
+each level's grid.  When the window does not depend on the query pair
+(ball, interval, generic domains) one shared grid per level serves all
+of a call's pairs, and the last ``SHARED_GRIDS``, keyed by (domain,
+spacing, node cap), stay read-only in memory (an unhashable domain's
+is built for the call and dropped).  A shared grid holds every *kept* edge in both
 directions and is searched directed, a chunk of sources per Dijkstra
 call: no path can pass through another pair's source row.  It drops,
 once, as it fills the cache, each edge that a two-edge detour along the
@@ -136,9 +137,9 @@ edge set's, and a pruned value is never low (the lemma is in
 kept edges, and only a value above G is searched once more, on every
 edge of the lattice, built afresh (only an endpoint within about 3e-8
 of the boundary reads above G).  Pair-dependent windows
-(half-space, punctured space) and unhashable domains build one grid per
-pair and level; it holds each edge once, serves one undirected search,
-and nothing keeps it afterwards.
+(half-space, punctured space) build one grid per pair and level; it
+holds each edge once, serves one undirected search, and nothing keeps it
+afterwards.
 """
 
 from __future__ import annotations
@@ -185,10 +186,11 @@ _DETOUR_MARGIN = 1e-9
 
 #: bounds on one chunk of pairs: float64 entries of its Dijkstra
 #: distance block (2 MB), and lattice cells its endpoints search.  The
-#: cell bound binds on the 2-D shared grids and the coarser 3-D ones (28
+#: cell bound binds on the 2-D shared grids and the coarser 3-D ones (36
 #: pairs per chunk on ball:2, 23 on ball:3 at spacing 0.1); the small
 #: chunks it makes keep each chunk's one search limit close to its
-#: pairs' own limits
+#: pairs' own limits.  The consumers of k batch only on a domain without
+#: ``k_exact`` (``GenericDomain``); ``k_estimate_many`` batches on any
 _DIST_BLOCK = 1 << 18
 _CELL_BLOCK = 1 << 14
 
@@ -658,7 +660,9 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
 
 def build_grid(domain: Domain, spacing: float, x, y,
                node_cap: int = DEFAULT_NODE_CAP, lens=None) -> GeodesicGrid:
-    """Lattice graph over the query window of a domain.
+    """Lattice graph over the query window of a domain: the lattice
+    points of ``Domain.geodesic_window``'s box whose clearance lies in
+    its band [max(h / 2, d_lo), d_hi], at spacing h.
 
     ``lens`` = (d(x), d(y), limit) keeps only the nodes that a grid path
     from x to y of weight at most the limit can pass through, and those
@@ -669,7 +673,7 @@ def build_grid(domain: Domain, spacing: float, x, y,
     y = as_point(y, domain.dimension)
     h = float(spacing)
     offsets, reach = _stencil(domain.dimension)
-    lo, hi, extra_mask = domain.geodesic_window(x, y, (reach + 2) * h)
+    lo, hi, (d_lo, d_hi) = domain.geodesic_window(x, y, (reach + 2) * h)
     box = _box_text(lo, hi)
 
     starts = np.ceil(lo / h - 1e-9).astype(np.int64)
@@ -688,15 +692,7 @@ def build_grid(domain: Domain, spacing: float, x, y,
 
     axes = [np.arange(a, b + 1) * h for a, b in zip(starts, stops)]
     clear = domain.clearance_grid(np.ix_(*axes))
-    mask = clear >= 0.5 * h
-    if extra_mask is not None:
-        extra = np.asarray(extra_mask(np.ix_(*axes)))
-        if extra.shape != mask.shape:
-            raise ValueError(
-                f"the window mask of {domain.spec_string()} returned shape {extra.shape} "
-                f"for the window's {mask.shape} cells; it takes coordinate arrays, one "
-                "per axis, and returns their broadcast shape")
-        mask &= extra
+    mask = (clear >= max(0.5 * h, d_lo)) & (clear <= d_hi)
     n_valid = int(np.count_nonzero(mask))
     if n_valid > node_cap:
         raise NodeBudgetError(
@@ -815,18 +811,6 @@ def _both_directions(grid: GeodesicGrid) -> GeodesicGrid:
         a.flags.writeable = False
     return dataclasses.replace(grid, indptr=both.indptr, neighbours=both.indices,
                                weights=both.data, directed=True)
-
-
-def _shares_grids(domain: Domain) -> bool:
-    """Whether one lattice per spacing serves every pair of the domain:
-    its window ignores the pair and the domain can key a cache."""
-    if domain.pair_window:
-        return False
-    try:
-        hash(domain)
-    except TypeError:  # e.g. a GenericDomain whose oracle defines __eq__ but not __hash__
-        return False
-    return True
 
 
 @functools.cache
@@ -971,6 +955,16 @@ def _shared_grid(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
         grid = dataclasses.replace(grid, **{name: head})
     return dataclasses.replace(grid, exact_to=exact_to,
                                _source_rows=_SourceRows(**buffers, lock=threading.Lock()))
+
+
+def _shared(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
+    """The shared lattice of a pair-independent window: the cached one
+    when the domain can key the cache, else one built for the caller."""
+    try:
+        hash(domain)
+    except TypeError:  # e.g. a GenericDomain whose oracle defines __eq__ but not __hash__
+        return _shared_grid.__wrapped__(domain, spacing, node_cap)
+    return _shared_grid(domain, spacing, node_cap)
 
 
 def _cell_span(dimension: int, widen: int) -> int:
@@ -1159,9 +1153,10 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
     the failure of the lowest-index pair that fails.
 
     One clearance read of the endpoints serves every level.  A level
-    searches all live pairs on the shared grid when the domain shares
-    grids, and otherwise each live pair on a lattice of its own, its lens
-    under its limit.  Level 0 on a per-query lattice stops its search at
+    searches all live pairs on the level's shared grid when the window
+    does not depend on the pair (``Domain.pair_window`` is false), and
+    otherwise each live pair on a lattice of its own, its lens under its
+    limit.  Level 0 on a per-query lattice stops its search at
     the pair's path floor times 1 + beta (``_overhead``) and
     ``_LIMIT_MARGIN`` where the floor keeps a share of k of at least
     1 / ``_LIMIT_MARGIN`` (``Domain.floor_share``), and level l >= 1 at its level l - 1 value times
@@ -1179,7 +1174,7 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
                 for i in np.flatnonzero(~inside)}
     live = np.flatnonzero(inside & np.any(xs != ys, axis=1))
     limits = np.full(m, np.inf)
-    shared = _shares_grids(domain)
+    shared = not domain.pair_window
     if not shared:
         # a search bound, not a claim: a value above it is searched again;
         # only a floor that keeps a share c >= 1 / margin of k gives a
@@ -1200,7 +1195,7 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
             return build_grid(domain, h, xs[pairs[0]], ys[pairs[0]], controls.node_cap, lens=lens)
         if every:
             return _both_directions(_lattice(domain, h, controls.node_cap))
-        return _shared_grid(domain, h, controls.node_cap)
+        return level_grid()
 
     def search_again(pairs, query, vals, failed, above, every=False):
         # a pair that failed to attach does so on every search
@@ -1215,6 +1210,8 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
         if live.size == 0:
             break
         h = math.ldexp(controls.spacing, -level)
+        # the shared grid, built on first use, serves the whole level
+        level_grid = functools.cache(functools.partial(_shared, domain, h, controls.node_cap))
         for pairs in [live] if shared else live[:, None]:
             query = (xs[pairs], ys[pairs], dxs[pairs], dys[pairs])
             limit = limits[pairs]

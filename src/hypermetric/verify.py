@@ -61,7 +61,7 @@ _CHUNK = 20_000
 
 #: clearance of the points the closed-form suites sample
 _SUITE_CLEARANCE = 1e-3
-#: clearance of the pairs whose k is read (keeps the lattice coarse where k is estimated)
+#: clearance of the pairs whose k is read; a coarse lattice estimates a GenericDomain's k there
 _K_CLEARANCE = 0.2
 #: pairs with j at or below this are degenerate for the k/j ratios
 _J_FLOOR = 1e-6

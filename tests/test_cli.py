@@ -10,7 +10,7 @@ import pytest
 from hypermetric.cli import run
 from hypermetric.domains import Domain, UnitBall, parse_domain
 from hypermetric.metrics import MetricKind, MetricParams, pair_evaluator
-from hypermetric.quasihyperbolic import KControls, k_estimate
+from hypermetric.quasihyperbolic import k_estimate
 from hypermetric.verify import SUITES, inequality_suite
 
 from test_domains import annulus_domain
@@ -42,8 +42,7 @@ class TestDist:
 
     def test_k_metric(self):
         code, out = invoke(
-            ["dist", "--domain", "halfspace:2", "--metric", "k",
-             "--points", "0,1", "1,1", "--spacing", "0.1", "--refinements", "1"]
+            ["dist", "--domain", "halfspace:2", "--metric", "k", "--points", "0,1", "1,1"]
         )
         assert code == 0
         assert abs(float(out) - 0.962424) < 0.01
@@ -58,9 +57,8 @@ class TestDist:
         # the value k's consumers read: Domain.k_exact on the built-ins,
         # which k-estimate does not print; the estimate where no closed
         # form is known is test_k_metric_is_the_estimate_on_a_generic_domain
-        query = ["--domain", domain, "--points", *points, "--spacing", "0.1",
-                 "--refinements", "1"]
-        code, out = invoke(["k-estimate", *query])
+        query = ["--domain", domain, "--points", *points]
+        code, out = invoke(["k-estimate", *query, "--spacing", "0.1", "--refinements", "1"])
         assert code == 0
         x, y = (np.array([[float(v) for v in p.split(",")]]) for p in points)
         exact = float(parse_domain(domain).k_exact(x, y)[0])
@@ -70,16 +68,19 @@ class TestDist:
         assert invoke(["dist", "--metric", "k", *query, *precision]) == (0, expected)
 
     def test_k_metric_is_the_estimate_on_a_generic_domain(self):
+        # at the default controls, which dist --metric k would use
         ring = annulus_domain()
         xs, ys = np.array([[0.5, 0.0], [-0.4, 0.3]]), np.array([[0.0, 0.6], [0.6, -0.2]])
-        controls = KControls(0.1, 1)
-        k = pair_evaluator(MetricKind.QUASIHYPERBOLIC, ring, MetricParams(2.0), controls)(xs, ys)
-        assert np.array_equal(k, [k_estimate(ring, x, y, 0.1, 1).value for x, y in zip(xs, ys)])
+        k = pair_evaluator(MetricKind.QUASIHYPERBOLIC, ring, MetricParams(2.0))(xs, ys)
+        assert np.array_equal(k, [k_estimate(ring, x, y).value for x, y in zip(xs, ys)])
 
-    def test_closed_form_ignores_k_flags(self):
-        code, out = invoke(["dist", "--domain", "ball:2", "--metric", "h",
-                            "--points", "0.1,0.2", "0.5,-0.3", "--spacing", "0"])
-        assert (code, out) == (0, "1.178942\n")
+    def test_closed_form_rejects_k_flags(self):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = invoke(["dist", "--domain", "ball:2", "--metric", "h",
+                                "--points", "0.1,0.2", "0.5,-0.3", "--spacing", "0"])
+        assert (code, out) == (2, "")
+        assert err.getvalue().endswith("error: unrecognized arguments: --spacing 0\n")
 
 
 class TestFalsify:
@@ -191,8 +192,7 @@ class TestDilatation:
 class TestUniformity:
     def test_small_run(self):
         code, out = invoke(
-            ["uniformity", "--domain", "ball:2", "--count", "8", "--seed", "3",
-             "--spacing", "0.1", "--refinements", "0"]
+            ["uniformity", "--domain", "ball:2", "--count", "8", "--seed", "3"]
         )
         assert code == 0
         obj = json.loads(out)
@@ -235,13 +235,38 @@ class TestUsageErrors:
         (["--refinements", "5000"], "refinements must leave a positive finest spacing"),
     ])
     def test_k_controls_that_cannot_run(self, command, flags, message):
+        # only k-estimate takes the flags and validates them; every other
+        # command reads k exactly on the built-in domains and rejects them
         err = io.StringIO()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with redirect_stderr(err):
                 code, out = invoke(command + flags)
         assert (code, out) == (2, "")
-        assert err.getvalue() == f"hypermetric: error: {message}\n"
+        if command[0] == "k-estimate":
+            assert err.getvalue() == f"hypermetric: error: {message}\n"
+        else:
+            assert err.getvalue().startswith("usage: hypermetric")
+            assert err.getvalue().endswith(
+                f"hypermetric: error: unrecognized arguments: {' '.join(flags)}\n")
+
+
+    @pytest.mark.parametrize("command", [
+        ["dist", "--metric", "k", "--points", "-1", "1"],
+        ["uniformity", "--count", "16"],
+        ["verify-suite", "--suite", "C4_5", "--count", "16"],
+        ["scan-triangle", "--metric", "k", "--count", "16"],
+        ["k-estimate", "--points", "-1", "1"],
+    ], ids=lambda command: command[0])
+    def test_k_across_the_puncture_of_the_line(self, command):
+        # punctured:1 is two half-lines, and no curve joins them
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = invoke(command + ["--domain", "punctured:1"])
+        assert (code, out) == (2, "")
+        assert err.getvalue().startswith("hypermetric: error: ")
+        if command[0] != "k-estimate":  # the lattice reads no path
+            assert "two components (-inf, 0) and (0, inf)" in err.getvalue()
 
 
 class TestReproducibility:

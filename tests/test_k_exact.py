@@ -282,6 +282,24 @@ class TestBuiltIns:
         with pytest.raises(ValueError, match="inside the domain"):
             domain.k_exact(inside, np.array([outside]))
 
+    def test_punctured_line_has_no_k_across_the_puncture(self):
+        # R minus 0 is two half-lines: no curve joins -1 and 1
+        line = PuncturedSpace(1)
+        with pytest.raises(ValueError, match=r"^no curve joins a pair across the puncture of "
+                                             r"punctured:1: its two components \(-inf, 0\) "
+                                             r"and \(0, inf\) are disjoint half-lines$"):
+            line.k_exact(np.array([[0.3], [-1.0]]), np.array([[0.7], [1.0]]))
+        with pytest.raises(ValueError, match="two components"):
+            k_exact_punctured(0.5, -0.5)
+
+    def test_punctured_line_keeps_its_same_side_values(self):
+        rng = np.random.default_rng(8)
+        xs, ys = rng.uniform(0.01, 2.0, (2, 40, 1)) * np.where(rng.random((40, 1)) < 0.5,
+                                                                -1.0, 1.0)
+        k = PuncturedSpace(1).k_exact(xs, ys)
+        # the log-polar form at the angle 0: |log(|x| / |y|)|, bit for bit
+        assert np.array_equal(k, np.hypot(0.0, np.log(np.abs(xs[:, 0]) / np.abs(ys[:, 0]))))
+
     def test_pair_counts_must_match(self):
         with pytest.raises(ValueError, match="as many ys as xs"):
             B2.k_exact(np.zeros((2, 2)), np.zeros((3, 2)))

@@ -281,6 +281,24 @@ class TestGrid:
         assert np.all(r >= 0.5 - 1e-12)
         assert np.all(r <= 2.0 + 1e-12)
 
+    def test_window_band_bounds_the_node_clearances(self):
+        # the lattice keeps the window's cells with clearance in
+        # [max(h / 2, d_lo), d_hi]: here the disc's rim band [0.05, 0.5]
+        class Rim(UnitBall):
+            def geodesic_window(self, x, y, pad):
+                lo, hi, _ = super().geodesic_window(x, y, pad)
+                return lo, hi, (0.0, 0.5)
+
+        h = 0.1
+        grid = build_grid(Rim(2), h, (0.9, 0.0), (0.0, 0.9))
+        axis = np.arange(-10, 11) * h
+        cells = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        clear = B2.clearance_many(cells)
+        band = (clear >= 0.5 * h) & (clear <= 0.5)
+        assert np.array_equal(grid.nodes, cells[band])
+        assert np.array_equal(grid.clearances, clear[band])
+        assert 0 < grid.nodes.shape[0] < build_grid(B2, h, (0.9, 0.0), (0.0, 0.9)).nodes.shape[0]
+
     def test_controls_validation(self):
         with pytest.raises(ValueError):
             KControls(spacing=-1.0)
@@ -353,7 +371,9 @@ class TestSharedGrids:
         with pytest.raises(NodeBudgetError):
             k_estimate(B2, (0.1, 0.2), (0.5, -0.3), 0.05, 1, node_cap=100)
 
-    def test_unhashable_generic_domain_builds_per_query(self, builds):
+    def test_unhashable_generic_domain_builds_once_per_level(self, builds):
+        # its window does not depend on the pair, so one pruned lattice
+        # per level serves every pair of the call, as the cached one does
         ring = annulus_domain()
 
         class Unhashable:
@@ -366,13 +386,17 @@ class TestSharedGrids:
                 return self is other
 
         unhashable = GenericDomain(2, Unhashable(), ring.membership_fn, ring.box)
-        pairs = [((0.5, 0.0), (0.0, 0.6)), ((-0.4, 0.3), (0.6, -0.2))]
-        for x, y in pairs:
-            shared = k_estimate(ring, x, y, 0.05, 1).refinement_history
-            assert k_estimate(unhashable, x, y, 0.05, 1).refinement_history == shared
-        # j keeps no share of k, so an unhashable pair's level 0 searches
-        # its whole window with no limit and no lens
-        assert builds.count(("generic:2", 0.05)) == 1 + len(pairs)
+        xs = sample_interior(ring, 5, seed=8, min_clearance=0.05)
+        ys = sample_interior(ring, 5, seed=9, min_clearance=0.05)
+        controls = KControls(0.05, 1)
+        shared = k_estimate_many(ring, xs, ys, controls)
+        del builds[:]
+        values = k_estimate_many(unhashable, xs, ys, controls)
+        assert builds == [("generic:2", 0.05), ("generic:2", 0.025)]
+        assert [v.hex() for v in values] == [v.hex() for v in shared]
+        # and a call builds afresh, for the cache cannot key the domain
+        k_estimate_many(unhashable, xs[:1], ys[:1], controls)
+        assert len(builds) == 4
 
     def test_list_box_shares_the_tuple_box_grids(self, builds):
         ring = annulus_domain()
@@ -417,16 +441,14 @@ def reference_grid(domain, spacing, x, y):
     y = np.asarray(y, dtype=float).reshape(domain.dimension)
     h = float(spacing)
     offsets, reach = quasihyperbolic._stencil(domain.dimension)
-    lo, hi, extra_mask = domain.geodesic_window(x, y, (reach + 2) * h)
+    lo, hi, (d_lo, d_hi) = domain.geodesic_window(x, y, (reach + 2) * h)
     starts = np.ceil(lo / h - 1e-9).astype(np.int64)
     stops = np.floor(hi / h + 1e-9).astype(np.int64)
     dims = stops - starts + 1
     axes = [np.arange(a, b + 1) * h for a, b in zip(starts, stops)]
     points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     clear = domain.clearance_many(points)
-    mask = clear >= 0.5 * h
-    if extra_mask is not None:
-        mask &= extra_mask(list(points.T))
+    mask = (clear >= 0.5 * h) & (clear >= d_lo) & (clear <= d_hi)
     n_valid = int(np.count_nonzero(mask))
     index_map = np.full(points.shape[0], -1, dtype=np.int64)
     index_map[mask] = np.arange(n_valid)
@@ -610,18 +632,6 @@ class TestGridErrors:
                            match=r"between the query points in the lattice "
                                  r"\[-3, 3\] x \[-1, 1\] at spacing 0\.1$"):
             k_estimate(twin, (-2.0, 0.0), (2.0, 0.0), 0.1, 0)
-
-    def test_window_mask_of_another_shape_is_rejected(self):
-        # a mask written for an (N, n) points matrix, here a norm over
-        # axis 1 of the per-axis arrays, fails at the build, not downstream
-        class RowMask(PuncturedSpace):
-            def geodesic_window(self, x, y, pad):
-                lo, hi, _ = super().geodesic_window(x, y, pad)
-                return lo, hi, lambda coords: np.linalg.norm(coords[0], axis=1) > 0.1
-
-        with pytest.raises(ValueError, match=r"window mask of punctured:2 returned shape "
-                                             r"\(\d+,\) for the window's \(\d+, \d+\) cells"):
-            build_grid(RowMask(2), 0.1, (0.5, 0.0), (0.0, 0.6))
 
 
 # ---------------------------------------------------------------------------
@@ -1037,6 +1047,17 @@ class TestPathFloor:
         assert np.all(floor >= j_many(H2, xs, ys))
 
 
+class PerPairAnnulus(GenericDomain):
+    """A generic domain whose window counts as pair-dependent, so that the
+    estimator searches it per query."""
+
+    pair_window = True
+
+    @classmethod
+    def of(cls, ring):
+        return cls(ring.dimension, ring.distance_fn, ring.membership_fn, ring.box)
+
+
 class TestLevelZero:
     """A per-query level 0 searches its lens under the pair's floor times
     1 + beta, the stencil's worst-direction overhead, and the margin."""
@@ -1101,14 +1122,13 @@ class TestLevelZero:
     @pytest.mark.parametrize("domain, x, y, limited", [
         (P2, (0.3, 0.0), (0.0, 0.6), False),
         (P2, (0.5, 0.0), (0.0, 0.6), True),
-        (annulus_domain(), (0.5, 0.0), (0.0, 0.6), False),
+        (PerPairAnnulus.of(annulus_domain()), (0.5, 0.0), (0.0, 0.6), False),
         (H2, (0.0, 0.3), (0.5, 0.4), True)],
         ids=["punctured:2-near", "punctured:2", "annulus", "halfspace:2"])
     def test_only_a_tight_floor_limits_level_zero(self, domain, x, y, limited, monkeypatch):
         # a floor that keeps less than 1 / margin of k would put the limit
         # below the level-0 value, and the lens would be searched in vain;
-        # the annulus is hashable but searched per query here
-        monkeypatch.setattr(quasihyperbolic, "_shares_grids", lambda domain: False)
+        # the annulus is searched per query here
         limits = []
         search = quasihyperbolic.dijkstra
 
@@ -1351,14 +1371,12 @@ def lens_window(domain, h, x, y):
     """``build_grid``'s window: (lattice starts, axes, clearance by cell,
     node mask by cell)."""
     _, reach = quasihyperbolic._stencil(domain.dimension)
-    lo, hi, extra_mask = domain.geodesic_window(x, y, (reach + 2) * h)
+    lo, hi, (d_lo, d_hi) = domain.geodesic_window(x, y, (reach + 2) * h)
     starts = np.ceil(lo / h - 1e-9).astype(np.int64)
     stops = np.floor(hi / h + 1e-9).astype(np.int64)
     axes = [np.arange(a, b + 1) * h for a, b in zip(starts, stops)]
     clear = domain.clearance_grid(np.ix_(*axes))
-    mask = clear >= 0.5 * h
-    if extra_mask is not None:
-        mask &= extra_mask(np.ix_(*axes))
+    mask = (clear >= 0.5 * h) & (clear >= d_lo) & (clear <= d_hi)
     return starts, axes, clear, mask
 
 
