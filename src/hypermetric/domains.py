@@ -31,9 +31,10 @@ for every pair, so the estimator shares one lattice across their
 queries.  ``k_exact`` gives the quasihyperbolic distance k where a
 closed form is known, NaN elsewhere: every built-in answers it (the ball
 by Clairaut shooting, see ``quasihyperbolic._k_ball``; across the
-puncture of ``punctured:1`` it raises), ``GenericDomain`` does not.
-Domains are immutable values; no meshes; all operations are pure and
-safe to call concurrently.
+puncture of ``punctured:1`` it raises, and so does the geodesic
+window), ``GenericDomain`` does not.  Domains are immutable, hashable
+values; no meshes; all operations are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -147,7 +148,11 @@ def _log_uniform(rng: np.random.Generator, m: int, lo: float, hi: float) -> np.n
 
 
 class Domain:
-    """Base class: an open set D in R^n with a signed clearance function."""
+    """Base class: an open set D in R^n with a signed clearance function.
+
+    A domain must be hashable, equal domains hashing equal: the estimator
+    keys its cache of shared lattices on the domain
+    (``quasihyperbolic._shared_grid``)."""
 
     dimension: int
 
@@ -158,21 +163,6 @@ class Domain:
     #: ``geodesic_window`` depends on the query pair, which alone picks the
     #: estimator's grids: one per pair, else one per spacing for every pair
     pair_window = False
-
-    # -- scalar API ---------------------------------------------------
-
-    def contains(self, x) -> bool:
-        """True iff x lies in the open interior."""
-        p = as_point(x, self.dimension)
-        return bool(self.contains_many(p[None, :])[0])
-
-    def boundary_distance(self, x) -> float:
-        """Distance from an interior point to the boundary (> 0)."""
-        p = as_point(x, self.dimension)
-        d = float(self.clearance_many(p[None, :])[0])
-        if not d > 0.0:
-            raise ValueError(f"point {p.tolist()} is not inside {self.spec_string()}")
-        return d
 
     # -- vector API ---------------------------------------------------
 
@@ -228,7 +218,9 @@ class Domain:
 
         The base form is the sample box and the band (0, inf), the same
         for every pair; a domain that sizes the window from x and y sets
-        ``pair_window``."""
+        ``pair_window``, and may raise ``ValueError`` for a pair that no
+        curve in it joins, which the estimator reports as that pair's
+        failure."""
         lo, hi = self.sample_box()
         return lo, hi, (0.0, math.inf)
 
@@ -434,12 +426,17 @@ class PuncturedSpace(Domain):
     def clearance_grid(self, axes):
         return _radius_grid(axes, self.dimension)
 
-    def k_exact(self, xs, ys):
-        # in log-polar coordinates the geodesic is a straight line
-        xs, ys, _, _ = _interior_pairs(self, xs, ys)
+    def _require_joined(self, xs, ys):
+        """Raises for a pair across the puncture of the line, which no
+        curve joins."""
         if self.dimension == 1 and np.any((xs < 0.0) != (ys < 0.0)):
             raise ValueError("no curve joins a pair across the puncture of punctured:1: its two "
                              "components (-inf, 0) and (0, inf) are disjoint half-lines")
+
+    def k_exact(self, xs, ys):
+        # in log-polar coordinates the geodesic is a straight line
+        xs, ys, _, _ = _interior_pairs(self, xs, ys)
+        self._require_joined(xs, ys)
         rx, ry, theta = _radii_and_angle(xs, ys)
         return np.hypot(theta, np.log(rx / ry))
 
@@ -453,6 +450,7 @@ class PuncturedSpace(Domain):
     def geodesic_window(self, x, y, pad):
         # log-polar geodesics stay between half the smaller and twice the
         # larger query radius, and the clearance is the radius
+        self._require_joined(x, y)
         rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
         r_lo, r_hi = 0.5 * min(rx, ry), 2.0 * max(rx, ry)
         return np.full(self.dimension, -r_hi), np.full(self.dimension, r_hi), (r_lo, r_hi)
@@ -578,6 +576,10 @@ class GenericDomain(Domain):
     membership oracle says inside, -|distance| elsewhere, so every point
     outside reads <= 0.  ``box`` bounds the region used by samplers and
     grid builders.  No boundary parametrization, no collinear stratum.
+
+    Equality compares every field, but the hash reads only
+    ``(dimension, box)``, the fields that fix the domain's lattices, so
+    the oracles need not be hashable.
     """
 
     dimension: int
@@ -595,6 +597,9 @@ class GenericDomain(Domain):
             raise ValueError(f"box {self.box!r} must be two rows (lo, hi) of {self.dimension} "
                              "finite coordinates, lo < hi in each, with dimension >= 1")
         object.__setattr__(self, "box", (lo, hi))
+
+    def __hash__(self):
+        return hash((self.dimension, self.box))
 
     def clearance_many(self, xs):
         xs = as_points(xs, self.dimension)

@@ -54,10 +54,6 @@ class SampleMap:
     source: Domain
     target: Domain
 
-    def apply(self, x) -> np.ndarray:
-        p = as_point(x, self.source.dimension)
-        return self.apply_many(p[None, :])[0]
-
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 

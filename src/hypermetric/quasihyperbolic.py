@@ -123,8 +123,9 @@ the endpoints' clearances once, and ``Domain.pair_window`` alone picks
 each level's grid.  When the window does not depend on the query pair
 (ball, interval, generic domains) one shared grid per level serves all
 of a call's pairs, and the last ``SHARED_GRIDS``, keyed by (domain,
-spacing, node cap), stay read-only in memory (an unhashable domain's
-is built for the call and dropped).  A shared grid holds every *kept* edge in both
+spacing, node cap), stay read-only in memory across calls; every domain
+can key them (``GenericDomain`` hashes its dimension and box, not its
+oracles).  A shared grid holds every *kept* edge in both
 directions and is searched directed, a chunk of sources per Dijkstra
 call: no path can pass through another pair's source row.  It drops,
 once, as it fills the cache, each edge that a two-edge detour along the
@@ -932,9 +933,12 @@ def _lattice(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
 
 @functools.lru_cache(maxsize=SHARED_GRIDS)
 def _shared_grid(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
-    """The shared lattice: its kept edges (``_pruned``) in both
-    directions, with its bound G as ``exact_to``, its CSR arrays read-only
-    views of the heads of buffers with room for one chunk's source rows."""
+    """The shared lattice of a pair-independent window: its kept edges
+    (``_pruned``) in both directions, with its bound G as ``exact_to``,
+    its CSR arrays read-only views of the heads of buffers with room for
+    one chunk's source rows.  Every domain hashes (see ``Domain``), so
+    each (domain, spacing, node cap) is built once and serves every call
+    until the cache drops it."""
     grid, exact_to = _pruned(_lattice(domain, spacing, node_cap))
     # rebound, so that the one-direction arrays are freed before the copies
     grid = _both_directions(grid)
@@ -955,16 +959,6 @@ def _shared_grid(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
         grid = dataclasses.replace(grid, **{name: head})
     return dataclasses.replace(grid, exact_to=exact_to,
                                _source_rows=_SourceRows(**buffers, lock=threading.Lock()))
-
-
-def _shared(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
-    """The shared lattice of a pair-independent window: the cached one
-    when the domain can key the cache, else one built for the caller."""
-    try:
-        hash(domain)
-    except TypeError:  # e.g. a GenericDomain whose oracle defines __eq__ but not __hash__
-        return _shared_grid.__wrapped__(domain, spacing, node_cap)
-    return _shared_grid(domain, spacing, node_cap)
 
 
 def _cell_span(dimension: int, widen: int) -> int:
@@ -1150,17 +1144,19 @@ def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.nda
 def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
                controls: KControls) -> np.ndarray:
     """Values per pair and level of the validated pairs (x_i, y_i); raises
-    the failure of the lowest-index pair that fails.
+    the failure of the lowest-index pair that fails: a point outside the
+    domain, a window the domain refuses (``ValueError``) or a grid error.
 
     One clearance read of the endpoints serves every level.  A level
-    searches all live pairs on the level's shared grid when the window
-    does not depend on the pair (``Domain.pair_window`` is false), and
-    otherwise each live pair on a lattice of its own, its lens under its
-    limit.  Level 0 on a per-query lattice stops its search at
-    the pair's path floor times 1 + beta (``_overhead``) and
-    ``_LIMIT_MARGIN`` where the floor keeps a share of k of at least
-    1 / ``_LIMIT_MARGIN`` (``Domain.floor_share``), and level l >= 1 at its level l - 1 value times
-    ``_LIMIT_MARGIN``.  A value above its limit, or a lens with no node,
+    searches all live pairs on the level's shared grid, from the
+    ``_shared_grid`` cache keyed by the domain, when the window does not
+    depend on the pair (``Domain.pair_window`` is false), and otherwise
+    each live pair on a lattice of its own, its lens under its limit.
+    Level 0 on a per-query lattice stops its search at the pair's path
+    floor times 1 + beta (``_overhead``) and ``_LIMIT_MARGIN`` where the
+    floor keeps a share of k of at least 1 / ``_LIMIT_MARGIN``
+    (``Domain.floor_share``), and level l >= 1 at its level l - 1 value
+    times ``_LIMIT_MARGIN``.  A value above its limit, or a lens with no node,
     is searched again without a limit on the whole window (a shared
     grid's kept edges), and a shared-grid value above its ``exact_to``,
     once more on every edge of the shared lattice, built afresh.
@@ -1195,7 +1191,7 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
             return build_grid(domain, h, xs[pairs[0]], ys[pairs[0]], controls.node_cap, lens=lens)
         if every:
             return _both_directions(_lattice(domain, h, controls.node_cap))
-        return level_grid()
+        return _shared_grid(domain, h, controls.node_cap)
 
     def search_again(pairs, query, vals, failed, above, every=False):
         # a pair that failed to attach does so on every search
@@ -1210,8 +1206,6 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
         if live.size == 0:
             break
         h = math.ldexp(controls.spacing, -level)
-        # the shared grid, built on first use, serves the whole level
-        level_grid = functools.cache(functools.partial(_shared, domain, h, controls.node_cap))
         for pairs in [live] if shared else live[:, None]:
             query = (xs[pairs], ys[pairs], dxs[pairs], dys[pairs])
             limit = limits[pairs]
@@ -1229,7 +1223,7 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
                 exact_to = grid(pairs).exact_to if shared else math.inf
                 search_again(pairs, query, vals, failed, (vals > limit) & (limit < exact_to))
                 search_again(pairs, query, vals, failed, vals > exact_to, every=True)
-            except GridError as exc:
+            except (GridError, ValueError) as exc:
                 failures.update(dict.fromkeys(pairs.tolist(), exc))
                 continue
             failures.update({int(pairs[i]): exc for i, exc in failed.items()})

@@ -33,9 +33,8 @@ def test_h_metric_reads_two_rows_per_pair():
 
 def test_membership_is_the_clearance_query():
     ball = CountingBall(2)
-    assert ball.contains((0.5, 0.0)) and not ball.contains((1.5, 0.0))
-    assert ball.boundary_distance((0.5, 0.0)) == 0.5
-    assert ball.rows == 3
+    assert ball.contains_many([(0.5, 0.0), (1.5, 0.0)]).tolist() == [True, False]
+    assert ball.rows == 2
 
 
 def test_linear_dilatation_reads_the_base_point_once():

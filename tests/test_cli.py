@@ -265,8 +265,7 @@ class TestUsageErrors:
             code, out = invoke(command + ["--domain", "punctured:1"])
         assert (code, out) == (2, "")
         assert err.getvalue().startswith("hypermetric: error: ")
-        if command[0] != "k-estimate":  # the lattice reads no path
-            assert "two components (-inf, 0) and (0, inf)" in err.getvalue()
+        assert "two components (-inf, 0) and (0, inf)" in err.getvalue()
 
 
 class TestReproducibility:

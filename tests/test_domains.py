@@ -46,20 +46,20 @@ def annulus_domain():
 
 class TestContains:
     def test_ball_center(self):
-        assert UnitBall(2).contains((0, 0))
+        assert UnitBall(2).contains_many([(0, 0)]).tolist() == [True]
 
     def test_ball_boundary_excluded(self):
-        assert not UnitBall(2).contains((1, 0))
+        assert UnitBall(2).contains_many([(1, 0)]).tolist() == [False]
 
     def test_interval_midpoint(self):
-        assert Interval(0, 1).contains(0.5)
+        assert Interval(0, 1).contains_many([0.5]).tolist() == [True]
 
     def test_punctured_origin_excluded(self):
-        assert not PuncturedSpace(2).contains((0, 0))
+        assert PuncturedSpace(2).contains_many([(0, 0)]).tolist() == [False]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            UnitBall(2).contains((1, 0, 0))
+            UnitBall(2).contains_many([(1, 0, 0)])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -68,17 +68,16 @@ class TestContains:
 
 class TestBoundaryDistance:
     def test_ball(self):
-        assert UnitBall(2).boundary_distance((0.5, 0)) == pytest.approx(0.5, abs=1e-15)
+        assert UnitBall(2).clearance_many([(0.5, 0)])[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_halfspace(self):
-        assert HalfSpace(2).boundary_distance((3, 0.25)) == pytest.approx(0.25, abs=1e-15)
+        assert HalfSpace(2).clearance_many([(3, 0.25)])[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_interval(self):
-        assert Interval(0, 1).boundary_distance(0.2) == pytest.approx(0.2, abs=1e-15)
+        assert Interval(0, 1).clearance_many([0.2])[0] == pytest.approx(0.2, abs=1e-15)
 
-    def test_outside_raises(self):
-        with pytest.raises(ValueError, match="not inside"):
-            UnitBall(2).boundary_distance((2, 0))
+    def test_outside_reads_nonpositive(self):
+        assert UnitBall(2).clearance_many([(2, 0)])[0] == -1.0
 
     @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: d.spec_string())
     def test_positivity_on_samples(self, domain):
@@ -99,7 +98,7 @@ class TestBruteForceBoundaryOracle:
         boundary = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         for p in pts:
             brute = np.min(np.linalg.norm(boundary - p, axis=1))
-            assert abs(brute - domain.boundary_distance(p)) < 1e-6
+            assert abs(brute - domain.clearance_many([p])[0]) < 1e-6
 
     def test_halfspace(self):
         domain = HalfSpace(2)
@@ -108,7 +107,7 @@ class TestBruteForceBoundaryOracle:
             line = np.linspace(p[0] - 1.0, p[0] + 1.0, self.N_BOUNDARY)
             boundary = np.stack([line, np.zeros_like(line)], axis=1)
             brute = np.min(np.linalg.norm(boundary - p, axis=1))
-            assert abs(brute - domain.boundary_distance(p)) < 1e-6
+            assert abs(brute - domain.clearance_many([p])[0]) < 1e-6
 
     def test_interval(self):
         domain = Interval(0, 1)
@@ -116,7 +115,7 @@ class TestBruteForceBoundaryOracle:
         boundary = np.array([[0.0], [1.0]])
         for p in pts:
             brute = np.min(np.abs(boundary[:, 0] - p[0]))
-            assert abs(brute - domain.boundary_distance(p)) < 1e-15
+            assert abs(brute - domain.clearance_many([p])[0]) < 1e-15
 
 
 class TestDistanceToSet:

@@ -19,10 +19,10 @@ C2 = MetricParams(2.0)
 
 class TestApplyMap:
     def test_identity(self):
-        assert np.array_equal(Identity(B2).apply((0.3, -0.4)), (0.3, -0.4))
+        assert np.array_equal(Identity(B2).apply_many([(0.3, -0.4)])[0], (0.3, -0.4))
 
     def test_stretch_example(self):
-        assert np.allclose(RadialStretch(2.0).apply((0.5, 0)), (0.25, 0), atol=1e-15)
+        assert np.allclose(RadialStretch(2.0).apply_many([(0.5, 0)])[0], (0.25, 0), atol=1e-15)
 
     def test_stretch_alpha_one_is_identity(self):
         pts = sample_interior(B2, 200, seed=0, min_clearance=1e-3)
@@ -30,7 +30,7 @@ class TestApplyMap:
         assert np.allclose(out, pts, atol=1e-15)
 
     def test_stretch_fixes_origin(self):
-        assert np.array_equal(RadialStretch(2.0).apply((0.0, 0.0)), (0.0, 0.0))
+        assert np.array_equal(RadialStretch(2.0).apply_many([(0.0, 0.0)])[0], (0.0, 0.0))
 
     def test_stretch_maps_ball_to_ball(self):
         pts = sample_interior(B2, 500, seed=1, min_clearance=1e-4)
@@ -39,7 +39,7 @@ class TestApplyMap:
 
     def test_outside_source_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            RadialStretch(2.0).apply((1.5, 0.0))
+            RadialStretch(2.0).apply_many([(1.5, 0.0)])
 
     def test_moebius_target_domain(self):
         m = BallToHalfSpace(2)

@@ -61,33 +61,33 @@ class TestAbsoluteRatio:
 class TestApply:
     def test_automorphism_sends_center_to_origin(self):
         m = BallAutomorphism(np.array([0.5, 0.0]))
-        assert np.allclose(m.apply((0.5, 0.0)), (0.0, 0.0), atol=1e-14)
+        assert np.allclose(m.apply_many([(0.5, 0.0)])[0], (0.0, 0.0), atol=1e-14)
 
     def test_automorphism_is_involution(self):
         m = BallAutomorphism(np.array([0.4, 0.3]))
         x = np.array([0.2, -0.6])
-        assert np.allclose(m.apply(m.apply(x)), x, atol=1e-12)
+        assert np.allclose(m.apply_many(m.apply_many([x]))[0], x, atol=1e-12)
 
     def test_identity_fixes_points(self):
-        assert np.allclose(Identity(UnitBall(2)).apply((0.1, 0.9)), (0.1, 0.9))
+        assert np.allclose(Identity(UnitBall(2)).apply_many([(0.1, 0.9)])[0], (0.1, 0.9))
 
     def test_zero_center_is_identity(self):
         m = BallAutomorphism(np.array([0.0, 0.0]))
         x = np.array([0.3, 0.4])
-        assert np.array_equal(m.apply(x), x)
+        assert np.array_equal(m.apply_many([x])[0], x)
 
     def test_ball_to_halfspace_center(self):
-        img = BallToHalfSpace(2).apply((0.0, 0.0))
+        img = BallToHalfSpace(2).apply_many([(0.0, 0.0)])[0]
         assert img[-1] > 0
         assert np.allclose(img, (0.0, 1.0), atol=1e-14)
 
     def test_ball_to_halfspace_south_pole_limit(self):
-        img = BallToHalfSpace(2).apply((0.0, -1 + 1e-9))
+        img = BallToHalfSpace(2).apply_many([(0.0, -1 + 1e-9)])[0]
         assert np.linalg.norm(img) < 1e-8
 
     def test_outside_source_rejected(self):
         with pytest.raises(ValueError, match="unit ball"):
-            BallAutomorphism(np.array([0.5, 0.0])).apply((1.5, 0.0))
+            BallAutomorphism(np.array([0.5, 0.0])).apply_many([(1.5, 0.0)])
         with pytest.raises(ValueError, match="< 1"):
             BallAutomorphism(np.array([1.0, 0.0]))
 

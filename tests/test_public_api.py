@@ -1,6 +1,7 @@
 """The public surface is what the library calls: every name that
-``hypermetric`` exports is used by the code of another library module,
-or is an entry point that only users call, named below with its reason."""
+``hypermetric`` exports, and every public method and property of an
+exported class, is used by the code of another library module, or is an
+entry point that only users call, named below with its reason."""
 
 import ast
 import inspect
@@ -22,13 +23,15 @@ ENTRY_POINTS = {
     "k_exact_punctured": "acceptance criterion 7: the punctured space's k oracle",
     "bilipschitz_estimate": "acceptance criterion 9: the map's sampled h_c distortion",
     "absolute_ratio": "the Moebius invariant the maps are checked against",
+    "GeodesicGrid.edges": "perfbench: the per-layer edge counts of the lattices",
+    "InequalityReport.from_json": "README: a report's JSON round trip",
 }
 
 
 def referenced_names():
-    """Names and attributes read by the code of every module but
+    """Names, and attribute names, read by the code of every module but
     ``__init__.py`` (docstrings and comments do not count)."""
-    names = set()
+    names, attributes = set(), set()
     for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
             continue
@@ -36,14 +39,44 @@ def referenced_names():
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def exported():
+    return {name: getattr(hypermetric, name) for name in hypermetric.__all__
+            if not inspect.ismodule(getattr(hypermetric, name))}
+
+
+def public_members():
+    """"Class.name" of every public method and property of an exported
+    class, or of a ``hypermetric`` class it inherits from."""
+    members = set()
+    for cls in filter(inspect.isclass, exported().values()):
+        for owner in cls.__mro__:
+            if not owner.__module__.startswith("hypermetric."):
+                continue
+            for name, value in vars(owner).items():
+                if not name.startswith("_") and (
+                        inspect.isfunction(value)
+                        or isinstance(value, (property, classmethod, staticmethod))):
+                    members.add(f"{owner.__name__}.{name}")
+    return members
 
 
 def test_every_export_has_a_caller_or_is_an_entry_point():
-    exported = {name for name in hypermetric.__all__
-                if not inspect.ismodule(getattr(hypermetric, name))}
-    used = referenced_names()
-    assert sorted(exported - used - set(ENTRY_POINTS)) == []
+    names, attributes = referenced_names()
+    unused = set(exported()) - names - attributes
+    entry_points = {name for name in ENTRY_POINTS if "." not in name}
+    assert sorted(unused - entry_points) == []
     # the list names only exports that nothing in the library calls
-    assert sorted(set(ENTRY_POINTS) - (exported - used)) == []
+    assert sorted(entry_points - unused) == []
+
+
+def test_every_public_member_has_a_caller_or_is_an_entry_point():
+    _, attributes = referenced_names()
+    unused = {member for member in public_members()
+              if member.partition(".")[2] not in attributes}
+    entry_points = {name for name in ENTRY_POINTS if "." in name}
+    assert sorted(unused - entry_points) == []
+    assert sorted(entry_points - unused) == []

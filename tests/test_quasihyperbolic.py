@@ -371,32 +371,44 @@ class TestSharedGrids:
         with pytest.raises(NodeBudgetError):
             k_estimate(B2, (0.1, 0.2), (0.5, -0.3), 0.05, 1, node_cap=100)
 
-    def test_unhashable_generic_domain_builds_once_per_level(self, builds):
-        # its window does not depend on the pair, so one pruned lattice
-        # per level serves every pair of the call, as the cached one does
+    @staticmethod
+    def unhashable_oracle_ring():
+        """The annulus, and a copy whose distance oracle has __eq__ and so no
+        __hash__."""
         ring = annulus_domain()
 
         class Unhashable:
-            """The ring's distance oracle, with __eq__ and so no __hash__."""
-
             def __call__(self, xs):
                 return ring.distance_fn(xs)
 
             def __eq__(self, other):
                 return self is other
 
-        unhashable = GenericDomain(2, Unhashable(), ring.membership_fn, ring.box)
+        return ring, GenericDomain(2, Unhashable(), ring.membership_fn, ring.box)
+
+    def test_unhashable_generic_domain_builds_once_per_level(self, builds):
+        # the domain hashes its dimension and box, so its lattices are
+        # cached across calls like the hashable annulus's
+        ring, unhashable = self.unhashable_oracle_ring()
         xs = sample_interior(ring, 5, seed=8, min_clearance=0.05)
         ys = sample_interior(ring, 5, seed=9, min_clearance=0.05)
         controls = KControls(0.05, 1)
         shared = k_estimate_many(ring, xs, ys, controls)
+        quasihyperbolic._shared_grid.cache_clear()
         del builds[:]
         values = k_estimate_many(unhashable, xs, ys, controls)
+        k_estimate_many(unhashable, xs[:1], ys[:1], controls)
         assert builds == [("generic:2", 0.05), ("generic:2", 0.025)]
         assert [v.hex() for v in values] == [v.hex() for v in shared]
-        # and a call builds afresh, for the cache cannot key the domain
-        k_estimate_many(unhashable, xs[:1], ys[:1], controls)
-        assert len(builds) == 4
+
+    def test_generic_domain_hashes_without_hashing_its_oracles(self):
+        _, unhashable = self.unhashable_oracle_ring()
+        with pytest.raises(TypeError):
+            hash(unhashable.distance_fn)
+        copy = GenericDomain(2, unhashable.distance_fn, unhashable.membership_fn,
+                             unhashable.box)
+        assert unhashable == unhashable and copy == unhashable
+        assert hash(copy) == hash(unhashable)
 
     def test_list_box_shares_the_tuple_box_grids(self, builds):
         ring = annulus_domain()
@@ -1545,3 +1557,20 @@ class TestBatchErrors:
         assert isinstance(exc, DisconnectedGridError)
         exc = self.assert_same_failure(far, xs[::-1], ys[::-1], KControls(0.1, 0))
         assert str(exc) == "both query points must lie inside the domain"
+
+    def test_pair_across_the_puncture_of_the_line(self):
+        # no curve joins -1 and 1: the window refuses the pair, which then
+        # fails as a pair with a point outside the domain does
+        line = PuncturedSpace(1)
+        xs, ys = [(0.5,), (-0.3,), (-1.0,), (0.0,)], [(0.8,), (-1.2,), (1.0,), (1.0,)]
+        exc = self.assert_same_failure(line, xs, ys, KControls(0.05, 2))
+        assert str(exc) == ("no curve joins a pair across the puncture of punctured:1: its two "
+                            "components (-inf, 0) and (0, inf) are disjoint half-lines")
+        exc = self.assert_same_failure(line, xs[::-1], ys[::-1], KControls(0.05, 2))
+        assert str(exc) == "both query points must lie inside the domain"
+        # the pairs on one side keep their histories
+        histories = [[v.hex() for _, v in k_estimate(line, x, y, 0.05, 2).refinement_history]
+                     for x, y in zip(xs[:2], ys[:2])]
+        assert histories == [
+            ["0x1.e148ad67a4cc3p-2", "0x1.e148a25fb29cep-2", "0x1.e148a1ae4a2e3p-2"],
+            ["0x1.62e44a5e131a9p+0", "0x1.62e4319bb24f6p+0", "0x1.62e4300a79bc5p+0"]]

@@ -329,7 +329,7 @@ def test_ball_to_halfspace_carries_rho_ball_to_rho_halfspace(x, y):
     f = BallToHalfSpace(2)
     assert (f.source, f.target) == (B2, H2)
     fx, fy = f.apply_many(np.stack([x, y]))
-    assert f.target.contains(fx) and f.target.contains(fy)
+    assert np.all(f.target.contains_many(np.stack([fx, fy])))
     rho = rho_ball(x, y)
     d_min = float(np.min(B2.clearance_many(np.stack([x, y]))))
     assert abs(rho_halfspace(fx, fy) - rho) <= _isometry_bound(rho, d_min)
@@ -344,9 +344,9 @@ def test_small_center_image():
     diff = [xi - p for xi, p in zip(_mp(x), pole)]
     scale = (1 - s) / s / sum(v * v for v in diff)
     exact = np.array([float(p + scale * v) for p, v in zip(pole, diff)])
-    assert np.max(np.abs(BallAutomorphism(a).apply(x) - exact)) <= 1e-12
+    assert np.max(np.abs(BallAutomorphism(a).apply_many([x])[0] - exact)) <= 1e-12
     # as a -> 0 the map tends to the reflection in the hyperplane normal
     # to a, also where |a|^2 underflows (1e-160)
     for tiny in (1e-160, 1.2e-38):
-        image = BallAutomorphism(np.array([tiny, 0.0])).apply(np.array([0.3, 0.4]))
+        image = BallAutomorphism(np.array([tiny, 0.0])).apply_many([(0.3, 0.4)])[0]
         assert np.max(np.abs(image - np.array([-0.3, 0.4]))) <= 1e-15
