@@ -35,7 +35,6 @@ from .quasihyperbolic import (
     NodeBudgetError,
     build_grid,
     k_estimate,
-    k_exact_punctured,
 )
 from .maps import (
     BilipschitzEstimate,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -110,6 +111,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--count", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
+
+    # argparse reads an argument that starts with "-" as a value only where
+    # it matches this pattern; its own takes no comma, and would read the
+    # point "-0.3,0" as an option.  This one also takes comma-separated reals
+    real = r"\d*\.?\d+(?:[eE][-+]?\d+)?"
+    for parser in (top, *sub.choices.values()):
+        parser._negative_number_matcher = re.compile(rf"^-{real}(?:,[-+]?{real})*$")
     return top
 
 

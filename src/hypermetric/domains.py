@@ -22,19 +22,18 @@ clearance; base: the uniform law), ``chord_reach`` (base: none, so no
 collinear stratum), ``geodesic_window``, a box and a band of clearances
 (base: the sample box and every clearance), ``path_floor`` (base: j),
 ``floor_share``, the share of k the floor is proved to keep (base: 0),
-and ``complement_sample`` (base: none).  ``boundary_strata`` declares
-whether a domain has the first two, so samplers draw its boundary-edge
-and collinear strata, and ``pair_window`` whether its geodesic window
-depends on the query pair: the half-space and the punctured space (a
-band of clearance |x|) size it from the pair, the others use one window
-for every pair, so the estimator shares one lattice across their
-queries.  ``k_exact`` gives the quasihyperbolic distance k where a
-closed form is known, NaN elsewhere: every built-in answers it (the ball
-by Clairaut shooting, see ``quasihyperbolic._k_ball``; across the
-puncture of ``punctured:1`` it raises, and so does the geodesic
-window), ``GenericDomain`` does not.  Domains are immutable, hashable
-values; no meshes; all operations are pure and safe to call
-concurrently.
+and ``complement_sample`` (base: none).  The flags follow the
+overrides: ``boundary_strata`` is true where a domain overrides
+``chord_reach``, and samplers then draw its boundary-edge and collinear
+strata; ``pair_window`` where it overrides ``geodesic_window`` (the
+half-space and the punctured space size the window from the pair), and
+the estimator then builds a lattice per query instead of sharing one.
+``k_exact`` gives the quasihyperbolic distance k where a closed form is
+known, NaN elsewhere: every built-in answers it (the ball by Clairaut
+shooting, see ``quasihyperbolic._k_ball``; across the puncture of
+``punctured:1`` it raises, and so does the geodesic window),
+``GenericDomain`` does not.  Domains are immutable, hashable values; no
+meshes; all operations are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -156,13 +155,17 @@ class Domain:
 
     dimension: int
 
-    #: ``boundary_sample`` parametrizes the boundary (else: uniform law)
-    #: and ``chord_reach`` is defined, so samplers draw boundary-edge pairs
-    #: and collinear triples
-    boundary_strata = False
-    #: ``geodesic_window`` depends on the query pair, which alone picks the
-    #: estimator's grids: one per pair, else one per spacing for every pair
-    pair_window = False
+    @property
+    def boundary_strata(self) -> bool:
+        """Samplers draw boundary-edge pairs and collinear triples: true
+        where the domain overrides ``chord_reach``."""
+        return type(self).chord_reach is not Domain.chord_reach
+
+    @property
+    def pair_window(self) -> bool:
+        """The estimator builds one grid per pair, not one per spacing for
+        every pair: true where the domain overrides ``geodesic_window``."""
+        return type(self).geodesic_window is not Domain.geodesic_window
 
     # -- vector API ---------------------------------------------------
 
@@ -217,10 +220,10 @@ class Domain:
         clearance lies in [max(h / 2, d_lo), d_hi] at spacing h.
 
         The base form is the sample box and the band (0, inf), the same
-        for every pair; a domain that sizes the window from x and y sets
-        ``pair_window``, and may raise ``ValueError`` for a pair that no
-        curve in it joins, which the estimator reports as that pair's
-        failure."""
+        for every pair; an override sizes the window from x and y (so
+        ``pair_window`` is true), and may raise ``ValueError`` for a pair
+        that no curve in it joins, which the estimator reports as that
+        pair's failure."""
         lo, hi = self.sample_box()
         return lo, hi, (0.0, math.inf)
 
@@ -282,8 +285,6 @@ class Domain:
 class UnitBall(Domain):
     dimension: int
 
-    boundary_strata = True
-
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
@@ -326,9 +327,6 @@ class UnitBall(Domain):
 @dataclass(frozen=True, repr=False)
 class HalfSpace(Domain):
     dimension: int
-
-    boundary_strata = True
-    pair_window = True
 
     #: rejection box extent: last coordinate in (0, 4], others in [-2, 2]
     _SIDE = 2.0
@@ -413,9 +411,6 @@ class HalfSpace(Domain):
 @dataclass(frozen=True, repr=False)
 class PuncturedSpace(Domain):
     dimension: int
-
-    boundary_strata = True
-    pair_window = True
 
     _SIDE = 2.0
 
@@ -512,8 +507,6 @@ class Interval(Domain):
 
     a: float
     b: float
-
-    boundary_strata = True
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b)):

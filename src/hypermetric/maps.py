@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import Domain, UnitBall, as_point, as_points, sample_interior
+from .domains import Domain, UnitBall, as_point, as_points, sample_interior, unit_directions
 from .metrics import MetricParams, h_many
 from .moebius import BallAutomorphism, BallToHalfSpace, Identity, SampleMap
 
@@ -92,8 +92,7 @@ def _sphere_directions(dim: int, count: int, rng: np.random.Generator) -> np.nda
         # deterministic low-discrepancy angles
         ang = 2.0 * np.pi * np.arange(count) / count
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    vec = rng.normal(size=(count, dim))
-    return vec / np.linalg.norm(vec, axis=1, keepdims=True)
+    return unit_directions(dim, count, rng)
 
 
 def linear_dilatation(

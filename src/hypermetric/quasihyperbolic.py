@@ -7,8 +7,7 @@ Every built-in domain answers ``Domain.k_exact``:
 * half-space: the density 1/x_n is the hyperbolic one, so k equals the
   half-space hyperbolic distance;
 * punctured space: in log-polar coordinates the geodesic is a straight
-  line, giving k = sqrt(theta^2 + log^2(|x|/|y|)) (``k_exact_punctured``
-  is its one-pair front);
+  line, giving k = sqrt(theta^2 + log^2(|x|/|y|));
 * interval: k = |Phi(y) - Phi(x)|, Phi the integral of 1/d from the
   midpoint;
 * ball: Clairaut's relation for the radial density turns k into a 1-D
@@ -26,26 +25,26 @@ Estimator construction, per refinement level (spacing halved each time):
 * nodes: the global lattice (spacing h) in a query window, a box and a
   band of clearances (d_lo, d_hi) from ``Domain.geodesic_window``,
   keeping the points with clearance in [max(h/2, d_lo), d_hi];
-* edges: all primitive integer offsets with max-norm <= 5 in 2-D (a
-  single-ring 8/26-neighbourhood leaves a direction-quantization error
-  of several percent, far above the 1% target, so the stencil is
-  widened until the worst-direction overhead sec(gap/2) - 1 is ~0.5%);
-* weights: Simpson quadrature of 1/d along the straight segment
-  (endpoint-only trapezoid carries ~1% error at the stencil's edge
-  lengths near clearance 0.2);
+* edges: the stencil (``_stencil``), the primitive integer offsets with
+  max-norm <= r whose first nonzero coordinate is positive, r = 5 in 2-D
+  and 1 elsewhere (a single 2-D ring leaves a direction-quantization
+  error of several percent, far above the 1% target; r = 5 brings the
+  worst-direction overhead sec(gap/2) - 1 to ~0.5%);
+* weights: ``_segment_weights`` for every edge, Simpson quadrature of
+  1/d along the straight segment (endpoint-only trapezoid carries ~1%
+  error at the stencil's edge lengths near clearance 0.2);
 * assembly, node-major over the kept nodes, in blocks of nodes: each
   node's stencil neighbours are one fixed flat step per offset away in
   the node index map padded by the reach.  Midpoint coordinates and
   squared steps vary along one axis each, so each node's row of them is
   read from small (cells on the axis, offsets) tables built once per
   axis; the midpoint clearances are one ``Domain.clearance_grid`` call
-  on those rows, and the Simpson weights are formed with
-  ``_segment_weights``' operations, bit for bit its values.  The block's
-  (node, offset) table is in CSR order, so its kept entries are the CSR
-  rows, written straight into outputs sized by the lattice edges; no
-  edge gathers its endpoints' positions and no edge is scattered into
-  its row.  Nodes are read off the axes at the window's cells, and no
-  (cells, n) point matrix is formed;
+  on those rows, which ``_segment_weights`` turns into weights.  The
+  block's (node, offset) table is in CSR order, so its kept entries are
+  the CSR rows, written straight into outputs sized by the lattice
+  edges; no edge gathers its endpoints' positions and no edge is
+  scattered into its row.  Nodes are read off the axes at the window's
+  cells, and no (cells, n) point matrix is formed;
 * both query points are attached to every node within (reach+1)*h via
   the same segment weights (plus a direct x-y edge when they are that
   close), so endpoint handling adds no O(h * density) detour penalty.
@@ -159,11 +158,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from .domains import Domain, PuncturedSpace, as_pairs, as_point
+from .domains import Domain, as_pairs, as_point
 
 DEFAULT_NODE_CAP = 2_000_000
 
-#: stencil order in 2-D: all primitive offsets with max-norm <= reach
+#: the stencil's reach in 2-D, where a single ring is too coarse (``_stencil``)
 STENCIL_REACH_2D = 5
 
 #: grids kept for pair-independent windows; a sweep of one domain at
@@ -301,18 +300,6 @@ class GeodesicGrid:
 # ---------------------------------------------------------------------------
 # exact oracles
 # ---------------------------------------------------------------------------
-
-
-def k_exact_punctured(x, y) -> float:
-    """Exact quasihyperbolic distance of R^n minus the origin, one pair:
-    sqrt(theta^2 + log^2(|x|/|y|)) (``PuncturedSpace.k_exact``), with the
-    angle theta formed as 2 atan2(| |y| x - |x| y |, | |y| x + |x| y |),
-    accurate near 0 and pi."""
-    x = as_point(x)
-    y = as_point(y, x.size)
-    if not (np.any(x) and np.any(y)):
-        raise ValueError("punctured-space points must be nonzero")
-    return float(PuncturedSpace(x.size).k_exact(x[None], y[None])[0])
 
 
 #: Gauss-Legendre nodes per leg of the ball's Clairaut integrals
@@ -489,21 +476,16 @@ def _k_ball(r_x, r_y, theta) -> np.ndarray:
 
 @functools.cache
 def _stencil(dimension: int) -> tuple[np.ndarray, int]:
-    """Half-space of lattice offsets (one per undirected edge direction),
-    read-only, and its reach (the largest offset coordinate)."""
-    if dimension == 1:
-        offs = [(1,)]
-    elif dimension == 2:
-        r = STENCIL_REACH_2D
-        offs = [(i, j) for i in range(r + 1) for j in range(-r, r + 1)
-                if (i > 0 or j > 0) and math.gcd(i, abs(j)) == 1]
-    else:
-        # n >= 3: the full single-ring neighbourhood (3^n - 1 offsets, halved)
-        offs = [o for o in itertools.product((-1, 0, 1), repeat=dimension)
-                if any(o) and next(c for c in o if c) > 0]
-    offsets = np.array(offs, dtype=np.int64)
+    """The primitive lattice offsets with max-norm <= reach whose first
+    nonzero coordinate is positive (one per undirected edge direction),
+    in lexicographic order and read-only, and the reach:
+    ``STENCIL_REACH_2D`` in 2-D, 1 elsewhere."""
+    reach = STENCIL_REACH_2D if dimension == 2 else 1
+    # gcd 0 rules out the zero offset before its first nonzero is sought
+    offsets = np.array([o for o in itertools.product(range(-reach, reach + 1), repeat=dimension)
+                        if math.gcd(*o) == 1 and next(c for c in o if c) > 0], dtype=np.int64)
     offsets.flags.writeable = False
-    return offsets, int(np.max(np.abs(offsets)))
+    return offsets, reach
 
 
 @functools.cache
@@ -541,15 +523,18 @@ def _overhead(dimension: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _segment_weights(domain: Domain, mid: np.ndarray, length: np.ndarray,
-                     du, dv) -> tuple[np.ndarray, np.ndarray]:
-    """Simpson weights of 1/d along straight segments given by their
-    midpoints, lengths and endpoint clearances; rows whose midpoint lies
-    outside the domain are masked."""
-    dm = domain.clearance_many(mid)
+def _segment_weights(dm: np.ndarray, length, inv_u, inv_v) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson weights length / 6 (1/d(u) + 4/d(m) + 1/d(v)) of 1/d along
+    straight segments, from their midpoint clearances d(m), lengths and
+    the endpoints' 1/d, which broadcast together; rows whose midpoint
+    lies outside the domain are masked.  Formed in place, each step a
+    commutative IEEE operation, so the terms' order does not move a bit."""
     ok = dm > 0.0
-    dm_safe = np.where(ok, dm, 1.0)
-    w = length / 6.0 * (1.0 / du + 4.0 / dm_safe + 1.0 / dv)
+    w = np.where(ok, dm, 1.0)
+    np.divide(4.0, w, out=w)
+    w += inv_u
+    w += inv_v
+    w *= length / 6.0
     return w, ok
 
 
@@ -571,7 +556,8 @@ def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, r: float, near: np.
     of the floor of their ends, so the first edge is covered too."""
     edges = (h * _longest_offset(domain.dimension), r)
     gap = np.linalg.norm(near - p, axis=1)
-    w, ok = _segment_weights(domain, 0.5 * (p + near), gap, dp, d_near)
+    w, ok = _segment_weights(domain.clearance_many(0.5 * (p + near)), gap, 1.0 / dp,
+                             1.0 / d_near)
     short = domain.path_floor(gap, dp, d_near, (*edges, 0.0)) - w
     slack = max(0.0, float(np.max(short[ok], initial=0.0)))
 
@@ -582,11 +568,6 @@ def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, r: float, near: np.
         return domain.path_floor(sep, dp, dz, (*edges, slack))
 
     return floor
-
-
-def _lattice_points(axes: list[np.ndarray], mask: np.ndarray) -> np.ndarray:
-    """Positions of the lattice cells that ``mask`` marks, row-major."""
-    return np.stack([ax[i] for ax, i in zip(axes, np.nonzero(mask))], axis=1)
 
 
 def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
@@ -619,9 +600,8 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
         box = tuple(slice(min(max(c - span, 0), d), max(min(c + span + 1, d), 0))
                     for c, d in zip(cell, window.shape))
         near = window[box]
-        near_axes = [ax[s] for ax, s in zip(axes, box)]
-        floors.append(_floor_from(domain, h, p, dp, r, _lattice_points(near_axes, near),
-                                  clear[box][near]))
+        points = np.stack([ax[s][i] for ax, s, i in zip(axes, box, np.nonzero(near))], axis=1)
+        floors.append(_floor_from(domain, h, p, dp, r, points, clear[box][near]))
         boxes.append(box)
     bound = limit * (1.0 + _LENS_SLACK)
 
@@ -677,20 +657,23 @@ def build_grid(domain: Domain, spacing: float, x, y,
     lo, hi, (d_lo, d_hi) = domain.geodesic_window(x, y, (reach + 2) * h)
     box = _box_text(lo, hi)
 
-    starts = np.ceil(lo / h - 1e-9).astype(np.int64)
-    stops = np.floor(hi / h + 1e-9).astype(np.int64)
+    # the first and last cell on each axis, counted exactly in integers
+    # before any cast; a spacing so fine that they overflow counts as inf
+    with np.errstate(over="ignore"):
+        starts, stops = np.ceil(lo / h - 1e-9), np.floor(hi / h + 1e-9)
     if np.any(stops < starts):
         raise DisconnectedGridError(
             f"empty lattice window for {domain.spec_string()} at spacing {h}"
         )
-    dims = (stops - starts + 1).astype(np.int64)
-    raw = int(np.prod(dims))
+    raw = (math.prod(int(b) - int(a) + 1 for a, b in zip(starts, stops))
+           if np.all(np.isfinite([starts, stops])) else math.inf)
     if raw > 8 * node_cap:
         raise NodeBudgetError(
             f"lattice window {box} at spacing {h} holds {raw} cells "
             f"(cap {node_cap}); increase spacing or the node cap"
         )
 
+    starts, stops = starts.astype(np.int64), stops.astype(np.int64)
     axes = [np.arange(a, b + 1) * h for a, b in zip(starts, stops)]
     clear = domain.clearance_grid(np.ix_(*axes))
     mask = (clear >= max(0.5 * h, d_lo)) & (clear <= d_hi)
@@ -706,7 +689,6 @@ def build_grid(domain: Domain, spacing: float, x, y,
             f"at spacing {h}"
         )
 
-    shape = tuple(dims)
     if lens is not None:
         keep = _lens(domain, h, x, y, lens, starts, axes, clear, mask)
         kept = np.nonzero(keep)
@@ -718,8 +700,8 @@ def build_grid(domain: Domain, spacing: float, x, y,
         axes = [ax[c] for ax, c in zip(axes, crop)]
         clear = clear[crop]
         mask = keep[crop]
-        shape = mask.shape
         n_valid = int(np.count_nonzero(mask))
+    shape = mask.shape
 
     # node indices by cell, padded by the reach: each stencil neighbour of
     # a node is then one fixed flat step away, and -1 where it is no node
@@ -765,20 +747,11 @@ def build_grid(domain: Domain, spacing: float, x, y,
     for block in blocks:
         near = nbr[block]
         rows = [c[block] for c in cells]
-        dm = domain.clearance_grid([m[r] for m, r in zip(mids, rows)])
-        ok = dm > 0.0
-        # Simpson's weight as _segment_weights forms it, in place: each
-        # step is the same commutative IEEE operation, so bit for bit
-        w = np.where(ok, dm, 1.0)
-        np.divide(4.0, w, out=w)
-        w += inv[block, None]
-        w += inv[near]
         length = steps_sq[0][rows[0]]
         for q, r in zip(steps_sq[1:], rows[1:]):
             length += q[r]
-        np.sqrt(length, out=length)
-        length /= 6.0
-        w *= length
+        w, ok = _segment_weights(domain.clearance_grid([m[r] for m, r in zip(mids, rows)]),
+                                 np.sqrt(length, out=length), inv[block, None], inv[near])
         has = ok & (near >= 0)
         count = int(np.count_nonzero(has))
         neighbours[end:end + count] = near[has]
@@ -947,7 +920,7 @@ def _shared_grid(domain: Domain, spacing: float, node_cap: int) -> GeodesicGrid:
     # The room is at most the grid's own size: scipy copies a view of less
     # than half its buffer
     rows = min(_chunk_size(grid), grid.indptr.size)
-    edges = min(rows * len(_cell_box(grid, 0)), grid.weights.size)
+    edges = min(rows * len(_cell_box(grid.domain.dimension, 0)), grid.weights.size)
     buffers = {}
     for name, extra in (("weights", edges), ("neighbours", edges), ("indptr", rows)):
         head = getattr(grid, name)
@@ -969,15 +942,11 @@ def _cell_span(dimension: int, widen: int) -> int:
     return reach + 2 + widen * 4
 
 
-def _cell_box(grid: GeodesicGrid, widen: int) -> np.ndarray:
+@functools.cache
+def _cell_box(dimension: int, widen: int) -> np.ndarray:
     """Lattice offsets of the cells searched around a query point's cell,
     row-major and read-only; ``widen`` 1 is the wider second search."""
-    return _box_offsets(grid.domain.dimension,
-                        _cell_span(grid.domain.dimension, widen))
-
-
-@functools.cache
-def _box_offsets(dimension: int, span: int) -> np.ndarray:
+    span = _cell_span(dimension, widen)
     axes = [np.arange(-span, span + 1)] * dimension
     box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dimension)
     box.flags.writeable = False
@@ -1003,7 +972,7 @@ def _attach(grid: GeodesicGrid, ps: np.ndarray,
     pending = np.arange(ps.shape[0])
     found = []
     for widen in (0, 1):
-        at = cells[pending, None, :] + _cell_box(grid, widen)
+        at = cells[pending, None, :] + _cell_box(domain.dimension, widen)
         owner, k = np.nonzero(np.all((at >= 0) & (at < dims), axis=2))
         cand = grid._index_map[tuple(at[owner, k].T)]
         owner, cand = owner[cand >= 0], cand[cand >= 0]
@@ -1017,8 +986,8 @@ def _attach(grid: GeodesicGrid, ps: np.ndarray,
         np.minimum.at(nearest, owner, dist)
         near |= lone[owner] & (dist <= nearest[owner] * 1.0001)
         owner, cand = owner[near], cand[near]
-        w, ok = _segment_weights(domain, 0.5 * (p[near] + pos[near]), dist[near],
-                                 dps[pending[owner]], grid.clearances[cand])
+        w, ok = _segment_weights(domain.clearance_many(0.5 * (p[near] + pos[near])), dist[near],
+                                 1.0 / dps[pending[owner]], 1.0 / grid.clearances[cand])
         found.append((pending[owner[ok]], cand[ok], w[ok]))
         attached = np.zeros(pending.size, dtype=bool)
         attached[owner[ok]] = True
@@ -1036,7 +1005,7 @@ def _chunk_size(grid: GeodesicGrid) -> int:
     cells."""
     n = grid.nodes.shape[0]
     return max(1, min(int((math.sqrt(n * n + 4 * _DIST_BLOCK) - n) / 2),
-                      _CELL_BLOCK // (2 * len(_cell_box(grid, 0)))))
+                      _CELL_BLOCK // (2 * len(_cell_box(grid.domain.dimension, 0)))))
 
 
 @contextlib.contextmanager
@@ -1091,8 +1060,9 @@ def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.nda
     gap = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
     direct = np.flatnonzero((gap > 0.0) & (gap <= (reach + 1) * grid.spacing))
     if direct.size:
-        w, ok = _segment_weights(grid.domain, 0.5 * (xs[direct] + ys[direct]),
-                                 np.linalg.norm(d[direct], axis=1), dxs[direct], dys[direct])
+        w, ok = _segment_weights(grid.domain.clearance_many(0.5 * (xs[direct] + ys[direct])),
+                                 np.linalg.norm(d[direct], axis=1), 1.0 / dxs[direct],
+                                 1.0 / dys[direct])
         values[direct[ok]] = w[ok]
     size = _chunk_size(grid)
     by_limit = np.argsort(limits, kind="stable")

@@ -24,7 +24,6 @@ from hypermetric.moebius import BallAutomorphism, Identity
 from hypermetric.quasihyperbolic import (
     KControls,
     k_estimate,
-    k_exact_punctured,
 )
 from hypermetric.verify import (
     collinear_c_scan,
@@ -173,7 +172,8 @@ def test_criterion_07_quasihyperbolic_oracle_error():
     k >= j with 2% slack; every query under 5 s."""
     cases = [
         (H2, _acceptance_pairs_halfspace(50, 707), rho_halfspace),
-        (P2, _acceptance_pairs_punctured(50, 707), k_exact_punctured),
+        (P2, _acceptance_pairs_punctured(50, 707),
+         lambda x, y: P2.k_exact(x[None], y[None])[0]),
     ]
     ok = True
     details = []

@@ -199,6 +199,35 @@ class TestUniformity:
         assert obj["U_hat"] >= 1.0 and obj["k_source"] == "exact"
 
 
+class TestNegativeCoordinates:
+    """A point whose first coordinate is negative, such as a diameter
+    pair's, is a value wherever the CLI takes a point, not an option."""
+
+    def test_dist_across_the_centre(self):
+        code, out = invoke(["dist", "--domain", "ball:2", "--metric", "h",
+                            "--points", "-0.3,0", "0.3,0"])
+        h = pair_evaluator(MetricKind.H, UnitBall(2), MetricParams(2.0))(
+            np.array([[-0.3, 0.0]]), np.array([[0.3, 0.0]]))[0]
+        assert (code, out) == (0, f"{h:.6f}\n")
+
+    def test_k_estimate_across_the_centre(self):
+        code, out = invoke(["k-estimate", "--domain", "ball:2", "--points", "0.3,0", "-0.3,0"])
+        assert code == 0
+        assert json.loads(out)["value"] == k_estimate(UnitBall(2), (0.3, 0.0), (-0.3, 0.0)).value
+
+    def test_dilatation_base_point(self):
+        code, out = invoke(["dilatation", "--map", "auto:0.5,0", "--z", "-0.2,0.1"])
+        assert code == 0
+        assert json.loads(out)["z"] == [-0.2, 0.1]
+
+    def test_an_unknown_option_is_still_one(self):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = invoke(["dist", "--domain", "ball:2", "--metric", "h",
+                              "--points", "-x,0", "0.3,0"])
+        assert code == 2 and "expected 2 arguments" in err.getvalue()
+
+
 class TestUsageErrors:
     def test_unknown_domain(self):
         code, _ = invoke(["dist", "--domain", "torus:2", "--metric", "h",
@@ -233,6 +262,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flags, message", [
         (["--spacing", "inf"], "spacing must be finite"),
         (["--refinements", "5000"], "refinements must leave a positive finest spacing"),
+        # past int64, the window's cells are counted exactly
+        (["--spacing", "1e-12"], "lattice window [-1, 1] x [-1, 1] at spacing 1e-12 holds "
+                                 "4000000000004000000000001 cells (cap 2000000); increase "
+                                 "spacing or the node cap"),
     ])
     def test_k_controls_that_cannot_run(self, command, flags, message):
         # only k-estimate takes the flags and validates them; every other

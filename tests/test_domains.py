@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypermetric import verify
 from hypermetric.domains import (
     Domain,
     GenericDomain,
@@ -42,6 +43,40 @@ def annulus_domain():
         return (r > 0.25) & (r < 1.0)
 
     return GenericDomain(2, dist, member, ((-1.0, -1.0), (1.0, 1.0)))
+
+
+class TestOverrideFlags:
+    """``boundary_strata`` and ``pair_window`` follow the overrides of
+    ``chord_reach`` and ``geodesic_window``."""
+
+    def test_built_in_flags(self):
+        flags = {d.spec_string(): (d.boundary_strata, d.pair_window)
+                 for d in [*ALL_DOMAINS, annulus_domain()]}
+        assert flags == {"ball:2": (True, False), "ball:3": (True, False),
+                         "halfspace:2": (True, True), "punctured:2": (True, True),
+                         "interval:0:1": (True, False), "generic:2": (False, False)}
+
+    def test_chord_reach_override_draws_collinear_triples(self):
+        class ReachingAnnulus(GenericDomain):
+            def chord_reach(self, z, u, delta):
+                # the clearance is 1-Lipschitz, so this step keeps delta
+                return np.maximum(self.clearance_many(z) - delta, 0.0)
+
+        ring = annulus_domain()
+        reaching = ReachingAnnulus(2, ring.distance_fn, ring.membership_fn, ring.box)
+        assert reaching.boundary_strata and not ring.boundary_strata
+        size = 400
+        n_col = round(verify._FRAC_COLLINEAR * size)
+        for domain, collinear in ((reaching, True), (ring, False)):
+            xs, ys, zs = verify._triple_block(domain, size, np.random.default_rng(5))
+            assert xs.shape == (size, 2)
+            u, v = (xs - zs)[-n_col:], (ys - zs)[-n_col:]
+            # x and y on opposite sides of z along one line
+            cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+            line = ((np.abs(cross) <= 1e-12 * (1.0 + np.abs(u).sum(1) * np.abs(v).sum(1)))
+                    & (np.sum(u * v, axis=1) <= 0.0))
+            assert line.all() == collinear
+            assert np.all(domain.clearance_many(np.concatenate([xs, ys, zs])) > 0.0)
 
 
 class TestContains:

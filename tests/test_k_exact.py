@@ -24,7 +24,7 @@ from hypermetric.domains import (
 )
 from hypermetric.metrics import MetricKind, MetricParams, j_many, pair_evaluator, rho_ball_many
 from hypermetric.metrics import rho_halfspace
-from hypermetric.quasihyperbolic import KControls, k_estimate_many, k_exact_punctured, k_many
+from hypermetric.quasihyperbolic import KControls, k_estimate_many, k_many
 from hypermetric.verify import inequality_suite, uniformity_estimate
 
 from test_domains import annulus_domain
@@ -266,7 +266,8 @@ class TestBuiltIns:
         xs = sample_interior(PuncturedSpace(3), 20, 1)
         ys = sample_interior(PuncturedSpace(3), 20, 2)
         assert np.array_equal(PuncturedSpace(3).k_exact(xs, ys),
-                              [k_exact_punctured(x, y) for x, y in zip(xs, ys)])
+                              [PuncturedSpace(3).k_exact(x[None], y[None])[0]
+                               for x, y in zip(xs, ys)])
 
     def test_interval_is_the_unit_ball_in_one_dimension(self):
         rng = np.random.default_rng(6)
@@ -289,8 +290,6 @@ class TestBuiltIns:
                                              r"punctured:1: its two components \(-inf, 0\) "
                                              r"and \(0, inf\) are disjoint half-lines$"):
             line.k_exact(np.array([[0.3], [-1.0]]), np.array([[0.7], [1.0]]))
-        with pytest.raises(ValueError, match="two components"):
-            k_exact_punctured(0.5, -0.5)
 
     def test_punctured_line_keeps_its_same_side_values(self):
         rng = np.random.default_rng(8)

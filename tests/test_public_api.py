@@ -20,7 +20,6 @@ ENTRY_POINTS = {
     "GenericDomain": "README domains: a domain from caller oracles",
     "lipschitz_defect": "README domains: checks a GenericDomain's clearance is 1-Lipschitz",
     "phi_triangle_counterexample": "acceptance criterion 3: phi's triangle failure",
-    "k_exact_punctured": "acceptance criterion 7: the punctured space's k oracle",
     "bilipschitz_estimate": "acceptance criterion 9: the map's sampled h_c distortion",
     "absolute_ratio": "the Moebius invariant the maps are checked against",
     "GeodesicGrid.edges": "perfbench: the per-layer edge counts of the lattices",

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,6 @@ from hypermetric.quasihyperbolic import (
     build_grid,
     k_estimate,
     k_estimate_many,
-    k_exact_punctured,
 )
 from hypermetric.verify import uniformity_estimate
 
@@ -47,19 +47,51 @@ B2 = UnitBall(2)
 ARCOSH_1_5 = 0.9624236501192069
 
 
+def k_punctured(x, y):
+    """Exact k of one pair of the punctured space, ``Domain.k_exact``."""
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    return PuncturedSpace(x.shape[1]).k_exact(x, y)[0]
+
+
 class TestExactPunctured:
     def test_quarter_turn(self):
-        assert k_exact_punctured((1, 0), (0, 1)) == pytest.approx(math.pi / 2, abs=1e-14)
+        assert k_punctured((1, 0), (0, 1)) == pytest.approx(math.pi / 2, abs=1e-14)
 
     def test_radial(self):
-        assert k_exact_punctured((1, 0), (math.e, 0)) == pytest.approx(1.0, abs=1e-14)
+        assert k_punctured((1, 0), (math.e, 0)) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_at_equal(self):
-        assert k_exact_punctured((0.3, 0.4), (0.3, 0.4)) == 0.0
+        assert k_punctured((0.3, 0.4), (0.3, 0.4)) == 0.0
 
     def test_origin_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            k_exact_punctured((0, 0), (1, 0))
+        with pytest.raises(ValueError, match="inside the domain"):
+            k_punctured((0, 0), (1, 0))
+
+
+#: the stencil by dimension, in order: the primitive offsets with
+#: max-norm <= 5 (2-D) or 1 whose first nonzero coordinate is positive
+STENCILS = {
+    1: [(1,)],
+    2: [(0, 1),
+        (1, -5), (1, -4), (1, -3), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4),
+        (1, 5),
+        (2, -5), (2, -3), (2, -1), (2, 1), (2, 3), (2, 5),
+        (3, -5), (3, -4), (3, -2), (3, -1), (3, 1), (3, 2), (3, 4), (3, 5),
+        (4, -5), (4, -3), (4, -1), (4, 1), (4, 3), (4, 5),
+        (5, -4), (5, -3), (5, -2), (5, -1), (5, 1), (5, 2), (5, 3), (5, 4)],
+    3: [(0, 0, 1), (0, 1, -1), (0, 1, 0), (0, 1, 1),
+        (1, -1, -1), (1, -1, 0), (1, -1, 1), (1, 0, -1), (1, 0, 0), (1, 0, 1),
+        (1, 1, -1), (1, 1, 0), (1, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("dimension", sorted(STENCILS))
+def test_stencil_is_pinned(dimension):
+    offsets, reach = quasihyperbolic._stencil(dimension)
+    assert [tuple(o) for o in offsets.tolist()] == STENCILS[dimension]
+    assert len(offsets) == {1: 1, 2: 40, 3: 13}[dimension]
+    assert reach == (5 if dimension == 2 else 1) == np.max(np.abs(offsets))
+    assert offsets.dtype == np.int64 and not offsets.flags.writeable
 
 
 class TestEstimator:
@@ -129,6 +161,24 @@ class TestEstimator:
     def test_node_cap(self):
         with pytest.raises(NodeBudgetError):
             k_estimate(H2, (0, 1), (1, 1), 0.05, 2, node_cap=100)
+
+    @pytest.mark.parametrize("domain, x, y", [
+        (B2, (0.0, 0.0), (0.5, 0.0)), (H2, (0.0, 1.0), (0.5, 1.0)), (P2, (1.0, 0.0), (0.5, 0.0)),
+        (UnitBall(1), (0.0,), (0.5,))], ids=["ball:2", "halfspace:2", "punctured:2", "ball:1"])
+    @pytest.mark.parametrize("spacing", [1e-12, 1e-300, 1e-320])
+    def test_spacings_past_int64_count_the_window(self, domain, x, y, spacing):
+        # the count is the window's volume in cells, up to a cell per axis,
+        # and inf where the cell indices overflow a double; no warning
+        with pytest.raises(NodeBudgetError, match=r" holds (\d+|inf) cells \(cap 2000000\);"
+                                                  r" increase spacing or the node cap$") as info:
+            k_estimate(domain, x, y, spacing, 0)
+        count = str(info.value).split(" holds ")[1].split()[0]
+        if spacing < 1e-308:
+            assert count == "inf"
+            return
+        lo, hi, _ = domain.geodesic_window(np.array(x), np.array(y), 7 * spacing)
+        volume = math.prod((Fraction(b) - Fraction(a)) / Fraction(spacing) for a, b in zip(lo, hi))
+        assert abs(int(count) / volume - 1) < 1e-6
 
     def test_disconnected_components(self):
         # two disjoint disks; queries across components cannot be joined
@@ -370,6 +420,21 @@ class TestSharedGrids:
         assert len(builds) == 2
         with pytest.raises(NodeBudgetError):
             k_estimate(B2, (0.1, 0.2), (0.5, -0.3), 0.05, 1, node_cap=100)
+
+    def test_geodesic_window_override_builds_per_query_and_level(self, builds):
+        # pair_window follows the override: the annulus that overrides
+        # geodesic_window, with the base form's window, gets a lattice of
+        # its own per pair and level, and no shared grid
+        ring = annulus_domain()
+        per_pair = PerPairAnnulus.of(ring)
+        assert per_pair.pair_window and not ring.pair_window
+        xs = sample_interior(ring, 2, seed=8, min_clearance=0.1)
+        ys = sample_interior(ring, 2, seed=9, min_clearance=0.1)
+        controls = KControls(0.1, 1)
+        values = k_estimate_many(per_pair, xs, ys, controls)
+        assert builds == [("generic:2", 0.1)] * 2 + [("generic:2", 0.05)] * 2
+        assert quasihyperbolic._shared_grid.cache_info().currsize == 0
+        assert np.allclose(values, k_estimate_many(ring, xs, ys, controls), rtol=1e-9, atol=0)
 
     @staticmethod
     def unhashable_oracle_ring():
@@ -914,8 +979,8 @@ class TestPrunedSharedGrids:
 
     def test_cell_box_is_cached_and_read_only(self):
         grid = quasihyperbolic._shared_grid(B2, 0.1, quasihyperbolic.DEFAULT_NODE_CAP)
-        box = quasihyperbolic._cell_box(grid, 0)
-        assert box is quasihyperbolic._cell_box(grid, 0)
+        box = quasihyperbolic._cell_box(grid.domain.dimension, 0)
+        assert box is quasihyperbolic._cell_box(grid.domain.dimension, 0)
         assert not box.flags.writeable
 
     def test_chunk_source_rows_are_written_into_the_buffers(self, monkeypatch):
@@ -992,7 +1057,7 @@ def lens_floor(grid, x, dx):
     domain's path floor over lattice edges, with the slack of x's attach
     edges, which all end in its wider attach box."""
     cells = (np.round(x / grid.spacing).astype(np.int64) - grid._axis_starts
-             + quasihyperbolic._cell_box(grid, 1))
+             + quasihyperbolic._cell_box(grid.domain.dimension, 1))
     cells = cells[np.all((cells >= 0) & (cells < grid._index_map.shape), axis=1)]
     near = grid._index_map[tuple(cells.T)]
     near = near[near >= 0]
@@ -1060,10 +1125,11 @@ class TestPathFloor:
 
 
 class PerPairAnnulus(GenericDomain):
-    """A generic domain whose window counts as pair-dependent, so that the
-    estimator searches it per query."""
+    """A generic domain that overrides ``geodesic_window`` (with the base
+    form's window), so that the estimator searches it per query."""
 
-    pair_window = True
+    def geodesic_window(self, x, y, pad):
+        return super().geodesic_window(x, y, pad)
 
     @classmethod
     def of(cls, ring):
@@ -1123,7 +1189,7 @@ class TestLevelZero:
             ys = np.exp(rng.uniform(math.log(r), 0.5, (40, 1))) * unit_directions(2, 40, rng)
             dx, dy = np.linalg.norm(xs, axis=1), np.linalg.norm(ys, axis=1)
             floor = P2.path_floor(np.linalg.norm(xs - ys, axis=1), dx, dy, (ell, r, 0.0))
-            k = np.array([k_exact_punctured(x, y) for x, y in zip(xs, ys)])
+            k = P2.k_exact(xs, ys)
             assert np.all(floor >= c * k * (1.0 - 1e-12))
             shares.append(c)
         # no share near the puncture, and close to 1 from the kquery
@@ -1423,8 +1489,8 @@ def lens_fuzz_cases():
     for domain, count, spacings, exact in [
             (H2, 60, (0.05, 0.025, 0.0125), rho_halfspace),
             (HalfSpace(3), 20, (0.1, 0.05), rho_halfspace),
-            (P2, 60, (0.05, 0.025, 0.0125), k_exact_punctured),
-            (P3, 20, (0.1, 0.05), k_exact_punctured)]:
+            (P2, 60, (0.05, 0.025, 0.0125), k_punctured),
+            (P3, 20, (0.1, 0.05), k_punctured)]:
         n = domain.dimension
         for _ in range(count):
             if isinstance(domain, PuncturedSpace):

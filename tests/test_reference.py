@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermetric.domains import HalfSpace, UnitBall
+from hypermetric.domains import HalfSpace, PuncturedSpace, UnitBall
 from hypermetric.metrics import (
     MetricParams,
     h_metric,
@@ -45,7 +45,6 @@ from hypermetric.metrics import (
     rho_halfspace_many,
 )
 from hypermetric.moebius import BallAutomorphism, BallToHalfSpace
-from hypermetric.quasihyperbolic import k_exact_punctured
 
 EPS = float(np.finfo(float).eps)
 B2, H2 = UnitBall(2), HalfSpace(2)
@@ -223,18 +222,19 @@ def punctured_reference(x, y):
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_punctured_oracle_matches_reference(dimension):
     xs, ys = punctured_pairs(dimension)
-    for x, y in zip(xs, ys):
+    for x, y, value in zip(xs, ys, PuncturedSpace(dimension).k_exact(xs, ys)):
         k, theta = punctured_reference(x, y)
-        error = float(abs((mp.mpf(k_exact_punctured(x, y)) - k) / k))
+        error = float(abs((mp.mpf(value) - k) / k))
         assert error <= 4 * EPS * (1.0 + 1.0 / float(theta)), (x, y)
 
 
 def test_punctured_oracle_examples():
-    assert k_exact_punctured((1, 0), (1, 1e-9)) == pytest.approx(1e-9, rel=4 * EPS)
-    assert k_exact_punctured((1, 0, 0), (1, 1e-12, 0)) == pytest.approx(1e-12, rel=4 * EPS)
-    assert k_exact_punctured((1, 0), (-1, 1e-9)) == pytest.approx(math.pi - 1e-9, rel=4 * EPS)
-    with pytest.raises(ValueError, match="must be nonzero"):
-        k_exact_punctured((0, 0), (1, 0))
+    p2, p3 = PuncturedSpace(2), PuncturedSpace(3)
+    assert p2.k_exact([(1, 0)], [(1, 1e-9)])[0] == pytest.approx(1e-9, rel=4 * EPS)
+    assert p3.k_exact([(1, 0, 0)], [(1, 1e-12, 0)])[0] == pytest.approx(1e-12, rel=4 * EPS)
+    assert p2.k_exact([(1, 0)], [(-1, 1e-9)])[0] == pytest.approx(math.pi - 1e-9, rel=4 * EPS)
+    with pytest.raises(ValueError, match="inside the domain"):
+        p2.k_exact([(0, 0)], [(1, 0)])
 
 
 # ---------------------------------------------------------------------------
