@@ -5,14 +5,16 @@ Commands::
     dist          evaluate one distance between two points
     scan-triangle sampled triangle-inequality scan of a distance
     verify-suite  run one named inequality suite
-    falsify       search the collinear family for sub-sharp c violations
+    falsify       closed-form collinear witness that h_c fails for c < 2
     k-estimate    quasihyperbolic shortest-path estimate with history
     dilatation    sampled linear-dilatation estimate of a map
     uniformity    empirical uniformity constant max k/j
 
 Exit status: 0 on success / pass, 1 on verification failure (a report is
-still printed), 2 on usage errors.  Output is deterministic for a fixed
-argument vector; JSON objects are key-sorted.
+still printed), 2 on usage errors; ``falsify`` exits 1 for every c < 2,
+with ``violating_r`` null beside ``r_star`` where no double witness
+exists (c above about 2 - 2.11e-8).  Output is deterministic for a
+fixed argument vector; JSON objects are key-sorted.
 """
 
 from __future__ import annotations
@@ -86,11 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, count_default=10_000)
     p.add_argument("--suite", required=True, choices=list(SUITES))
 
-    p = sub.add_parser("falsify", help="collinear scan for sub-sharp c")
+    p = sub.add_parser("falsify", help="closed-form collinear witness for c < 2")
     p.add_argument("--domain", default="ball:2")
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--r-points", type=int, default=None,
-                   help="optional size of a uniform-in-log grid to use")
 
     p = sub.add_parser("k-estimate", help="quasihyperbolic estimate")
     p.add_argument("--domain", required=True)
@@ -164,20 +164,14 @@ def _cmd_falsify(args) -> int:
     domain = parse_domain(args.domain)
     if domain.spec_string() != "ball:2":
         raise ValueError("falsify scans the collinear family in ball:2")
-    grid = None
-    if args.r_points is not None:
-        if args.r_points < 2:
-            raise ValueError("--r-points must be >= 2")
-        grid = 1.0 - np.logspace(-1.3, -8.0, args.r_points)
-    hit = collinear_c_scan(args.c, grid)
-    out = {"c": args.c, "domain": domain.spec_string()}
-    if hit is None:
-        out.update({"violating_r": None})
-        print(_dump(out))
-        return _EXIT_PASS
-    out.update({"violating_r": hit.r, "lhs_two_sided": hit.lhs, "rhs_chord": hit.rhs})
+    hit = collinear_c_scan(args.c)
+    out = {"c": args.c, "domain": domain.spec_string(), "violating_r": None}
+    if hit is not None:
+        out["r_star"] = hit.r_star
+        if hit.r is not None:
+            out.update({"violating_r": hit.r, "lhs_two_sided": hit.lhs, "rhs_chord": hit.rhs})
     print(_dump(out))
-    return _EXIT_FAIL
+    return _EXIT_PASS if hit is None else _EXIT_FAIL
 
 
 def _cmd_k_estimate(args) -> int:

@@ -672,6 +672,9 @@ def build_grid(domain: Domain, spacing: float, x, y,
             f"lattice window {box} at spacing {h} holds {raw} cells "
             f"(cap {node_cap}); increase spacing or the node cap"
         )
+    if np.max(np.abs([starts, stops])) >= 2.0**52:
+        raise GridError(f"lattice window {box} at spacing {h} needs cell indices of 2^52 "
+                        "or more, where the nodes' coordinates cannot resolve the spacing")
 
     starts, stops = starts.astype(np.int64), stops.astype(np.int64)
     axes = [np.arange(a, b + 1) * h for a, b in zip(starts, stops)]

@@ -58,6 +58,7 @@ from .metrics import MetricKind, MetricParams
 from .quasihyperbolic import KControls, k_many
 
 _CHUNK = 20_000
+_EPS = np.finfo(float).eps
 
 #: clearance of the points the closed-form suites sample
 _SUITE_CLEARANCE = 1e-3
@@ -213,7 +214,8 @@ def triangle_scan(
 
     For each triple all three rotations of m(a,c) <= m(a,b) + m(b,c) are
     evaluated and the smallest slack is kept; pass means slack >=
-    -tolerance (default 1e-9).
+    -tolerance (default 1e-9).  Triples with two coincident points stay
+    out of the minimum and the witness.
     """
     if triple_count < 1:
         raise ValueError("triple_count must be >= 1")
@@ -231,7 +233,11 @@ def triangle_scan(
             m_xy + m_zy - m_xz,
             m_xy + m_xz - m_zy,
         ])
-        i = int(np.argmin(slack))
+        # a collinear x or y at z (no chord reach, or the guard) has slack 0;
+        # columns one by one, as all(axis=1) on 2 or 3 columns is 4x slower
+        same = [np.logical_and.reduce([a[:, k] == b[:, k] for k in range(a.shape[1])])
+                for a, b in ((x, y), (x, z), (y, z))]
+        i = int(np.argmin(np.where(np.logical_or.reduce(same), np.inf, slack)))
         return (float(slack[i]), chunk_idx, i, (x[i], y[i], z[i]),
                 slack if keep_slacks else None)
 
@@ -255,48 +261,42 @@ def triangle_scan(
 
 @dataclass
 class CollinearViolation:
-    """Witness r with 2 h_c(0, r e1) < h_c(-r e1, r e1) in the plane ball."""
+    """h_c fails on (r e1, 0, -r e1) in the plane ball exactly for r in
+    (r_star, 1), r_star rounded.  ``r`` is a double witness there, with
+    lhs = 2 h_c(0, r e1) < rhs = h_c(-r e1, r e1); all three are None
+    where no double witness is confirmed (c near 2)."""
 
-    r: float
-    lhs: float   # 2 h(0, r e1)
-    rhs: float   # h(-r e1, r e1)
-
-
-def default_r_grid() -> np.ndarray:
-    """Coarse sweep of (0,1) plus a log ladder accumulating at 1 - 1e-8."""
-    coarse = np.linspace(0.05, 0.95, 19)
-    fine = 1.0 - np.logspace(-1.3, -8.0, 135)
-    return np.unique(np.concatenate([coarse, fine]))
+    r: float | None
+    lhs: float | None
+    rhs: float | None
+    r_star: float
 
 
-def _radius_grid(values, name: str) -> np.ndarray:
-    """A falsifier's grid of radii: nonempty and strictly inside (0, 1)."""
-    grid = np.asarray(values, dtype=float)
-    if grid.size == 0:
-        raise ValueError(f"{name} grid must be nonempty")
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
-        raise ValueError(f"{name} grid values must lie strictly inside (0, 1)")
-    return grid
+def collinear_c_scan(c: float) -> CollinearViolation | None:
+    """h_c's triangle failures on (r e1, 0, -r e1) in the plane ball, in
+    closed form; None for c >= 2, where h_c is a metric.
 
-
-def collinear_c_scan(c: float, r_grid=None) -> CollinearViolation | None:
-    """Scan the family (r e1, 0, -r e1) in the plane ball for triangle
-    failures of h_c; returns the smallest violating grid radius.
-
-    Must find violations for every c < 2 (close enough to 1) and none
-    for c >= 2.
+    With d = 1 - r the failure 2 h_c(0, r e1) < h_c(-r e1, r e1) reads
+    2 sqrt(d) + c r < 2: it holds exactly for r > r* = 1 - min(u, 1)^2,
+    u = (2 - c)/c.  The witness r = fl(1 - min(u, 1)^2 / 2) >= 1/2 has an
+    exact d (Sterbenz), so the printed r is the double checked.  Both
+    checks keep a rounding margin (eps = 2^-52): h_kernel's values, each
+    within 3 eps relatively, give rhs - lhs > 8 eps rhs, and three
+    roundings bound 2 sqrt(d) + c r - 2 < -4 eps.  Above about
+    c = 2 - 2.11e-8 no double lies in (r*, 1): the result names r* alone.
     """
-    if not c > 0:
-        raise ValueError("c must be positive")
-    r = _radius_grid(default_r_grid() if r_grid is None else np.sort(r_grid), "r")
-    # d(0) = 1, d(+-r e1) = 1 - r
-    lhs = 2.0 * metrics.h_kernel(r, 1.0, 1.0 - r, c)
-    rhs = metrics.h_kernel(2.0 * r, 1.0 - r, 1.0 - r, c)
-    violating = lhs < rhs
-    if not np.any(violating):
+    _require(math.isfinite(c) and c > 0, f"c must be a positive real, got {c}")
+    if c >= 2.0:
         return None
-    i = int(np.argmax(violating))
-    return CollinearViolation(r=float(r[i]), lhs=float(lhs[i]), rhs=float(rhs[i]))
+    u2 = min((2.0 - c) / c, 1.0) ** 2
+    r = 1.0 - 0.5 * u2
+    d = 1.0 - r
+    if d > 0.0:
+        lhs = 2.0 * float(metrics.h_kernel(r, 1.0, d, c))
+        rhs = float(metrics.h_kernel(2.0 * r, d, d, c))
+        if rhs - lhs > 8 * _EPS * rhs and 2.0 * math.sqrt(d) + c * r - 2.0 < -4 * _EPS:
+            return CollinearViolation(r, lhs, rhs, 1.0 - u2)
+    return CollinearViolation(None, None, None, 1.0 - u2)
 
 
 @dataclass
@@ -309,7 +309,9 @@ class PhiViolation:
 def phi_triangle_counterexample(t_grid) -> PhiViolation:
     """First t on the grid with 2 phi(t e1, 0) < phi(t e1, -t e1) in the
     plane ball; raises when the grid contains no violation."""
-    t = _radius_grid(t_grid, "t")
+    t = np.asarray(t_grid, dtype=float)
+    _require(t.size > 0, "t grid must be nonempty")
+    _require(bool(np.all((t > 0.0) & (t < 1.0))), "t grid values must lie strictly inside (0, 1)")
     lhs = 2.0 * metrics.phi_kernel(t, 1.0, 1.0 - t)
     rhs = metrics.phi_kernel(2.0 * t, 1.0 - t, 1.0 - t)
     violating = lhs < rhs

@@ -60,20 +60,19 @@ def test_criterion_01_metric_axioms():
 
 def test_criterion_02_sharpness_of_c2():
     """Collinear violations exist exactly for c < 2; the c = 1.9 threshold
-    radius matches 1 - 0.00277 within grid resolution."""
+    radius r* = 1 - (0.1/1.9)^2 matches to 1e-15, and its witness lies
+    past it."""
     sub_sharp = {c: collinear_c_scan(c) for c in (0.5, 1.0, 1.5, 1.9, 1.99)}
     sharp = {c: collinear_c_scan(c) for c in (2.0, 2.5, 10.0)}
-    ok = all(hit is not None for hit in sub_sharp.values())
+    ok = all(hit is not None and hit.r is not None for hit in sub_sharp.values())
     ok &= all(hit is None for hit in sharp.values())
-    grid = np.arange(0.9960, 0.9990, 1e-4)
-    hit = collinear_c_scan(1.9, grid)
-    found = hit.r if hit is not None else float("nan")
-    ok &= hit is not None and 0.9973 - 1e-9 <= found < 1.0
-    ok &= abs(found - THRESHOLD_C19) <= 1e-4 + 1e-9
+    hit = sub_sharp[1.9]
+    ok &= abs(hit.r_star - THRESHOLD_C19) <= 1e-15
+    ok &= THRESHOLD_C19 < hit.r < 1.0
     rs = [sub_sharp[c].r for c in (1.99, 1.9, 1.5, 1.0, 0.5)]
     ok &= all(a >= b for a, b in zip(rs, rs[1:]))
     _report("criterion 2: sharpness of c=2", ok,
-            f"c=1.9 finds r={found:.6f} (threshold {THRESHOLD_C19:.6f})")
+            f"c=1.9: r*={hit.r_star!r} (threshold {THRESHOLD_C19!r}), witness r={hit.r:.6f}")
 
 
 def test_criterion_03_phi_failure():

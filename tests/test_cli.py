@@ -99,6 +99,31 @@ class TestFalsify:
         code, _ = invoke(["falsify", "--domain", "halfspace:2", "--c", "1.9"])
         assert code == 2
 
+    @pytest.mark.parametrize("c", ["2.5", "10"])
+    def test_larger_c(self, c):
+        assert invoke(["falsify", "--c", c]) == (0, f'{{"c": {float(c)}, "domain": "ball:2", '
+                                                    f'"violating_r": null}}\n')
+
+    def test_c_near_two(self):
+        code, out = invoke(["falsify", "--domain", "ball:2", "--c", "1.9999"])
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["r_star"] < obj["violating_r"] < 1.0
+        assert obj["lhs_two_sided"] < obj["rhs_chord"]
+
+    def test_no_double_witness(self):
+        # no double radius lies above r*: h_c is still no metric
+        assert invoke(["falsify", "--c", "1.999999979"]) == (1, (
+            '{"c": 1.999999979, "domain": "ball:2", "r_star": 0.9999999999999999, '
+            '"violating_r": null}\n'))
+
+    @pytest.mark.parametrize("c", ["inf", "nan", "0"])
+    def test_c_must_be_a_positive_real(self, c):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert invoke(["falsify", "--c", c]) == (2, "")
+        assert err.getvalue() == f"hypermetric: error: c must be a positive real, got {float(c)}\n"
+
 
 class TestVerifySuite:
     def test_pass(self):
@@ -283,6 +308,26 @@ class TestUsageErrors:
             assert err.getvalue().endswith(
                 f"hypermetric: error: unrecognized arguments: {' '.join(flags)}\n")
 
+
+    @pytest.mark.parametrize("domain, points, flags, box", [
+        ("interval:1e19:1.00000000000001e19", ["1.000000000000002e19", "1.000000000000005e19"],
+         ["--refinements", "0"], "[1e+19, 1e+19]"),
+        ("interval:1e15:1.0000000001e15", ["1.00000000002e15", "1.00000000005e15"], [],
+         "[1e+15, 1e+15]"),
+    ], ids=["past-int64", "below-resolution"])
+    def test_lattice_far_from_the_origin(self, domain, points, flags, box):
+        # nodes sit at i h, which cannot resolve the spacing past |i| = 2^52
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with redirect_stderr(err):
+                code, out = invoke(["k-estimate", "--domain", domain, "--points", *points,
+                                    *flags])
+        assert (code, out) == (2, "")
+        assert err.getvalue() == (
+            f"hypermetric: error: lattice window {box} at "
+            f"spacing 0.05 needs cell indices of 2^52 or more, where the nodes' "
+            f"coordinates cannot resolve the spacing\n")
 
     @pytest.mark.parametrize("command", [
         ["dist", "--metric", "k", "--points", "-1", "1"],

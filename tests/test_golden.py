@@ -28,12 +28,15 @@ from test_domains import annulus_domain
 #: captured before grids were shared between queries.  The outputs that
 #: print a k that uniformity, C4_5 and QHJ read (ball uniformity, ball
 #: C4_5, interval QHJ) were re-captured when those consumers began to
-#: read Domain.k_exact, with the k source they name
+#: read Domain.k_exact, with the k source they name; the falsify output
+#: when the falsifier took its closed form, and the h scans on ball:2,
+#: halfspace:2 and interval:0:1 when triples with two coincident points
+#: (slack 0) left the minimum
 CLI_GOLDEN = [
     ('dist --domain ball:2 --metric h --c 2 --points 0,0 0.5,0', 0,
      '0.881374\n'),
     ('falsify --domain ball:2 --c 1.9', 1,
-     '{"c": 1.9, "domain": "ball:2", "lhs_two_sided": 7.317601091397254, "rhs_chord": 7.319869729865858, "violating_r": 0.9974881135684904}\n'),
+     '{"c": 1.9, "domain": "ball:2", "lhs_two_sided": 7.901810358087935, "r_star": 0.997229916897507, "rhs_chord": 7.916005127569865, "violating_r": 0.9986149584487535}\n'),
     ('verify-suite --suite T4_6 --domain ball:2 --c 2 --count 10000 --seed 42', 0,
      '{"domain": "ball:2", "min_slack": 0.0036171390951377103, "params": {"c": 2.0}, "pass": true, "sample_count": 10000, "seed": 42, "suite_id": "T4_6", "tolerance": 1e-09, "witness": [[0.10310282043738872, 0.4784726327344462], [0.09789157058340625, 0.4789436523991626]]}\n'),
     ('scan-triangle --domain ball:2 --metric phi --count 100000 --seed 42', 1,
@@ -45,13 +48,13 @@ CLI_GOLDEN = [
     ('uniformity --domain ball:2 --count 16 --seed 7', 0,
      '{"U_hat": 1.4131358097900195, "domain": "ball:2", "k_source": "exact", "sample_count": 16, "worst_pair": [[0.228201791614065, -0.7142386959687607], [-0.4995061505886059, 0.5878698370932843]]}\n'),
     ('scan-triangle --domain ball:2 --metric h --count 20000 --seed 3', 0,
-     '{"domain": "ball:2", "min_slack": 0.0, "params": {"c": 2.0, "metric": "h"}, "pass": true, "sample_count": 20000, "seed": 3, "suite_id": "triangle", "tolerance": 1e-09, "witness": [[0.04661399895862117, -0.8635161670885498], [-0.7606492113086258, -0.6434595126253619], [-0.7606492113086258, -0.6434595126253619]]}\n'),
+     '{"domain": "ball:2", "min_slack": 0.00020297322614704072, "params": {"c": 2.0, "metric": "h"}, "pass": true, "sample_count": 20000, "seed": 3, "suite_id": "triangle", "tolerance": 1e-09, "witness": [[0.3420537391963035, 0.3836093545408847], [0.9116493641702011, 0.36422817031674937], [0.3421191391558769, 0.3836071292276815]]}\n'),
     ('scan-triangle --domain halfspace:2 --metric h --count 20000 --seed 3', 0,
-     '{"domain": "halfspace:2", "min_slack": 0.0, "params": {"c": 2.0, "metric": "h"}, "pass": true, "sample_count": 20000, "seed": 3, "suite_id": "triangle", "tolerance": 1e-09, "witness": [[-1.1492405408608244, 2.0515008231883667], [-1.9970435693212774, 0.0005685106750363822], [-1.9970435693212774, 0.0005685106750363822]]}\n'),
+     '{"domain": "halfspace:2", "min_slack": 0.00016682364429554397, "params": {"c": 2.0, "metric": "h"}, "pass": true, "sample_count": 20000, "seed": 3, "suite_id": "triangle", "tolerance": 1e-09, "witness": [[-1.3951888156103682, 0.0672868608573205], [-1.661382793151676, 1.9060207666481557], [-1.6613527318076602, 1.9058131180266273]]}\n'),
     ('scan-triangle --domain punctured:2 --metric h --count 20000 --seed 3', 0,
      '{"domain": "punctured:2", "min_slack": 0.00018230394461804522, "params": {"c": 2.0, "metric": "h"}, "pass": true, "sample_count": 20000, "seed": 3, "suite_id": "triangle", "tolerance": 1e-09, "witness": [[-1.0330798619438784, 0.8658377126456697], [1.3811694128408458, 0.7836899434107284], [-1.0329488044573134, 0.8658332532552184]]}\n'),
     ('scan-triangle --domain interval:0:1 --metric h --count 20000 --seed 3', 0,
-     '{"domain": "interval:0:1", "min_slack": 0.0, "params": {"c": 2.0, "metric": "h"}, "pass": true, "sample_count": 20000, "seed": 3, "suite_id": "triangle", "tolerance": 1e-09, "witness": [[0.34164874105653964], [0.9948739528588832], [0.9948739528588832]]}\n'),
+     '{"domain": "interval:0:1", "min_slack": 1.4293176103130634e-05, "params": {"c": 2.0, "metric": "h"}, "pass": true, "sample_count": 20000, "seed": 3, "suite_id": "triangle", "tolerance": 1e-09, "witness": [[0.42996596414934785], [0.7428017383018057], [0.42997388332658437]]}\n'),
     ('verify-suite --suite L3_1 --domain ball:2 --seed 3', 0,
      '{"domain": "ball:2", "min_slack": 3.729853961242924e-07, "params": {"c": 2.0, "set_size": 8}, "pass": true, "sample_count": 10000, "seed": 3, "suite_id": "L3_1", "tolerance": 1e-12, "witness": [[-0.800001533529052, -0.3578245578281454], [-0.8395906748068203, -0.2551907046965127]]}\n'),
     ('verify-suite --suite L3_1 --domain halfspace:2 --seed 3', 0,

@@ -1,7 +1,7 @@
 """README's Library tour runs as written, and each expression's trailing
 comment states its value: ``0.881373...`` (within one unit of the last
 digit shown), ``log 2``, ``None`` or
-``CollinearViolation(r=0.99749..., ...)``; the estimator's search margin,
+``CollinearViolation(r=0.99861..., ...)``; the estimator's search margin,
 level-0 overheads, lens tile and pinned lens counts that it quotes are
 the code's and the tests'."""
 

@@ -20,6 +20,9 @@ the pair:
   an absolute error of about eps in each rescaled point, and so a
   relative error of about eps/theta in theta: the bound is
   4 eps (1 + 1/theta) at every angle, up to pi.
+
+The sharpness witness of ``collinear_c_scan`` is checked in 50 digits
+at the double c and r it reports.
 """
 
 import math
@@ -33,6 +36,7 @@ from hypothesis import strategies as st
 from hypermetric.domains import HalfSpace, PuncturedSpace, UnitBall
 from hypermetric.metrics import (
     MetricParams,
+    h_kernel,
     h_metric,
     h_many,
     j_metric,
@@ -45,6 +49,7 @@ from hypermetric.metrics import (
     rho_halfspace_many,
 )
 from hypermetric.moebius import BallAutomorphism, BallToHalfSpace
+from hypermetric.verify import collinear_c_scan
 
 EPS = float(np.finfo(float).eps)
 B2, H2 = UnitBall(2), HalfSpace(2)
@@ -350,3 +355,47 @@ def test_small_center_image():
     for tiny in (1e-160, 1.2e-38):
         image = BallAutomorphism(np.array([tiny, 0.0])).apply_many([(0.3, 0.4)])[0]
         assert np.max(np.abs(image - np.array([-0.3, 0.4]))) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the sharpness witness
+# ---------------------------------------------------------------------------
+
+#: about the largest c whose witness is a double, r = 1 - 2^-53
+C_NEAR_TWO = 2.0 - 2.12e-8
+
+
+def _exact_r_star(c):
+    """r* = 1 - ((2 - c)/c)^2 in 50 digits at the float c."""
+    u = (2 - mp.mpf(c)) / c
+    return 1 - u * u
+
+
+@pytest.mark.parametrize("c", [1.5, 1.9, 1.9998, 1.9999, 1.99999, C_NEAR_TWO])
+def test_collinear_witness_violates_in_50_digits(c):
+    hit = collinear_c_scan(c)
+    c, r = mp.mpf(c), mp.mpf(hit.r)
+    d = 1 - r
+    assert _exact_r_star(c) < r < 1
+    # 2 h_c(0, r e1) - h_c(-r e1, r e1), -1.46e-5 at c = 1.9999
+    assert 2 * mp.log(1 + c * r / mp.sqrt(d)) - mp.log(1 + 2 * c * r / d) < 0
+
+
+@pytest.mark.parametrize("c", [2.0 - 2.1e-8, 1.999999999])
+def test_no_double_lies_above_r_star(c):
+    # h_c is no metric, and the result names r* without a witness
+    hit = collinear_c_scan(c)
+    assert (hit.r, hit.lhs, hit.rhs) == (None, None, None)
+    assert _exact_r_star(c) > 1 - mp.mpf(2) ** -53
+    assert abs(hit.r_star - _exact_r_star(c)) <= EPS
+
+
+@PROPERTY
+@given(st.floats(1.0, C_NEAR_TWO, exclude_min=True))
+def test_collinear_witness_is_a_confirmed_double(c):
+    hit = collinear_c_scan(c)
+    r, d = hit.r, 1.0 - hit.r
+    assert _exact_r_star(c) < r < 1.0
+    assert (hit.lhs, hit.rhs) == (2.0 * h_kernel(r, 1.0, d, c), h_kernel(2.0 * r, d, d, c))
+    assert hit.rhs - hit.lhs > 8 * EPS * hit.rhs
+    assert 2.0 * math.sqrt(d) + c * r - 2.0 < -4 * EPS

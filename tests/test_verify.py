@@ -9,7 +9,6 @@ from hypermetric.verify import (
     CollinearViolation,
     InequalityReport,
     collinear_c_scan,
-    default_r_grid,
     inequality_suite,
     phi_triangle_counterexample,
     triangle_scan,
@@ -22,7 +21,7 @@ B2 = UnitBall(2)
 H2 = HalfSpace(2)
 C2 = MetricParams(2.0)
 
-THRESHOLD_C19 = 0.9972299168975069  # smallest violating r for c = 1.9
+THRESHOLD_C19 = 0.9972299168975069  # r* = 1 - (0.1/1.9)^2 = 360/361: h_1.9 fails past it
 
 
 class TestTriangleScan:
@@ -87,21 +86,19 @@ class TestCollinearScan:
         assert hit.lhs < hit.rhs
 
     def test_threshold_c19(self):
-        grid = np.arange(0.9960, 0.9990, 1e-4)
-        hit = collinear_c_scan(1.9, grid)
-        assert hit is not None
-        assert THRESHOLD_C19 <= hit.r <= THRESHOLD_C19 + 1e-4 + 1e-12
+        hit = collinear_c_scan(1.9)
+        assert abs(hit.r_star - THRESHOLD_C19) <= 1e-15
+        assert THRESHOLD_C19 < hit.r < 1.0
 
     def test_monotone_threshold_in_c(self):
         rs = [collinear_c_scan(c).r for c in (1.99, 1.9, 1.5, 1.0, 0.5)]
         assert all(a >= b for a, b in zip(rs, rs[1:]))
 
     def test_scan_matches_h_metric(self):
-        hit = collinear_c_scan(1.9, [0.999])
-        assert hit is not None
+        hit = collinear_c_scan(1.9)
         params = MetricParams(1.9)
-        lhs = 2 * h_metric(B2, params, (0, 0), (0.999, 0))
-        rhs = h_metric(B2, params, (-0.999, 0), (0.999, 0))
+        lhs = 2 * h_metric(B2, params, (0, 0), (hit.r, 0))
+        rhs = h_metric(B2, params, (-hit.r, 0), (hit.r, 0))
         assert hit.lhs == pytest.approx(lhs, abs=1e-12)
         assert hit.rhs == pytest.approx(rhs, abs=1e-12)
 
@@ -112,16 +109,10 @@ class TestCollinearScan:
         assert lhs == pytest.approx(1961.3455532033676, abs=1e-9)
         assert lhs < 2 / (1 - r)
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError, match="inside"):
-            collinear_c_scan(2.0, [0.0, 0.5])
-        with pytest.raises(ValueError, match="positive"):
-            collinear_c_scan(-1.0)
-
-    def test_default_grid_reaches_near_one(self):
-        grid = default_r_grid()
-        assert grid[-1] >= 1 - 1.1e-8
-        assert np.all((grid > 0) & (grid < 1))
+    def test_c_validation(self):
+        for c in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="c must be a positive real"):
+                collinear_c_scan(c)
 
 
 class TestPhiCounterexample:
@@ -150,6 +141,16 @@ class TestPhiCounterexample:
 
 
 CLOSED_FORM_DOMAINS = [B2, UnitBall(3), H2, PuncturedSpace(2), Interval(0, 1)]
+
+
+@pytest.mark.parametrize("domain", CLOSED_FORM_DOMAINS, ids=lambda d: d.spec_string())
+def test_h_scan_witness_has_three_distinct_points(domain):
+    # a collinear triple whose x or y equals z has slack exactly 0: it won
+    # the minimum at c = 2 on four of these domains
+    report = triangle_scan(domain, MetricKind.H, C2, 20_000, seed=3)
+    x, y, z = report.witness
+    assert x != y and x != z and y != z
+    assert report.min_slack > 0
 
 
 class TestSuites:
