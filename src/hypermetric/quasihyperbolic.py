@@ -18,7 +18,10 @@ and ``dist --metric k`` take ``k_exact`` where it is finite and run the
 estimator on the other pairs only, so on a built-in domain they carry
 no estimator error and build no lattice.  ``k_estimate``,
 ``k_estimate_many`` and the ``k-estimate`` CLI stay the estimator on
-every domain: the closed forms are their oracles.
+every domain: the closed forms are their oracles.  scipy is needed only
+by the lattice estimator (``k-estimate``, and k on a ``GenericDomain``)
+and is imported on its first search, so closed-form commands never load
+it.
 
 Estimator construction, per refinement level (spacing halved each time):
 
@@ -155,8 +158,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
 from .domains import Domain, as_pairs, as_point
 
@@ -539,7 +540,7 @@ def _segment_weights(dm: np.ndarray, length, inv_u, inv_v) -> tuple[np.ndarray, 
 
 
 def _box_text(lo: np.ndarray, hi: np.ndarray) -> str:
-    return " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo, hi))
+    return " x ".join(f"[{float(a)!r}, {float(b)!r}]" for a, b in zip(lo, hi))
 
 
 def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, r: float, near: np.ndarray,
@@ -781,6 +782,8 @@ def build_grid(domain: Domain, spacing: float, x, y,
 def _both_directions(grid: GeodesicGrid) -> GeodesicGrid:
     """The grid with every edge in both directions, read-only.  Its two
     halves never share an entry, so each sum is w + 0 = w."""
+    import scipy.sparse as sp
+
     n = grid.nodes.shape[0]
     half = sp.csr_matrix((grid.weights, grid.neighbours, grid.indptr), shape=(n, n))
     both = half + half.T
@@ -1011,6 +1014,14 @@ def _chunk_size(grid: GeodesicGrid) -> int:
                       _CELL_BLOCK // (2 * len(_cell_box(grid.domain.dimension, 0)))))
 
 
+# scipy's Dijkstra, imported on the first call.  It stays a name in this
+# module's globals, which the search reads and the tracer and tests patch.
+def dijkstra(*args, **kwargs):
+    from scipy.sparse.csgraph import dijkstra as search
+
+    return search(*args, **kwargs)
+
+
 @contextlib.contextmanager
 def _with_sources(grid: GeodesicGrid, x_row: np.ndarray, node: np.ndarray, w: np.ndarray,
                   n_src: int):
@@ -1019,6 +1030,8 @@ def _with_sources(grid: GeodesicGrid, x_row: np.ndarray, node: np.ndarray, w: np
     A shared grid writes only those rows, into the tails of its buffers,
     under their lock; another grid, or a shared one whose tails are busy,
     gets a fresh copy of its arrays with the rows appended."""
+    import scipy.sparse as sp
+
     n, e = grid.nodes.shape[0], grid.weights.size
     shape = (n + n_src, n + n_src)
     ends = e + np.cumsum(np.bincount(x_row, minlength=n_src))

@@ -288,7 +288,7 @@ class TestUsageErrors:
         (["--spacing", "inf"], "spacing must be finite"),
         (["--refinements", "5000"], "refinements must leave a positive finest spacing"),
         # past int64, the window's cells are counted exactly
-        (["--spacing", "1e-12"], "lattice window [-1, 1] x [-1, 1] at spacing 1e-12 holds "
+        (["--spacing", "1e-12"], "lattice window [-1.0, 1.0] x [-1.0, 1.0] at spacing 1e-12 holds "
                                  "4000000000004000000000001 cells (cap 2000000); increase "
                                  "spacing or the node cap"),
     ])
@@ -311,9 +311,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("domain, points, flags, box", [
         ("interval:1e19:1.00000000000001e19", ["1.000000000000002e19", "1.000000000000005e19"],
-         ["--refinements", "0"], "[1e+19, 1e+19]"),
+         ["--refinements", "0"], "[1e+19, 1.00000000000001e+19]"),
         ("interval:1e15:1.0000000001e15", ["1.00000000002e15", "1.00000000005e15"], [],
-         "[1e+15, 1e+15]"),
+         "[1000000000000000.0, 1000000000100000.0]"),
     ], ids=["past-int64", "below-resolution"])
     def test_lattice_far_from_the_origin(self, domain, points, flags, box):
         # nodes sit at i h, which cannot resolve the spacing past |i| = 2^52

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -707,7 +708,7 @@ class TestGridErrors:
         twin = GenericDomain(2, dist, lambda xs: dist(xs) > 0, ((-3.0, -1.0), (3.0, 1.0)))
         with pytest.raises(DisconnectedGridError,
                            match=r"between the query points in the lattice "
-                                 r"\[-3, 3\] x \[-1, 1\] at spacing 0\.1$"):
+                                 r"\[-3\.0, 3\.0\] x \[-1\.0, 1\.0\] at spacing 0\.1$"):
             k_estimate(twin, (-2.0, 0.0), (2.0, 0.0), 0.1, 0)
 
 
@@ -1136,6 +1137,10 @@ class PerPairAnnulus(GenericDomain):
         return cls(ring.dimension, ring.distance_fn, ring.membership_fn, ring.box)
 
 
+#: runs the CLI on the script's arguments, as the ``hypermetric`` command does
+_CLI = "import sys; from hypermetric.cli import run; assert run(sys.argv[1:]) == 0"
+
+
 class TestLevelZero:
     """A per-query level 0 searches its lens under the pair's floor times
     1 + beta, the stencil's worst-direction overhead, and the margin."""
@@ -1237,15 +1242,35 @@ class TestLevelZero:
         assert builds == [(0.05, "lens"), (0.05, "whole"), (0.025, "lens")]
         assert _hex(history) == _hex(reference_history(H2, x, y, 0.05, 1))
 
-    def test_estimator_does_not_import_scipy_spatial(self):
-        # its import costs more than a small k estimate
-        code = ("import sys; from hypermetric import quasihyperbolic as q, domains as d; "
-                "q.k_estimate(d.HalfSpace(2), (0, 1), (1, 1), 0.1, 1); "
-                "q.k_estimate(d.PuncturedSpace(3), (1, 0, 0), (0, 1, 0), 0.2, 1); "
-                "sys.exit('scipy.spatial' in sys.modules)")
+    @pytest.mark.parametrize("code, argv, loads, leaves_out, stdout", [
+        # scipy.spatial costs more than a small k estimate
+        ("from hypermetric import quasihyperbolic as q, domains as d; "
+         "q.k_estimate(d.HalfSpace(2), (0, 1), (1, 1), 0.1, 1); "
+         "q.k_estimate(d.PuncturedSpace(3), (1, 0, 0), (0, 1, 0), 0.2, 1)",
+         [], set(), {"scipy.spatial"}, None),
+        # the closed forms never load scipy at all
+        ("import hypermetric", [], set(), {"scipy"}, None),
+        (_CLI, ["dist", "--domain", "ball:2", "--metric", "h", "--c", "2", "--points", "0,0",
+                "0.5,0"], set(), {"scipy"}, None),
+        (_CLI, ["uniformity", "--domain", "ball:2"], set(), {"scipy"}, None),
+        (_CLI, ["verify-suite", "--suite", "C4_5", "--domain", "ball:2"], set(), {"scipy"}, None),
+        # the lattice loads it on its first search
+        (_CLI, ["k-estimate", "--domain", "halfspace:2", "--points", "0,1", "1,1"],
+         {"scipy.sparse.csgraph"}, set(),
+         '{"domain": "halfspace:2", "refinement_history": [[0.05, 0.9648072422687036], '
+         '[0.025, 0.9634468887595058], [0.0125, 0.9633068855551247]], "spacing": 0.0125, '
+         '"value": 0.9633068855551247}\n'),
+    ], ids=["k_estimate", "import", "dist", "uniformity", "C4_5", "k-estimate"])
+    def test_scipy_modules_a_call_loads(self, code, argv, loads, leaves_out, stdout):
+        script = f"{code}\nimport json, sys; print(json.dumps(list(sys.modules)), file=sys.stderr)"
         src = str(Path(quasihyperbolic.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        modules = set(json.loads(done.stderr.splitlines()[-1]))
+        assert loads <= modules and not leaves_out & modules
+        if stdout is not None:
+            assert done.stdout == stdout
 
 
 def _kquery_point(domain, rng):
