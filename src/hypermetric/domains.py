@@ -78,12 +78,69 @@ def as_points(xs, dim: int) -> np.ndarray:
     return a
 
 
+#: the normal finite range of a float64
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+
+
+def _dot(a, b) -> np.ndarray:
+    """sum_k a_k b_k of the coordinate arrays ``a`` and ``b``, which
+    broadcast together (rows are passed as their columns, ``rows.T``),
+    the products added in axis order.
+
+    Reading columns avoids numpy's inner loop over each row, 3x slower at
+    2 or 3 coordinates.  Below 8 coordinates ``np.sum(a * b, axis=1)`` and
+    ``np.linalg.norm`` add a row's terms in this order too, so the values
+    are theirs bit for bit (numpy's sum starts from +0, so a sum of -0
+    terms reads +0 there and -0 here)."""
+    terms = map(np.multiply, a, b)
+    acc = next(terms)
+    for t in terms:
+        # in place where the shapes allow: a third array of the rows' size
+        # costs more here than the addition
+        if t.shape == acc.shape:
+            acc += t
+        else:
+            acc = acc + t
+    return acc
+
+
+def _norm(axes) -> np.ndarray:
+    """|x| at the points whose coordinates are the arrays ``axes``, which
+    broadcast together (rows are passed as their columns, ``rows.T``):
+    the square root of ``_dot(axes, axes)``.  Where that sum of squares
+    is not a normal double (it underflowed, overflowed or is 0), the
+    coordinates are divided by their largest magnitude first; every other
+    point keeps its bits."""
+    try:
+        # an overflow raises, so the common case checks one minimum
+        with np.errstate(over="raise", under="ignore"):
+            q2 = _dot(axes, axes)
+        overflow = False
+    except FloatingPointError:
+        with np.errstate(over="ignore", under="ignore"):
+            q2 = _dot(axes, axes)
+        overflow = True
+    q = np.sqrt(q2)
+    if overflow or (q2.size and not q2.min() >= _TINY):
+        odd = q2 < _TINY
+        if overflow:
+            odd |= q2 > _HUGE
+        at = np.flatnonzero(odd)
+        cols = [np.broadcast_to(c, q2.shape).flat[at] for c in axes]
+        m = functools.reduce(np.maximum, map(np.abs, cols))
+        s = [c / np.where(m > 0.0, m, 1.0) for c in cols]
+        q = np.asarray(q)  # a 0-d point reads a scalar
+        q.flat[at] = m * np.sqrt(_dot(s, s))
+    return q
+
+
 def unit_directions(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """``m`` seeded unit vectors in R^n (random signs when n == 1)."""
     if n == 1:
         return np.where(rng.random(m) < 0.5, -1.0, 1.0).reshape(-1, 1)
     v = rng.normal(size=(m, n))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return v / _norm(v.T)[:, None]
 
 
 class _Columns(list):
@@ -104,20 +161,26 @@ def _grid_axes(axes, dim: int) -> list[np.ndarray]:
 
 
 def _radius_grid(axes, dim: int) -> np.ndarray:
-    """|x| at the points of the broadcast coordinate arrays ``axes``, the
-    squares added in axis order (``np.linalg.norm(xs, axis=1)`` adds a
-    row's that way only below 8 coordinates)."""
-    return np.sqrt(functools.reduce(np.add, [a * a for a in _grid_axes(axes, dim)]))
+    """|x| at the points of the broadcast coordinate arrays ``axes``, by
+    the rule of ``_norm``."""
+    return _norm(_grid_axes(axes, dim))
 
 
 def _radii_and_angle(xs: np.ndarray, ys: np.ndarray):
     """|x|, |y| and the angle between x and y of paired rows, the angle
     as 2 atan2(| |y| x - |x| y |, | |y| x + |x| y |), accurate near 0 and
-    pi (and 0 where either point is the origin)."""
-    rx = np.linalg.norm(xs, axis=1)
-    ry = np.linalg.norm(ys, axis=1)
-    u, v = ry[:, None] * xs, rx[:, None] * ys
-    return rx, ry, 2.0 * np.arctan2(np.linalg.norm(u - v, axis=1), np.linalg.norm(u + v, axis=1))
+    pi (and 0 where either point is the origin).  Where |x| |y| is not a
+    normal double or is within a factor 2 of overflow, so that |y| x
+    would underflow or |y| x + |x| y overflow, x / |x| and y / |y| stand
+    in for |y| x and |x| y."""
+    rx, ry = _norm(xs.T), _norm(ys.T)
+    with np.errstate(over="ignore"):
+        p = rx * ry
+        u, v = ry[:, None] * xs, rx[:, None] * ys
+    odd = ~((p >= _TINY) & (p <= 0.5 * _HUGE)) & (rx > 0.0) & (ry > 0.0)
+    if np.any(odd):
+        u[odd], v[odd] = xs[odd] / rx[odd, None], ys[odd] / ry[odd, None]
+    return rx, ry, 2.0 * np.arctan2(_norm((u - v).T), _norm((u + v).T))
 
 
 def as_pairs(xs, ys, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,14 +369,14 @@ class UnitBall(Domain):
 
     def chord_reach(self, z, u, delta):
         target = np.maximum(1.0 - delta, 1e-12)
-        zu = np.sum(z * u, axis=1)
-        z2 = np.sum(z * z, axis=1)
+        zu = _dot(z.T, u.T)
+        z2 = _dot(z.T, z.T)
         disc = np.maximum(zu * zu + target * target - z2, 0.0)
         return np.maximum(-zu + np.sqrt(disc), 0.0)
 
     def complement_sample(self, count, rng):
         dirs = rng.normal(size=(count, self.dimension))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs /= _norm(dirs.T)[:, None]
         return dirs * rng.uniform(1.0, 2.0, size=(count, 1))
 
     def sample_box(self):
@@ -349,8 +412,7 @@ class HalfSpace(Domain):
 
     def boundary_sample(self, m, rng, lo, hi):
         delta = _log_uniform(rng, m, lo, hi)
-        lo_box, hi_box = self.sample_box()
-        pts = rng.uniform(lo_box, hi_box, size=(m, self.dimension))
+        pts = _box_rows(rng, *self.sample_box(), m)
         pts[:, -1] = delta
         return pts
 
@@ -648,13 +710,28 @@ def distance_to_set_many(xs: np.ndarray, point_set: PointSet) -> np.ndarray:
     """min over a in A of |x - a| for each row."""
     pts = point_set.points
     xs = as_points(xs, pts.shape[1])
-    diff = xs[:, None, :] - pts[None, :, :]
-    return np.min(np.linalg.norm(diff, axis=2), axis=1)
+    return np.min(_norm([x[:, None] - a for x, a in zip(xs.T, pts.T)]), axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Seeded interior sampling
 # ---------------------------------------------------------------------------
+
+
+def _box_rows(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray, rows: int) -> np.ndarray:
+    """``rng.uniform(lo, hi, size=(rows, lo.size))``: the same doubles,
+    lo + (hi - lo) u, from the same draws, scaled column by column instead
+    of in numpy's loop over each row; the same error for a range that is
+    not finite."""
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    if not np.all(np.isfinite(span)):
+        raise OverflowError("Range exceeds valid bounds")
+    out = rng.random((rows, lo.size))
+    for col, s, a in zip(out.T, span, lo):
+        col *= s
+        col += a
+    return out
 
 
 def sample_interior(
@@ -679,22 +756,21 @@ def sample_interior(
         raise ValueError("min_clearance must be positive")
     rng = np.random.default_rng(seed)
     lo, hi = domain.sample_box()
-    out = np.empty((count, domain.dimension))
+    parts = []
     have = misses = 0
     while have < count:
         batch = max(1024, 2 * (count - have))
-        cand = rng.uniform(lo, hi, size=(batch, domain.dimension))
-        ok = domain.clearance_many(cand) >= min_clearance
-        take = cand[ok][: count - have]
-        out[have : have + take.shape[0]] = take
-        have += take.shape[0]
-        misses = 0 if take.shape[0] else misses + 1
+        cand = _box_rows(rng, lo, hi, batch)
+        take = np.flatnonzero(domain.clearance_many(cand) >= min_clearance)[: count - have]
+        parts.append(np.take(cand, take, axis=0))
+        have += take.size
+        misses = 0 if take.size else misses + 1
         if misses == _MAX_REJECTION_ROUNDS:
             raise ValueError(
                 f"could not reach clearance {min_clearance} in {domain.spec_string()}; "
                 "clearance is likely infeasible for the sample box"
             )
-    return out
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def sample_complement(domain: Domain, count: int, seed: int) -> PointSet:
@@ -717,7 +793,7 @@ def lipschitz_defect(domain: Domain) -> float:
     ys = sample_interior(domain, 2000, 1, 1e-9)
     dx = domain.clearance_many(xs)
     dy = domain.clearance_many(ys)
-    gap = np.abs(dx - dy) - np.linalg.norm(xs - ys, axis=1)
+    gap = np.abs(dx - dy) - _norm((xs - ys).T)
     return float(np.max(gap))
 
 

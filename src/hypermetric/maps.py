@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import Domain, UnitBall, as_point, as_points, sample_interior, unit_directions
+from .domains import (Domain, UnitBall, _norm, as_point, as_points, sample_interior,
+                      unit_directions)
 from .metrics import MetricParams, h_many
 from .moebius import BallAutomorphism, BallToHalfSpace, Identity, SampleMap
 
@@ -54,7 +55,7 @@ class RadialStretch(SampleMap):
 
     def apply_many(self, xs):
         xs = as_points(xs, self.dimension)
-        r = np.linalg.norm(xs, axis=1)
+        r = _norm(xs.T)
         if np.any(r >= 1.0):
             raise ValueError("radial stretch applied outside the unit ball")
         out = np.zeros_like(xs)
@@ -129,7 +130,7 @@ def linear_dilatation(
     for r in radii:
         dirs = _sphere_directions(z.size, sphere_samples, rng)
         img = mapping.apply_many(z[None, :] + r * dirs)
-        stretch = np.linalg.norm(img - fz[None, :], axis=1)
+        stretch = _norm((img - fz).T)
         if np.any(stretch == 0.0):
             raise ArithmeticError(
                 f"f(x) = f(z) collision at radius {r}: map is not injective "

@@ -23,13 +23,16 @@ validate the points and read each clearance once.
 
 Inverse hyperbolics are evaluated through logarithmic forms (log1p /
 arcsinh) so coincident and near-boundary arguments stay finite; every
-distance returns exactly 0.0 for x == y.  Where a product of two
-clearances is not a normal double (both below about 1.5e-162), h, phi
-and rho_H take the square roots apart, and phi takes 2 log r once r^2
-overflows.  Where a separation is below about 1.5e-154, whose square is
-not a normal double, it is scaled by its largest coordinate difference
-before it is squared.  Every other row is computed as before, bit for
-bit.
+distance returns exactly 0.0 for x == y.  Every norm and squared norm
+adds its squares column by column in axis order (``domains._norm``), the
+order ``np.linalg.norm`` uses below 8 coordinates.  Where a product of
+two clearances is not a normal double (both below about 1.5e-162, or
+above about 1.3e154), h, phi and rho_H take the square roots apart, and
+phi takes 2 log r once r^2 overflows.  Where a sum of squares is not a
+normal double (a separation or a radius below about 1.5e-154 or above
+about 1.3e154), the coordinates are scaled by their largest magnitude
+before they are squared, and rho_H reads the scaled separation.  Every
+other row is computed as before, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from enum import Enum
 
 import numpy as np
 
-from .domains import Domain, HalfSpace, UnitBall, as_point, as_points
+from .domains import _HUGE, _TINY, Domain, HalfSpace, UnitBall, _dot, _norm, as_point, as_points
 
 
 @dataclass(frozen=True)
@@ -86,31 +89,10 @@ def clearances(domain: Domain, xs: np.ndarray) -> np.ndarray:
     return d
 
 
-#: the normal finite range of a float64 product of clearances
-_TINY = np.finfo(float).tiny
-_HUGE = np.finfo(float).max
-#: below this a sum of squares is not a normal double
-_ROOT_TINY = float(np.sqrt(_TINY))
-
-
-def _scaled_norms(d: np.ndarray) -> np.ndarray:
-    """|d| of each row, divided through by its largest entry first so that
-    no square underflows; 0 for a zero row."""
-    m = np.max(np.abs(d), axis=1)
-    m_safe = np.where(m > 0.0, m, 1.0)
-    return m * np.linalg.norm(d / m_safe[:, None], axis=1)
-
-
 def separation(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """|x - y| of paired rows.  Rows below sqrt(tiny), about 1.5e-154,
-    whose squares may underflow, are scaled first; every other row is
-    the plain norm, bit for bit."""
-    d = xs - ys
-    q = np.linalg.norm(d, axis=1)
-    small = q < _ROOT_TINY
-    if np.any(small):
-        q[small] = _scaled_norms(d[small])
-    return q
+    """|x - y| of paired rows, by the rule of ``domains._norm``: rows whose
+    sum of squares underflows or overflows are scaled first."""
+    return _norm((xs - ys).T)
 
 
 def pair_geometry(domain: Domain, xs: np.ndarray, ys: np.ndarray):
@@ -136,7 +118,8 @@ def _root_product(dx, dy):
     """sqrt(dx dy); where the product is not a normal finite double (both
     clearances below about 1.5e-162, or huge), sqrt(dx) sqrt(dy) instead,
     so every other row keeps its bits."""
-    p = np.multiply(dx, dy)
+    with np.errstate(over="ignore"):
+        p = np.multiply(dx, dy)
     root = np.sqrt(p)
     odd = ~((p >= _TINY) & (p <= _HUGE))
     if np.any(odd):
@@ -235,15 +218,16 @@ def rho_halfspace_kernel(q2, xn, yn):
 def rho_halfspace_many(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     if np.any(xs[:, -1] <= 0.0) or np.any(ys[:, -1] <= 0.0):
         raise ValueError("half-space points need a positive last coordinate")
-    d = xs - ys
-    q2 = np.sum(d ** 2, axis=1)
-    rho = rho_halfspace_kernel(q2, xs[:, -1], ys[:, -1])
-    small = q2 < _TINY
-    if np.any(small):
-        # q2 may have underflowed: the equal 2 asinh(q / (2 sqrt(xn yn)))
-        # needs only q, taken without squares
-        rho[small] = 2.0 * np.arcsinh(_scaled_norms(d[small]) / (
-            2.0 * np.sqrt(xs[small, -1]) * np.sqrt(ys[small, -1])))
+    d = (xs - ys).T
+    with np.errstate(over="ignore"):
+        q2 = _dot(d, d)
+        rho = rho_halfspace_kernel(q2, xs[:, -1], ys[:, -1])
+    odd = ~((q2 >= _TINY) & (q2 <= _HUGE))
+    if np.any(odd):
+        # q2 may have underflowed or overflowed: the equal
+        # 2 asinh(q / (2 sqrt(xn yn))) needs only q, taken scaled
+        rho[odd] = 2.0 * np.arcsinh(_norm(d[:, odd]) / (
+            2.0 * np.sqrt(xs[odd, -1]) * np.sqrt(ys[odd, -1])))
     return rho
 
 
@@ -256,8 +240,7 @@ def rho_halfspace(x, y) -> float:
 
 
 def rho_ball_many(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    nx = np.linalg.norm(xs, axis=1)
-    ny = np.linalg.norm(ys, axis=1)
+    nx, ny = _norm(xs.T), _norm(ys.T)
     if np.any(nx >= 1.0) or np.any(ny >= 1.0):
         raise ValueError("ball points must satisfy |x| < 1")
     q = separation(xs, ys)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import Domain, HalfSpace, UnitBall, as_point, as_points
+from .domains import Domain, HalfSpace, UnitBall, _dot, as_point, as_points
 
 
 def absolute_ratio(a, b, c, d) -> float:
@@ -118,10 +118,10 @@ class BallAutomorphism(SampleMap):
         u = s / np.linalg.norm(s)
         a2 = float(a @ a)
         d = xs - a[None, :]
-        d2 = np.sum(d * d, axis=1)
+        d2 = _dot(d.T, d.T)
         t = (1.0 - a2) * d - np.outer(d2, a)
         t -= 2.0 * np.outer(t @ u, u)
-        return t / (d2 + (1.0 - a2) * (1.0 - np.sum(xs * xs, axis=1)))[:, None]
+        return t / (d2 + (1.0 - a2) * (1.0 - _dot(xs.T, xs.T)))[:, None]
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class BallToHalfSpace(SampleMap):
         north = np.zeros(self.dimension)
         north[-1] = 1.0
         diff = xs - north[None, :]
-        denom = np.sum(diff * diff, axis=1)
+        denom = _dot(diff.T, diff.T)
         img = north[None, :] + 2.0 * diff / denom[:, None]
         img[:, -1] = -img[:, -1]
         return img

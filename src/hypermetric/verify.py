@@ -443,7 +443,7 @@ def _suite_L3_1(domain, params, count, rng):
     xs, ys = _suite_pairs(domain, count, rng)
     da_x = distance_to_set_many(xs, point_set)
     da_y = distance_to_set_many(ys, point_set)
-    rho = np.linalg.norm(xs - ys, axis=1)
+    rho = metrics.separation(xs, ys)
     slacks = rho - np.abs(da_x - da_y)
     return slacks, (xs, ys), {"set_size": int(point_set.points.shape[0])}
 

@@ -19,7 +19,12 @@ the pair:
 * punctured space: the exact k = sqrt(theta^2 + log^2(|x|/|y|)) carries
   an absolute error of about eps in each rescaled point, and so a
   relative error of about eps/theta in theta: the bound is
-  4 eps (1 + 1/theta) at every angle, up to pi.
+  4 eps (1 + 1/theta) at every angle, up to pi;
+* radii and separations from 1e-200 to 1e300, whose sums of squares
+  underflow or overflow: the clearance |x| of the punctured space within
+  2 eps, and h, j, phi and rho_H within 8 eps, where each norm divides by
+  the largest coordinate before it squares.  Every test here runs with
+  RuntimeWarnings as errors (``pyproject.toml``).
 
 The sharpness witness of ``collinear_c_scan`` is checked in 50 digits
 at the double c and r it reports.
@@ -64,9 +69,15 @@ def _mp(p):
     return [mp.mpf(float(v)) for v in p]
 
 
+def _mp_norm(p):
+    return mp.sqrt(sum(v * v for v in _mp(p)))
+
+
 def _ref_clearance(domain, p):
     if isinstance(domain, UnitBall):
-        return 1 - mp.sqrt(sum(v * v for v in _mp(p)))
+        return 1 - _mp_norm(p)
+    if isinstance(domain, PuncturedSpace):
+        return _mp_norm(p)
     return _mp(p)[-1]
 
 
@@ -240,6 +251,68 @@ def test_punctured_oracle_examples():
     assert p2.k_exact([(1, 0)], [(-1, 1e-9)])[0] == pytest.approx(math.pi - 1e-9, rel=4 * EPS)
     with pytest.raises(ValueError, match="inside the domain"):
         p2.k_exact([(0, 0)], [(1, 0)])
+
+
+# ---------------------------------------------------------------------------
+# norms whose sums of squares underflow or overflow
+# ---------------------------------------------------------------------------
+
+P2 = PuncturedSpace(2)
+#: normal radii whose squares underflow (to a subnormal or to 0) or
+#: overflow; a subnormal norm itself carries only a few digits
+EXTREME_SCALES = [1e-200, 1e-160, 1e155, 1e200, 1e300]
+
+
+@pytest.mark.parametrize("x", [(1e-200, 0.0), (3e-160, 4e-160), (1e155, 0.0),
+                               (-1e300, 1e300), (0.0, 1e-320), (0.0, 0.0)])
+def test_punctured_clearance_where_squares_underflow_or_overflow(x):
+    assert P2.clearance_many(np.array([x]))[0] == pytest.approx(float(_mp_norm(x)), rel=2 * EPS,
+                                                                abs=0.0)
+
+
+def test_extreme_radius_examples():
+    params = MetricParams(C)
+    x, y = (1e155, 0.0), (-1e155, 0.0)
+    assert h_metric(P2, params, x, y) == pytest.approx(math.log(5), rel=4 * EPS)
+    assert phi_quantity(P2, x, y) == pytest.approx(math.log(5), rel=4 * EPS)
+    assert j_metric(P2, x, y) == pytest.approx(math.log(3), rel=4 * EPS)
+    x, y = (0.0, 1.0), (1e160, 1.0)
+    assert h_metric(H2, params, x, y) == pytest.approx(369.10676205960725, rel=4 * EPS)
+    assert rho_halfspace(x, y) == pytest.approx(736.8272297580946, rel=4 * EPS)
+
+
+def extreme_pairs(domain, scale):
+    """Pairs at radius about ``scale`` in random directions on the
+    punctured plane; on the half-space, pairs about ``scale`` apart at
+    clearances 1 and like ``scale``, half each."""
+    rng = np.random.default_rng([17, EXTREME_SCALES.index(scale)])
+    m = PAIRS_PER_DECADE
+    xs, ys = scale * rng.uniform(-2.0, 2.0, (2, m, 2))
+    if isinstance(domain, HalfSpace):
+        xs[:, 1] = np.where(np.arange(m) % 2 == 0, 1.0, np.abs(xs[:, 1]) + scale)
+        ys[:, 1] = np.where(np.arange(m) % 2 == 0, 1.0, np.abs(ys[:, 1]) + scale)
+    return xs, ys
+
+
+@pytest.mark.parametrize("scale", EXTREME_SCALES)
+@pytest.mark.parametrize("domain, kinds", [(H2, ["h", "j", "phi", "rho_H"]),
+                                           (P2, ["h", "j", "phi"])],
+                         ids=["halfspace:2", "punctured:2"])
+def test_closed_forms_where_sums_of_squares_underflow_or_overflow(domain, kinds, scale):
+    xs, ys = extreme_pairs(domain, scale)
+    for kind in kinds:
+        with mp.workdps(700):
+            assert np.max(relative_errors(kind, domain, xs, ys)) <= 8 * EPS, kind
+
+
+@pytest.mark.parametrize("scale", EXTREME_SCALES)
+def test_punctured_oracle_where_radii_underflow_or_overflow(scale):
+    xs, ys = punctured_pairs(2)
+    xs, ys = xs * scale, ys * scale
+    for x, y, value in zip(xs, ys, P2.k_exact(xs, ys)):
+        k, theta = punctured_reference(x, y)
+        error = float(abs((mp.mpf(value) - k) / k))
+        assert error <= 4 * EPS * (1.0 + 1.0 / float(theta)), (x, y)
 
 
 # ---------------------------------------------------------------------------
