@@ -97,15 +97,16 @@ the whole window, and a pair is unreached only when a search without a
 limit misses it.
 
 On a per-query grid, every level holds only the lens of its limit L:
-the nodes z with floor(x, z) + floor(z, y) <= L (1 + 1e-9), plus the
-whole wider attach box of each endpoint's cell, and its box is cropped
-to them.  Each floor is the domain's over the whole window's lattice
-edges and the endpoint's attach edges.  A node on an optimal path of
-value V <= L has a floor sum of at most V, so it is kept; the float
-Dijkstra fixed point does not depend on node numbering, so every value
-within L is bit for bit the whole window's.  The lens keeps the
-endpoints' attach candidates, so an endpoint attaches in it exactly as
-on the whole window.  A lens that holds no node counts as a value above
+the nodes z with floor(x, z) + floor(z, y) <= L (1 + 1e-9), plus those
+that ``_attach`` reads for each endpoint: the nodes within (reach + 1) h
+of it, or the whole wider attach box of its cell when none of those has
+a usable edge; and its box is cropped to them.  Each floor is the
+domain's over the whole window's lattice edges and the endpoint's
+attach edges.  A node on an optimal path of value V <= L has a floor sum
+of at most V, so it is kept; the float Dijkstra fixed point does not
+depend on node numbering, so every value within L is bit for bit the
+whole window's, and an endpoint attaches in the lens exactly as on the
+whole window.  A lens that holds no node counts as a value above
 L: by the one rule, its pair's value and any error are the whole
 window's, and the node cap applies to the whole window.  The floors are
 evaluated node by node only in the tiles of ``_TILE`` cells a side that
@@ -548,19 +549,26 @@ def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, r: float, near: np.
     """The domain's path floor from the query point p, a lower bound on
     every grid path from p to a node, as a function of the node's
     coordinates (arrays, one per axis, that broadcast together) and
-    clearance.  ``r`` is the least clearance of a window node, ``near``
-    and ``d_near`` the nodes in p's wider attach box, which holds every
-    node p attaches to, and their clearances.
+    clearance; and which of the ``near`` nodes ``_attach`` reads for p.
+    ``r`` is the least clearance of a window node, ``near`` and
+    ``d_near`` the nodes in p's wider attach box, which holds every node
+    p attaches to, and their clearances.
 
     Every lattice edge is at most the longest stencil offset long and
     joins window nodes; the slack is how far the attach edges fall short
-    of the floor of their ends, so the first edge is covered too."""
+    of the floor of their ends, so the first edge is covered too.
+    ``_attach``'s first pass reads the nodes within (reach + 1) h, and
+    when one of them has a usable edge it reads no other; else it may
+    read the whole box."""
     edges = (h * _longest_offset(domain.dimension), r)
     gap = np.linalg.norm(near - p, axis=1)
     w, ok = _segment_weights(domain.clearance_many(0.5 * (p + near)), gap, 1.0 / dp,
                              1.0 / d_near)
     short = domain.path_floor(gap, dp, d_near, (*edges, 0.0)) - w
     slack = max(0.0, float(np.max(short[ok], initial=0.0)))
+    read = gap <= (_stencil(domain.dimension)[1] + 1) * h
+    if not np.any(read & ok):
+        read[:] = True
 
     def floor(coords, dz):
         # |z - p| axis by axis: several times faster than norm(axis=1) on
@@ -568,17 +576,19 @@ def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, r: float, near: np.
         sep = np.sqrt(functools.reduce(np.add, [(c - q) * (c - q) for c, q in zip(coords, p)]))
         return domain.path_floor(sep, dp, dz, (*edges, slack))
 
-    return floor
+    return floor, read
 
 
 def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
           starts: np.ndarray, axes: list[np.ndarray], clear: np.ndarray,
           window: np.ndarray) -> np.ndarray:
     """Which cells of the window hold a node that a grid path from x to y
-    of weight at most the limit can pass through, or a node in the wider
-    attach box of either endpoint's cell.  ``lens`` is (d(x), d(y),
-    limit), ``axes`` the lattice coordinates, and ``clear`` and
-    ``window`` the clearance and the window's nodes by cell.
+    of weight at most the limit can pass through, or a node that
+    ``_attach`` reads for either endpoint (``_floor_from``): those within
+    (reach + 1) h of it, or the whole wider attach box of its cell when
+    none of those has a usable edge.  ``lens`` is (d(x), d(y), limit),
+    ``axes`` the lattice coordinates, and ``clear`` and ``window`` the
+    clearance and the window's nodes by cell.
 
     The floor sum F is evaluated cell by cell only in the tiles of
     ``_TILE`` cells a side that hold a window node and that a test at
@@ -602,8 +612,9 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
                     for c, d in zip(cell, window.shape))
         near = window[box]
         points = np.stack([ax[s][i] for ax, s, i in zip(axes, box, np.nonzero(near))], axis=1)
-        floors.append(_floor_from(domain, h, p, dp, r, points, clear[box][near]))
-        boxes.append(box)
+        floor, read = _floor_from(domain, h, p, dp, r, points, clear[box][near])
+        floors.append(floor)
+        boxes.append((box, near, read))
     bound = limit * (1.0 + _LENS_SLACK)
 
     def floor_sum(coords, dz):
@@ -634,9 +645,9 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
     cells = np.nonzero(window & live[tuple(slice(d) for d in window.shape)])
     keep = np.zeros(window.shape, dtype=bool)
     keep[cells] = floor_sum([ax[c] for ax, c in zip(axes, cells)], clear[cells]) <= bound
-    # _attach sees the same candidates as on the whole window
-    for box in boxes:
-        keep[box] |= window[box]
+    # _attach reads the same nodes as on the whole window
+    for box, near, read in boxes:
+        keep[box][near] |= read
     return keep
 
 

@@ -427,7 +427,7 @@ class TestSharedGrids:
         # geodesic_window, with the base form's window, gets a lattice of
         # its own per pair and level, and no shared grid
         ring = annulus_domain()
-        per_pair = PerPairAnnulus.of(ring)
+        per_pair = PerPairGeneric.of(ring)
         assert per_pair.pair_window and not ring.pair_window
         xs = sample_interior(ring, 2, seed=8, min_clearance=0.1)
         ys = sample_interior(ring, 2, seed=9, min_clearance=0.1)
@@ -662,7 +662,9 @@ class TestBuildMemory:
         # the pinned punctured:2 lens at spacing 0.0125: no (nodes, n)
         # matrix of the window, and floors only in the tiles a centre test
         # keeps; evaluating them at every window node peaked at 6.3 times
-        # the grid's arrays (numpy 2.4), the tiles at 3.45
+        # the grid's arrays (numpy 2.4), the tiles at 3.45, and at 3.6 (4.0
+        # MB, from 4.5) once the lens kept only the nodes each endpoint
+        # attaches to, which shrank the arrays more than the peak
         x, y = np.array([1.1, 0.2]), np.array([-0.3, 0.8])
         dx, dy = P2.clearance_many(np.stack([x, y]))
         lens = (dx, dy, k_estimate(P2, x, y, 0.05, 1).value * quasihyperbolic._LIMIT_MARGIN)
@@ -675,7 +677,7 @@ class TestBuildMemory:
             tracemalloc.stop()
         held = sum(a.nbytes for a in (grid.nodes, grid.indptr, grid.neighbours, grid.weights,
                                       grid.clearances, grid._index_map, grid._axis_starts))
-        assert grid.nodes.shape[0] == 3164
+        assert grid.nodes.shape[0] == PINNED_LENSES[1][4]
         assert peak <= 4 * held
 
     def test_rejected_window_allocates_no_edge_table(self):
@@ -1062,9 +1064,9 @@ def lens_floor(grid, x, dx):
     cells = cells[np.all((cells >= 0) & (cells < grid._index_map.shape), axis=1)]
     near = grid._index_map[tuple(cells.T)]
     near = near[near >= 0]
-    floor = quasihyperbolic._floor_from(grid.domain, grid.spacing, x, dx,
-                                        float(np.min(grid.clearances)), grid.nodes[near],
-                                        grid.clearances[near])
+    floor, _ = quasihyperbolic._floor_from(grid.domain, grid.spacing, x, dx,
+                                           float(np.min(grid.clearances)), grid.nodes[near],
+                                           grid.clearances[near])
     return floor(grid.nodes.T, grid.clearances)
 
 
@@ -1125,7 +1127,7 @@ class TestPathFloor:
         assert np.all(floor >= j_many(H2, xs, ys))
 
 
-class PerPairAnnulus(GenericDomain):
+class PerPairGeneric(GenericDomain):
     """A generic domain that overrides ``geodesic_window`` (with the base
     form's window), so that the estimator searches it per query."""
 
@@ -1205,7 +1207,7 @@ class TestLevelZero:
     @pytest.mark.parametrize("domain, x, y, limited", [
         (P2, (0.3, 0.0), (0.0, 0.6), False),
         (P2, (0.5, 0.0), (0.0, 0.6), True),
-        (PerPairAnnulus.of(annulus_domain()), (0.5, 0.0), (0.0, 0.6), False),
+        (PerPairGeneric.of(annulus_domain()), (0.5, 0.0), (0.0, 0.6), False),
         (H2, (0.0, 0.3), (0.5, 0.4), True)],
         ids=["punctured:2-near", "punctured:2", "annulus", "halfspace:2"])
     def test_only_a_tight_floor_limits_level_zero(self, domain, x, y, limited, monkeypatch):
@@ -1302,9 +1304,9 @@ def kquery_cases():
 #: (domain, x, y, whole-window nodes, lens nodes) at the finest of three
 #: levels from spacing 0.05; the README quotes the counts
 PINNED_LENSES = [
-    (H2, (-1.2, 0.4), (0.9, 1.3), 29240, 5929),
-    (P2, (1.1, 0.2), (-0.3, 0.8), 96816, 3164),
-    (P2, (1.1, 0.2), (-1.0, -0.3), 95024, 9093),
+    (H2, (-1.2, 0.4), (0.9, 1.3), 29240, 5251),
+    (P2, (1.1, 0.2), (-0.3, 0.8), 96816, 2483),
+    (P2, (1.1, 0.2), (-1.0, -0.3), 95024, 8461),
 ]
 
 
@@ -1387,14 +1389,26 @@ class TestLens:
 
     def test_tightest_lens_fuzz(self):
         # the limit is the whole window's value itself, for pairs in every
-        # direction around the puncture at radii from 0.08 to 1.5 (0.6 in 3-D)
+        # direction around the puncture at radii from 0.08 to 1.5 (0.6 in 3-D),
+        # and half-space pairs at heights from 0.03 to 1.5 (0.6 in 3-D)
         rng = np.random.default_rng(1313)
-        checked = {P2: 0, P3: 0}
+        h3 = HalfSpace(3)
+        checked = {P2: 0, P3: 0, H2: 0, h3: 0}
         for domain, count, top, spacings in [(P2, 40, 1.5, (0.05, 0.025)),
-                                             (P3, 3, 0.6, (0.1, 0.05))]:
+                                             (P3, 3, 0.6, (0.1, 0.05)),
+                                             (H2, 20, 1.5, (0.05, 0.025)),
+                                             (h3, 3, 0.6, (0.1, 0.05))]:
+            n = domain.dimension
             for _ in range(count):
-                x, y = (np.exp(rng.uniform(math.log(0.08), math.log(top), (2, 1)))
-                        * unit_directions(domain.dimension, 2, rng))
+                if isinstance(domain, PuncturedSpace):
+                    x, y = (np.exp(rng.uniform(math.log(0.08), math.log(top), (2, 1)))
+                            * unit_directions(n, 2, rng))
+                else:
+                    # heights from 0.03, below one spacing, where the window's
+                    # floor at 0.4 times the lower height cuts the attach disc
+                    x, y = np.concatenate(
+                        [rng.uniform(-top, top, (2, n - 1)),
+                         np.exp(rng.uniform(math.log(0.03), math.log(top), (2, 1)))], axis=1)
                 d = domain.clearance_many(np.stack([x, y]))
                 for h in spacings:
                     query = (x[None], y[None], d[:1], d[1:])
@@ -1410,6 +1424,7 @@ class TestLens:
                     assert not failed and vals[0].hex() == value[0].hex(), (x, y, h)
                     checked[domain] += 1
         assert checked[P2] >= 2 * 40 - 5 and checked[P3] >= 3
+        assert checked[H2] == 2 * 20 and checked[h3] == 2 * 3
 
     @pytest.mark.parametrize("domain, x, y, whole, lens", PINNED_LENSES,
                              ids=["halfspace:2", "punctured:2", "punctured:2-antipodal"])
@@ -1437,6 +1452,88 @@ class TestLens:
         assert dropping >= {"halfspace:2", "halfspace:3", "punctured:2", "punctured:3"}
         assert lens_window(strip_domain(), 0.05, x, y)[3].shape[1] == 3
 
+    def test_lens_holds_floor_nodes_and_attach_nodes_only(self, cases):
+        # a lens node passes the floor test or lies within (reach + 1) h of
+        # an endpoint, unless no window node that near joins that endpoint
+        # by a usable edge, when the lens keeps its whole wider attach box;
+        # and every node that near is kept
+        checks = [(domain, float.fromhex(h), x, y,
+                   float.fromhex(value) * quasihyperbolic._LIMIT_MARGIN)
+                  for domain, xs, ys, _, _, reference in cases
+                  for x, y, history in zip(xs, ys, reference)
+                  for (_, value), (h, _) in zip(history, history[1:])]
+        dropped = 0
+        for domain, h, x, y, limit in checks + lens_fuzz_cases():
+            window = lens_window(domain, h, x, y)
+            lens = (*domain.clearance_many(np.stack([x, y])), limit)
+            keep = quasihyperbolic._lens(domain, h, x, y, lens, *window)
+            passes, _ = lens_floor_test(domain, h, x, y, lens, *window)
+            cells = np.nonzero(window[3])
+            nodes = np.stack([ax[c] for ax, c in zip(window[1], cells)], axis=1)
+            allowed, kept = passes[cells], keep[cells]
+            _, reach = quasihyperbolic._stencil(domain.dimension)
+            span = quasihyperbolic._cell_span(domain.dimension, 1)
+            for p in (x, y):
+                close = np.linalg.norm(nodes - p, axis=1) <= (reach + 1) * h
+                assert np.all(kept[close])
+                wider = np.all(np.abs(np.stack(cells, axis=1) + window[0]
+                                      - np.round(p / h)) <= span, axis=1)
+                if np.any(domain.clearance_many(0.5 * (p + nodes[close])) > 0.0):
+                    allowed |= close
+                    dropped += np.count_nonzero(wider & ~kept)
+                else:
+                    allowed |= wider
+            assert np.all(allowed[kept]), (domain.spec_string(), h, x, y, limit)
+        # the wider boxes' far nodes are dropped, by the thousand
+        assert dropped > 1000 * len(checks)
+
+    @pytest.mark.parametrize("end, attach", [(0.75, "wider"), (0.67, "nearest"), (0.9, None)],
+                             ids=["wider-pass", "nearest-node-pass", "unattached"])
+    def test_endpoint_without_close_usable_nodes_keeps_its_wider_box(self, end, attach,
+                                                                      monkeypatch):
+        # the strip, searched per query, whose lattice ends at x_1 = 0.5: at
+        # spacing 0.025 no node lies within (reach + 1) h of y, and _attach
+        # joins y by its wider pass, by its nearest-node pass, or not at all
+        strip = PerPairGeneric.of(strip_domain())
+        x, y = np.array([-0.3, 0.0]), np.array([end, 0.0])
+        d = strip.clearance_many(np.stack([x, y]))
+        query = (x[None], y[None], d[:1], d[1:])
+        h = 0.025
+        whole = build_grid(strip, h, x, y)
+        assert np.min(np.linalg.norm(whole.nodes - y, axis=1)) > 6 * h
+        cells = np.round(whole.nodes / h) - np.round(y / h)
+        in_box = [np.all(np.abs(cells) <= quasihyperbolic._cell_span(2, widen), axis=1)
+                  for widen in (0, 1)]
+        assert [np.any(b) for b in in_box] == [attach == "nearest", attach is not None]
+        value, failed = quasihyperbolic._grid_values(whole, *query, np.full(1, np.inf))
+        assert bool(failed) == (attach is None)
+        # under the bound 4 no node of y's wider box passes the floor test
+        passes, reads = lens_floor_test(strip, h, x, y, (*d, 4.0), *lens_window(strip, h, x, y))
+        box, near, _ = reads[1]
+        assert not np.any(passes[box][near])
+        limit = k_estimate(strip, x, y, 0.05, 0).value * quasihyperbolic._LIMIT_MARGIN
+        for bound in [4.0, limit] + [value[0]] * (not failed):
+            lens = build_grid(strip, h, x, y, lens=(*d, bound))
+            held = {tuple(z) for z in lens.nodes.tolist()}
+            assert {tuple(z) for z in whole.nodes[in_box[1]].tolist()} <= held
+            vals, lens_failed = quasihyperbolic._grid_values(lens, *query, np.array([bound]))
+            if failed:
+                assert str(lens_failed[0]) == str(failed[0])
+            elif value[0] <= bound:
+                assert not lens_failed and vals[0].hex() == value[0].hex()
+            else:
+                assert not lens_failed and vals[0] > bound
+        # and through the estimator, with the limit above and below the value
+        for margin in (quasihyperbolic._LIMIT_MARGIN, 0.2):
+            monkeypatch.setattr(quasihyperbolic, "_LIMIT_MARGIN", margin)
+            if failed:
+                with pytest.raises(DisconnectedGridError) as info:
+                    k_estimate(strip, x, y, 0.05, 1)
+                assert str(info.value) == str(failed[0])
+            else:
+                history = k_estimate(strip, x, y, 0.05, 1).refinement_history
+                assert _hex(history) == _hex(reference_history(strip, x, y, 0.05, 1))
+
     def test_culled_lens_evaluates_few_floors(self, monkeypatch):
         # the pinned punctured:2 lens: tile centres and the cells of the
         # tiles they keep, against the 96816 window nodes
@@ -1444,12 +1541,12 @@ class TestLens:
         floor_from = quasihyperbolic._floor_from
 
         def counting(*args):
-            floor = floor_from(*args)
+            floor, read = floor_from(*args)
 
             def counted(coords, dz):
                 evaluated.append(np.size(dz))
                 return floor(coords, dz)
-            return counted
+            return counted, read
 
         monkeypatch.setattr(quasihyperbolic, "_floor_from", counting)
         domain, x, y, whole, nodes = PINNED_LENSES[1]
@@ -1483,25 +1580,34 @@ def lens_window(domain, h, x, y):
     return starts, axes, clear, mask
 
 
-def whole_window_lens(domain, h, x, y, lens, starts, axes, clear, window):
-    """The lens with both floors evaluated at every window node."""
+def lens_floor_test(domain, h, x, y, lens, starts, axes, clear, window):
+    """The cells that pass the lens's floor test, with both floors
+    evaluated at every window node, and per endpoint its wider attach
+    box, the box's window nodes and those of them ``_attach`` reads."""
     dx, dy, limit = lens
     z, dz = np.nonzero(window), clear[window]
     span = quasihyperbolic._cell_span(domain.dimension, 1)
-    floor, boxes = 0.0, []
+    floor, reads = 0.0, []
     for p, dp in ((x, dx), (y, dy)):
         cell = np.round(p / h).astype(np.int64) - starts
         box = tuple(slice(min(max(c - span, 0), d), max(min(c + span + 1, d), 0))
                     for c, d in zip(cell, window.shape))
         near = [ax[s][i] for ax, s, i in zip(axes, box, np.nonzero(window[box]))]
-        floor_from = quasihyperbolic._floor_from(domain, h, p, dp, float(np.min(dz)),
-                                                 np.stack(near, axis=1), clear[box][window[box]])
+        floor_from, read = quasihyperbolic._floor_from(domain, h, p, dp, float(np.min(dz)),
+                                                       np.stack(near, axis=1),
+                                                       clear[box][window[box]])
         floor = floor + floor_from([ax[i] for ax, i in zip(axes, z)], dz)
-        boxes.append(box)
-    keep = np.zeros(window.shape, dtype=bool)
-    keep[window] = floor <= limit * (1.0 + quasihyperbolic._LENS_SLACK)
-    for box in boxes:
-        keep[box] |= window[box]
+        reads.append((box, window[box], read))
+    passes = np.zeros(window.shape, dtype=bool)
+    passes[window] = floor <= limit * (1.0 + quasihyperbolic._LENS_SLACK)
+    return passes, reads
+
+
+def whole_window_lens(domain, h, x, y, lens, starts, axes, clear, window):
+    """The lens with both floors evaluated at every window node."""
+    keep, reads = lens_floor_test(domain, h, x, y, lens, starts, axes, clear, window)
+    for box, near, read in reads:
+        keep[box][near] |= read
     return keep
 
 
