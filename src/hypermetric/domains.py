@@ -167,20 +167,29 @@ def _radius_grid(axes, dim: int) -> np.ndarray:
 
 
 def _radii_and_angle(xs: np.ndarray, ys: np.ndarray):
-    """|x|, |y| and the angle between x and y of paired rows, the angle
-    as 2 atan2(| |y| x - |x| y |, | |y| x + |x| y |), accurate near 0 and
-    pi (and 0 where either point is the origin).  Where |x| |y| is not a
-    normal double or is within a factor 2 of overflow, so that |y| x
-    would underflow or |y| x + |x| y overflow, x / |x| and y / |y| stand
-    in for |y| x and |x| y."""
+    """|x|, |y|, the angle between x and y and log(|x| / |y|) of paired
+    rows, the angle as 2 atan2(| |y| x - |x| y |, | |y| x + |x| y |),
+    accurate near 0 and pi (the angle and the log 0 where either point is
+    the origin).  A pair with a subnormal radius, which carries only a few
+    digits, is first divided by its largest coordinate magnitude (other
+    pairs by 1, exactly).  Where the product of the radii is then not a
+    normal double or is within a factor 2 of overflow, so that |y| x would
+    underflow or |y| x + |x| y overflow, x / |x| and y / |y| stand in for
+    |y| x and |x| y."""
     rx, ry = _norm(xs.T), _norm(ys.T)
+    both = (rx > 0.0) & (ry > 0.0)
+    m = np.where(both & (np.minimum(rx, ry) < _TINY),
+                 np.max(np.abs(np.concatenate([xs, ys], axis=1)), axis=1), 1.0)[:, None]
+    xs, ys = xs / m, ys / m
+    sx, sy = _norm(xs.T), _norm(ys.T)
     with np.errstate(over="ignore"):
-        p = rx * ry
-        u, v = ry[:, None] * xs, rx[:, None] * ys
-    odd = ~((p >= _TINY) & (p <= 0.5 * _HUGE)) & (rx > 0.0) & (ry > 0.0)
+        p = sx * sy
+        u, v = sy[:, None] * xs, sx[:, None] * ys
+    odd = ~((p >= _TINY) & (p <= 0.5 * _HUGE)) & both
     if np.any(odd):
-        u[odd], v[odd] = xs[odd] / rx[odd, None], ys[odd] / ry[odd, None]
-    return rx, ry, 2.0 * np.arctan2(_norm((u - v).T), _norm((u + v).T))
+        u[odd], v[odd] = xs[odd] / sx[odd, None], ys[odd] / sy[odd, None]
+    theta = 2.0 * np.arctan2(_norm((u - v).T), _norm((u + v).T))
+    return rx, ry, theta, np.log(np.divide(sx, sy, out=np.ones_like(sx), where=both))
 
 
 def as_pairs(xs, ys, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -294,10 +303,8 @@ class Domain:
         """A lower bound on the estimator's weight of every polyline
         between two points at separation ``sep`` with clearances d_a, d_b.
 
-        ``edges`` = (ell, r, slack) may narrow the bound to lattice paths:
-        every edge after the first is at most ell long and joins points of
-        clearance >= r, and the first edge weighs at least the narrowed
-        bound of its own ends (taken with slack 0) less ``slack``.
+        ``edges`` = (ell, r) may narrow the bound to the polylines whose
+        every edge is at most ell long and joins points of clearance >= r.
 
         The base form is j and ignores ``edges``.  A polyline that has run
         a length s from a reaches clearance at most d_a + s (the clearance
@@ -312,18 +319,17 @@ class Domain:
         relies on it to bound the floor over a tile of lattice cells from
         its centre.  j is a metric and j <= k (Gehring and Osgood 1979),
         so the base form has it; rho_H on the half-space is k itself; and
-        c k_P - A with c < 1 on the punctured space has it, k_P being k
+        c k_P with c < 1 on the punctured space has it, k_P being k
         there.  A max of such floors has it too."""
         from .metrics import j_kernel
 
         return j_kernel(sep, d_a, d_b)
 
     def floor_share(self, edges) -> float:
-        """A share c of k that ``path_floor`` with these ``edges`` (and
-        slack 0) is proved to keep at every pair: floor >= c k.  The
-        estimator gives a per-query level 0 a search limit only where c
-        is close to 1.  The base form is j, for which no share is
-        proved, so 0."""
+        """A share c of k that ``path_floor`` with these ``edges`` is
+        proved to keep at every pair: floor >= c k.  The estimator gives a
+        per-query level 0 a search limit only where c is close to 1.  The
+        base form is j, for which no share is proved, so 0."""
         return 0.0
 
     def complement_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -361,7 +367,7 @@ class UnitBall(Domain):
         from .quasihyperbolic import _k_ball
 
         xs, ys, _, _ = _interior_pairs(self, xs, ys)
-        return _k_ball(*_radii_and_angle(xs, ys))
+        return _k_ball(*_radii_and_angle(xs, ys)[:3])
 
     def boundary_sample(self, m, rng, lo, hi):
         delta = _log_uniform(rng, m, lo, hi)
@@ -494,8 +500,8 @@ class PuncturedSpace(Domain):
         # in log-polar coordinates the geodesic is a straight line
         xs, ys, _, _ = _interior_pairs(self, xs, ys)
         self._require_joined(xs, ys)
-        rx, ry, theta = _radii_and_angle(xs, ys)
-        return np.hypot(theta, np.log(rx / ry))
+        _, _, theta, log_ratio = _radii_and_angle(xs, ys)
+        return np.hypot(theta, log_ratio)
 
     def boundary_sample(self, m, rng, lo, hi):
         delta = _log_uniform(rng, m, lo, hi)
@@ -513,13 +519,13 @@ class PuncturedSpace(Domain):
         return np.full(self.dimension, -r_hi), np.full(self.dimension, r_hi), (r_lo, r_hi)
 
     def path_floor(self, sep, d_a, d_b, edges=None):
-        """j, or with ``edges`` = (ell, r, slack) max(j, c k_P - slack),
-        where k_P = sqrt(theta^2 + log^2(d_a / d_b)) is the exact k and c
-        the share of it that a Simpson weight is proved to keep.
+        """j, or with ``edges`` = (ell, r) max(j, c k_P), where
+        k_P = sqrt(theta^2 + log^2(d_a / d_b)) is the exact k and c the
+        share of it that a Simpson weight is proved to keep.
 
-        A lattice edge of length l <= ell between points of radius >= r
-        passes the origin at a distance q >= rho = sqrt(r^2 - ell^2 / 4),
-        since its nearer end lies within l / 2 of the foot of the
+        An edge of length l <= ell between points of radius >= r passes
+        the origin at a distance q >= rho = sqrt(r^2 - ell^2 / 4), since
+        its nearer end lies within l / 2 of the foot of the
         perpendicular.  Along the edge f = (s^2 + p^2)^(-1/2) has the
         fourth derivative 3 (35 u^2 - 30 u + 3) / |z|^5 with u in [0, 1],
         at most 24 / q^5 in size, and the exact integral is
@@ -527,11 +533,10 @@ class PuncturedSpace(Domain):
         fourth derivative, then gives S >= (1 - delta) I with
         delta = t^4 (1 + t) / 120 at t = l / q <= ell / rho, and
         c = 1 - delta - 1e-6 at t = ell / rho covers rounding.  I is at
-        least k_P of the edge's ends, so by the triangle inequality the
-        lattice edges weigh at least c k_P of their ends, and the first
-        edge adds at least c k_P of its own less ``slack``.  Where rho or
-        c is not positive the bound is j alone.  k_P is read off the
-        triangle (0, a, b) by the half-angle form sin^2(theta / 2) =
+        least k_P of the edge's ends, so by the triangle inequality a path
+        of such edges weighs at least c k_P of its ends.  Where rho or c is
+        not positive the bound is j alone.  k_P is read off the triangle
+        (0, a, b) by the half-angle form sin^2(theta / 2) =
         (sep - d_a + d_b)(sep + d_a - d_b) / (4 d_a d_b), which stays
         accurate near theta = 0."""
         j = super().path_floor(sep, d_a, d_b)
@@ -540,11 +545,11 @@ class PuncturedSpace(Domain):
             return j
         half = (sep - d_a + d_b) * (sep + d_a - d_b) / (4.0 * d_a * d_b)
         theta = 2.0 * np.arcsin(np.sqrt(np.clip(half, 0.0, 1.0)))
-        return np.maximum(j, c * np.hypot(theta, np.log(d_a / d_b)) - edges[2])
+        return np.maximum(j, c * np.hypot(theta, np.log(d_a / d_b)))
 
     def floor_share(self, edges):
         """c of ``path_floor``, or 0 where rho or c is not positive."""
-        ell, r, _ = edges
+        ell, r = edges
         rho2 = r * r - 0.25 * ell * ell
         if not rho2 > 0.0:
             return 0.0

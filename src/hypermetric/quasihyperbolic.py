@@ -65,13 +65,11 @@ d(a), d(b))``: j on every domain, because the clearance is 1-Lipschitz
 and Simpson overestimates the integral of 1/(d + t); rho_H on the
 half-space, because there the clearance is affine along each segment.
 So every estimate is at least j, and on the half-space at least
-rho_H = k.  On the punctured space a path over the lattice weighs at
-least c k_P less the slack of its first edge, where k_P is the exact
-log-polar k and c < 1 bounds Simpson's error on edges no longer than
-the stencil's longest that keep clear of the puncture; near the
-puncture, where no c > 0 is proved, the floor is j (see
-``PuncturedSpace.path_floor``).  The slack is how far the endpoint's
-attach edges, which are longer, fall short of c k_P.
+rho_H = k.  On the punctured space a path whose edges are at most ell
+long and keep clearance >= r weighs at least c k_P, where k_P is the
+exact log-polar k and c < 1 bounds Simpson's error on such edges; near
+the puncture, where no c > 0 is proved, the floor is j (see
+``PuncturedSpace.path_floor``).
 
 Every query goes through ``_grid_values``: x is a source-only row
 appended to the grid's CSR adjacency (a shared grid keeps room for one
@@ -98,16 +96,18 @@ limit misses it.
 
 On a per-query grid, every level holds only the lens of its limit L:
 the nodes z with floor(x, z) + floor(z, y) <= L (1 + 1e-9), plus those
-that ``_attach`` reads for each endpoint: the nodes within (reach + 1) h
-of it, or the whole wider attach box of its cell when none of those has
-a usable edge; and its box is cropped to them.  Each floor is the
-domain's over the whole window's lattice edges and the endpoint's
-attach edges.  A node on an optimal path of value V <= L has a floor sum
-of at most V, so it is kept; the float Dijkstra fixed point does not
-depend on node numbering, so every value within L is bit for bit the
-whole window's, and an endpoint attaches in the lens exactly as on the
-whole window.  A lens that holds no node counts as a value above
-L: by the one rule, its pair's value and any error are the whole
+within (reach + 1) h of either endpoint, the nodes ``_attach``'s first
+pass reads; and its box is cropped to them.  A lens is built only when
+that pass attaches both endpoints: its attach edges, at most
+(reach + 1) h long, are within the longest 2-D stencil edge (sqrt 41 h),
+so with ell = h max(longest offset, reach + 1) each floor covers the
+attach edges and the lattice edges alike.  A node on an optimal path of
+value V <= L has a floor sum of at most V, so it is kept; the float
+Dijkstra fixed point does not depend on node numbering, so every value
+within L is bit for bit the whole window's, and an endpoint attaches in
+the lens exactly as on the whole window.  A lens that holds no node, as
+when the first pass does not attach an endpoint, counts as a value
+above L: by the one rule, its pair's value and any error are the whole
 window's, and the node cap applies to the whole window.  The floors are
 evaluated node by node only in the tiles of ``_TILE`` cells a side that
 hold a window node and that a test at the tile's centre c keeps: each
@@ -544,37 +544,29 @@ def _box_text(lo: np.ndarray, hi: np.ndarray) -> str:
     return " x ".join(f"[{float(a)!r}, {float(b)!r}]" for a, b in zip(lo, hi))
 
 
-def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, r: float, near: np.ndarray,
-                d_near: np.ndarray):
+def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, r: float, near: np.ndarray):
     """The domain's path floor from the query point p, a lower bound on
     every grid path from p to a node, as a function of the node's
     coordinates (arrays, one per axis, that broadcast together) and
-    clearance; and which of the ``near`` nodes ``_attach`` reads for p.
-    ``r`` is the least clearance of a window node, ``near`` and
-    ``d_near`` the nodes in p's wider attach box, which holds every node
-    p attaches to, and their clearances.
-
-    Every lattice edge is at most the longest stencil offset long and
-    joins window nodes; the slack is how far the attach edges fall short
-    of the floor of their ends, so the first edge is covered too.
-    ``_attach``'s first pass reads the nodes within (reach + 1) h, and
-    when one of them has a usable edge it reads no other; else it may
-    read the whole box."""
-    edges = (h * _longest_offset(domain.dimension), r)
-    gap = np.linalg.norm(near - p, axis=1)
-    w, ok = _segment_weights(domain.clearance_many(0.5 * (p + near)), gap, 1.0 / dp,
-                             1.0 / d_near)
-    short = domain.path_floor(gap, dp, d_near, (*edges, 0.0)) - w
-    slack = max(0.0, float(np.max(short[ok], initial=0.0)))
-    read = gap <= (_stencil(domain.dimension)[1] + 1) * h
-    if not np.any(read & ok):
-        read[:] = True
+    clearance, or None when ``_attach``'s first pass does not attach p;
+    and which of the ``near`` nodes, those of p's first attach box, lie
+    within (reach + 1) h of p.  ``r`` is the least clearance of a window
+    node.  The first pass attaches p when one of those nodes gives a
+    segment whose midpoint lies inside the domain, and then every edge of
+    a path from p, its attach edge or a lattice edge, is at most
+    h max(longest offset, reach + 1) long and joins points of clearance
+    >= min(r, d(p)): the floor's own proof covers the first edge too."""
+    _, reach = _stencil(domain.dimension)
+    read = np.linalg.norm(near - p, axis=1) <= (reach + 1) * h
+    if not np.any(domain.clearance_many(0.5 * (p + near[read])) > 0.0):
+        return None, read
+    edges = (h * max(_longest_offset(domain.dimension), reach + 1), min(r, dp))
 
     def floor(coords, dz):
         # |z - p| axis by axis: several times faster than norm(axis=1) on
         # n-wide rows, and summed in its order, so bit for bit its value
         sep = np.sqrt(functools.reduce(np.add, [(c - q) * (c - q) for c, q in zip(coords, p)]))
-        return domain.path_floor(sep, dp, dz, (*edges, slack))
+        return domain.path_floor(sep, dp, dz, edges)
 
     return floor, read
 
@@ -583,12 +575,12 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
           starts: np.ndarray, axes: list[np.ndarray], clear: np.ndarray,
           window: np.ndarray) -> np.ndarray:
     """Which cells of the window hold a node that a grid path from x to y
-    of weight at most the limit can pass through, or a node that
-    ``_attach`` reads for either endpoint (``_floor_from``): those within
-    (reach + 1) h of it, or the whole wider attach box of its cell when
-    none of those has a usable edge.  ``lens`` is (d(x), d(y), limit),
-    ``axes`` the lattice coordinates, and ``clear`` and ``window`` the
-    clearance and the window's nodes by cell.
+    of weight at most the limit can pass through, or a node within
+    (reach + 1) h of either endpoint, the nodes ``_attach``'s first pass
+    reads; none when that pass does not attach an endpoint
+    (``_floor_from``).  ``lens`` is (d(x), d(y), limit), ``axes`` the
+    lattice coordinates, and ``clear`` and ``window`` the clearance and
+    the window's nodes by cell.
 
     The floor sum F is evaluated cell by cell only in the tiles of
     ``_TILE`` cells a side that hold a window node and that a test at
@@ -604,7 +596,7 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
     n = domain.dimension
     # the least clearance of a window node, with no gather: min is exact
     r = float(np.min(clear, where=window, initial=np.inf))
-    span = _cell_span(n, 1)
+    span = _cell_span(n, 0)
     boxes, floors = [], []
     for p, dp in ((x, dx), (y, dy)):
         cell = np.round(p / h).astype(np.int64) - starts
@@ -612,7 +604,9 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
                     for c, d in zip(cell, window.shape))
         near = window[box]
         points = np.stack([ax[s][i] for ax, s, i in zip(axes, box, np.nonzero(near))], axis=1)
-        floor, read = _floor_from(domain, h, p, dp, r, points, clear[box][near])
+        floor, read = _floor_from(domain, h, p, dp, r, points)
+        if floor is None:
+            return np.zeros(window.shape, dtype=bool)
         floors.append(floor)
         boxes.append((box, near, read))
     bound = limit * (1.0 + _LENS_SLACK)
@@ -1175,7 +1169,7 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
         ell = controls.spacing * _longest_offset(domain.dimension)
         scale = _LIMIT_MARGIN * (1.0 + _overhead(domain.dimension))
         for i in live:
-            edges = (ell, min(dxs[i], dys[i]), 0.0)
+            edges = (ell, min(dxs[i], dys[i]))
             if domain.floor_share(edges) * _LIMIT_MARGIN >= 1.0:
                 floor = domain.path_floor(float(np.linalg.norm(xs[i] - ys[i])), dxs[i], dys[i],
                                           edges)

@@ -1057,16 +1057,15 @@ J_FLOOR = Domain.path_floor  # the base form, j, on every domain
 
 def lens_floor(grid, x, dx):
     """The lens's floor from x to every node of a whole-window grid: the
-    domain's path floor over lattice edges, with the slack of x's attach
-    edges, which all end in its wider attach box."""
+    domain's path floor over lattice edges and x's first-pass attach
+    edges, which all end in its first attach box."""
     cells = (np.round(x / grid.spacing).astype(np.int64) - grid._axis_starts
-             + quasihyperbolic._cell_box(grid.domain.dimension, 1))
+             + quasihyperbolic._cell_box(grid.domain.dimension, 0))
     cells = cells[np.all((cells >= 0) & (cells < grid._index_map.shape), axis=1)]
     near = grid._index_map[tuple(cells.T)]
-    near = near[near >= 0]
     floor, _ = quasihyperbolic._floor_from(grid.domain, grid.spacing, x, dx,
-                                           float(np.min(grid.clearances)), grid.nodes[near],
-                                           grid.clearances[near])
+                                           float(np.min(grid.clearances)),
+                                           grid.nodes[near[near >= 0]])
     return floor(grid.nodes.T, grid.clearances)
 
 
@@ -1185,17 +1184,17 @@ class TestLevelZero:
         # path_floor >= share * k: 1 on the half-space, the punctured
         # space's proved c, and 0 for j
         ell = 0.05 * quasihyperbolic._longest_offset(2)
-        assert H2.floor_share((ell, 0.01, 0.0)) == 1.0
-        assert Domain.floor_share(B2, (ell, 0.5, 0.0)) == 0.0
-        assert annulus_domain().floor_share((ell, 0.5, 0.0)) == 0.0
+        assert H2.floor_share((ell, 0.01)) == 1.0
+        assert Domain.floor_share(B2, (ell, 0.5)) == 0.0
+        assert annulus_domain().floor_share((ell, 0.5)) == 0.0
         rng = np.random.default_rng(29)
         shares = []
         for r in (0.15, 0.3, 0.5, 1.0):
-            c = P2.floor_share((ell, r, 0.0))
+            c = P2.floor_share((ell, r))
             xs = np.exp(rng.uniform(math.log(r), 0.5, (40, 1))) * unit_directions(2, 40, rng)
             ys = np.exp(rng.uniform(math.log(r), 0.5, (40, 1))) * unit_directions(2, 40, rng)
             dx, dy = np.linalg.norm(xs, axis=1), np.linalg.norm(ys, axis=1)
-            floor = P2.path_floor(np.linalg.norm(xs - ys, axis=1), dx, dy, (ell, r, 0.0))
+            floor = P2.path_floor(np.linalg.norm(xs - ys, axis=1), dx, dy, (ell, r))
             k = P2.k_exact(xs, ys)
             assert np.all(floor >= c * k * (1.0 - 1e-12))
             shares.append(c)
@@ -1452,45 +1451,67 @@ class TestLens:
         assert dropping >= {"halfspace:2", "halfspace:3", "punctured:2", "punctured:3"}
         assert lens_window(strip_domain(), 0.05, x, y)[3].shape[1] == 3
 
+    @staticmethod
+    def _level_checks(cases):
+        # (domain, spacing, x, y, limit) of every finer level of the
+        # kquery cases, limited by the level before
+        return [(domain, float.fromhex(h), x, y,
+                 float.fromhex(value) * quasihyperbolic._LIMIT_MARGIN)
+                for domain, xs, ys, _, _, reference in cases
+                for x, y, history in zip(xs, ys, reference)
+                for (_, value), (h, _) in zip(history, history[1:])]
+
     def test_lens_holds_floor_nodes_and_attach_nodes_only(self, cases):
         # a lens node passes the floor test or lies within (reach + 1) h of
-        # an endpoint, unless no window node that near joins that endpoint
-        # by a usable edge, when the lens keeps its whole wider attach box;
-        # and every node that near is kept
-        checks = [(domain, float.fromhex(h), x, y,
-                   float.fromhex(value) * quasihyperbolic._LIMIT_MARGIN)
-                  for domain, xs, ys, _, _, reference in cases
-                  for x, y, history in zip(xs, ys, reference)
-                  for (_, value), (h, _) in zip(history, history[1:])]
-        dropped = 0
-        for domain, h, x, y, limit in checks + lens_fuzz_cases():
+        # an endpoint, and every node that near is kept; an endpoint that
+        # no window node that near joins by a usable edge gets no lens
+        checks = self._level_checks(cases)
+        lensless = []
+        for i, (domain, h, x, y, limit) in enumerate(checks + lens_fuzz_cases()):
             window = lens_window(domain, h, x, y)
             lens = (*domain.clearance_many(np.stack([x, y])), limit)
             keep = quasihyperbolic._lens(domain, h, x, y, lens, *window)
-            passes, _ = lens_floor_test(domain, h, x, y, lens, *window)
             cells = np.nonzero(window[3])
             nodes = np.stack([ax[c] for ax, c in zip(window[1], cells)], axis=1)
-            allowed, kept = passes[cells], keep[cells]
             _, reach = quasihyperbolic._stencil(domain.dimension)
-            span = quasihyperbolic._cell_span(domain.dimension, 1)
-            for p in (x, y):
-                close = np.linalg.norm(nodes - p, axis=1) <= (reach + 1) * h
-                assert np.all(kept[close])
-                wider = np.all(np.abs(np.stack(cells, axis=1) + window[0]
-                                      - np.round(p / h)) <= span, axis=1)
-                if np.any(domain.clearance_many(0.5 * (p + nodes[close])) > 0.0):
-                    allowed |= close
-                    dropped += np.count_nonzero(wider & ~kept)
-                else:
-                    allowed |= wider
+            close = [np.linalg.norm(nodes - p, axis=1) <= (reach + 1) * h for p in (x, y)]
+            if not all(np.any(domain.clearance_many(0.5 * (p + nodes[c])) > 0.0)
+                       for p, c in zip((x, y), close)):
+                assert not np.any(keep), (domain.spec_string(), h, x, y, limit)
+                lensless.append(i)
+                continue
+            passes, _ = lens_floor_test(domain, h, x, y, lens, *window)
+            allowed, kept = passes[cells] | close[0] | close[1], keep[cells]
+            assert np.all(kept[close[0] | close[1]])
             assert np.all(allowed[kept]), (domain.spec_string(), h, x, y, limit)
-        # the wider boxes' far nodes are dropped, by the thousand
-        assert dropped > 1000 * len(checks)
+        # the kquery cases all get their lens
+        assert all(i >= len(checks) for i in lensless)
+
+    def test_first_pass_attach_edges_weigh_at_least_their_floor(self, cases):
+        # the claim the lens floors rest on for the first edge: each edge
+        # of _attach's first pass weighs at least path_floor of its ends,
+        # with the edges (ell, r) the lens's floor from that endpoint uses
+        checked = 0
+        for domain, h, x, y, _ in self._level_checks(cases) + lens_fuzz_cases():
+            grid = build_grid(domain, h, x, y)
+            r = float(np.min(grid.clearances))
+            _, reach = quasihyperbolic._stencil(domain.dimension)
+            for p in (x, y):
+                dp = float(domain.clearance_many(p[None])[0])
+                _, node, w = quasihyperbolic._attach(grid, p[None], np.array([dp]))
+                sep = np.linalg.norm(grid.nodes[node] - p, axis=1)
+                if node.size == 0 or np.max(sep) > (reach + 1) * h:
+                    continue  # a wider or nearest-node pass: no lens
+                edges = (h * max(quasihyperbolic._longest_offset(domain.dimension), reach + 1),
+                         min(r, dp))
+                floor = domain.path_floor(sep, dp, grid.clearances[node], edges)
+                assert np.all(w >= floor * (1.0 - 1e-12)), (domain.spec_string(), h, p)
+                checked += node.size
+        assert checked > 10000
 
     @pytest.mark.parametrize("end, attach", [(0.75, "wider"), (0.67, "nearest"), (0.9, None)],
                              ids=["wider-pass", "nearest-node-pass", "unattached"])
-    def test_endpoint_without_close_usable_nodes_keeps_its_wider_box(self, end, attach,
-                                                                      monkeypatch):
+    def test_endpoint_without_close_usable_nodes_gets_no_lens(self, end, attach, monkeypatch):
         # the strip, searched per query, whose lattice ends at x_1 = 0.5: at
         # spacing 0.025 no node lies within (reach + 1) h of y, and _attach
         # joins y by its wider pass, by its nearest-node pass, or not at all
@@ -1507,23 +1528,17 @@ class TestLens:
         assert [np.any(b) for b in in_box] == [attach == "nearest", attach is not None]
         value, failed = quasihyperbolic._grid_values(whole, *query, np.full(1, np.inf))
         assert bool(failed) == (attach is None)
-        # under the bound 4 no node of y's wider box passes the floor test
-        passes, reads = lens_floor_test(strip, h, x, y, (*d, 4.0), *lens_window(strip, h, x, y))
-        box, near, _ = reads[1]
-        assert not np.any(passes[box][near])
+        # the lens keeps no node under any bound, so the one rule searches
+        # the whole window
         limit = k_estimate(strip, x, y, 0.05, 0).value * quasihyperbolic._LIMIT_MARGIN
         for bound in [4.0, limit] + [value[0]] * (not failed):
-            lens = build_grid(strip, h, x, y, lens=(*d, bound))
-            held = {tuple(z) for z in lens.nodes.tolist()}
-            assert {tuple(z) for z in whole.nodes[in_box[1]].tolist()} <= held
-            vals, lens_failed = quasihyperbolic._grid_values(lens, *query, np.array([bound]))
-            if failed:
-                assert str(lens_failed[0]) == str(failed[0])
-            elif value[0] <= bound:
-                assert not lens_failed and vals[0].hex() == value[0].hex()
-            else:
-                assert not lens_failed and vals[0] > bound
-        # and through the estimator, with the limit above and below the value
+            keep = quasihyperbolic._lens(strip, h, x, y, (*d, bound),
+                                         *lens_window(strip, h, x, y))
+            assert not np.any(keep)
+            with pytest.raises(DisconnectedGridError, match="no grid nodes in the lens"):
+                build_grid(strip, h, x, y, lens=(*d, bound))
+        # and through the estimator, with the limit above and below the
+        # value: the whole window's value bits or its exact error text
         for margin in (quasihyperbolic._LIMIT_MARGIN, 0.2):
             monkeypatch.setattr(quasihyperbolic, "_LIMIT_MARGIN", margin)
             if failed:
@@ -1582,11 +1597,12 @@ def lens_window(domain, h, x, y):
 
 def lens_floor_test(domain, h, x, y, lens, starts, axes, clear, window):
     """The cells that pass the lens's floor test, with both floors
-    evaluated at every window node, and per endpoint its wider attach
-    box, the box's window nodes and those of them ``_attach`` reads."""
+    evaluated at every window node, and per endpoint its first attach
+    box, the box's window nodes and those of them within (reach + 1) h;
+    None when ``_attach``'s first pass does not attach an endpoint."""
     dx, dy, limit = lens
     z, dz = np.nonzero(window), clear[window]
-    span = quasihyperbolic._cell_span(domain.dimension, 1)
+    span = quasihyperbolic._cell_span(domain.dimension, 0)
     floor, reads = 0.0, []
     for p, dp in ((x, dx), (y, dy)):
         cell = np.round(p / h).astype(np.int64) - starts
@@ -1594,8 +1610,9 @@ def lens_floor_test(domain, h, x, y, lens, starts, axes, clear, window):
                     for c, d in zip(cell, window.shape))
         near = [ax[s][i] for ax, s, i in zip(axes, box, np.nonzero(window[box]))]
         floor_from, read = quasihyperbolic._floor_from(domain, h, p, dp, float(np.min(dz)),
-                                                       np.stack(near, axis=1),
-                                                       clear[box][window[box]])
+                                                       np.stack(near, axis=1))
+        if floor_from is None:
+            return None
         floor = floor + floor_from([ax[i] for ax, i in zip(axes, z)], dz)
         reads.append((box, window[box], read))
     passes = np.zeros(window.shape, dtype=bool)
@@ -1604,8 +1621,12 @@ def lens_floor_test(domain, h, x, y, lens, starts, axes, clear, window):
 
 
 def whole_window_lens(domain, h, x, y, lens, starts, axes, clear, window):
-    """The lens with both floors evaluated at every window node."""
-    keep, reads = lens_floor_test(domain, h, x, y, lens, starts, axes, clear, window)
+    """The lens with both floors evaluated at every window node: no node
+    when ``_attach``'s first pass does not attach an endpoint."""
+    found = lens_floor_test(domain, h, x, y, lens, starts, axes, clear, window)
+    if found is None:
+        return np.zeros(window.shape, dtype=bool)
+    keep, reads = found
     for box, near, read in reads:
         keep[box][near] |= read
     return keep

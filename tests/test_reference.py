@@ -19,7 +19,8 @@ the pair:
 * punctured space: the exact k = sqrt(theta^2 + log^2(|x|/|y|)) carries
   an absolute error of about eps in each rescaled point, and so a
   relative error of about eps/theta in theta: the bound is
-  4 eps (1 + 1/theta) at every angle, up to pi;
+  4 eps (1 + 1/theta) at every angle, up to pi, also at radii near
+  1e-320, where a subnormal radius carries only a few digits;
 * radii and separations from 1e-200 to 1e300, whose sums of squares
   underflow or overflow: the clearance |x| of the punctured space within
   2 eps, and h, j, phi and rho_H within 8 eps, where each norm divides by
@@ -261,6 +262,9 @@ P2 = PuncturedSpace(2)
 #: normal radii whose squares underflow (to a subnormal or to 0) or
 #: overflow; a subnormal norm itself carries only a few digits
 EXTREME_SCALES = [1e-200, 1e-160, 1e155, 1e200, 1e300]
+#: subnormal radii, where the punctured k scales each pair to normal radii
+#: before it forms the angle and the log ratio
+SUBNORMAL_SCALE = 1e-320
 
 
 @pytest.mark.parametrize("x", [(1e-200, 0.0), (3e-160, 4e-160), (1e155, 0.0),
@@ -305,14 +309,16 @@ def test_closed_forms_where_sums_of_squares_underflow_or_overflow(domain, kinds,
             assert np.max(relative_errors(kind, domain, xs, ys)) <= 8 * EPS, kind
 
 
-@pytest.mark.parametrize("scale", EXTREME_SCALES)
+@pytest.mark.parametrize("scale", [SUBNORMAL_SCALE, *EXTREME_SCALES])
 def test_punctured_oracle_where_radii_underflow_or_overflow(scale):
     xs, ys = punctured_pairs(2)
     xs, ys = xs * scale, ys * scale
     for x, y, value in zip(xs, ys, P2.k_exact(xs, ys)):
         k, theta = punctured_reference(x, y)
         error = float(abs((mp.mpf(value) - k) / k))
-        assert error <= 4 * EPS * (1.0 + 1.0 / float(theta)), (x, y)
+        # error <= 4 eps (1 + 1 / theta), multiplied out: at 1e-320 the
+        # smallest angle rounds to collinear doubles, theta 0
+        assert error * float(theta) <= 4 * EPS * (float(theta) + 1.0), (x, y)
 
 
 # ---------------------------------------------------------------------------
