@@ -16,10 +16,11 @@ class gives the other form from it.  The closed forms write the first,
 * ``GenericDomain``      caller-supplied oracles (1-Lipschitz clearance
                          is a *tested* requirement, not an assumption)
 
-Samplers and the estimator ask six geometry methods, whose base-class
+Samplers and the estimator ask seven geometry methods, whose base-class
 forms are the generic answers: ``boundary_sample`` (points at small
 clearance; base: the uniform law), ``chord_reach`` (base: none, so no
-collinear stratum), ``geodesic_window``, a box and a band of clearances
+collinear stratum), ``fold``, k queries mapped into the plane (base:
+the identity), ``geodesic_window``, a box and a band of clearances
 (base: the sample box and every clearance), ``path_floor`` (base: j),
 ``floor_share``, the share of k the floor is proved to keep (base: 0),
 and ``complement_sample`` (base: none).  The flags follow the
@@ -31,7 +32,7 @@ the estimator then builds a lattice per query instead of sharing one.
 ``k_exact`` gives the quasihyperbolic distance k where a closed form is
 known, NaN elsewhere: every built-in answers it (the ball by Clairaut
 shooting, see ``quasihyperbolic._k_ball``; across the puncture of
-``punctured:1`` it raises, and so does the geodesic window),
+``punctured:1`` it raises, and so does the fold),
 ``GenericDomain`` does not.  Domains are immutable, hashable values; no
 meshes; all operations are pure and safe to call concurrently.
 """
@@ -192,6 +193,16 @@ def _radii_and_angle(xs: np.ndarray, ys: np.ndarray):
     return rx, ry, theta, np.log(np.divide(sx, sy, out=np.ones_like(sx), where=both))
 
 
+def _radial_fold(domain: "Domain", xs: np.ndarray, ys: np.ndarray):
+    """``Domain.fold`` where the clearance reads |z| alone: outside the
+    plane, x to (|x|, 0) and y to |y| (cos theta, sin theta), a rotation."""
+    if domain.dimension == 2:
+        return domain, xs, ys
+    rx, ry, theta, _ = _radii_and_angle(xs, ys)
+    return (type(domain)(2), np.stack([rx, 0.0 * rx], axis=1),
+            ry[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+
+
 def as_pairs(xs, ys, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Coerce paired rows (x_i, y_i) to two (N, dim) arrays of finite
     coordinates, as many ys as xs."""
@@ -299,6 +310,12 @@ class Domain:
         lo, hi = self.sample_box()
         return lo, hi, (0.0, math.inf)
 
+    def fold(self, xs: np.ndarray, ys: np.ndarray):
+        """(plane, xs2, ys2): a domain and paired rows in it with the k of
+        each pair (x_i, y_i), which the estimator searches instead; the
+        identity here.  It may raise ``ValueError`` for a pair no curve joins."""
+        return self, xs, ys
+
     def path_floor(self, sep, d_a, d_b, edges=None):
         """A lower bound on the estimator's weight of every polyline
         between two points at separation ``sep`` with clearances d_a, d_b.
@@ -369,6 +386,9 @@ class UnitBall(Domain):
         xs, ys, _, _ = _interior_pairs(self, xs, ys)
         return _k_ball(*_radii_and_angle(xs, ys)[:3])
 
+    def fold(self, xs, ys):
+        return (self, xs, ys) if self.dimension == 1 else _radial_fold(self, xs, ys)
+
     def boundary_sample(self, m, rng, lo, hi):
         delta = _log_uniform(rng, m, lo, hi)
         return (1.0 - delta)[:, None] * unit_directions(self.dimension, m, rng)
@@ -430,10 +450,17 @@ class HalfSpace(Domain):
         t = np.where(down, (zn - delta) / np.where(down, -un, 1.0), cap)
         return np.clip(t, 0.0, self._HEIGHT)
 
+    def fold(self, xs, ys):
+        # outside the plane: x' moved to 0, and y' - x' turned onto the first axis
+        if self.dimension == 2:
+            return self, xs, ys
+        side = np.linalg.norm(ys[:, :-1] - xs[:, :-1], axis=1)
+        return HalfSpace(2), np.stack([0.0 * side, xs[:, -1]], 1), np.stack([side, ys[:, -1]], 1)
+
     def geodesic_window(self, x, y, pad):
         # sized from the circular-arc geodesic through the endpoints
         xn, yn = x[-1], y[-1]
-        s_h = float(np.linalg.norm(x[:-1] - y[:-1])) if self.dimension > 1 else 0.0
+        s_h = float(np.linalg.norm(x[:-1] - y[:-1]))
         if s_h < 1e-12:
             apex = max(xn, yn)
         else:
@@ -510,10 +537,13 @@ class PuncturedSpace(Domain):
     def chord_reach(self, z, u, delta):
         return np.full(z.shape[0], 2.5)
 
+    def fold(self, xs, ys):
+        self._require_joined(xs, ys)
+        return _radial_fold(self, xs, ys)
+
     def geodesic_window(self, x, y, pad):
         # log-polar geodesics stay between half the smaller and twice the
         # larger query radius, and the clearance is the radius
-        self._require_joined(x, y)
         rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
         r_lo, r_hi = 0.5 * min(rx, ry), 2.0 * max(rx, ry)
         return np.full(self.dimension, -r_hi), np.full(self.dimension, r_hi), (r_lo, r_hi)

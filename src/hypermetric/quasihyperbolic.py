@@ -21,7 +21,9 @@ no estimator error and build no lattice.  ``k_estimate``,
 every domain: the closed forms are their oracles.  scipy is needed only
 by the lattice estimator (``k-estimate``, and k on a ``GenericDomain``)
 and is imported on its first search, so closed-form commands never load
-it.
+it.  Every search runs on the pairs' ``Domain.fold``, which maps the
+built-ins outside the plane into it with the same k: ball:n shares the
+ball:2 grids, and every per-query lattice is 2-D.
 
 Estimator construction, per refinement level (spacing halved each time):
 
@@ -81,8 +83,8 @@ left-to-right sum over paths, so this is bit for bit the distance a
 sink node for y would get.  Level l >= 1 stops its search at the level
 l - 1 value times ``_LIMIT_MARGIN``, and level 0 of a per-query grid at
 the pair's path floor times 1 + beta and ``_LIMIT_MARGIN``, with beta
-the stencil's worst-direction overhead (``_overhead``: 0.49% in 2-D,
-12.8% in 3-D), where the floor keeps a share c >= 1 / ``_LIMIT_MARGIN``
+the 2-D stencil's worst-direction overhead (``_overhead``: 0.49%),
+where the floor keeps a share c >= 1 / ``_LIMIT_MARGIN``
 of k (``Domain.floor_share``): the half-space, and the punctured space
 away from the puncture.  That limit is at least (1 + beta) k; a weaker
 floor (j, or the punctured floor near the puncture) would put it below
@@ -99,9 +101,9 @@ the nodes z with floor(x, z) + floor(z, y) <= L (1 + 1e-9), plus those
 within (reach + 1) h of either endpoint, the nodes ``_attach``'s first
 pass reads; and its box is cropped to them.  A lens is built only when
 that pass attaches both endpoints: its attach edges, at most
-(reach + 1) h long, are within the longest 2-D stencil edge (sqrt 41 h),
-so with ell = h max(longest offset, reach + 1) each floor covers the
-attach edges and the lattice edges alike.  A node on an optimal path of
+(reach + 1) h long, are within the longest stencil edge, so with
+ell = sqrt 41 h, its length, each floor covers the attach edges and the
+lattice edges alike.  A node on an optimal path of
 value V <= L has a floor sum of at most V, so it is kept; the float
 Dijkstra fixed point does not depend on node numbering, so every value
 within L is bit for bit the whole window's, and an endpoint attaches in
@@ -188,10 +190,10 @@ _DETOUR_MARGIN = 1e-9
 
 #: bounds on one chunk of pairs: float64 entries of its Dijkstra
 #: distance block (2 MB), and lattice cells its endpoints search.  The
-#: cell bound binds on the 2-D shared grids and the coarser 3-D ones (36
-#: pairs per chunk on ball:2, 23 on ball:3 at spacing 0.1); the small
-#: chunks it makes keep each chunk's one search limit close to its
-#: pairs' own limits.  The consumers of k batch only on a domain without
+#: cell bound binds on the 2-D shared grids (36 pairs per chunk on
+#: ball:2, which serve ball:n too, at spacing 0.1); the small chunks it
+#: makes keep each chunk's one search limit close to its pairs' own
+#: limits.  The consumers of k batch only on a domain without
 #: ``k_exact`` (``GenericDomain``); ``k_estimate_many`` batches on any
 _DIST_BLOCK = 1 << 18
 _CELL_BLOCK = 1 << 14
@@ -490,34 +492,19 @@ def _stencil(dimension: int) -> tuple[np.ndarray, int]:
     return offsets, reach
 
 
-@functools.cache
-def _longest_offset(dimension: int) -> float:
-    """Length of the longest stencil offset, in cells."""
-    offsets, _ = _stencil(dimension)
-    return float(np.max(np.linalg.norm(offsets, axis=1)))
+#: the longest 2-D stencil offset, (r, r - 1), in cells: sqrt 41
+_LONGEST_OFFSET = math.hypot(STENCIL_REACH_2D, STENCIL_REACH_2D - 1)
 
 
 @functools.cache
-def _overhead(dimension: int) -> float:
-    """beta, the stencil's worst-direction overhead: the most by which the
-    shortest path along stencil directions exceeds the straight segment,
-    relative to its length.  It is 1/r - 1 for r the least distance from
-    the origin to a facet of the hull of the unit stencil directions and
-    their negatives."""
-    if dimension == 2:
-        # directions at angles a and a + g span a hull edge at cos(g / 2)
-        offsets, _ = _stencil(dimension)
-        angles = np.sort(np.arctan2(offsets[:, 1], offsets[:, 0]))
-        gap = float(np.max(np.diff(angles, append=angles[0] + math.pi)))
-        return 1.0 / math.cos(0.5 * gap) - 1.0
-    # a closed form for the single-ring stencil of n >= 3 (and the one
-    # direction of n = 1), so it does not read the offsets: up to signs
-    # and axis order every facet is the simplex of e_1, (e_1 + e_2) /
-    # sqrt 2, ..., (e_1 + ... + e_n) / sqrt n, which lies in the plane
-    # u.v = 1 for u = (1, sqrt 2 - 1, ..., sqrt n - sqrt(n - 1)), at
-    # 1 / |u| from the origin
-    return math.sqrt(sum((math.sqrt(k) - math.sqrt(k - 1)) ** 2
-                         for k in range(1, dimension + 1))) - 1.0
+def _overhead() -> float:
+    """beta, the most by which the shortest path along 2-D stencil
+    directions exceeds the straight segment, relative to its length:
+    sec(g / 2) - 1, for g the widest gap between adjacent directions."""
+    offsets, _ = _stencil(2)
+    angles = np.sort(np.arctan2(offsets[:, 1], offsets[:, 0]))
+    gap = float(np.max(np.diff(angles, append=angles[0] + math.pi)))
+    return 1.0 / math.cos(0.5 * gap) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +540,13 @@ def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, r: float, near: np.
     within (reach + 1) h of p.  ``r`` is the least clearance of a window
     node.  The first pass attaches p when one of those nodes gives a
     segment whose midpoint lies inside the domain, and then every edge of
-    a path from p, its attach edge or a lattice edge, is at most
-    h max(longest offset, reach + 1) long and joins points of clearance
-    >= min(r, d(p)): the floor's own proof covers the first edge too."""
-    _, reach = _stencil(domain.dimension)
-    read = np.linalg.norm(near - p, axis=1) <= (reach + 1) * h
+    a path from p, its attach edge or a lattice edge, is at most the
+    longest 2-D offset long and joins points of clearance at least
+    min(r, d(p)): the floor's own proof covers the first edge too."""
+    read = np.linalg.norm(near - p, axis=1) <= (STENCIL_REACH_2D + 1) * h
     if not np.any(domain.clearance_many(0.5 * (p + near[read])) > 0.0):
         return None, read
-    edges = (h * max(_longest_offset(domain.dimension), reach + 1), min(r, dp))
+    edges = (h * _LONGEST_OFFSET, min(r, dp))
 
     def floor(coords, dz):
         # |z - p| axis by axis: several times faster than norm(axis=1) on
@@ -593,10 +579,9 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
     exceeds the lens bound, with a relative guard for rounding, holds no
     cell the lens keeps."""
     dx, dy, limit = lens
-    n = domain.dimension
     # the least clearance of a window node, with no gather: min is exact
     r = float(np.min(clear, where=window, initial=np.inf))
-    span = _cell_span(n, 0)
+    span = _cell_span(2, 0)
     boxes, floors = [], []
     for p, dp in ((x, dx), (y, dy)):
         cell = np.round(p / h).astype(np.int64) - starts
@@ -620,11 +605,10 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
     tiles = [-(-d // _TILE) for d in window.shape]
     padded = np.zeros([t * _TILE for t in tiles], dtype=bool)
     padded[tuple(slice(d) for d in window.shape)] = window
-    occupied = padded.reshape([v for t in tiles for v in (t, _TILE)]).any(
-        axis=tuple(range(1, 2 * n, 2)))
+    occupied = padded.reshape(tiles[0], _TILE, tiles[1], _TILE).any(axis=(1, 3))
     held = np.nonzero(occupied)
     centres = [(t * _TILE + (s + 0.5 * (_TILE - 1))) * h for t, s in zip(held, starts)]
-    rho = 0.5 * (_TILE - 1) * h * math.sqrt(n) * (1.0 + _LENS_SLACK)
+    rho = 0.5 * (_TILE - 1) * h * math.sqrt(2) * (1.0 + _LENS_SLACK)
     d_centre = domain.clearance_grid(centres)
     inner = d_centre > rho
     dc = d_centre[inner]
@@ -634,8 +618,7 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
     test[inner] = low * (1.0 - _LENS_SLACK) - 2.0 * k_tile * (1.0 + _LENS_SLACK) <= bound
     live = np.zeros(occupied.shape, dtype=bool)
     live[held] = test
-    for axis in range(n):
-        live = np.repeat(live, _TILE, axis=axis)
+    live = live.repeat(_TILE, axis=0).repeat(_TILE, axis=1)
     cells = np.nonzero(window & live[tuple(slice(d) for d in window.shape)])
     keep = np.zeros(window.shape, dtype=bool)
     keep[cells] = floor_sum([ax[c] for ax, c in zip(axes, cells)], clear[cells]) <= bound
@@ -1136,9 +1119,11 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
                controls: KControls) -> np.ndarray:
     """Values per pair and level of the validated pairs (x_i, y_i); raises
     the failure of the lowest-index pair that fails: a point outside the
-    domain, a window the domain refuses (``ValueError``) or a grid error.
+    domain or a pair its fold refuses (``ValueError``), or a grid error;
+    and ``ValueError`` for a per-pair window outside the plane.
 
-    One clearance read of the endpoints serves every level.  A level
+    The pairs are folded once (``Domain.fold``); one clearance read of
+    the endpoints, and one of their fold, serves every level.  A level
     searches all live pairs on the level's shared grid, from the
     ``_shared_grid`` cache keyed by the domain, when the window does not
     depend on the pair (``Domain.pair_window`` is false), and otherwise
@@ -1154,9 +1139,25 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
     """
     m = xs.shape[0]
     d = domain.clearance_many(np.concatenate([xs, ys]))
+    inside = (d[:m] > 0.0) & (d[m:] > 0.0)
+    try:
+        # a pair with a point outside is folded as (x, x), which no fold refuses
+        plane, fxs, fys = domain.fold(xs, np.where(inside[:, None], ys, xs))
+    except ValueError:
+        if m == 1:
+            raise
+        # the fold refuses a pair that no curve joins: each pair alone
+        return np.concatenate([_histories(domain, xs[i:i + 1], ys[i:i + 1], controls)
+                               for i in range(m)])
+    if plane.pair_window and plane.dimension != 2:
+        raise ValueError(f"{plane.spec_string()}: a per-pair window is searched only in 2-D")
+    if plane is not domain:
+        d = plane.clearance_many(np.concatenate([fxs, fys]))
+    domain, xs, ys = plane, fxs, fys
     dxs, dys = d[:m], d[m:]
     values = np.zeros((m, controls.refinements + 1))
-    inside = (dxs > 0.0) & (dys > 0.0)
+    # a folded point keeps its clearance up to rounding
+    inside &= (dxs > 0.0) & (dys > 0.0)
     failures = {int(i): ValueError("both query points must lie inside the domain")
                 for i in np.flatnonzero(~inside)}
     live = np.flatnonzero(inside & np.any(xs != ys, axis=1))
@@ -1166,8 +1167,8 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
         # a search bound, not a claim: a value above it is searched again;
         # only a floor that keeps a share c >= 1 / margin of k gives a
         # limit of at least (1 + beta) k, the stencil's worst direction
-        ell = controls.spacing * _longest_offset(domain.dimension)
-        scale = _LIMIT_MARGIN * (1.0 + _overhead(domain.dimension))
+        ell = controls.spacing * _LONGEST_OFFSET
+        scale = _LIMIT_MARGIN * (1.0 + _overhead())
         for i in live:
             edges = (ell, min(dxs[i], dys[i]))
             if domain.floor_share(edges) * _LIMIT_MARGIN >= 1.0:

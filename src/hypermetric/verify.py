@@ -5,11 +5,12 @@ Three kinds of checks:
 * :func:`triangle_scan` -- stratified triple sampling (uniform /
   boundary-hugging / collinear through a common point, in fixed
   60/25/15 proportion) reporting the worst triangle-inequality slack of
-  a chosen distance.  h with c >= 2 passes; phi and h with c < 2 are
-  expected to produce negative-slack witnesses.
+  a chosen distance.  A pass is a sample, not a proof: h with c >= 2
+  passes, a metric on every domain, but so may h with c < 1, a metric
+  on none (h_0.9 on punctured:2 passes 1e5 triples).
 * :func:`collinear_c_scan` / :func:`phi_triangle_counterexample` --
   targeted falsifiers on the symmetric collinear family (r, 0, -r) in
-  the plane ball, where all known violations live.
+  the plane ball, a witness on the ball only.
 * :func:`inequality_suite` -- the named two-sided estimates relating h,
   j, phi, the model hyperbolic metrics and the quasihyperbolic metric k,
   each reduced to a per-sample slack with pass defined as
@@ -215,7 +216,10 @@ def triangle_scan(
     For each triple all three rotations of m(a,c) <= m(a,b) + m(b,c) are
     evaluated and the smallest slack is kept; pass means slack >=
     -tolerance (default 1e-9).  Triples with two coincident points stay
-    out of the minimum and the witness.
+    out of the minimum and the witness.  A pass is a sample, not a
+    proof: h with c < 1 fails on every domain, yet can pass; and the
+    collinear family (r, 0, -r) that breaks h with c < 2 is a witness on
+    the ball only.
     """
     if triple_count < 1:
         raise ValueError("triple_count must be >= 1")

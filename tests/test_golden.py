@@ -23,7 +23,9 @@ from test_domains import annulus_domain
 
 #: (argv, exit status, stdout): the README invocations (uniformity at
 #: --count 16 instead of 160), h scans and the L3_1 suite on each
-#: built-in variant, one punctured-space k estimate, the other three map
+#: built-in variant, one punctured-space k estimate, the k estimates on
+#: ball:3 and punctured:3 at the defaults, which fold into the plane
+#: (the same bits under both dispatches), the other three map
 #: specs, the two Moebius-distortion suites, and the k queries on shared
 #: grids (C4_5 and a k estimate on the ball, QHJ on the interval),
 #: captured before grids were shared between queries.  The outputs that
@@ -70,6 +72,10 @@ CLI_GOLDEN = [
      '{"domain": "interval:0:1", "min_slack": 0.0, "params": {"c": 2.0, "set_size": 8}, "pass": true, "sample_count": 10000, "seed": 3, "suite_id": "L3_1", "tolerance": 1e-12, "witness": [[0.40719719128199483], [0.3045567644571672]]}\n'),
     ('k-estimate --domain punctured:2 --points 1,0 0.3,0.8 --spacing 0.1 --refinements 1', 0,
      '{"domain": "punctured:2", "refinement_history": [[0.1, 1.2304341031043768], [0.05, 1.224756373946804]], "spacing": 0.05, "value": 1.224756373946804}\n'),
+    ('k-estimate --domain ball:3 --points 0,0,0 0.5,0,0', 0,
+     '{"domain": "ball:3", "refinement_history": [[0.05, 0.6931473746651162], [0.025, 0.6931471927479559], [0.0125, 0.6931471813225869]], "spacing": 0.0125, "value": 0.6931471813225869}\n'),
+    ('k-estimate --domain punctured:3 --points 1,0,0 0,1,0', 0,
+     '{"domain": "punctured:3", "refinement_history": [[0.05, 1.574508347169174], [0.025, 1.5723581022838267], [0.0125, 1.571805479713768]], "spacing": 0.0125, "value": 1.571805479713768}\n'),
     ('dilatation --map identity:ball:2 --z 0.1,0.2', 0,
      '{"H_hat": 1.0000000000000249, "map": "identity:ball:2", "radii": [0.1, 0.01, 0.001], "ratios": [1.0000000000000007, 1.0000000000000029, 1.0000000000000249], "z": [0.1, 0.2]}\n'),
     ('dilatation --map b2h:2 --z 0,0', 0,

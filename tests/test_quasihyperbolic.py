@@ -23,6 +23,7 @@ from hypermetric.domains import (
     Interval,
     PuncturedSpace,
     UnitBall,
+    parse_domain,
     sample_interior,
     unit_directions,
 )
@@ -93,6 +94,9 @@ def test_stencil_is_pinned(dimension):
     assert len(offsets) == {1: 1, 2: 40, 3: 13}[dimension]
     assert reach == (5 if dimension == 2 else 1) == np.max(np.abs(offsets))
     assert offsets.dtype == np.int64 and not offsets.flags.writeable
+    if dimension == 2:
+        # the lens floors' edge bound
+        assert quasihyperbolic._LONGEST_OFFSET == np.max(np.linalg.norm(offsets, axis=1))
 
 
 class TestEstimator:
@@ -274,12 +278,11 @@ def _oracle_case(name):
 
 class TestOracleError:
     """Relative error of k_estimate_many against ``Domain.k_exact``, at the
-    CLI default (0.05, 2) and the uniformity default (0.1, 1); ball:3 at
-    (0.05, 2) exceeds the node cap.  Each bound is the measured range
-    widened by a margin.  The 3-D bounds are the 26-neighbourhood's
-    direction bias, which ROADMAP item 2 is to tighten.  The random ball:2
-    pairs check the shared-grid path, which every ``GenericDomain`` query
-    takes, off a diameter."""
+    CLI default (0.05, 2) and the uniformity default (0.1, 1).  Each bound
+    is the measured range widened by a margin.  The 3-D pairs are searched
+    in their fold into the plane, so their bounds are the 2-D stencil's.
+    The random ball:2 pairs check the shared-grid path, which every
+    ``GenericDomain`` query takes, off a diameter."""
 
     @pytest.mark.parametrize("name, controls, low, high", [
         # measured: +0.00002..+0.0084 and -0.0026..+0.0033 (Simpson's rule
@@ -295,11 +298,16 @@ class TestOracleError:
         # measured: -0.0046..+0.0011 and +0.000001..+0.00003
         ("interval", (0.1, 1), -0.007, 0.002),
         ("interval", (0.05, 2), -0.0005, 0.0005),
-        # measured: +0.0010..+0.1125, +0.024..+0.083 (never below k, by the
-        # rho_H floor) and +0.028..+0.083
-        ("ball:3", (0.1, 1), -0.002, 0.13),
-        ("halfspace:3", (0.1, 1), 0.0, 0.10),
-        ("punctured:3", (0.1, 1), 0.0, 0.10),
+        # measured: -0.0017..+0.000002, +0.0010..+0.0038 (never below k, by
+        # the rho_H floor) and +0.0012..+0.0043
+        ("ball:3", (0.1, 1), -0.002, 0.001),
+        ("halfspace:3", (0.1, 1), 0.0, 0.006),
+        ("punctured:3", (0.1, 1), 0.0, 0.006),
+        # measured: -0.00027..+0.00000001, +0.00042..+0.0009 and
+        # +0.00028..+0.00087
+        ("ball:3", (0.05, 2), -0.001, 0.001),
+        ("halfspace:3", (0.05, 2), 0.0, 0.002),
+        ("punctured:3", (0.05, 2), 0.0, 0.002),
     ], ids=lambda v: "h{}x{}".format(*v) if isinstance(v, tuple) else None)
     def test_relative_error_within_bound(self, name, controls, low, high):
         domain, xs, ys = _oracle_case(name)
@@ -748,11 +756,12 @@ def _reference_attach(grid, p, dp):
 
 
 def reference_history(domain, x, y, spacing, refinements):
-    """Per level: the pair's own lattice with each edge once, plus a node
-    for x (with the direct x-y edge) and one for y, searched undirected
-    without a limit; the value is y's distance."""
-    x = np.asarray(x, dtype=float).reshape(domain.dimension)
-    y = np.asarray(y, dtype=float).reshape(domain.dimension)
+    """Per level: the pair's own lattice in the domain's fold, with each
+    edge once, plus a node for x (with the direct x-y edge) and one for
+    y, searched undirected without a limit; the value is y's distance."""
+    x = np.asarray(x, dtype=float).reshape(1, domain.dimension)
+    y = np.asarray(y, dtype=float).reshape(1, domain.dimension)
+    domain, (x,), (y,) = domain.fold(x, y)
     dx, dy = domain.clearance_many(np.stack([x, y]))
     _, reach = quasihyperbolic._stencil(domain.dimension)
     history = []
@@ -1086,11 +1095,12 @@ class TestPathFloor:
     ], ids=["halfspace:2", "halfspace:2-j", "halfspace:3", "halfspace:3-j", "punctured:2",
             "punctured:3", "ball:2", "interval", "annulus"])
     def test_grid_distances_stay_above_the_floor(self, domain, floor, x, y, spacings):
-        # floor None is the lens's own floor, over lattice and attach edges
-        x = np.asarray(x, dtype=float)
+        # floor None is the lens's own floor, over lattice and attach edges;
+        # a 3-D pair is searched in its fold, as the estimator searches it
+        domain, (x,), (y,) = domain.fold(np.array([x], dtype=float), np.array([y], dtype=float))
         dx = float(domain.clearance_many(x[None, :])[0])
         for h in spacings:
-            grid = build_grid(domain, h, x, np.asarray(y, dtype=float))
+            grid = build_grid(domain, h, x, y)
             dist = _source_distances(grid, x, dx)
             reached = np.isfinite(dist)
             bound = (floor(domain, np.linalg.norm(grid.nodes - x, axis=1), dx, grid.clearances)
@@ -1146,7 +1156,7 @@ class TestLevelZero:
     """A per-query level 0 searches its lens under the pair's floor times
     1 + beta, the stencil's worst-direction overhead, and the margin."""
 
-    @pytest.mark.parametrize("dimension, beta", [(2, 0.0049), (3, 0.1281)])
+    @pytest.mark.parametrize("dimension, beta", [(2, 0.0049)])
     def test_overhead_is_the_stencil_hull_gauge(self, dimension, beta):
         from scipy.spatial import ConvexHull
 
@@ -1156,16 +1166,16 @@ class TestLevelZero:
         # the cheapest path along stencil directions costs the hull's
         # gauge per unit length, at most 1 / (least facet distance)
         gauge = 1.0 / np.min(-hull.equations[:, -1])
-        assert quasihyperbolic._overhead(dimension) == pytest.approx(gauge - 1.0, rel=1e-9)
-        assert round(quasihyperbolic._overhead(dimension), 4) == beta
-        assert quasihyperbolic._overhead(1) == 0.0
+        assert quasihyperbolic._overhead() == pytest.approx(gauge - 1.0, rel=1e-9)
+        assert round(quasihyperbolic._overhead(), 4) == beta
 
     @pytest.mark.parametrize("domain, x, y, exact", [
         (H2, (-1.2, 0.4), (0.9, 1.3), rho_halfspace),
         (HalfSpace(3), (0.0, 0.0, 0.4), (1.0, -0.5, 1.0), rho_halfspace)],
         ids=["halfspace:2", "halfspace:3"])
     def test_limit_is_the_floor_times_the_overhead(self, domain, x, y, exact, monkeypatch):
-        # on the half-space the floor is k itself
+        # on the half-space the floor is k itself; halfspace:3 is searched
+        # in its fold, with the 2-D stencil's overhead
         limits = []
         search = quasihyperbolic.dijkstra
 
@@ -1175,7 +1185,7 @@ class TestLevelZero:
 
         monkeypatch.setattr(quasihyperbolic, "dijkstra", recording)
         value = k_estimate(domain, x, y, 0.1, 0).value
-        beta = quasihyperbolic._overhead(domain.dimension)
+        beta = quasihyperbolic._overhead()
         assert limits == [pytest.approx(quasihyperbolic._LIMIT_MARGIN * (1.0 + beta)
                                         * exact(x, y), rel=1e-12)]
         assert value <= limits[0]
@@ -1183,7 +1193,7 @@ class TestLevelZero:
     def test_floor_share(self):
         # path_floor >= share * k: 1 on the half-space, the punctured
         # space's proved c, and 0 for j
-        ell = 0.05 * quasihyperbolic._longest_offset(2)
+        ell = 0.05 * quasihyperbolic._LONGEST_OFFSET
         assert H2.floor_share((ell, 0.01)) == 1.0
         assert Domain.floor_share(B2, (ell, 0.5)) == 0.0
         assert annulus_domain().floor_share((ell, 0.5)) == 0.0
@@ -1229,7 +1239,7 @@ class TestLevelZero:
     def test_level_zero_miss_searches_the_whole_window(self, monkeypatch):
         # with beta forced to -0.5 the level-0 limit lies below the value:
         # its lens, then its whole window, and the same bits
-        monkeypatch.setattr(quasihyperbolic, "_overhead", lambda dimension: -0.5)
+        monkeypatch.setattr(quasihyperbolic, "_overhead", lambda: -0.5)
         builds = []
         build = quasihyperbolic.build_grid
 
@@ -1285,7 +1295,8 @@ def _kquery_point(domain, rng):
 
 def kquery_cases():
     """(domain, xs, ys, spacing, refinements) at the benchmark's kquery
-    resolutions: pairs at least 0.3 apart."""
+    resolutions: pairs at least 0.3 apart, the halfspace:3 ones folded
+    into the plane, where the estimator searches them."""
     rng = np.random.default_rng(67)
     cases = []
     for domain, count, spacing, refinements in [(H2, 4, 0.05, 2), (P2, 4, 0.05, 2),
@@ -1296,7 +1307,7 @@ def kquery_cases():
             if np.linalg.norm(x - y) >= 0.3:
                 pairs.append((x, y))
         xs, ys = map(np.array, zip(*pairs))
-        cases.append((domain, xs, ys, spacing, refinements))
+        cases.append((*domain.fold(xs, ys), spacing, refinements))
     return cases
 
 
@@ -1389,7 +1400,8 @@ class TestLens:
     def test_tightest_lens_fuzz(self):
         # the limit is the whole window's value itself, for pairs in every
         # direction around the puncture at radii from 0.08 to 1.5 (0.6 in 3-D),
-        # and half-space pairs at heights from 0.03 to 1.5 (0.6 in 3-D)
+        # and half-space pairs at heights from 0.03 to 1.5 (0.6 in 3-D), the
+        # 3-D pairs folded into the plane
         rng = np.random.default_rng(1313)
         h3 = HalfSpace(3)
         checked = {P2: 0, P3: 0, H2: 0, h3: 0}
@@ -1408,17 +1420,18 @@ class TestLens:
                     x, y = np.concatenate(
                         [rng.uniform(-top, top, (2, n - 1)),
                          np.exp(rng.uniform(math.log(0.03), math.log(top), (2, 1)))], axis=1)
-                d = domain.clearance_many(np.stack([x, y]))
+                plane, (x,), (y,) = domain.fold(x[None], y[None])
+                d = plane.clearance_many(np.stack([x, y]))
                 for h in spacings:
                     query = (x[None], y[None], d[:1], d[1:])
                     try:
-                        whole = build_grid(domain, h, x, y)
+                        whole = build_grid(plane, h, x, y)
                     except GridError:
                         continue
                     value, failed = quasihyperbolic._grid_values(whole, *query, np.full(1, np.inf))
                     if failed:
                         continue
-                    lens = build_grid(domain, h, x, y, lens=(d[0], d[1], value[0]))
+                    lens = build_grid(plane, h, x, y, lens=(d[0], d[1], value[0]))
                     vals, failed = quasihyperbolic._grid_values(lens, *query, value)
                     assert not failed and vals[0].hex() == value[0].hex(), (x, y, h)
                     checked[domain] += 1
@@ -1446,9 +1459,9 @@ class TestLens:
             assert np.array_equal(keep, expected), (domain.spec_string(), h, x, y, limit)
             if np.count_nonzero(keep) < np.count_nonzero(window[3]):
                 dropping.add(domain.spec_string())
-        # every built-in kind has lenses that drop nodes, and the strip's
-        # window at spacing 0.05 is three rows tall
-        assert dropping >= {"halfspace:2", "halfspace:3", "punctured:2", "punctured:3"}
+        # both per-query built-ins have lenses that drop nodes, and the
+        # strip's window at spacing 0.05 is three rows tall
+        assert dropping >= {"halfspace:2", "punctured:2"}
         assert lens_window(strip_domain(), 0.05, x, y)[3].shape[1] == 3
 
     @staticmethod
@@ -1502,8 +1515,7 @@ class TestLens:
                 sep = np.linalg.norm(grid.nodes[node] - p, axis=1)
                 if node.size == 0 or np.max(sep) > (reach + 1) * h:
                     continue  # a wider or nearest-node pass: no lens
-                edges = (h * max(quasihyperbolic._longest_offset(domain.dimension), reach + 1),
-                         min(r, dp))
+                edges = (h * quasihyperbolic._LONGEST_OFFSET, min(r, dp))
                 floor = domain.path_floor(sep, dp, grid.clearances[node], edges)
                 assert np.all(w >= floor * (1.0 - 1e-12)), (domain.spec_string(), h, p)
                 checked += node.size
@@ -1634,8 +1646,9 @@ def whole_window_lens(domain, h, x, y, lens, starts, axes, clear, window):
 
 def lens_fuzz_cases():
     """(domain, spacing, x, y, limit): half-space heights from 0.03 and
-    punctured radii from 0.05, limits from 0.3 to 2 times k, and the
-    strip, whose window is narrower than a tile."""
+    punctured radii from 0.05, limits from 0.3 to 2 times k, the 3-D
+    pairs folded into the plane, and the strip, whose window is narrower
+    than a tile."""
     rng = np.random.default_rng(1801)
     cases = []
     for domain, count, spacings, exact in [
@@ -1653,7 +1666,8 @@ def lens_fuzz_cases():
                                        np.exp(rng.uniform(math.log(0.03), math.log(1.2), (2, 1)))],
                                       axis=1)
             limit = exact(x, y) * math.exp(rng.uniform(math.log(0.3), math.log(2.0)))
-            cases.append((domain, float(rng.choice(spacings)), x, y, limit))
+            plane, (x,), (y,) = domain.fold(x[None], y[None])
+            cases.append((plane, float(rng.choice(spacings)), x, y, limit))
     x, y = np.array([-0.3, 0.0]), np.array([0.35, 0.01])
     cases += [(strip_domain(), h, x, y, limit) for h in (0.05, 0.025)
               for limit in (0.5, 2.0, 3.0, 6.0)]
@@ -1777,7 +1791,7 @@ class TestBatchErrors:
         assert str(exc) == "both query points must lie inside the domain"
 
     def test_pair_across_the_puncture_of_the_line(self):
-        # no curve joins -1 and 1: the window refuses the pair, which then
+        # no curve joins -1 and 1: the fold refuses the pair, which then
         # fails as a pair with a point outside the domain does
         line = PuncturedSpace(1)
         xs, ys = [(0.5,), (-0.3,), (-1.0,), (0.0,)], [(0.8,), (-1.2,), (1.0,), (1.0,)]
@@ -1786,9 +1800,92 @@ class TestBatchErrors:
                             "components (-inf, 0) and (0, inf) are disjoint half-lines")
         exc = self.assert_same_failure(line, xs[::-1], ys[::-1], KControls(0.05, 2))
         assert str(exc) == "both query points must lie inside the domain"
-        # the pairs on one side keep their histories
+        # the pairs on one side keep their histories: the punctured:2 search
+        # of their fold reads the bits of the line's old 1-D lattice
         histories = [[v.hex() for _, v in k_estimate(line, x, y, 0.05, 2).refinement_history]
                      for x, y in zip(xs[:2], ys[:2])]
         assert histories == [
             ["0x1.e148ad67a4cc3p-2", "0x1.e148a25fb29cep-2", "0x1.e148a1ae4a2e3p-2"],
             ["0x1.62e44a5e131a9p+0", "0x1.62e4319bb24f6p+0", "0x1.62e4300a79bc5p+0"]]
+
+
+#: built-in domains outside the plane, by spec, and the plane domain each
+#: folds into
+FOLDED = {"halfspace:1": H2, "halfspace:3": H2, "halfspace:4": H2, "punctured:1": P2,
+          "punctured:3": P2, "punctured:4": P2, "ball:3": B2, "ball:4": B2}
+
+
+def _fold_pairs(spec):
+    """(domain, xs, ys): four interior pairs at clearance >= 0.2, those of
+    punctured:1 on one side of the puncture."""
+    domain = parse_domain(spec)
+    xs = sample_interior(domain, 4, seed=61, min_clearance=0.2)
+    ys = sample_interior(domain, 4, seed=62, min_clearance=0.2)
+    if spec == "punctured:1":
+        ys = np.abs(ys) * np.sign(xs)
+    return domain, xs, ys
+
+
+class TestFold:
+    """k queries outside the plane are searched in their fold into it: a
+    folded query is the plane query of the folded pair, bit for bit."""
+
+    @pytest.mark.parametrize("spec", sorted(FOLDED))
+    def test_folded_history_is_the_plane_history(self, spec):
+        domain, xs, ys = _fold_pairs(spec)
+        plane, fxs, fys = domain.fold(xs, ys)
+        assert plane == FOLDED[spec] and fxs.shape == fys.shape == (4, 2)
+        for x, y, fx, fy in zip(xs, ys, fxs, fys):
+            assert (_hex(k_estimate(domain, x, y, 0.1, 1).refinement_history)
+                    == _hex(k_estimate(plane, fx, fy, 0.1, 1).refinement_history))
+        controls = KControls(0.1, 1)
+        assert np.array_equal(k_estimate_many(domain, xs, ys, controls),
+                              k_estimate_many(plane, fxs, fys, controls))
+
+    @pytest.mark.parametrize("spec", sorted(FOLDED))
+    def test_fold_keeps_k_and_the_clearances(self, spec):
+        domain, xs, ys = _fold_pairs(spec)
+        plane, fxs, fys = domain.fold(xs, ys)
+        assert np.allclose(plane.k_exact(fxs, fys), domain.k_exact(xs, ys), rtol=1e-10, atol=0)
+        for p, fp in ((xs, fxs), (ys, fys)):
+            assert np.allclose(plane.clearance_many(fp), domain.clearance_many(p),
+                               rtol=0, atol=1e-15)
+
+    def test_plane_domains_fold_to_themselves(self):
+        xs, ys = np.array([[0.1, 0.5]]), np.array([[0.3, 0.2]])
+        for domain in (B2, H2, P2, UnitBall(1), Interval(0, 1), annulus_domain()):
+            rows = (xs[:, :domain.dimension], ys[:, :domain.dimension])
+            plane, fxs, fys = domain.fold(*rows)
+            assert plane is domain and fxs is rows[0] and fys is rows[1]
+
+    def test_outside_point_fails_before_the_fold(self):
+        # the pair 0, -1 lies across the puncture of the line, which the
+        # fold refuses; but 0 is outside, and that is the failure
+        line = PuncturedSpace(1)
+        with pytest.raises(ValueError, match="^both query points must lie inside the domain$"):
+            k_estimate(line, (0.0,), (-1.0,), 0.05, 2)
+        with pytest.raises(ValueError, match="^no curve joins"):
+            k_estimate(line, (0.5,), (-1.0,), 0.05, 2)
+
+    def test_ball_shares_the_plane_grids(self):
+        quasihyperbolic._shared_grid.cache_clear()
+        try:
+            k_estimate(UnitBall(3), (0.1, 0.2, 0.3), (-0.4, 0.1, 0.0), 0.1, 1)
+            built = quasihyperbolic._shared_grid.cache_info().misses
+            k_estimate(B2, (0.1, 0.2), (-0.4, 0.1), 0.1, 1)
+            assert built == quasihyperbolic._shared_grid.cache_info().misses == 2
+        finally:
+            quasihyperbolic._shared_grid.cache_clear()
+
+    def test_generic_domain_outside_the_plane(self):
+        # its shared lattice serves every dimension, but a lattice per pair
+        # is built only in the plane
+        def clearance(xs):
+            return 1.0 - np.linalg.norm(xs, axis=1)
+
+        ball = GenericDomain(3, clearance, lambda xs: clearance(xs) > 0.0, ((-1.0,) * 3, (1.0,) * 3))
+        x, y = (0.1, 0.0, 0.0), (0.5, 0.3, 0.0)
+        k = UnitBall(3).k_exact(np.array([x]), np.array([y]))[0]
+        assert k_estimate(ball, x, y, 0.2, 0).value == pytest.approx(k, rel=0.15)
+        with pytest.raises(ValueError, match="searched only in 2-D"):
+            k_estimate(PerPairGeneric.of(ball), x, y, 0.2, 0)

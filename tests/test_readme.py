@@ -66,10 +66,9 @@ def test_estimator_figures_match_the_code():
     assert float(margin.group(1)) == quasihyperbolic._LIMIT_MARGIN
     level0 = re.search(r"level 0 stops at ([\d.]+) times \(1 \+ beta\) times the pair's path "
                        r"floor \(below\), where beta is the stencil's worst-direction overhead: "
-                       r"([\d.]+)% in 2-D and ([\d.]+)% in 3-D", text)
-    overhead = quasihyperbolic._overhead
+                       r"([\d.]+)%, since every per-query grid is 2-D", text)
     assert [float(v) for v in level0.groups()] == [
-        quasihyperbolic._LIMIT_MARGIN, round(100.0 * overhead(2), 2), round(100.0 * overhead(3), 1)]
+        quasihyperbolic._LIMIT_MARGIN, round(100.0 * quasihyperbolic._overhead(), 2)]
     share = re.search(r"proved to keep a share of k of at least 1/([\d.]+) ", text)
     assert float(share.group(1)) == quasihyperbolic._LIMIT_MARGIN
     assert f"tiles of {quasihyperbolic._TILE} cells a side" in text
