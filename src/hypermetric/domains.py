@@ -21,9 +21,10 @@ forms are the generic answers: ``boundary_sample`` (points at small
 clearance; base: the uniform law), ``chord_reach`` (base: none, so no
 collinear stratum), ``fold``, k queries mapped into the plane (base:
 the identity), ``geodesic_window``, a box and a band of clearances
-(base: the sample box and every clearance), ``path_floor`` (base: j),
-``floor_share``, the share of k the floor is proved to keep (base: 0),
-and ``complement_sample`` (base: none).  The flags follow the
+(base: the sample box and every clearance), ``segment_integral``, the
+weight of a straight edge (base: Simpson's rule; exact on the half-space
+and the punctured space), ``path_floor`` (base: j) and
+``complement_sample`` (base: none).  The flags follow the
 overrides: ``boundary_strata`` is true where a domain overrides
 ``chord_reach``, and samplers then draw its boundary-edge and collinear
 strata; ``pair_window`` where it overrides ``geodesic_window`` (the
@@ -82,6 +83,10 @@ def as_points(xs, dim: int) -> np.ndarray:
 #: the normal finite range of a float64
 _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
+
+#: a punctured-space segment whose d_a + d_b - length is at most this
+#: share of d_a + d_b reads as one through 0 (``segment_integral``)
+_THROUGH = 4.0 * np.finfo(float).eps
 
 
 def _dot(a, b) -> np.ndarray:
@@ -316,38 +321,47 @@ class Domain:
         identity here.  It may raise ``ValueError`` for a pair no curve joins."""
         return self, xs, ys
 
-    def path_floor(self, sep, d_a, d_b, edges=None):
+    def segment_integral(self, mid, length, d_a, d_b):
+        """The estimator's weight of straight segments, the integral of 1/d
+        along each or an approximation of it, and inf where the segment is
+        not known to stay inside.  ``mid`` holds the midpoints' coordinates,
+        one array per axis (``clearance_grid``'s form), ``length`` the
+        lengths and d_a, d_b the end clearances; all broadcast together.
+
+        The base form is Simpson's rule length / 6 (1/d_a + 4/d(mid) +
+        1/d_b), and inf where the midpoint lies outside.  It is formed in
+        place, each step a commutative IEEE operation, so the terms' order
+        does not move a bit."""
+        dm = self.clearance_grid(mid)
+        ok = dm > 0.0
+        w = np.where(ok, dm, 1.0)
+        np.divide(4.0, w, out=w)
+        w += 1.0 / d_a
+        w += 1.0 / d_b
+        w *= length / 6.0
+        w[~ok] = np.inf
+        return w
+
+    def path_floor(self, sep, d_a, d_b):
         """A lower bound on the estimator's weight of every polyline
         between two points at separation ``sep`` with clearances d_a, d_b.
 
-        ``edges`` = (ell, r) may narrow the bound to the polylines whose
-        every edge is at most ell long and joins points of clearance >= r.
-
-        The base form is j and ignores ``edges``.  A polyline that has run
-        a length s from a reaches clearance at most d_a + s (the clearance
-        is 1-Lipschitz), and a Simpson weight overestimates the integral
-        of 1/(d_a + s + t), whose fourth derivative is positive; so the
-        polyline weighs at least log(1 + |a - b| / d_a), and by symmetry
-        at least j.
+        The base form is j.  A polyline that has run a length s from a
+        reaches clearance at most d_a + s (the clearance is 1-Lipschitz),
+        and a Simpson weight overestimates the integral of 1/(d_a + s + t),
+        whose fourth derivative is positive, as an exact weight is at least
+        it; so the polyline weighs at least log(1 + |a - b| / d_a), and by
+        symmetry at least j.
 
         An override must keep the floor from a fixed point a 1-Lipschitz
-        function of the other point in k, with the same ``edges``:
-        |floor(a, z) - floor(a, c)| <= k(z, c).  The estimator's lens
-        relies on it to bound the floor over a tile of lattice cells from
-        its centre.  j is a metric and j <= k (Gehring and Osgood 1979),
-        so the base form has it; rho_H on the half-space is k itself; and
-        c k_P with c < 1 on the punctured space has it, k_P being k
-        there.  A max of such floors has it too."""
+        function of the other point in k: |floor(a, z) - floor(a, c)| <=
+        k(z, c).  The estimator's lens relies on it to bound the floor over
+        a tile of lattice cells from its centre.  j is a metric and j <= k
+        (Gehring and Osgood 1979), so the base form has it, and k itself
+        has it, the floor of the half-space and the punctured space."""
         from .metrics import j_kernel
 
         return j_kernel(sep, d_a, d_b)
-
-    def floor_share(self, edges) -> float:
-        """A share c of k that ``path_floor`` with these ``edges`` is
-        proved to keep at every pair: floor >= c k.  The estimator gives a
-        per-query level 0 a search limit only where c is close to 1.  The
-        base form is j, for which no share is proved, so 0."""
-        return 0.0
 
     def complement_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Seeded points outside the domain, one per row."""
@@ -475,16 +489,22 @@ class HalfSpace(Domain):
         hi[-1] = 1.2 * apex + pad
         return lo, hi, (0.0, math.inf)
 
-    def path_floor(self, sep, d_a, d_b, edges=None):
-        # the clearance is affine along a segment, so each Simpson weight
-        # is at least the segment's hyperbolic length: the floor is rho_H
+    def segment_integral(self, mid, length, d_a, d_b):
+        # the clearance is affine along a segment, so the integral of 1/d is
+        # length log(hi / lo) / (hi - lo) = length / lo log1p(r) / r with
+        # r = (hi - lo) / lo, and length / lo at r = 0; measured within
+        # 2.2e-16 of 50-digit values on 550 seeded segments
+        # (tests/test_segment_integral.py)
+        lo = np.minimum(d_a, d_b)
+        r = (np.maximum(d_a, d_b) - lo) / lo
+        with np.errstate(invalid="ignore"):
+            return length / lo * np.where(r > 0.0, np.log1p(r) / r, 1.0)
+
+    def path_floor(self, sep, d_a, d_b):
+        # every edge weighs its exact hyperbolic length: the floor is rho_H
         from .metrics import rho_halfspace_kernel
 
         return rho_halfspace_kernel(sep * sep, d_a, d_b)
-
-    def floor_share(self, edges):
-        # rho_H is k on the half-space
-        return 1.0
 
     def complement_sample(self, count, rng):
         pts = rng.uniform(-2.0, 2.0, size=(count, self.dimension))
@@ -548,43 +568,46 @@ class PuncturedSpace(Domain):
         r_lo, r_hi = 0.5 * min(rx, ry), 2.0 * max(rx, ry)
         return np.full(self.dimension, -r_hi), np.full(self.dimension, r_hi), (r_lo, r_hi)
 
-    def path_floor(self, sep, d_a, d_b, edges=None):
-        """j, or with ``edges`` = (ell, r) max(j, c k_P), where
-        k_P = sqrt(theta^2 + log^2(d_a / d_b)) is the exact k and c the
-        share of it that a Simpson weight is proved to keep.
+    def segment_integral(self, mid, length, d_a, d_b):
+        """The exact integral of 1/|z| along segments, from their lengths
+        l and end radii alone.
 
-        An edge of length l <= ell between points of radius >= r passes
-        the origin at a distance q >= rho = sqrt(r^2 - ell^2 / 4), since
-        its nearer end lies within l / 2 of the foot of the
-        perpendicular.  Along the edge f = (s^2 + p^2)^(-1/2) has the
-        fourth derivative 3 (35 u^2 - 30 u + 3) / |z|^5 with u in [0, 1],
-        at most 24 / q^5 in size, and the exact integral is
-        I >= l / (q + l).  Simpson's remainder, l^5 / 2880 times the
-        fourth derivative, then gives S >= (1 - delta) I with
-        delta = t^4 (1 + t) / 120 at t = l / q <= ell / rho, and
-        c = 1 - delta - 1e-6 at t = ell / rho covers rounding.  I is at
-        least k_P of the edge's ends, so by the triangle inequality a path
-        of such edges weighs at least c k_P of its ends.  Where rho or c is
-        not positive the bound is j alone.  k_P is read off the triangle
-        (0, a, b) by the half-angle form sin^2(theta / 2) =
-        (sep - d_a + d_b)(sep + d_a - d_b) / (4 d_a d_b), which stays
-        accurate near theta = 0."""
-        j = super().path_floor(sep, d_a, d_b)
-        c = 0.0 if edges is None else self.floor_share(edges)
-        if c == 0.0:
-            return j
+        For a segment at distance p from 0, with its ends at t_a and
+        t_b = t_a + l from the foot of the perpendicular, the integral is
+        asinh(t_b / p) - asinh(t_a / p) = log((t_b + d_b) / (t_a + d_a)).
+        By t_a = ((d_b^2 - d_a^2) / l - l) / 2 that ratio is (e + 2 l) / e,
+        e = d_a + d_b - l, so the weight is log1p(2 l / e): symmetric, with
+        no p and no cancellation in t + d.  e is formed with one rounding.
+        Measured within 2.2e-16 of 50-digit values on 700 seeded segments,
+        radial ones and ones passing 0 at 1e-6 of their ends' radius among
+        them (tests/test_segment_integral.py).  The segment meets 0 where
+        e = 0; the weight is inf where e <= 4 eps (d_a + d_b), below which
+        the inputs' own rounding cannot tell it from one through 0."""
+        # e = (s - l) + (small - (s - big)) for s = d_a + d_b, in place, as a
+        # block of the lattice's edges is the largest call
+        shape = np.broadcast(length, d_a, d_b).shape
+        s = np.add(d_a, d_b, out=np.empty(shape))
+        e = np.maximum(d_a, d_b, out=np.empty(shape))
+        np.subtract(s, e, out=e)
+        np.subtract(np.minimum(d_a, d_b), e, out=e)
+        e += s - length
+        through = e <= _THROUGH * s
+        e[through] = 1.0
+        w = np.multiply(2.0, length, out=s)
+        w /= e
+        np.log1p(w, out=w)
+        w[through] = np.inf
+        return w
+
+    def path_floor(self, sep, d_a, d_b):
+        """k_P = sqrt(theta^2 + log^2(d_a / d_b)), the exact k: every edge
+        weighs its exact integral, so a grid path weighs at least k.
+        theta is read off the triangle (0, a, b) by the half-angle form
+        sin^2(theta / 2) = (sep - d_a + d_b)(sep + d_a - d_b) / (4 d_a d_b),
+        which stays accurate near theta = 0."""
         half = (sep - d_a + d_b) * (sep + d_a - d_b) / (4.0 * d_a * d_b)
         theta = 2.0 * np.arcsin(np.sqrt(np.clip(half, 0.0, 1.0)))
-        return np.maximum(j, c * np.hypot(theta, np.log(d_a / d_b)))
-
-    def floor_share(self, edges):
-        """c of ``path_floor``, or 0 where rho or c is not positive."""
-        ell, r = edges
-        rho2 = r * r - 0.25 * ell * ell
-        if not rho2 > 0.0:
-            return 0.0
-        t = ell / math.sqrt(rho2)
-        return max(0.0, 1.0 - t ** 4 * (1.0 + t) / 120.0 - 1e-6)
+        return np.hypot(theta, np.log(d_a / d_b))
 
     def complement_sample(self, count, rng):
         # the complement is the single puncture

@@ -35,43 +35,43 @@ Estimator construction, per refinement level (spacing halved each time):
   and 1 elsewhere (a single 2-D ring leaves a direction-quantization
   error of several percent, far above the 1% target; r = 5 brings the
   worst-direction overhead sec(gap/2) - 1 to ~0.5%);
-* weights: ``_segment_weights`` for every edge, Simpson quadrature of
-  1/d along the straight segment (endpoint-only trapezoid carries ~1%
-  error at the stencil's edge lengths near clearance 0.2);
+* weights: ``Domain.segment_integral`` for every edge, the integral of
+  1/d along the straight segment: exact on the half-space and the
+  punctured space, and Simpson's rule elsewhere (endpoint-only trapezoid
+  carries ~1% error at the stencil's edge lengths near clearance 0.2);
 * assembly, node-major over the kept nodes, in blocks of nodes: each
   node's stencil neighbours are one fixed flat step per offset away in
   the node index map padded by the reach.  Midpoint coordinates and
   squared steps vary along one axis each, so each node's row of them is
   read from small (cells on the axis, offsets) tables built once per
-  axis; the midpoint clearances are one ``Domain.clearance_grid`` call
-  on those rows, which ``_segment_weights`` turns into weights.  The
-  block's (node, offset) table is in CSR order, so its kept entries are
-  the CSR rows, written straight into outputs sized by the lattice
-  edges; no edge gathers its endpoints' positions and no edge is
-  scattered into its row.  Nodes are read off the axes at the window's
+  axis; ``Domain.segment_integral`` weighs the block from those rows,
+  the steps and the nodes' clearances (Simpson's rule reads the midpoint
+  clearances in one ``Domain.clearance_grid`` call).  The block's (node,
+  offset) table is in CSR order, so its kept entries are the CSR rows,
+  written straight into outputs sized by the lattice edges; no edge
+  gathers its endpoints' positions and no edge is scattered into its
+  row.  Nodes are read off the axes at the window's
   cells, and no (cells, n) point matrix is formed;
 * both query points are attached to every node within (reach+1)*h via
-  the same segment weights (plus a direct x-y edge when they are that
+  the same segment integral (plus a direct x-y edge when they are that
   close), so endpoint handling adds no O(h * density) detour penalty.
 
-Grid paths are admissible curves up to quadrature error, so estimates
-usually lie above k, but Simpson's rule can fall below the integral:
-across the kink of 1 - |z| at the ball's centre, the worst of 1000
-diameter pairs through it read 1.9% below k at spacing 0.1.  No
-rigorous enclosure is claimed.  Each domain supplies the search window
-(``Domain.geodesic_window``); those of the unbounded domains provably
-contain the true geodesic.
+Grid paths are admissible curves.  On the half-space and the punctured
+space every edge weighs its exact integral (inf through the puncture),
+so every estimate there is an upper bound on k, up to the rounding of a
+path's sum.  Elsewhere estimates usually lie above k, but Simpson's rule
+can fall below the integral: across the kink of 1 - |z| at the ball's
+centre, the worst of 1000 diameter pairs through it read 1.9% below k
+at spacing 0.1, so no enclosure is claimed there.  Each domain supplies
+the search window (``Domain.geodesic_window``); those of the unbounded
+domains provably contain the true geodesic.
 
 Every grid path from a to b weighs at least ``Domain.path_floor(|a - b|,
 d(a), d(b))``: j on every domain, because the clearance is 1-Lipschitz
-and Simpson overestimates the integral of 1/(d + t); rho_H on the
-half-space, because there the clearance is affine along each segment.
-So every estimate is at least j, and on the half-space at least
-rho_H = k.  On the punctured space a path whose edges are at most ell
-long and keep clearance >= r weighs at least c k_P, where k_P is the
-exact log-polar k and c < 1 bounds Simpson's error on such edges; near
-the puncture, where no c > 0 is proved, the floor is j (see
-``PuncturedSpace.path_floor``).
+and a Simpson or exact weight is at least the integral of 1/(d + t);
+and k itself on the half-space and the punctured space (rho_H and the
+log-polar k_P), whose weights are exact.  So every estimate is at least
+j.
 
 Every query goes through ``_grid_values``: x is a source-only row
 appended to the grid's CSR adjacency (a shared grid keeps room for one
@@ -83,27 +83,21 @@ left-to-right sum over paths, so this is bit for bit the distance a
 sink node for y would get.  Level l >= 1 stops its search at the level
 l - 1 value times ``_LIMIT_MARGIN``, and level 0 of a per-query grid at
 the pair's path floor times 1 + beta and ``_LIMIT_MARGIN``, with beta
-the 2-D stencil's worst-direction overhead (``_overhead``: 0.49%),
-where the floor keeps a share c >= 1 / ``_LIMIT_MARGIN``
-of k (``Domain.floor_share``): the half-space, and the punctured space
-away from the puncture.  That limit is at least (1 + beta) k; a weaker
-floor (j, or the punctured floor near the puncture) would put it below
-the level-0 value, so level 0 is searched there with no limit, on its
-whole window.  Nodes within the limit are settled exactly as without
-one, so a value within it is exact; the limit is a search bound, not a
-claim.  One rule, in ``_histories``, covers the rest: a value that
-comes back above its limit is searched once more, without a limit, on
-the whole window, and a pair is unreached only when a search without a
-limit misses it.
+the 2-D stencil's worst-direction overhead (``_overhead``: 0.49%).
+Where the floor is k, that limit is at least (1 + beta) k; a weaker
+floor, j on a domain that overrides ``geodesic_window`` alone, may put
+it below the level-0 value.  Nodes within the limit are settled exactly
+as without one, so a value within it is exact; the limit is a search
+bound, not a claim.  One rule, in ``_histories``, covers the rest: a
+value that comes back above its limit is searched once more, without a
+limit, on the whole window, and a pair is unreached only when a search
+without a limit misses it.
 
 On a per-query grid, every level holds only the lens of its limit L:
 the nodes z with floor(x, z) + floor(z, y) <= L (1 + 1e-9), plus those
 within (reach + 1) h of either endpoint, the nodes ``_attach``'s first
 pass reads; and its box is cropped to them.  A lens is built only when
-that pass attaches both endpoints: its attach edges, at most
-(reach + 1) h long, are within the longest stencil edge, so with
-ell = sqrt 41 h, its length, each floor covers the attach edges and the
-lattice edges alike.  A node on an optimal path of
+that pass attaches both endpoints.  A node on an optimal path of
 value V <= L has a floor sum of at most V, so it is kept; the float
 Dijkstra fixed point does not depend on node numbering, so every value
 within L is bit for bit the whole window's, and an endpoint attaches in
@@ -268,8 +262,9 @@ class GeodesicGrid:
 
     The edge set is a CSR adjacency: node u's edges are
     ``neighbours[indptr[u]:indptr[u+1]]`` with ``weights`` at the same
-    positions.  Every weight is the Simpson approximation of the 1/d line
-    integral along the straight segment between its endpoints.  A grid
+    positions.  Every weight is ``Domain.segment_integral`` of the
+    straight segment between its endpoints: the 1/d line integral, exact
+    on the half-space and the punctured space.  A grid
     built for one query holds each undirected edge once, at its lower
     node, and is searched undirected; a shared grid is ``directed``: it
     holds every kept edge in both directions, so that one directed search
@@ -492,10 +487,6 @@ def _stencil(dimension: int) -> tuple[np.ndarray, int]:
     return offsets, reach
 
 
-#: the longest 2-D stencil offset, (r, r - 1), in cells: sqrt 41
-_LONGEST_OFFSET = math.hypot(STENCIL_REACH_2D, STENCIL_REACH_2D - 1)
-
-
 @functools.cache
 def _overhead() -> float:
     """beta, the most by which the shortest path along 2-D stencil
@@ -512,47 +503,32 @@ def _overhead() -> float:
 # ---------------------------------------------------------------------------
 
 
-def _segment_weights(dm: np.ndarray, length, inv_u, inv_v) -> tuple[np.ndarray, np.ndarray]:
-    """Simpson weights length / 6 (1/d(u) + 4/d(m) + 1/d(v)) of 1/d along
-    straight segments, from their midpoint clearances d(m), lengths and
-    the endpoints' 1/d, which broadcast together; rows whose midpoint
-    lies outside the domain are masked.  Formed in place, each step a
-    commutative IEEE operation, so the terms' order does not move a bit."""
-    ok = dm > 0.0
-    w = np.where(ok, dm, 1.0)
-    np.divide(4.0, w, out=w)
-    w += inv_u
-    w += inv_v
-    w *= length / 6.0
-    return w, ok
-
-
 def _box_text(lo: np.ndarray, hi: np.ndarray) -> str:
     return " x ".join(f"[{float(a)!r}, {float(b)!r}]" for a, b in zip(lo, hi))
 
 
-def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, r: float, near: np.ndarray):
+def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, near: np.ndarray,
+                d_near: np.ndarray):
     """The domain's path floor from the query point p, a lower bound on
     every grid path from p to a node, as a function of the node's
     coordinates (arrays, one per axis, that broadcast together) and
     clearance, or None when ``_attach``'s first pass does not attach p;
-    and which of the ``near`` nodes, those of p's first attach box, lie
-    within (reach + 1) h of p.  ``r`` is the least clearance of a window
-    node.  The first pass attaches p when one of those nodes gives a
-    segment whose midpoint lies inside the domain, and then every edge of
-    a path from p, its attach edge or a lattice edge, is at most the
-    longest 2-D offset long and joins points of clearance at least
-    min(r, d(p)): the floor's own proof covers the first edge too."""
-    read = np.linalg.norm(near - p, axis=1) <= (STENCIL_REACH_2D + 1) * h
-    if not np.any(domain.clearance_many(0.5 * (p + near[read])) > 0.0):
+    and which of the ``near`` nodes, those of p's first attach box with
+    clearances ``d_near``, lie within (reach + 1) h of p.  The first pass
+    attaches p when one of those nodes gives a segment of finite weight
+    (``Domain.segment_integral``), and the floor covers every path from
+    p, its attach edge included."""
+    gap = np.linalg.norm(near - p, axis=1)
+    read = gap <= (STENCIL_REACH_2D + 1) * h
+    w = domain.segment_integral((0.5 * (p + near[read])).T, gap[read], dp, d_near[read])
+    if not np.any(np.isfinite(w)):
         return None, read
-    edges = (h * _LONGEST_OFFSET, min(r, dp))
 
     def floor(coords, dz):
         # |z - p| axis by axis: several times faster than norm(axis=1) on
         # n-wide rows, and summed in its order, so bit for bit its value
         sep = np.sqrt(functools.reduce(np.add, [(c - q) * (c - q) for c, q in zip(coords, p)]))
-        return domain.path_floor(sep, dp, dz, edges)
+        return domain.path_floor(sep, dp, dz)
 
     return floor, read
 
@@ -579,8 +555,6 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
     exceeds the lens bound, with a relative guard for rounding, holds no
     cell the lens keeps."""
     dx, dy, limit = lens
-    # the least clearance of a window node, with no gather: min is exact
-    r = float(np.min(clear, where=window, initial=np.inf))
     span = _cell_span(2, 0)
     boxes, floors = [], []
     for p, dp in ((x, dx), (y, dy)):
@@ -589,7 +563,7 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
                     for c, d in zip(cell, window.shape))
         near = window[box]
         points = np.stack([ax[s][i] for ax, s, i in zip(axes, box, np.nonzero(near))], axis=1)
-        floor, read = _floor_from(domain, h, p, dp, r, points)
+        floor, read = _floor_from(domain, h, p, dp, points, clear[box][near])
         if floor is None:
             return np.zeros(window.shape, dtype=bool)
         floors.append(floor)
@@ -708,8 +682,8 @@ def build_grid(domain: Domain, spacing: float, x, y,
     at = functools.reduce(np.add, [(c + reach) * s for c, s in zip(cells, strides)])
     nodes = np.stack([ax[c] for ax, c in zip(axes, cells)], axis=1)
     node_clear = clear[mask]
-    # 1/d by node, and 1.0 at index -1 for a neighbour that is no node
-    inv = 1.0 / np.append(node_clear, 1.0)
+    # d by node, and 1.0 at index -1 for a neighbour that is no node
+    padded_clear = np.append(node_clear, 1.0)
 
     # per axis, (cells, offsets) tables of the midpoint coordinate and the
     # squared step along it, from the axis padded by the reach and formed
@@ -742,9 +716,10 @@ def build_grid(domain: Domain, spacing: float, x, y,
         length = steps_sq[0][rows[0]]
         for q, r in zip(steps_sq[1:], rows[1:]):
             length += q[r]
-        w, ok = _segment_weights(domain.clearance_grid([m[r] for m, r in zip(mids, rows)]),
-                                 np.sqrt(length, out=length), inv[block, None], inv[near])
-        has = ok & (near >= 0)
+        w = domain.segment_integral([m[r] for m, r in zip(mids, rows)],
+                                    np.sqrt(length, out=length), padded_clear[block, None],
+                                    padded_clear[near])
+        has = np.isfinite(w) & (near >= 0)
         count = int(np.count_nonzero(has))
         neighbours[end:end + count] = near[has]
         weights[end:end + count] = w[has]
@@ -980,8 +955,9 @@ def _attach(grid: GeodesicGrid, ps: np.ndarray,
         np.minimum.at(nearest, owner, dist)
         near |= lone[owner] & (dist <= nearest[owner] * 1.0001)
         owner, cand = owner[near], cand[near]
-        w, ok = _segment_weights(domain.clearance_many(0.5 * (p[near] + pos[near])), dist[near],
-                                 1.0 / dps[pending[owner]], 1.0 / grid.clearances[cand])
+        w = domain.segment_integral((0.5 * (p[near] + pos[near])).T, dist[near],
+                                    dps[pending[owner]], grid.clearances[cand])
+        ok = np.isfinite(w)
         found.append((pending[owner[ok]], cand[ok], w[ok]))
         attached = np.zeros(pending.size, dtype=bool)
         attached[owner[ok]] = True
@@ -1064,10 +1040,10 @@ def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.nda
     gap = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
     direct = np.flatnonzero((gap > 0.0) & (gap <= (reach + 1) * grid.spacing))
     if direct.size:
-        w, ok = _segment_weights(grid.domain.clearance_many(0.5 * (xs[direct] + ys[direct])),
-                                 np.linalg.norm(d[direct], axis=1), 1.0 / dxs[direct],
-                                 1.0 / dys[direct])
-        values[direct[ok]] = w[ok]
+        w = grid.domain.segment_integral((0.5 * (xs[direct] + ys[direct])).T,
+                                         np.linalg.norm(d[direct], axis=1), dxs[direct],
+                                         dys[direct])
+        values[direct] = w
     size = _chunk_size(grid)
     by_limit = np.argsort(limits, kind="stable")
     for chunk in (by_limit[s:s + size] for s in range(0, by_limit.size, size)):
@@ -1129,13 +1105,12 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
     depend on the pair (``Domain.pair_window`` is false), and otherwise
     each live pair on a lattice of its own, its lens under its limit.
     Level 0 on a per-query lattice stops its search at the pair's path
-    floor times 1 + beta (``_overhead``) and ``_LIMIT_MARGIN`` where the
-    floor keeps a share of k of at least 1 / ``_LIMIT_MARGIN``
-    (``Domain.floor_share``), and level l >= 1 at its level l - 1 value
-    times ``_LIMIT_MARGIN``.  A value above its limit, or a lens with no node,
-    is searched again without a limit on the whole window (a shared
-    grid's kept edges), and a shared-grid value above its ``exact_to``,
-    once more on every edge of the shared lattice, built afresh.
+    floor times 1 + beta (``_overhead``) and ``_LIMIT_MARGIN``, and level
+    l >= 1 at its level l - 1 value times ``_LIMIT_MARGIN``.  A value
+    above its limit, or a lens with no node, is searched again without a
+    limit on the whole window (a shared grid's kept edges), and a
+    shared-grid value above its ``exact_to``, once more on every edge of
+    the shared lattice, built afresh.
     """
     m = xs.shape[0]
     d = domain.clearance_many(np.concatenate([xs, ys]))
@@ -1165,16 +1140,10 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
     shared = not domain.pair_window
     if not shared:
         # a search bound, not a claim: a value above it is searched again;
-        # only a floor that keeps a share c >= 1 / margin of k gives a
-        # limit of at least (1 + beta) k, the stencil's worst direction
-        ell = controls.spacing * _LONGEST_OFFSET
-        scale = _LIMIT_MARGIN * (1.0 + _overhead())
-        for i in live:
-            edges = (ell, min(dxs[i], dys[i]))
-            if domain.floor_share(edges) * _LIMIT_MARGIN >= 1.0:
-                floor = domain.path_floor(float(np.linalg.norm(xs[i] - ys[i])), dxs[i], dys[i],
-                                          edges)
-                limits[i] = scale * float(floor)
+        # where the floor is k, it is at least (1 + beta) k, the stencil's
+        # worst direction
+        limits[live] = _LIMIT_MARGIN * (1.0 + _overhead()) * domain.path_floor(
+            np.linalg.norm(xs[live] - ys[live], axis=1), dxs[live], dys[live])
 
     def grid(pairs, lens=None, every=False):
         # passed straight to one search, so no two per-query grids coexist;
@@ -1237,9 +1206,11 @@ def k_estimate(
 ) -> KEstimate:
     """Shortest-path estimate of k(x, y), spacing halved per refinement.
 
-    The refinement history usually decreases toward the true value
-    (estimates usually lie above it) but monotonicity is not guaranteed
-    and not asserted.
+    On the half-space and the punctured space every value is an upper
+    bound on k, up to rounding: the grid path is a curve, and each edge
+    weighs its exact integral.  Elsewhere values usually lie above k.  The
+    refinement history usually decreases toward the true value, but
+    monotonicity is not guaranteed and not asserted.
     """
     x = as_point(x, domain.dimension)
     y = as_point(y, domain.dimension)

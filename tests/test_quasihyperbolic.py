@@ -39,6 +39,7 @@ from hypermetric.quasihyperbolic import (
 )
 from hypermetric.verify import uniformity_estimate
 
+from test_bit_identity import _dispatch
 from test_domains import annulus_domain
 
 H2 = HalfSpace(2)
@@ -94,9 +95,6 @@ def test_stencil_is_pinned(dimension):
     assert len(offsets) == {1: 1, 2: 40, 3: 13}[dimension]
     assert reach == (5 if dimension == 2 else 1) == np.max(np.abs(offsets))
     assert offsets.dtype == np.int64 and not offsets.flags.writeable
-    if dimension == 2:
-        # the lens floors' edge bound
-        assert quasihyperbolic._LONGEST_OFFSET == np.max(np.linalg.norm(offsets, axis=1))
 
 
 class TestEstimator:
@@ -318,15 +316,43 @@ class TestOracleError:
 
 class TestGrid:
     def test_edge_weights_match_simpson_form(self):
-        grid = build_grid(H2, 0.1, np.array([0.0, 1.0]), np.array([0.6, 1.0]))
+        # the base form, on the ball
+        grid = build_grid(B2, 0.1, np.array([0.0, 0.0]), np.array([0.6, 0.0]))
         u = grid.nodes[grid.edges[:, 0]]
         v = grid.nodes[grid.edges[:, 1]]
         mid = 0.5 * (u + v)
         length = np.linalg.norm(u - v, axis=1)
-        expected = length / 6.0 * (
-            1.0 / u[:, -1] + 4.0 / mid[:, -1] + 1.0 / v[:, -1]
-        )
+
+        def inv(z):
+            return 1.0 / (1.0 - np.linalg.norm(z, axis=1))
+
+        expected = length / 6.0 * (inv(u) + 4.0 * inv(mid) + inv(v))
         assert np.allclose(grid.weights, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("domain, y", [(H2, (0.6, 1.0)), (P2, (-0.9, 0.4))],
+                             ids=["halfspace:2", "punctured:2"])
+    def test_edge_weights_are_exact_integrals(self, domain, y):
+        # ell log(d_v / d_u) / (d_v - d_u) on the half-space, and on the
+        # punctured space asinh(t_v / p) - asinh(t_u / p), t the places of
+        # the ends along the edge from the foot of the perpendicular from 0
+        grid = build_grid(domain, 0.1, np.array([0.0, 1.0]), np.array(y))
+        u = grid.nodes[grid.edges[:, 0]]
+        v = grid.nodes[grid.edges[:, 1]]
+        length = np.linalg.norm(u - v, axis=1)
+        if domain is H2:
+            du, dv = u[:, 1], v[:, 1]
+            with np.errstate(invalid="ignore"):
+                expected = np.where(du == dv, length / du,
+                                    length * np.log(dv / du) / (dv - du))
+        else:
+            step = (v - u) / length[:, None]
+            t_u, t_v = np.sum(u * step, axis=1), np.sum(v * step, axis=1)
+            p = np.abs(u[:, 0] * step[:, 1] - u[:, 1] * step[:, 0])
+            # a radial edge (p = 0) keeps to one side of 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expected = np.where(p > 0.0, np.arcsinh(t_v / p) - np.arcsinh(t_u / p),
+                                    np.abs(np.log(t_v / t_u)))
+        assert np.allclose(grid.weights, expected, rtol=1e-12, atol=0)
 
     def test_nodes_respect_clearance_floor(self):
         grid = build_grid(B2, 0.1, np.array([0.0, 0.0]), np.array([0.5, 0.0]))
@@ -433,7 +459,9 @@ class TestSharedGrids:
     def test_geodesic_window_override_builds_per_query_and_level(self, builds):
         # pair_window follows the override: the annulus that overrides
         # geodesic_window, with the base form's window, gets a lattice of
-        # its own per pair and level, and no shared grid
+        # its own per pair and level, and no shared grid.  Its floor is j,
+        # so each level 0 reads above its limit in the lens and is searched
+        # again on its whole window
         ring = annulus_domain()
         per_pair = PerPairGeneric.of(ring)
         assert per_pair.pair_window and not ring.pair_window
@@ -441,7 +469,7 @@ class TestSharedGrids:
         ys = sample_interior(ring, 2, seed=9, min_clearance=0.1)
         controls = KControls(0.1, 1)
         values = k_estimate_many(per_pair, xs, ys, controls)
-        assert builds == [("generic:2", 0.1)] * 2 + [("generic:2", 0.05)] * 2
+        assert builds == [("generic:2", 0.1)] * 4 + [("generic:2", 0.05)] * 2
         assert quasihyperbolic._shared_grid.cache_info().currsize == 0
         assert np.allclose(values, k_estimate_many(ring, xs, ys, controls), rtol=1e-9, atol=0)
 
@@ -510,10 +538,17 @@ class TestSharedGrids:
 
 
 def _reference_segment_weights(domain, pu, pv, du, dv):
+    """Each edge's weight, and whether it is kept: the domain's own rule,
+    from the lengths and end clearances alone, where it overrides
+    ``Domain.segment_integral`` (the half-space and the punctured space),
+    and Simpson's rule on the others."""
+    length = np.linalg.norm(pu - pv, axis=1)
+    if type(domain).segment_integral is not Domain.segment_integral:
+        w = domain.segment_integral(None, length, du, dv)
+        return w, np.isfinite(w)
     mid = 0.5 * (pu + pv)
     dm = domain.clearance_many(mid)
     ok = dm > 0.0
-    length = np.linalg.norm(pu - pv, axis=1)
     dm_safe = np.where(ok, dm, 1.0)
     w = length / 6.0 * (1.0 / du + 4.0 / dm_safe + 1.0 / dv)
     return w, ok
@@ -672,7 +707,9 @@ class TestBuildMemory:
         # keeps; evaluating them at every window node peaked at 6.3 times
         # the grid's arrays (numpy 2.4), the tiles at 3.45, and at 3.6 (4.0
         # MB, from 4.5) once the lens kept only the nodes each endpoint
-        # attaches to, which shrank the arrays more than the peak
+        # attaches to, which shrank the arrays more than the peak; and at
+        # 3.9 (4.3 MB) once the edges took their exact integrals, whose
+        # forms hold more temporaries of a block's edges than Simpson's
         x, y = np.array([1.1, 0.2]), np.array([-0.3, 0.8])
         dx, dy = P2.clearance_many(np.stack([x, y]))
         lens = (dx, dy, k_estimate(P2, x, y, 0.05, 1).value * quasihyperbolic._LIMIT_MARGIN)
@@ -1072,9 +1109,9 @@ def lens_floor(grid, x, dx):
              + quasihyperbolic._cell_box(grid.domain.dimension, 0))
     cells = cells[np.all((cells >= 0) & (cells < grid._index_map.shape), axis=1)]
     near = grid._index_map[tuple(cells.T)]
-    floor, _ = quasihyperbolic._floor_from(grid.domain, grid.spacing, x, dx,
-                                           float(np.min(grid.clearances)),
-                                           grid.nodes[near[near >= 0]])
+    near = near[near >= 0]
+    floor, _ = quasihyperbolic._floor_from(grid.domain, grid.spacing, x, dx, grid.nodes[near],
+                                           grid.clearances[near])
     return floor(grid.nodes.T, grid.clearances)
 
 
@@ -1111,22 +1148,6 @@ class TestPathFloor:
             far = reached & (bound > 0.1)
             assert np.min(dist[far] / bound[far]) < 1.05
 
-    @pytest.mark.parametrize("x, y, h, certified", [
-        ((1.0, 0.1), (-0.6, 0.7), 0.025, True),
-        # at query radius 3h the annulus reaches in to 1.5h, where a
-        # stencil edge of 6.4h may pass the origin: no certificate
-        ((0.15, 0.0), (-0.1, 0.12), 0.05, False),
-    ], ids=["certified", "near-the-puncture"])
-    def test_punctured_floor_is_j_only_near_the_puncture(self, x, y, h, certified):
-        x = np.asarray(x, dtype=float)
-        dx = float(P2.clearance_many(x[None, :])[0])
-        grid = build_grid(P2, h, x, np.asarray(y, dtype=float))
-        bound = lens_floor(grid, x, dx)
-        j = J_FLOOR(P2, np.linalg.norm(grid.nodes - x, axis=1), dx, grid.clearances)
-        # across the puncture the certified floor lies far above j
-        assert (np.max(bound / np.maximum(j, 1e-300)) > 1.5) == certified
-        assert np.array_equal(bound, j) != certified
-
     def test_halfspace_floor_is_rho_h(self):
         xs = sample_interior(H2, 50, seed=71, min_clearance=0.1)
         ys = sample_interior(H2, 50, seed=72, min_clearance=0.1)
@@ -1134,6 +1155,15 @@ class TestPathFloor:
         assert np.allclose(floor, [rho_halfspace(x, y) for x, y in zip(xs, ys)],
                            rtol=1e-12)
         assert np.all(floor >= j_many(H2, xs, ys))
+
+    def test_punctured_floor_is_k(self):
+        # pairs on every side of the puncture, radii from 0.01 to 2
+        rng = np.random.default_rng(71)
+        xs, ys = np.exp(rng.uniform(math.log(0.01), math.log(2.0), (2, 200, 1))) * \
+            unit_directions(2, 400, rng).reshape(2, 200, 2)
+        dx, dy = np.linalg.norm(xs, axis=1), np.linalg.norm(ys, axis=1)
+        floor = P2.path_floor(np.linalg.norm(xs - ys, axis=1), dx, dy)
+        assert np.allclose(floor, P2.k_exact(xs, ys), rtol=1e-12, atol=0)
 
 
 class PerPairGeneric(GenericDomain):
@@ -1169,13 +1199,23 @@ class TestLevelZero:
         assert quasihyperbolic._overhead() == pytest.approx(gauge - 1.0, rel=1e-9)
         assert round(quasihyperbolic._overhead(), 4) == beta
 
-    @pytest.mark.parametrize("domain, x, y, exact", [
-        (H2, (-1.2, 0.4), (0.9, 1.3), rho_halfspace),
-        (HalfSpace(3), (0.0, 0.0, 0.4), (1.0, -0.5, 1.0), rho_halfspace)],
-        ids=["halfspace:2", "halfspace:3"])
-    def test_limit_is_the_floor_times_the_overhead(self, domain, x, y, exact, monkeypatch):
-        # on the half-space the floor is k itself; halfspace:3 is searched
-        # in its fold, with the 2-D stencil's overhead
+    @pytest.mark.parametrize("domain, x, y, floor, above", [
+        (H2, (-1.2, 0.4), (0.9, 1.3), rho_halfspace, False),
+        (HalfSpace(3), (0.0, 0.0, 0.4), (1.0, -0.5, 1.0), rho_halfspace, False),
+        (P2, (0.5, 0.0), (0.0, 0.6), k_punctured, False),
+        (P2, (0.3, 0.0), (-0.2, -0.1), k_punctured, True),
+        (P3, (0.5, 0.1, 0.0), (-0.4, 0.2, 0.2), k_punctured, False),
+        (PerPairGeneric.of(annulus_domain()), (0.5, 0.0), (0.0, 0.6),
+         lambda x, y: j_many(annulus_domain(), np.array([x]), np.array([y]))[0], True)],
+        ids=["halfspace:2", "halfspace:3", "punctured:2", "punctured:2-near", "punctured:3",
+             "annulus"])
+    def test_limit_is_the_floor_times_the_overhead(self, domain, x, y, floor, above,
+                                                   monkeypatch):
+        # on the half-space and the punctured space the floor is k itself,
+        # near the puncture too; the 3-D pairs are searched in their fold,
+        # with the 2-D stencil's overhead.  A value above its limit, as near
+        # the puncture, where the coarse level reads 4.9% above k, or under
+        # the annulus's j floor, is searched once more without one
         limits = []
         search = quasihyperbolic.dijkstra
 
@@ -1186,55 +1226,10 @@ class TestLevelZero:
         monkeypatch.setattr(quasihyperbolic, "dijkstra", recording)
         value = k_estimate(domain, x, y, 0.1, 0).value
         beta = quasihyperbolic._overhead()
-        assert limits == [pytest.approx(quasihyperbolic._LIMIT_MARGIN * (1.0 + beta)
-                                        * exact(x, y), rel=1e-12)]
-        assert value <= limits[0]
-
-    def test_floor_share(self):
-        # path_floor >= share * k: 1 on the half-space, the punctured
-        # space's proved c, and 0 for j
-        ell = 0.05 * quasihyperbolic._LONGEST_OFFSET
-        assert H2.floor_share((ell, 0.01)) == 1.0
-        assert Domain.floor_share(B2, (ell, 0.5)) == 0.0
-        assert annulus_domain().floor_share((ell, 0.5)) == 0.0
-        rng = np.random.default_rng(29)
-        shares = []
-        for r in (0.15, 0.3, 0.5, 1.0):
-            c = P2.floor_share((ell, r))
-            xs = np.exp(rng.uniform(math.log(r), 0.5, (40, 1))) * unit_directions(2, 40, rng)
-            ys = np.exp(rng.uniform(math.log(r), 0.5, (40, 1))) * unit_directions(2, 40, rng)
-            dx, dy = np.linalg.norm(xs, axis=1), np.linalg.norm(ys, axis=1)
-            floor = P2.path_floor(np.linalg.norm(xs - ys, axis=1), dx, dy, (ell, r))
-            k = P2.k_exact(xs, ys)
-            assert np.all(floor >= c * k * (1.0 - 1e-12))
-            shares.append(c)
-        # no share near the puncture, and close to 1 from the kquery
-        # benchmark's least radius 0.5 on
-        margin = quasihyperbolic._LIMIT_MARGIN
-        assert shares[0] == 0.0 and 0.9 < shares[1] < 1 / margin < shares[2] < shares[3]
-
-    @pytest.mark.parametrize("domain, x, y, limited", [
-        (P2, (0.3, 0.0), (0.0, 0.6), False),
-        (P2, (0.5, 0.0), (0.0, 0.6), True),
-        (PerPairGeneric.of(annulus_domain()), (0.5, 0.0), (0.0, 0.6), False),
-        (H2, (0.0, 0.3), (0.5, 0.4), True)],
-        ids=["punctured:2-near", "punctured:2", "annulus", "halfspace:2"])
-    def test_only_a_tight_floor_limits_level_zero(self, domain, x, y, limited, monkeypatch):
-        # a floor that keeps less than 1 / margin of k would put the limit
-        # below the level-0 value, and the lens would be searched in vain;
-        # the annulus is searched per query here
-        limits = []
-        search = quasihyperbolic.dijkstra
-
-        def recording(*args, **kwargs):
-            limits.append(kwargs["limit"])
-            return search(*args, **kwargs)
-
-        monkeypatch.setattr(quasihyperbolic, "dijkstra", recording)
-        value = k_estimate(domain, x, y, 0.05, 0).value
-        assert len(limits) == 1
-        assert math.isfinite(limits[0]) == limited
-        assert value <= limits[0]
+        assert limits[0] == pytest.approx(quasihyperbolic._LIMIT_MARGIN * (1.0 + beta)
+                                          * floor(x, y), rel=1e-12)
+        assert limits[1:] == ([math.inf] if above else [])
+        assert (value > limits[0]) == above
 
     def test_level_zero_miss_searches_the_whole_window(self, monkeypatch):
         # with beta forced to -0.5 the level-0 limit lies below the value:
@@ -1268,9 +1263,13 @@ class TestLevelZero:
         # the lattice loads it on its first search
         (_CLI, ["k-estimate", "--domain", "halfspace:2", "--points", "0,1", "1,1"],
          {"scipy.sparse.csgraph"}, set(),
-         '{"domain": "halfspace:2", "refinement_history": [[0.05, 0.9648072422687036], '
-         '[0.025, 0.9634468887595058], [0.0125, 0.9633068855551247]], "spacing": 0.0125, '
-         '"value": 0.9633068855551247}\n'),
+         # numpy's log1p, in the half-space's edge weights, gives the first
+         # value other last bits under its AVX2 kernels (see test_golden)
+         {dispatch: '{"domain": "halfspace:2", "refinement_history": [[0.05, '
+                    f'{first}], [0.025, 0.963446876492065], [0.0125, 0.9633068850735015]], '
+                    '"spacing": 0.0125, "value": 0.9633068850735015}\n'
+          for dispatch, first in (("X86_V4", "0.9648072091859871"),
+                                  ("X86_V3", "0.9648072091859872"))}),
     ], ids=["k_estimate", "import", "dist", "uniformity", "C4_5", "k-estimate"])
     def test_scipy_modules_a_call_loads(self, code, argv, loads, leaves_out, stdout):
         script = f"{code}\nimport json, sys; print(json.dumps(list(sys.modules)), file=sys.stderr)"
@@ -1281,7 +1280,7 @@ class TestLevelZero:
         modules = set(json.loads(done.stderr.splitlines()[-1]))
         assert loads <= modules and not leaves_out & modules
         if stdout is not None:
-            assert done.stdout == stdout
+            assert done.stdout == stdout[_dispatch()]
 
 
 def _kquery_point(domain, rng):
@@ -1314,8 +1313,8 @@ def kquery_cases():
 #: (domain, x, y, whole-window nodes, lens nodes) at the finest of three
 #: levels from spacing 0.05; the README quotes the counts
 PINNED_LENSES = [
-    (H2, (-1.2, 0.4), (0.9, 1.3), 29240, 5251),
-    (P2, (1.1, 0.2), (-0.3, 0.8), 96816, 2483),
+    (H2, (-1.2, 0.4), (0.9, 1.3), 29240, 5250),
+    (P2, (1.1, 0.2), (-0.3, 0.8), 96816, 2481),
     (P2, (1.1, 0.2), (-1.0, -0.3), 95024, 8461),
 ]
 
@@ -1351,12 +1350,10 @@ class TestLens:
                 del builds[:]
                 history = k_estimate(domain, x, y, spacing, refinements).refinement_history
                 assert _hex(history) == expected, domain.spec_string()
-                # a margin below 1 gives level 0 no limit (no floor keeps a
-                # share of k above 1 / margin) and every finer limit misses
+                # under a margin below 1 every limit misses, level 0's too
                 levels = [spacing / 2**level for level in range(refinements + 1)]
                 assert builds == ([(h, "lens") for h in levels] if margin_holds else
-                                  [(spacing, "whole")] +
-                                  [b for h in levels[1:] for b in [(h, "lens"), (h, "whole")]])
+                                  [b for h in levels for b in [(h, "lens"), (h, "whole")]])
             batch = k_estimate_many(domain, xs, ys, KControls(spacing, refinements))
             assert [v.hex() for v in batch] == [r[-1][1] for r in reference]
 
@@ -1381,8 +1378,8 @@ class TestLens:
         self._check(cases, builds, margin_holds=False)
 
     def test_tight_margin_skips_the_discarded_lens_search(self, monkeypatch):
-        # each finer level searches its lens once under the limit, then
-        # the whole window once: 1 + 2 + 2 calls over three levels
+        # each level searches its lens once under the limit, then the
+        # whole window once: 2 + 2 + 2 calls over three levels
         monkeypatch.setattr(quasihyperbolic, "_LIMIT_MARGIN", 0.5)
         calls = []
         search = quasihyperbolic.dijkstra
@@ -1394,7 +1391,7 @@ class TestLens:
         monkeypatch.setattr(quasihyperbolic, "dijkstra", counting)
         x, y = np.array([-1.2, 0.4]), np.array([0.9, 1.3])
         history = k_estimate(H2, x, y, 0.05, 2).refinement_history
-        assert len(calls) == 5
+        assert len(calls) == 6
         assert _hex(history) == _hex(reference_history(H2, x, y, 0.05, 2))
 
     def test_tightest_lens_fuzz(self):
@@ -1488,8 +1485,10 @@ class TestLens:
             nodes = np.stack([ax[c] for ax, c in zip(window[1], cells)], axis=1)
             _, reach = quasihyperbolic._stencil(domain.dimension)
             close = [np.linalg.norm(nodes - p, axis=1) <= (reach + 1) * h for p in (x, y)]
-            if not all(np.any(domain.clearance_many(0.5 * (p + nodes[c])) > 0.0)
-                       for p, c in zip((x, y), close)):
+            d = domain.clearance_many(np.stack([x, y]))
+            if not all(np.any(np.isfinite(domain.segment_integral(
+                    (0.5 * (p + nodes[c])).T, np.linalg.norm(nodes[c] - p, axis=1), dp,
+                    window[2][cells][c]))) for p, dp, c in zip((x, y), d, close)):
                 assert not np.any(keep), (domain.spec_string(), h, x, y, limit)
                 lensless.append(i)
                 continue
@@ -1502,12 +1501,10 @@ class TestLens:
 
     def test_first_pass_attach_edges_weigh_at_least_their_floor(self, cases):
         # the claim the lens floors rest on for the first edge: each edge
-        # of _attach's first pass weighs at least path_floor of its ends,
-        # with the edges (ell, r) the lens's floor from that endpoint uses
+        # of _attach's first pass weighs at least path_floor of its ends
         checked = 0
         for domain, h, x, y, _ in self._level_checks(cases) + lens_fuzz_cases():
             grid = build_grid(domain, h, x, y)
-            r = float(np.min(grid.clearances))
             _, reach = quasihyperbolic._stencil(domain.dimension)
             for p in (x, y):
                 dp = float(domain.clearance_many(p[None])[0])
@@ -1515,8 +1512,7 @@ class TestLens:
                 sep = np.linalg.norm(grid.nodes[node] - p, axis=1)
                 if node.size == 0 or np.max(sep) > (reach + 1) * h:
                     continue  # a wider or nearest-node pass: no lens
-                edges = (h * quasihyperbolic._LONGEST_OFFSET, min(r, dp))
-                floor = domain.path_floor(sep, dp, grid.clearances[node], edges)
+                floor = domain.path_floor(sep, dp, grid.clearances[node])
                 assert np.all(w >= floor * (1.0 - 1e-12)), (domain.spec_string(), h, p)
                 checked += node.size
         assert checked > 10000
@@ -1621,8 +1617,8 @@ def lens_floor_test(domain, h, x, y, lens, starts, axes, clear, window):
         box = tuple(slice(min(max(c - span, 0), d), max(min(c + span + 1, d), 0))
                     for c, d in zip(cell, window.shape))
         near = [ax[s][i] for ax, s, i in zip(axes, box, np.nonzero(window[box]))]
-        floor_from, read = quasihyperbolic._floor_from(domain, h, p, dp, float(np.min(dz)),
-                                                       np.stack(near, axis=1))
+        floor_from, read = quasihyperbolic._floor_from(domain, h, p, dp, np.stack(near, axis=1),
+                                                       clear[box][window[box]])
         if floor_from is None:
             return None
         floor = floor + floor_from([ax[i] for ax, i in zip(axes, z)], dz)
@@ -1801,12 +1797,15 @@ class TestBatchErrors:
         exc = self.assert_same_failure(line, xs[::-1], ys[::-1], KControls(0.05, 2))
         assert str(exc) == "both query points must lie inside the domain"
         # the pairs on one side keep their histories: the punctured:2 search
-        # of their fold reads the bits of the line's old 1-D lattice
+        # of their fold runs along the axis, whose edges weigh their exact
+        # log(|b| / |a|), so every level reads log(|y| / |x|) to a few ulps;
+        # numpy's log1p gives one value another last bit under AVX2
         histories = [[v.hex() for _, v in k_estimate(line, x, y, 0.05, 2).refinement_history]
                      for x, y in zip(xs[:2], ys[:2])]
         assert histories == [
-            ["0x1.e148ad67a4cc3p-2", "0x1.e148a25fb29cep-2", "0x1.e148a1ae4a2e3p-2"],
-            ["0x1.62e44a5e131a9p+0", "0x1.62e4319bb24f6p+0", "0x1.62e4300a79bc5p+0"]]
+            ["0x1.e148a1a2726cep-2", "0x1.e148a1a2726cdp-2", "0x1.e148a1a2726d0p-2"],
+            [{"X86_V4": "0x1.62e42fefa39ecp+0", "X86_V3": "0x1.62e42fefa39edp+0"}[_dispatch()],
+             "0x1.62e42fefa39eep+0", "0x1.62e42fefa39edp+0"]]
 
 
 #: built-in domains outside the plane, by spec, and the plane domain each
