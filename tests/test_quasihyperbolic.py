@@ -1148,6 +1148,24 @@ class TestPathFloor:
             far = reached & (bound > 0.1)
             assert np.min(dist[far] / bound[far]) < 1.05
 
+    @pytest.mark.parametrize("x, y, h", [
+        ((1.0, 0.1), (-0.6, 0.7), 0.025),
+        # at query radius 3h the lens reaches in to 1.5h of the puncture
+        ((0.15, 0.0), (-0.1, 0.12), 0.05),
+    ], ids=["certified", "near-the-puncture"])
+    def test_punctured_floor_is_j_only_near_the_puncture(self, x, y, h):
+        # j is not the punctured floor near the puncture nor far from it:
+        # the lens reads k_P at every node, far above j across the puncture
+        x = np.asarray(x, dtype=float)
+        dx = float(P2.clearance_many(x[None, :])[0])
+        grid = build_grid(P2, h, x, np.asarray(y, dtype=float))
+        bound = lens_floor(grid, x, dx)
+        sep = np.linalg.norm(grid.nodes - x, axis=1)
+        j = J_FLOOR(P2, sep, dx, grid.clearances)
+        assert np.array_equal(bound, P2.path_floor(sep, dx, grid.clearances))
+        assert np.all(bound >= j * (1.0 - 1e-12))
+        assert np.max(bound / np.maximum(j, 1e-300)) > 1.5
+
     def test_halfspace_floor_is_rho_h(self):
         xs = sample_interior(H2, 50, seed=71, min_clearance=0.1)
         ys = sample_interior(H2, 50, seed=72, min_clearance=0.1)
@@ -1230,6 +1248,24 @@ class TestLevelZero:
                                           * floor(x, y), rel=1e-12)
         assert limits[1:] == ([math.inf] if above else [])
         assert (value > limits[0]) == above
+
+    @pytest.mark.parametrize("domain, x, y", [(H2, (0.0, 0.3), (0.5, 0.4))],
+                             ids=["halfspace:2"])
+    def test_only_a_tight_floor_limits_level_zero(self, domain, x, y, monkeypatch):
+        # the floor is k itself: the level-0 value lies under its limit and
+        # the lens is searched once
+        limits = []
+        search = quasihyperbolic.dijkstra
+
+        def recording(*args, **kwargs):
+            limits.append(kwargs["limit"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(quasihyperbolic, "dijkstra", recording)
+        value = k_estimate(domain, x, y, 0.05, 0).value
+        assert len(limits) == 1
+        assert math.isfinite(limits[0])
+        assert value <= limits[0]
 
     def test_level_zero_miss_searches_the_whole_window(self, monkeypatch):
         # with beta forced to -0.5 the level-0 limit lies below the value:
