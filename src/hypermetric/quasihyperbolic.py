@@ -41,16 +41,17 @@ Estimator construction, per refinement level (spacing halved each time):
   carries ~1% error at the stencil's edge lengths near clearance 0.2);
 * assembly, node-major over the kept nodes, in blocks of nodes: each
   node's stencil neighbours are one fixed flat step per offset away in
-  the node index map padded by the reach.  Midpoint coordinates and
-  squared steps vary along one axis each, so each node's row of them is
+  the node index map padded by the reach.  Squared steps and midpoint
+  coordinates vary along one axis each, so each node's row of them is
   read from small (cells on the axis, offsets) tables built once per
   axis; ``Domain.segment_integral`` weighs the block from those rows,
   the steps and the nodes' clearances (Simpson's rule reads the midpoint
-  clearances in one ``Domain.clearance_grid`` call).  The block's (node,
-  offset) table is in CSR order, so its kept entries are the CSR rows,
-  written straight into outputs sized by the lattice edges; no edge
-  gathers its endpoints' positions and no edge is scattered into its
-  row.  Nodes are read off the axes at the window's
+  clearances in one ``Domain.clearance_grid`` call; the exact weights
+  read no midpoint, so none is gathered, ``Domain.segment_reads_mid``).
+  The block's (node, offset) table is in CSR order, so its kept entries
+  are the CSR rows, written straight into outputs sized by the lattice
+  edges; no edge gathers its endpoints' positions and no edge is
+  scattered into its row.  Nodes are read off the axes at the window's
   cells, and no (cells, n) point matrix is formed;
 * both query points are attached to every node within (reach+1)*h via
   the same segment integral (plus a direct x-y edge when they are that
@@ -81,9 +82,13 @@ least dist[c] + w(c, y) over the nodes c it attaches to, or the direct
 x-y edge.  Dijkstra with non-negative weights returns the least
 left-to-right sum over paths, so this is bit for bit the distance a
 sink node for y would get.  Level l >= 1 stops its search at the level
-l - 1 value times ``_LIMIT_MARGIN``, and level 0 of a per-query grid at
-the pair's path floor times 1 + beta and ``_LIMIT_MARGIN``, with beta
-the 2-D stencil's worst-direction overhead (``_overhead``: 0.49%).
+l - 1 value times 1 + beta, with beta the 2-D stencil's worst-direction
+overhead (``_overhead``: 0.49%), on every grid: with exact weights a
+coarse edge weighs what its two fine halves do, so only the attach edges
+move a finer value, by about beta (Simpson's weights on the ball are not
+additive, and a few values there are searched again).  Level 0 of a
+per-query grid stops at the pair's path floor times 1 + beta and
+``_LIMIT_MARGIN``.
 Where the floor is k, that limit is at least (1 + beta) k; a weaker
 floor, j on a domain that overrides ``geodesic_window`` alone, may put
 it below the level-0 value.  Nodes within the limit are settled exactly
@@ -101,7 +106,10 @@ that pass attaches both endpoints.  A node on an optimal path of
 value V <= L has a floor sum of at most V, so it is kept; the float
 Dijkstra fixed point does not depend on node numbering, so every value
 within L is bit for bit the whole window's, and an endpoint attaches in
-the lens exactly as on the whole window.  A lens that holds no node, as
+the lens exactly as on the whole window.  The lens has weighed those
+edges already, with ``_attach``'s nodes, inputs and form
+(``_attach_weights``), so the search reads them off the lens grid
+instead of attaching again.  A lens that holds no node, as
 when the first pass does not attach an endpoint, counts as a value
 above L: by the one rule, its pair's value and any error are the whole
 window's, and the node cap applies to the whole window.  The floors are
@@ -167,7 +175,8 @@ STENCIL_REACH_2D = 5
 #: two or three spacings reuses every one of them
 SHARED_GRIDS = 4
 
-#: level l >= 1 stops its search at the level l - 1 value times this
+#: level 0 of a per-query grid stops its search at the pair's path floor
+#: times 1 + beta (``_overhead``) and this
 _LIMIT_MARGIN = 1.01
 
 #: relative slack of the lens test, far above the rounding of a path's
@@ -284,6 +293,9 @@ class GeodesicGrid:
     _axis_starts: np.ndarray = field(repr=False)     # first lattice index per axis
     directed: bool = False
     exact_to: float = math.inf  # G; inf when the grid holds every edge
+    # a lens grid's (point, node, weight) attach edges of its own x (point
+    # 0) and y (point 1), as ``_attach`` gives them; None elsewhere
+    _attached: "tuple | None" = field(default=None, repr=False, compare=False)
     # a shared grid's writable buffers, room for one chunk's source rows
     _source_rows: "_SourceRows | None" = field(default=None, repr=False, compare=False)
 
@@ -507,22 +519,32 @@ def _box_text(lo: np.ndarray, hi: np.ndarray) -> str:
     return " x ".join(f"[{float(a)!r}, {float(b)!r}]" for a, b in zip(lo, hi))
 
 
+def _attach_weights(domain: Domain, p: np.ndarray, dp, nodes: np.ndarray, d_nodes, gap):
+    """The weights of the edges from query points p (rows, or one point)
+    of clearances dp to ``nodes`` of clearances ``d_nodes`` at distances
+    ``gap``: ``Domain.segment_integral`` of each segment.  Every attach
+    edge and the direct x-y edge take this one form."""
+    return domain.segment_integral((0.5 * (p + nodes)).T, gap, dp, d_nodes)
+
+
 def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, near: np.ndarray,
                 d_near: np.ndarray):
     """The domain's path floor from the query point p, a lower bound on
     every grid path from p to a node, as a function of the node's
     coordinates (arrays, one per axis, that broadcast together) and
     clearance, or None when ``_attach``'s first pass does not attach p;
-    and which of the ``near`` nodes, those of p's first attach box with
-    clearances ``d_near``, lie within (reach + 1) h of p.  The first pass
-    attaches p when one of those nodes gives a segment of finite weight
-    (``Domain.segment_integral``), and the floor covers every path from
-    p, its attach edge included."""
+    which of the ``near`` nodes, those of p's first attach box with
+    clearances ``d_near``, lie within (reach + 1) h of p; and the weights
+    of p's edges to those nodes, inf where unusable.  The first pass
+    attaches p when one of those nodes gives a segment of finite weight,
+    and then its edges are these, bit for bit: the same nodes, inputs and
+    form (``_attach_weights``).  The floor covers every path from p, its
+    attach edge included."""
     gap = np.linalg.norm(near - p, axis=1)
     read = gap <= (STENCIL_REACH_2D + 1) * h
-    w = domain.segment_integral((0.5 * (p + near[read])).T, gap[read], dp, d_near[read])
+    w = _attach_weights(domain, p, dp, near[read], d_near[read], gap[read])
     if not np.any(np.isfinite(w)):
-        return None, read
+        return None, read, w
 
     def floor(coords, dz):
         # |z - p| axis by axis: several times faster than norm(axis=1) on
@@ -530,19 +552,21 @@ def _floor_from(domain: Domain, h: float, p: np.ndarray, dp, near: np.ndarray,
         sep = np.sqrt(functools.reduce(np.add, [(c - q) * (c - q) for c, q in zip(coords, p)]))
         return domain.path_floor(sep, dp, dz)
 
-    return floor, read
+    return floor, read, w
 
 
 def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
           starts: np.ndarray, axes: list[np.ndarray], clear: np.ndarray,
-          window: np.ndarray) -> np.ndarray:
+          window: np.ndarray) -> tuple[np.ndarray, list | None]:
     """Which cells of the window hold a node that a grid path from x to y
     of weight at most the limit can pass through, or a node within
     (reach + 1) h of either endpoint, the nodes ``_attach``'s first pass
     reads; none when that pass does not attach an endpoint
     (``_floor_from``).  ``lens`` is (d(x), d(y), limit), ``axes`` the
     lattice coordinates, and ``clear`` and ``window`` the clearance and
-    the window's nodes by cell.
+    the window's nodes by cell.  With the cells comes, per endpoint, x
+    first, its first-pass attach edges as (cells, weights), the cells in
+    row-major order, as ``_attach`` finds them; None with no lens.
 
     The floor sum F is evaluated cell by cell only in the tiles of
     ``_TILE`` cells a side that hold a window node and that a test at
@@ -562,12 +586,13 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
         box = tuple(slice(min(max(c - span, 0), d), max(min(c + span + 1, d), 0))
                     for c, d in zip(cell, window.shape))
         near = window[box]
-        points = np.stack([ax[s][i] for ax, s, i in zip(axes, box, np.nonzero(near))], axis=1)
-        floor, read = _floor_from(domain, h, p, dp, points, clear[box][near])
+        at = np.nonzero(near)
+        points = np.stack([ax[s][i] for ax, s, i in zip(axes, box, at)], axis=1)
+        floor, read, w = _floor_from(domain, h, p, dp, points, clear[box][near])
         if floor is None:
-            return np.zeros(window.shape, dtype=bool)
+            return np.zeros(window.shape, dtype=bool), None
         floors.append(floor)
-        boxes.append((box, near, read))
+        boxes.append((box, near, at, read, w))
     bound = limit * (1.0 + _LENS_SLACK)
 
     def floor_sum(coords, dz):
@@ -597,9 +622,12 @@ def _lens(domain: Domain, h: float, x: np.ndarray, y: np.ndarray, lens,
     keep = np.zeros(window.shape, dtype=bool)
     keep[cells] = floor_sum([ax[c] for ax, c in zip(axes, cells)], clear[cells]) <= bound
     # _attach reads the same nodes as on the whole window
-    for box, near, read in boxes:
+    ends = []
+    for box, near, at, read, w in boxes:
         keep[box][near] |= read
-    return keep
+        ok = np.isfinite(w)
+        ends.append((tuple(s.start + i[read][ok] for s, i in zip(box, at)), w[ok]))
+    return keep, ends
 
 
 def build_grid(domain: Domain, spacing: float, x, y,
@@ -611,7 +639,9 @@ def build_grid(domain: Domain, spacing: float, x, y,
     ``lens`` = (d(x), d(y), limit) keeps only the nodes that a grid path
     from x to y of weight at most the limit can pass through, and those
     near either endpoint, and crops the lattice box to them; the node cap
-    applies to the whole window all the same.
+    applies to the whole window all the same.  Such a grid serves the
+    pair (x, y) alone: it carries their attach edges, weighed once for
+    the lens.
     """
     x = as_point(x, domain.dimension)
     y = as_point(y, domain.dimension)
@@ -655,17 +685,20 @@ def build_grid(domain: Domain, spacing: float, x, y,
             f"at spacing {h}"
         )
 
+    ends = None
     if lens is not None:
-        keep = _lens(domain, h, x, y, lens, starts, axes, clear, mask)
+        keep, ends = _lens(domain, h, x, y, lens, starts, axes, clear, mask)
         kept = np.nonzero(keep)
         if kept[0].size == 0:
             raise DisconnectedGridError(f"no grid nodes in the lens at spacing {h}")
         # crop the box to the kept nodes
         crop = tuple(slice(int(k.min()), int(k.max()) + 1) for k in kept)
-        starts = starts + [c.start for c in crop]
+        corner = [c.start for c in crop]
+        starts = starts + corner
         axes = [ax[c] for ax, c in zip(axes, crop)]
-        clear = clear[crop]
-        mask = keep[crop]
+        # copies, so that the window's arrays are freed before the edges
+        clear = clear[crop].copy()
+        mask = keep[crop].copy()
         n_valid = int(np.count_nonzero(mask))
     shape = mask.shape
 
@@ -685,15 +718,17 @@ def build_grid(domain: Domain, spacing: float, x, y,
     # d by node, and 1.0 at index -1 for a neighbour that is no node
     padded_clear = np.append(node_clear, 1.0)
 
-    # per axis, (cells, offsets) tables of the midpoint coordinate and the
-    # squared step along it, from the axis padded by the reach and formed
-    # as the window's axes are, so the same bits
+    # per axis, (cells, offsets) tables of the squared step along it and,
+    # for a domain whose weights read them, the midpoint coordinate, from
+    # the axis padded by the reach and formed as the window's axes are, so
+    # the same bits
     mids, steps_sq = [], []
     for axis, (start, d) in enumerate(zip(starts, shape)):
         coord = np.arange(start - reach, start + d + reach) * h
         u = coord[reach:reach + d, None]
         v = coord[np.arange(reach, reach + d)[:, None] + offsets[:, axis]]
-        mids.append(0.5 * (u + v))
+        if domain.segment_reads_mid:
+            mids.append(0.5 * (u + v))
         steps_sq.append((u - v) * (u - v))
 
     # the edge table (node, offset) is in CSR order: rows by node, offsets
@@ -716,7 +751,7 @@ def build_grid(domain: Domain, spacing: float, x, y,
         length = steps_sq[0][rows[0]]
         for q, r in zip(steps_sq[1:], rows[1:]):
             length += q[r]
-        w = domain.segment_integral([m[r] for m, r in zip(mids, rows)],
+        w = domain.segment_integral([m[r] for m, r in zip(mids, rows)] if mids else None,
                                     np.sqrt(length, out=length), padded_clear[block, None],
                                     padded_clear[near])
         has = np.isfinite(w) & (near >= 0)
@@ -727,7 +762,13 @@ def build_grid(domain: Domain, spacing: float, x, y,
         counts[block.start + 1:block.stop + 1] = np.count_nonzero(has, axis=1)
     neighbours, weights = neighbours[:end], weights[:end]
     indptr = np.cumsum(counts)
-    for a in (nodes, node_clear, indptr, neighbours, weights, index_nd, starts):
+    attached = None
+    if ends is not None:
+        # the lens's attach edges, x's (point 0) then y's, on the lens nodes
+        at = [index_nd[tuple(c - o for c, o in zip(cells, corner))] for cells, _ in ends]
+        attached = (np.repeat(np.arange(2), [a.size for a in at]), np.concatenate(at),
+                    np.concatenate([w for _, w in ends]))
+    for a in (nodes, node_clear, indptr, neighbours, weights, index_nd, starts, *(attached or ())):
         a.flags.writeable = False
     return GeodesicGrid(
         domain=domain,
@@ -739,6 +780,7 @@ def build_grid(domain: Domain, spacing: float, x, y,
         clearances=node_clear,
         _index_map=index_nd,
         _axis_starts=starts,
+        _attached=attached,
     )
 
 
@@ -955,8 +997,8 @@ def _attach(grid: GeodesicGrid, ps: np.ndarray,
         np.minimum.at(nearest, owner, dist)
         near |= lone[owner] & (dist <= nearest[owner] * 1.0001)
         owner, cand = owner[near], cand[near]
-        w = domain.segment_integral((0.5 * (p[near] + pos[near])).T, dist[near],
-                                    dps[pending[owner]], grid.clearances[cand])
+        w = _attach_weights(domain, p[near], dps[pending[owner]], pos[near],
+                            grid.clearances[cand], dist[near])
         ok = np.isfinite(w)
         found.append((pending[owner[ok]], cand[ok], w[ok]))
         attached = np.zeros(pending.size, dtype=bool)
@@ -1040,16 +1082,15 @@ def _grid_values(grid: GeodesicGrid, xs: np.ndarray, ys: np.ndarray, dxs: np.nda
     gap = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
     direct = np.flatnonzero((gap > 0.0) & (gap <= (reach + 1) * grid.spacing))
     if direct.size:
-        w = grid.domain.segment_integral((0.5 * (xs[direct] + ys[direct])).T,
-                                         np.linalg.norm(d[direct], axis=1), dxs[direct],
-                                         dys[direct])
-        values[direct] = w
+        values[direct] = _attach_weights(grid.domain, xs[direct], dxs[direct], ys[direct],
+                                         dys[direct], np.linalg.norm(d[direct], axis=1))
     size = _chunk_size(grid)
     by_limit = np.argsort(limits, kind="stable")
     for chunk in (by_limit[s:s + size] for s in range(0, by_limit.size, size)):
         k = chunk.size
-        point, node, w = _attach(grid, np.concatenate([xs[chunk], ys[chunk]]),
-                                 np.concatenate([dxs[chunk], dys[chunk]]))
+        # a lens grid's one pair attaches as its lens found
+        point, node, w = grid._attached or _attach(grid, np.concatenate([xs[chunk], ys[chunk]]),
+                                                   np.concatenate([dxs[chunk], dys[chunk]]))
         attached = np.bincount(point, minlength=2 * k).reshape(2, k) > 0
         live = attached.all(axis=0)
         for i in np.flatnonzero(~live):  # x is attached first
@@ -1106,7 +1147,7 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
     each live pair on a lattice of its own, its lens under its limit.
     Level 0 on a per-query lattice stops its search at the pair's path
     floor times 1 + beta (``_overhead``) and ``_LIMIT_MARGIN``, and level
-    l >= 1 at its level l - 1 value times ``_LIMIT_MARGIN``.  A value
+    l >= 1, on every grid, at its level l - 1 value times 1 + beta.  A value
     above its limit, or a lens with no node, is searched again without a
     limit on the whole window (a shared grid's kept edges), and a
     shared-grid value above its ``exact_to``, once more on every edge of
@@ -1189,7 +1230,7 @@ def _histories(domain: Domain, xs: np.ndarray, ys: np.ndarray,
                 continue
             failures.update({int(pairs[i]): exc for i, exc in failed.items()})
             values[pairs, level] = vals
-            limits[pairs] = vals * _LIMIT_MARGIN
+            limits[pairs] = vals * (1.0 + _overhead())
         live = live[~np.isin(live, list(failures))]
     if failures:
         raise failures[min(failures)]

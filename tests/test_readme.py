@@ -1,9 +1,9 @@
 """README's Library tour runs as written, and each expression's trailing
 comment states its value: ``0.881373...`` (within one unit of the last
 digit shown), ``log 2``, ``None`` or
-``CollinearViolation(r=0.99861..., ...)``; the estimator's search margin,
-level-0 overheads, lens tile and pinned lens counts that it quotes are
-the code's and the tests'."""
+``CollinearViolation(r=0.99861..., ...)``; the estimator's finer-level
+limit, level-0 margin and overhead, lens tile and pinned lens counts
+that it quotes are the code's and the tests'."""
 
 import ast
 import io
@@ -62,8 +62,11 @@ def test_library_tour_runs_and_matches_its_comments():
 
 def test_estimator_figures_match_the_code():
     text = " ".join(README.read_text().split())
-    margin = re.search(r"stops its search at ([\d.]+) times the previous level's value", text)
-    assert float(margin.group(1)) == quasihyperbolic._LIMIT_MARGIN
+    # a finer level's limit is 1 + beta, and the margin scales level 0's alone
+    fine = re.search(r"Each level after the first, on every grid, stops its search at "
+                     r"1 \+ beta = ([\d.]+) times the previous level's value", text)
+    assert float(fine.group(1)) == round(1.0 + quasihyperbolic._overhead(), 4)
+    assert not re.search(r"[\d.]+ times the previous level's value", text.replace(fine[0], ""))
     level0 = re.search(r"level 0 stops at ([\d.]+) times \(1 \+ beta\) times the pair's path "
                        r"floor \(below\), where beta is the stencil's worst-direction overhead: "
                        r"([\d.]+)%, since every per-query grid is 2-D", text)
