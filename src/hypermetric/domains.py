@@ -243,12 +243,6 @@ class Domain:
 
     dimension: int
 
-    #: ``segment_integral`` reads its ``mid`` argument; an override that
-    #: weighs a segment from its length and end clearances alone sets this
-    #: false, and the estimator's lattice then gathers no midpoints and
-    #: passes None
-    segment_reads_mid = True
-
     @property
     def boundary_strata(self) -> bool:
         """Samplers draw boundary-edge pairs and collinear triples: true
@@ -495,8 +489,6 @@ class HalfSpace(Domain):
         hi[-1] = 1.2 * apex + pad
         return lo, hi, (0.0, math.inf)
 
-    segment_reads_mid = False
-
     def segment_integral(self, mid, length, d_a, d_b):
         # the clearance is affine along a segment, so the integral of 1/d is
         # length log(hi / lo) / (hi - lo) = length / lo log1p(r) / r with
@@ -584,8 +576,6 @@ class PuncturedSpace(Domain):
         rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
         r_lo, r_hi = 0.5 * min(rx, ry), 2.0 * max(rx, ry)
         return np.full(self.dimension, -r_hi), np.full(self.dimension, r_hi), (r_lo, r_hi)
-
-    segment_reads_mid = False
 
     def segment_integral(self, mid, length, d_a, d_b):
         """The exact integral of 1/|z| along segments, from their lengths

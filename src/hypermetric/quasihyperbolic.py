@@ -41,18 +41,17 @@ Estimator construction, per refinement level (spacing halved each time):
   carries ~1% error at the stencil's edge lengths near clearance 0.2);
 * assembly, node-major over the kept nodes, in blocks of nodes: each
   node's stencil neighbours are one fixed flat step per offset away in
-  the node index map padded by the reach.  Squared steps and midpoint
-  coordinates vary along one axis each, so each node's row of them is
+  the node index map padded by the reach.  Midpoint coordinates and
+  squared steps vary along one axis each, so each node's row of them is
   read from small (cells on the axis, offsets) tables built once per
   axis; ``Domain.segment_integral`` weighs the block from those rows,
   the steps and the nodes' clearances (Simpson's rule reads the midpoint
-  clearances in one ``Domain.clearance_grid`` call; the exact weights
-  read no midpoint, so none is gathered, ``Domain.segment_reads_mid``).
-  The block's (node, offset) table is in CSR order, so its kept entries
-  are the CSR rows, written straight into outputs sized by the lattice
-  edges; no edge gathers its endpoints' positions and no edge is
-  scattered into its row.  Nodes are read off the axes at the window's
-  cells, and no (cells, n) point matrix is formed;
+  clearances in one ``Domain.clearance_grid`` call).  The block's (node,
+  offset) table is in CSR order, so its kept entries are the CSR rows,
+  written straight into outputs sized by the lattice edges; no edge
+  gathers its endpoints' positions and no edge is scattered into its
+  row.  Nodes are read off the axes at the window's cells, and no
+  (cells, n) point matrix is formed;
 * both query points are attached to every node within (reach+1)*h via
   the same segment integral (plus a direct x-y edge when they are that
   close), so endpoint handling adds no O(h * density) detour penalty.
@@ -718,17 +717,15 @@ def build_grid(domain: Domain, spacing: float, x, y,
     # d by node, and 1.0 at index -1 for a neighbour that is no node
     padded_clear = np.append(node_clear, 1.0)
 
-    # per axis, (cells, offsets) tables of the squared step along it and,
-    # for a domain whose weights read them, the midpoint coordinate, from
-    # the axis padded by the reach and formed as the window's axes are, so
-    # the same bits
+    # per axis, (cells, offsets) tables of the midpoint coordinate and the
+    # squared step along it, from the axis padded by the reach and formed
+    # as the window's axes are, so the same bits
     mids, steps_sq = [], []
     for axis, (start, d) in enumerate(zip(starts, shape)):
         coord = np.arange(start - reach, start + d + reach) * h
         u = coord[reach:reach + d, None]
         v = coord[np.arange(reach, reach + d)[:, None] + offsets[:, axis]]
-        if domain.segment_reads_mid:
-            mids.append(0.5 * (u + v))
+        mids.append(0.5 * (u + v))
         steps_sq.append((u - v) * (u - v))
 
     # the edge table (node, offset) is in CSR order: rows by node, offsets
@@ -751,7 +748,7 @@ def build_grid(domain: Domain, spacing: float, x, y,
         length = steps_sq[0][rows[0]]
         for q, r in zip(steps_sq[1:], rows[1:]):
             length += q[r]
-        w = domain.segment_integral([m[r] for m, r in zip(mids, rows)] if mids else None,
+        w = domain.segment_integral([m[r] for m, r in zip(mids, rows)],
                                     np.sqrt(length, out=length), padded_clear[block, None],
                                     padded_clear[near])
         has = np.isfinite(w) & (near >= 0)
